@@ -2,16 +2,13 @@
 
 Subcommands: pullback, decompose, frame, stage, run, flow, smooth-bench,
 free-check. Exit codes: 0 success, 2 validation error, 3 numerical
-nonconvergence, 4 capability error. The environment variable
-CORRUGATE_THREADS caps worker counts; all computations are deterministic
-regardless of its value (the current implementation is serial).
+nonconvergence, 4 capability error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -31,24 +28,21 @@ from .smoothing import calibration_field, estimate_bench
 
 @dataclass
 class RunConfig:
-    """Validated invocation: subcommand, typed parameter map, seed."""
+    """Validated invocation: subcommand and typed parameter map."""
 
     command: str
     params: dict = field(default_factory=dict)
-    seed: int = 0
 
     def to_json(self) -> str:
-        return json.dumps({"command": self.command, "params": self.params,
-                           "seed": self.seed}, sort_keys=True)
+        return json.dumps({"command": self.command, "params": self.params}, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         data = json.loads(text)
-        extra = set(data) - {"command", "params", "seed"}
+        extra = set(data) - {"command", "params"}
         if extra:
             raise InputError(f"unknown config keys: {sorted(extra)}")
-        return cls(command=data["command"], params=dict(data.get("params", {})),
-                   seed=int(data.get("seed", 0)))
+        return cls(command=data["command"], params=dict(data.get("params", {})))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,8 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="corrugate",
         description="corrugation stages and the regularized isometry flow "
                     "on periodic charts")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for generated test fields (default 0)")
     parser.add_argument("--config", help="JSON config file replacing CLI flags")
     sub = parser.add_subparsers(dest="command")
 
@@ -155,9 +147,8 @@ def parse_config(argv=None, config_file=None) -> RunConfig:
         return parse_config(config_file=ns.config)
     if ns.command is None:
         raise InputError("a subcommand is required (see --help)")
-    params = {k: v for k, v in vars(ns).items()
-              if k not in ("command", "seed", "config")}
-    return _validate(RunConfig(command=ns.command, params=params, seed=ns.seed))
+    params = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
+    return _validate(RunConfig(command=ns.command, params=params))
 
 
 def emit_report(report, path):
@@ -326,21 +317,8 @@ _DISPATCH = {
 }
 
 
-def worker_count() -> int:
-    """Worker cap from CORRUGATE_THREADS (results never depend on it)."""
-    raw = os.environ.get("CORRUGATE_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise InputError(f"CORRUGATE_THREADS must be an integer, got {raw!r}")
-    if count < 1:
-        raise InputError(f"CORRUGATE_THREADS must be positive, got {count}")
-    return count
-
-
 def main(argv=None) -> int:
     try:
-        worker_count()
         config = parse_config(argv)
         return _DISPATCH[config.command](config.params)
     except CorrugateError as exc:

@@ -264,12 +264,6 @@ def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
         f"increment {last_check.incr_err:.3e})")
 
 
-def _lift(fieldlike, grid: PeriodicGrid):
-    if isinstance(fieldlike, PrimitiveMetric):
-        return resample_primitive(fieldlike, grid)
-    return resample(fieldlike, grid)
-
-
 def run_stage(w: ImmersionField, g: MetricField, eta: float, delta: float,
               bump_counts=(1, 2, 4), max_nodes: int = MAX_NODES,
               ) -> tuple[ImmersionField, StageReport]:
@@ -324,9 +318,9 @@ def run_stage(w: ImmersionField, g: MetricField, eta: float, delta: float,
         params, fields = choose_lambda(
             cur_w, pending[j], frame, eta_budget, delta_budget, max_nodes)
         if fields.grid.shape != cur_w.grid.shape:
-            cur_g = _lift(cur_g, fields.grid)
-            base_w = _lift(base_w, fields.grid)
-            pending = pending[:j + 1] + [_lift(p, fields.grid) for p in pending[j + 1:]]
+            cur_g = resample(cur_g, fields.grid)
+            base_w = resample(base_w, fields.grid)
+            pending[j + 1:] = [resample_primitive(p, fields.grid) for p in pending[j + 1:]]
         wp = spiral_perturbation(fields.w, fields.prim, fields.frame, params.lam)
         cur_w = fields.w + wp
         lambdas.append(params.lam)

@@ -158,11 +158,7 @@ class PrimitiveMetric:
 
 def reconstruct(primitives, grid: PeriodicGrid) -> MetricField:
     """Sum of primitive tensors (the decomposition residual oracle)."""
-    ncomp = grid.dim * (grid.dim + 1) // 2
-    total = MetricField(grid, np.zeros(grid.shape + (ncomp,)))
-    for prim in primitives:
-        total = total + prim.tensor()
-    return total
+    return sum((prim.tensor() for prim in primitives), MetricField.identity(grid, 0.0))
 
 
 def _require_positive_definite(h: MetricField):
@@ -320,8 +316,7 @@ def global_decompose(h: MetricField, bump_count: int = 1) -> list[PrimitiveMetri
                 psi_linear=v[i],
                 support_id=ell,
             ))
-    active = sum((p.amplitude.values > 0).astype(int) for p in primitives)
-    if int(np.max(active)) > overlap_bound(grid.dim):
+    if int(np.max(active_count(primitives, grid))) > overlap_bound(grid.dim):
         raise CoverageError("active primitive count exceeds K(n)")
     return primitives
 

@@ -98,9 +98,8 @@ def nash_kuiper_iterate(v0: ImmersionField, g: MetricField,
             report.c0_distance = sup_norm(cur_w - v0_lifted, 0)
             exc.partial_report = report
             raise
-        if z.grid.shape != cur_g.grid.shape:
-            cur_g = resample(cur_g, z.grid)
-            v0_lifted = resample(v0_lifted, z.grid)
+        cur_g = resample(cur_g, z.grid)
+        v0_lifted = resample(v0_lifted, z.grid)
         cur_w = z
         report.stage_reports.append(stage_rep)
     report.final_defect = sup_norm(cur_g - pullback_metric(cur_w), 0)

@@ -21,20 +21,14 @@ def _fmt_row(row) -> str:
     return ",".join(FLOAT_FMT.format(float(v)) for v in row)
 
 
-def _field_payload(field) -> np.ndarray:
-    if isinstance(field, ScalarField):
-        return field.values.reshape(-1, 1)
-    if isinstance(field, MetricField):
-        return field.comps.reshape(-1, field.comps.shape[-1])
-    if isinstance(field, ImmersionField):
-        return field.values.reshape(-1, field.ambient_dim)
-    raise InputError(f"unsupported field type {type(field).__name__}")
+#: field classes by the kind name in a block header
+FIELD_KINDS = {cls.kind: cls for cls in (ScalarField, MetricField, ImmersionField)}
 
 
 def write_field_block(field, out: io.TextIOBase):
     """One field as a header line plus one CSV row per node (row-major)."""
     grid = field.grid
-    payload = _field_payload(field)
+    payload = field.values.reshape(grid.num_nodes, -1)
     res = ",".join(str(r) for r in grid.shape)
     out.write(f"# field {field.kind} dim={grid.dim} res={res} N={payload.shape[1]}\n")
     if isinstance(field, ImmersionField):
@@ -86,13 +80,17 @@ def read_field_block(lines, min_resolution: int = 16):
     data = np.asarray(rows)
     if data.shape[1] != ncomp:
         raise InputError(f"row width {data.shape[1]} != declared N={ncomp}")
-    if kind == "scalar":
-        return ScalarField(grid, data.reshape(grid.shape))
-    if kind == "metric":
-        return MetricField(grid, data.reshape(grid.shape + (ncomp,)))
-    if kind == "immersion":
-        return ImmersionField(grid, data.reshape(grid.shape + (ncomp,)), offsets)
-    raise InputError(f"unknown field kind {kind!r}")
+    cls = FIELD_KINDS.get(kind)
+    if cls is None:
+        raise InputError(f"unknown field kind {kind!r}")
+    shape = grid.shape + cls.component_shape(grid, (ncomp,))
+    if int(np.prod(shape)) != data.size:
+        raise InputError(f"{kind} field on a {dim}-dimensional grid cannot have N={ncomp}")
+    if offsets is None:
+        return cls(grid, data.reshape(shape))
+    if cls is not ImmersionField:
+        raise InputError(f"offsets line in a {kind} field block")
+    return ImmersionField(grid, data.reshape(shape), offsets)
 
 
 def write_field(field, path):

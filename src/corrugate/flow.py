@@ -35,8 +35,9 @@ from .grid import (
     MetricField,
     pullback_metric,
     sup_norm,
+    symmetric_product,
 )
-from .leastnorm import apply_L, is_free, symmetric_product
+from .leastnorm import apply_L, is_free
 from .smoothing import smooth, smooth_eps_derivative
 
 #: steps with a non-decaying, above-tolerance residual before giving up
@@ -86,17 +87,16 @@ class FlowConfig:
 
 @dataclass
 class FlowState:
-    """Integrator state: current time and map, accumulated tensor path,
-    stored increments E(tau) with their times, and the retired part of the
-    history integral (samples that left the width-one ramp window)."""
+    """Integrator state: current time and map, stored increments E(tau)
+    with their times, and the retired part of the history integral
+    (samples that left the width-one ramp window)."""
 
     t: float
     w: ImmersionField
-    h_accum: MetricField
     E_history: list[tuple[float, MetricField]]
     t0: float
     step: float
-    tail_integral: MetricField = None
+    tail_integral: MetricField
 
     def prune(self):
         """Retire samples behind the ramp window into the running integral."""
@@ -111,9 +111,8 @@ def _window_quadratures(state: FlowState, t: float, h_target: MetricField,
                         ) -> tuple[MetricField, MetricField]:
     """Trapezoidal L(t) = tail + int E(tau) psi(t-tau) and the psi'-weighted
     tail integral, over the stored samples up to time t."""
-    zero = h_target * 0.0
-    L = state.tail_integral if state.tail_integral is not None else zero
-    C = zero
+    L = state.tail_integral
+    C = h_target * 0.0
     samples = [(tau, e) for tau, e in state.E_history if tau <= t + 1e-12]
     if len(samples) < 2:
         if state.t > state.t0 + 2.0 * state.step and not samples:
@@ -269,10 +268,8 @@ def run_flow(w0: ImmersionField, h_target: MetricField,
             f"||h||_3 = {h_size:.3e} exceeds the smallness bound {bound:.3e}; "
             "halve the target or raise t0")
 
-    zero = h_target * 0.0
-    state = FlowState(
-        t=cfg.t0, w=w0, h_accum=zero, E_history=[], t0=cfg.t0, step=cfg.dt,
-        tail_integral=zero)
+    state = FlowState(t=cfg.t0, w=w0, E_history=[], t0=cfg.t0, step=cfg.dt,
+                      tail_integral=h_target * 0.0)
 
     diag = FlowDiagnostics()
     best_resid = float("inf")
@@ -306,7 +303,6 @@ def run_flow(w0: ImmersionField, h_target: MetricField,
         k4 = flow_rhs(state, h_target, t=state.t + dt, w=state.w + k3 * dt).wdot
         state.w = state.w + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (dt / 6.0)
         state.t += dt
-        state.h_accum = eval_h(state, state.t, h_target)
         state.prune()
 
     final_resid = sup_norm(pullback_metric(state.w) - w0_pull - h_target, 0)

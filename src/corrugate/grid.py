@@ -1,7 +1,10 @@
 """Periodic-grid fields with spectral calculus.
 
 Charts are single periodic boxes [0, 2pi)^d with d in {1, 2} (circle and
-square torus). Three field kinds live on a grid:
+square torus). Every field is a ``Field``: an array ``data`` with the grid
+axes first and the component axes after them, validated and combined by
+the base; resampling, smoothing and the C^k norms act on ``data`` alike.
+A kind supplies its component shape:
 
   ScalarField      one real value per node
   MetricField      symmetric (0,2) tensor per node, stored triangular
@@ -9,8 +12,8 @@ square torus). Three field kinds live on a grid:
 
 Differentiation is DFT-based, hence exact (to rounding) for band-limited
 fields. Maps whose lift is linear-plus-periodic (e.g. x -> (x, 0, ...))
-carry per-axis ``offsets``: the stored samples are the periodic part only,
-and every derivative adds the constant linear slope back in.
+carry per-axis ``offsets``: ``data`` holds the periodic part only, and
+every first derivative adds the constant linear slope back in.
 """
 
 from __future__ import annotations
@@ -66,19 +69,11 @@ class PeriodicGrid:
 
     def meshes(self) -> list[np.ndarray]:
         """Full coordinate arrays of shape ``self.shape`` (indexing 'ij')."""
-        if self.dim == 1:
-            return self.axes()
         return list(np.meshgrid(*self.axes(), indexing="ij"))
 
     def wavenumbers(self, axis: int) -> np.ndarray:
         """Integer angular wavenumbers 0..res/2 for the rfft along ``axis``."""
         return np.arange(self.shape[axis] // 2 + 1, dtype=float)
-
-    def refined(self, factor_per_axis) -> "PeriodicGrid":
-        if np.isscalar(factor_per_axis):
-            factor_per_axis = (factor_per_axis,) * self.dim
-        new_shape = tuple(int(r * f) for r, f in zip(self.shape, factor_per_axis))
-        return PeriodicGrid(new_shape, min_resolution=self.min_resolution)
 
 
 def _check_finite(values, what: str):
@@ -106,18 +101,87 @@ def spectral_derivative(values: np.ndarray, grid: PeriodicGrid, axis: int,
     return np.fft.irfft(spec, n=res, axis=axis)
 
 
-class ScalarField:
+def spectral_gradient(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """All first partials of node samples, stacked on a new last axis."""
+    return np.stack([spectral_derivative(values, grid, a) for a in range(grid.dim)], axis=-1)
+
+
+def _require_same_grid(a, b):
+    if a.grid.shape != b.grid.shape:
+        raise InputError(f"grid mismatch: {a.grid.shape} vs {b.grid.shape}")
+
+
+class Field:
+    """Samples on a periodic grid: ``data`` has the grid axes first and the
+    kind's component axes after them.
+
+    The stored samples are periodic; a kind whose lift has a linear part
+    keeps it in extra parts (see ``_extras``) that arithmetic combines and
+    resampling or smoothing carry over unchanged.
+    """
+
+    kind = "field"
+
+    @classmethod
+    def component_shape(cls, grid: PeriodicGrid, given: tuple) -> tuple:
+        """Trailing shape of ``data``, given the trailing axes supplied."""
+        return ()
+
+    def __init__(self, grid: PeriodicGrid, data):
+        data = np.asarray(data, dtype=float)
+        expected = grid.shape + self.component_shape(grid, data.shape[grid.dim:])
+        if data.shape != expected:
+            raise InputError(f"{self.kind} data shape {data.shape} != {expected}")
+        _check_finite(data, f"{self.kind} field")
+        self.grid = grid
+        self.data = data
+
+    @classmethod
+    def from_periodic(cls, grid: PeriodicGrid, data) -> "Field":
+        return cls(grid, data)
+
+    @property
+    def values(self) -> np.ndarray:
+        """Node samples of the field's lift, grid axes first."""
+        return self.data
+
+    def _extras(self) -> tuple:
+        """Parts besides ``data`` that ``from_periodic`` takes."""
+        return ()
+
+    def _norm_terms(self):
+        """What the C^k norms run over: the D^0 samples, the periodic samples
+        whose derivatives give D^k for k >= 1, and a constant added to D^1."""
+        return self.data, self.data, 0.0
+
+    def with_data(self, grid: PeriodicGrid, data) -> "Field":
+        """Same kind on ``grid`` from new periodic samples; extras carried over."""
+        return self.from_periodic(grid, data, *self._extras())
+
+    def _combine(self, other, op):
+        if type(other) is not type(self) or other.data.shape != self.data.shape:
+            raise InputError(f"cannot combine {self.kind} data {self.data.shape} "
+                             f"with {other.kind} data {other.data.shape}")
+        return self.from_periodic(self.grid, op(self.data, other.data),
+                                  *map(op, self._extras(), other._extras()))
+
+    def __add__(self, other):
+        return self._combine(other, np.add)
+
+    def __sub__(self, other):
+        return self._combine(other, np.subtract)
+
+    def __mul__(self, c: float):
+        c = float(c)
+        return self.from_periodic(self.grid, self.data * c, *(e * c for e in self._extras()))
+
+    __rmul__ = __mul__
+
+
+class ScalarField(Field):
     """Real scalar samples on a periodic grid."""
 
     kind = "scalar"
-
-    def __init__(self, grid: PeriodicGrid, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != grid.shape:
-            raise InputError(f"scalar values shape {values.shape} != grid {grid.shape}")
-        _check_finite(values, "scalar field")
-        self.grid = grid
-        self.values = values
 
     @classmethod
     def from_function(cls, grid: PeriodicGrid, fn) -> "ScalarField":
@@ -128,27 +192,11 @@ class ScalarField:
         return cls(grid, np.full(grid.shape, float(c)))
 
     def derivative(self, axis: int, order: int = 1) -> "ScalarField":
-        return ScalarField(self.grid, spectral_derivative(self.values, self.grid, axis, order))
+        return ScalarField(self.grid, spectral_derivative(self.data, self.grid, axis, order))
 
     def gradient(self) -> np.ndarray:
         """Gradient samples, shape grid.shape + (dim,)."""
-        return np.stack(
-            [spectral_derivative(self.values, self.grid, a) for a in range(self.grid.dim)],
-            axis=-1,
-        )
-
-    def __add__(self, other):
-        _require_same_grid(self, other)
-        return ScalarField(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        _require_same_grid(self, other)
-        return ScalarField(self.grid, self.values - other.values)
-
-    def __mul__(self, c: float):
-        return ScalarField(self.grid, self.values * float(c))
-
-    __rmul__ = __mul__
+        return spectral_gradient(self.data, self.grid)
 
 
 def triangular_index_pairs(dim: int) -> list[tuple[int, int]]:
@@ -156,20 +204,23 @@ def triangular_index_pairs(dim: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(dim) for j in range(i, dim)]
 
 
-class MetricField:
+class MetricField(Field):
     """Symmetric (0,2) tensor samples, stored as upper-triangular components."""
 
     kind = "metric"
 
-    def __init__(self, grid: PeriodicGrid, comps):
-        ncomp = grid.dim * (grid.dim + 1) // 2
-        comps = np.asarray(comps, dtype=float)
-        if comps.shape != grid.shape + (ncomp,):
-            raise InputError(
-                f"metric components shape {comps.shape} != {grid.shape + (ncomp,)}")
-        _check_finite(comps, "metric field")
-        self.grid = grid
-        self.comps = comps
+    @classmethod
+    def component_shape(cls, grid: PeriodicGrid, given: tuple) -> tuple:
+        return (grid.dim * (grid.dim + 1) // 2,)
+
+    @property
+    def comps(self) -> np.ndarray:
+        return self.data
+
+    def _norm_terms(self):
+        # norms run over the full matrices, so off-diagonal entries count twice
+        mats = self.matrices()
+        return mats, mats, 0.0
 
     @classmethod
     def from_matrices(cls, grid: PeriodicGrid, mats) -> "MetricField":
@@ -214,56 +265,39 @@ class MetricField:
         rad = np.sqrt(((a - c) / 2.0) ** 2 + b * b)
         return half_tr - rad
 
-    def __add__(self, other):
-        _require_same_grid(self, other)
-        return MetricField(self.grid, self.comps + other.comps)
 
-    def __sub__(self, other):
-        _require_same_grid(self, other)
-        return MetricField(self.grid, self.comps - other.comps)
-
-    def __mul__(self, c: float):
-        return MetricField(self.grid, self.comps * float(c))
-
-    __rmul__ = __mul__
-
-
-class ImmersionField:
+class ImmersionField(Field):
     """Map chart -> R^N sampled on the grid.
 
     The lift is ``values = linear + periodic`` with linear part
     x -> offsets^T x; ``offsets`` has shape (dim, N) and is zero for
-    genuinely periodic maps. Only the periodic part is stored.
+    genuinely periodic maps. Only the periodic part is stored, as ``data``.
     """
 
     kind = "immersion"
 
     def __init__(self, grid: PeriodicGrid, values, offsets=None, *, _periodic=False):
-        values = np.asarray(values, dtype=float)
-        if values.ndim != grid.dim + 1:
-            raise InputError("immersion values need one trailing component axis")
-        ambient = values.shape[-1]
-        if values.shape[:-1] != grid.shape:
-            raise InputError(f"immersion values shape {values.shape[:-1]} != grid {grid.shape}")
-        if ambient < grid.dim:
-            raise InputError(f"ambient dimension {ambient} below chart dimension {grid.dim}")
+        super().__init__(grid, values)
+        ambient = self.ambient_dim
         if offsets is None:
             offsets = np.zeros((grid.dim, ambient))
         offsets = np.asarray(offsets, dtype=float)
         if offsets.shape != (grid.dim, ambient):
             raise InputError(f"offsets shape {offsets.shape} != {(grid.dim, ambient)}")
-        _check_finite(values, "immersion field")
         _check_finite(offsets, "immersion offsets")
-        if _periodic:
-            periodic = values
-        else:
-            periodic = values - self._linear_part(grid, offsets)
-        self.grid = grid
-        self.ambient_dim = ambient
+        if not _periodic:
+            self.data = self.data - self._linear_part(grid, offsets)
         self.offsets = offsets
-        self.periodic = periodic
         self._first = None
         self._second = None
+
+    @classmethod
+    def component_shape(cls, grid: PeriodicGrid, given: tuple) -> tuple:
+        if len(given) != 1:
+            raise InputError("immersion values need one trailing component axis")
+        if given[0] < grid.dim:
+            raise InputError(f"ambient dimension {given[0]} below chart dimension {grid.dim}")
+        return given
 
     @staticmethod
     def _linear_part(grid: PeriodicGrid, offsets) -> np.ndarray:
@@ -277,19 +311,24 @@ class ImmersionField:
     def from_periodic(cls, grid, periodic, offsets=None) -> "ImmersionField":
         return cls(grid, periodic, offsets, _periodic=True)
 
-    @classmethod
-    def from_function(cls, grid: PeriodicGrid, fn, ambient_dim=None,
-                      offsets=None) -> "ImmersionField":
-        """Sample component functions fn(x[, y]) -> tuple of arrays."""
-        vals = np.stack(np.broadcast_arrays(*fn(*grid.meshes())), axis=-1)
-        if ambient_dim is not None and vals.shape[-1] != ambient_dim:
-            raise InputError("component count does not match ambient_dim")
-        return cls(grid, vals, offsets)
+    def _extras(self) -> tuple:
+        return (self.offsets,)
+
+    def _norm_terms(self):
+        return self.values, self.data, self.offsets.T
+
+    @property
+    def periodic(self) -> np.ndarray:
+        return self.data
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.data.shape[-1]
 
     @property
     def values(self) -> np.ndarray:
         """Lift samples at nodes (linear part + periodic part)."""
-        return self.periodic + self._linear_part(self.grid, self.offsets)
+        return self.data + self._linear_part(self.grid, self.offsets)
 
     def derivatives(self) -> np.ndarray:
         """First derivatives, shape grid.shape + (dim, N).
@@ -297,12 +336,7 @@ class ImmersionField:
         Cached (fields are treated as immutable); returned read-only.
         """
         if self._first is None:
-            der = np.stack(
-                [spectral_derivative(self.periodic, self.grid, a)
-                 for a in range(self.grid.dim)],
-                axis=-2,
-            )
-            der += self.offsets
+            der = np.swapaxes(spectral_gradient(self.data, self.grid), -1, -2) + self.offsets
             der.flags.writeable = False
             self._first = der
         return self._first
@@ -318,10 +352,10 @@ class ImmersionField:
             for i in range(d):
                 for j in range(i, d):
                     if i == j:
-                        der = spectral_derivative(self.periodic, self.grid, i, order=2)
+                        der = spectral_derivative(self.data, self.grid, i, order=2)
                     else:
                         der = spectral_derivative(
-                            spectral_derivative(self.periodic, self.grid, i), self.grid, j)
+                            spectral_derivative(self.data, self.grid, i), self.grid, j)
                     out[..., i, j, :] = der
                     out[..., j, i, :] = der
             out.flags.writeable = False
@@ -338,86 +372,50 @@ class ImmersionField:
         if self.min_rank_margin() <= tol:
             raise InputError("differential drops rank: not an immersion at this tolerance")
 
-    def __add__(self, other):
-        _require_same_grid(self, other)
-        if self.ambient_dim != other.ambient_dim:
-            raise InputError("ambient dimension mismatch")
-        return ImmersionField.from_periodic(
-            self.grid, self.periodic + other.periodic, self.offsets + other.offsets)
-
-    def __sub__(self, other):
-        _require_same_grid(self, other)
-        if self.ambient_dim != other.ambient_dim:
-            raise InputError("ambient dimension mismatch")
-        return ImmersionField.from_periodic(
-            self.grid, self.periodic - other.periodic, self.offsets - other.offsets)
-
-    def __mul__(self, c: float):
-        return ImmersionField.from_periodic(
-            self.grid, self.periodic * float(c), self.offsets * float(c))
-
-    __rmul__ = __mul__
-
-
-def _require_same_grid(a, b):
-    if a.grid.shape != b.grid.shape:
-        raise InputError(f"grid mismatch: {a.grid.shape} vs {b.grid.shape}")
-
 
 # ---------------------------------------------------------------------------
 # operations
 
 
+def symmetric_product(u: ImmersionField, v: ImmersionField) -> MetricField:
+    """du (.) dv: the symmetric (0,2) tensor (d_i u . d_j v + d_j u . d_i v)/2."""
+    _require_same_grid(u, v)
+    du = u.derivatives()
+    dv = v.derivatives()
+    pairs = triangular_index_pairs(u.grid.dim)
+    comps = np.stack([
+        0.5 * (np.einsum("...a,...a->...", du[..., i, :], dv[..., j, :])
+               + np.einsum("...a,...a->...", du[..., j, :], dv[..., i, :]))
+        for i, j in pairs], axis=-1)
+    return MetricField(u.grid, comps)
+
+
 def pullback_metric(w: ImmersionField) -> MetricField:
     """Induced metric with entries d_i w . d_j w (spectral derivatives)."""
-    der = w.derivatives()
-    pairs = triangular_index_pairs(w.grid.dim)
-    comps = np.stack(
-        [np.einsum("...a,...a->...", der[..., i, :], der[..., j, :]) for i, j in pairs],
-        axis=-1,
-    )
-    return MetricField(w.grid, comps)
-
-
-def _component_stack(field) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Node-indexed array of field components plus the component shape."""
-    if isinstance(field, ScalarField):
-        return field.values[..., None], (1,)
-    if isinstance(field, MetricField):
-        d = field.grid.dim
-        mats = field.matrices()
-        return mats.reshape(field.grid.shape + (d * d,)), (d, d)
-    if isinstance(field, ImmersionField):
-        return field.values, (field.ambient_dim,)
-    raise InputError(f"unsupported field type {type(field).__name__}")
+    return symmetric_product(w, w)
 
 
 def _derivative_sups(field, k: int) -> list[float]:
     """Nodewise-sup Frobenius norms of D^0 .. D^k.
 
     D^i is the full i-th derivative tensor (all d^i mixed partials); the
-    Frobenius norm runs over every component and derivative slot. For an
-    ImmersionField the first derivative includes the linear offsets.
+    Frobenius norm runs over every component and derivative slot. An
+    immersion's D^0 is taken of its lift and its D^1 includes the linear
+    offsets; higher derivatives see the periodic part alone.
     """
     if k < 0 or k > MAX_DERIVATIVE_ORDER:
         raise CapabilityError(f"derivative order {k} unsupported (max {MAX_DERIVATIVE_ORDER})")
     grid = field.grid
-    flat, _ = _component_stack(field)
+    lift, current, slope = field._norm_terms()
 
     def node_sup(arr):
         comp_axes = tuple(range(grid.dim, arr.ndim))
         return float(np.max(np.sqrt(np.sum(arr * arr, axis=comp_axes))))
 
-    sups = [node_sup(flat)]
-    current = flat
+    sups = [node_sup(lift)]
     for order in range(1, k + 1):
-        stacked = np.stack(
-            [spectral_derivative(current, grid, a) for a in range(grid.dim)], axis=-1)
-        if order == 1 and isinstance(field, ImmersionField):
-            # derivative of the linear part: constant slope per axis
-            stacked = stacked + field.offsets.T
-        current = stacked
-        sups.append(node_sup(current))
+        current = spectral_gradient(current, grid)
+        sups.append(node_sup(current + slope if order == 1 else current))
     return sups
 
 
@@ -445,41 +443,28 @@ def is_short(w: ImmersionField, g: MetricField, strict: bool = False) -> tuple[b
     return margin >= -SHORT_TOL, margin
 
 
-def _resample_axis(values: np.ndarray, axis: int, old: int, new: int,
+def _resample_axis(values: np.ndarray, axis: int, new: int,
                    rel_tol: float = 1e-10) -> np.ndarray:
-    """Exact spectral resampling along one axis (complex-safe, linear)."""
-    spec = np.fft.fft(values, axis=axis) / old
-    spec = np.moveaxis(spec, axis, 0)
-    out = np.zeros((new,) + spec.shape[1:], dtype=complex)
-    if new >= old:
-        half = old // 2
-        out[:half] = spec[:half]
-        if half > 1:
-            out[-(half - 1):] = spec[-(half - 1):]
-        # split the old Nyquist mode between +/- new positions
-        out[half] += spec[half] / 2.0
-        out[-half] += spec[half] / 2.0
-    else:
-        half = new // 2
-        scale = float(np.max(np.abs(spec))) + 1e-300
-        discarded = spec[half + 1: old - half]
-        if discarded.size and float(np.max(np.abs(discarded))) > rel_tol * scale:
+    """Exact spectral resampling of real samples along one axis.
+
+    Upsampling splits the old Nyquist mode evenly between the new +/- old/2
+    modes. Downsampling folds the new Nyquist pair into 2 Re and refuses to
+    discard content above it.
+    """
+    old = values.shape[axis]
+    spec = np.fft.rfft(values, axis=axis)
+    modes = np.moveaxis(spec, axis, 0)
+    half = min(old, new) // 2
+    if new < old:
+        scale = float(np.max(np.abs(modes))) + 1e-300
+        if float(np.max(np.abs(modes[half + 1:]))) > rel_tol * scale:
             raise AliasingError(
                 f"downsampling to {new} discards spectral content above mode {half}")
-        out[:half] = spec[:half]
-        if half > 1:
-            out[-(half - 1):] = spec[-(half - 1):]
-        out[half] = spec[half] + spec[old - half]
-    out = np.moveaxis(out, 0, axis)
-    return np.fft.ifft(out * new, axis=axis)
-
-
-def _resample_values(values: np.ndarray, old_grid: PeriodicGrid,
-                     new_grid: PeriodicGrid) -> np.ndarray:
-    work = values.astype(complex)
-    for a in range(old_grid.dim):
-        work = _resample_axis(work, a, old_grid.shape[a], new_grid.shape[a])
-    return np.real(work)
+        modes[half] = 2.0 * modes[half].real
+    else:
+        modes[half] *= 0.5
+    spec *= new / old
+    return np.fft.irfft(spec, n=new, axis=axis)
 
 
 def resample(field, new_grid: PeriodicGrid):
@@ -494,12 +479,8 @@ def resample(field, new_grid: PeriodicGrid):
         raise InputError("resample cannot change chart dimension")
     if new_grid.shape == old_grid.shape:
         return field
-    if isinstance(field, ScalarField):
-        return ScalarField(new_grid, _resample_values(field.values, old_grid, new_grid))
-    if isinstance(field, MetricField):
-        return MetricField(new_grid, _resample_values(field.comps, old_grid, new_grid))
-    if isinstance(field, ImmersionField):
-        return ImmersionField.from_periodic(
-            new_grid, _resample_values(field.periodic, old_grid, new_grid),
-            field.offsets.copy())
-    raise InputError(f"unsupported field type {type(field).__name__}")
+    data = field.data
+    for a, (old, new) in enumerate(zip(old_grid.shape, new_grid.shape)):
+        if new != old:
+            data = _resample_axis(data, a, new)
+    return field.with_data(new_grid, data)

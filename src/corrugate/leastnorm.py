@@ -16,7 +16,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError, InputError, SingularityError
-from .grid import ImmersionField, MetricField, _require_same_grid, triangular_index_pairs
+from .grid import (
+    ImmersionField,
+    MetricField,
+    _require_same_grid,
+    symmetric_product,
+    triangular_index_pairs,
+)
 
 #: relative pivot floor for the SPD factorization of A A^T
 PIVOT_FLOOR = 1e-12
@@ -99,19 +105,6 @@ def is_free(w: ImmersionField) -> FreeMapReport:
     return FreeMapReport(min_det > FREE_DET_TOL, min_det, "gram determinant")
 
 
-def symmetric_product(u: ImmersionField, v: ImmersionField) -> MetricField:
-    """du (.) dv: the symmetric (0,2) tensor (d_i u . d_j v + d_j u . d_i v)/2."""
-    _require_same_grid(u, v)
-    du = u.derivatives()
-    dv = v.derivatives()
-    pairs = triangular_index_pairs(u.grid.dim)
-    comps = np.stack([
-        0.5 * (np.einsum("...a,...a->...", du[..., i, :], dv[..., j, :])
-               + np.einsum("...a,...a->...", du[..., j, :], dv[..., i, :]))
-        for i, j in pairs], axis=-1)
-    return MetricField(u.grid, comps)
-
-
 def apply_L(w: ImmersionField, hdot: MetricField, *,
             check_tol: float = LINEARIZATION_TOL) -> ImmersionField:
     """Nodewise minimum-norm velocity wdot with 2 dw (.) dwdot = hdot.
@@ -129,9 +122,7 @@ def apply_L(w: ImmersionField, hdot: MetricField, *,
     stack = _derivative_stack(w)
     A = stack.copy()
     A[..., d:, :] *= -2.0
-    npairs = len(triangular_index_pairs(d))
-    rhs = np.concatenate(
-        [np.zeros(grid.shape + (d,)), hdot.comps.reshape(grid.shape + (npairs,))], axis=-1)
+    rhs = np.concatenate([np.zeros(grid.shape + (d,)), hdot.comps], axis=-1)
     gram = np.einsum("...ia,...ja->...ij", A, A)
     sol = _spd_solve(gram, rhs)
     wdot_vals = np.einsum("...ia,...i->...a", A, sol)

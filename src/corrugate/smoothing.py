@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .grid import (
-    ImmersionField,
-    MetricField,
-    ScalarField,
-    derivative_sup,
-    sup_norm,
-)
+from .grid import ScalarField, derivative_sup, sup_norm
 
 
 def _smoothstep4(u: np.ndarray) -> np.ndarray:
@@ -61,53 +55,37 @@ DEFAULT_KERNEL = SmoothingKernel()
 
 
 def _mode_magnitudes(grid) -> np.ndarray:
-    """|xi| on the full FFT lattice of the grid."""
-    freqs = [np.fft.fftfreq(r, d=1.0 / r) for r in grid.shape]
-    if grid.dim == 1:
-        return np.abs(freqs[0])
-    kx, ky = np.meshgrid(*freqs, indexing="ij")
-    return np.sqrt(kx * kx + ky * ky)
+    """|xi| on the rfftn lattice of the grid (last grid axis halved)."""
+    freqs = [np.fft.fftfreq(r, d=1.0 / r) for r in grid.shape[:-1]]
+    freqs.append(np.fft.rfftfreq(grid.shape[-1], d=1.0 / grid.shape[-1]))
+    return np.sqrt(sum(k * k for k in np.meshgrid(*freqs, indexing="ij")))
 
 
-def _apply_multiplier(values: np.ndarray, grid, factors: np.ndarray) -> np.ndarray:
-    """Multiply each Fourier mode of ``values`` (grid axes first) by factors."""
-    axes = tuple(range(grid.dim))
-    spec = np.fft.fftn(values, axes=axes)
-    spec *= factors.reshape(factors.shape + (1,) * (values.ndim - grid.dim))
-    return np.real(np.fft.ifftn(spec, axes=axes))
+def _map_modes(field, eps: float, mode_fn):
+    """Scale each Fourier mode xi of ``field`` by mode_fn(|xi|).
 
-
-def _check_eps(eps: float):
+    An immersion's linear part is already smooth; only its periodic part
+    carries modes.
+    """
     if not (0.0 < eps <= 1.0):
         raise InputError(f"smoothing scale must lie in (0, 1], got {eps}")
-
-
-def _map_modes(field, eps: float, mode_fn, kernel: SmoothingKernel):
-    factors = mode_fn(_mode_magnitudes(field.grid), eps, kernel)
-    if isinstance(field, ScalarField):
-        return ScalarField(field.grid, _apply_multiplier(field.values, field.grid, factors))
-    if isinstance(field, MetricField):
-        return MetricField(field.grid, _apply_multiplier(field.comps, field.grid, factors))
-    if isinstance(field, ImmersionField):
-        # the linear offset part is already smooth; only the periodic part
-        # carries modes
-        return ImmersionField.from_periodic(
-            field.grid, _apply_multiplier(field.periodic, field.grid, factors),
-            field.offsets.copy())
-    raise InputError(f"unsupported field type {type(field).__name__}")
+    grid = field.grid
+    axes = tuple(range(grid.dim))
+    spec = np.fft.rfftn(field.data, axes=axes)
+    factors = mode_fn(_mode_magnitudes(grid))
+    spec *= factors.reshape(factors.shape + (1,) * (field.data.ndim - grid.dim))
+    return field.with_data(grid, np.fft.irfftn(spec, s=grid.shape, axes=axes))
 
 
 def smooth(field, eps: float, kernel: SmoothingKernel = DEFAULT_KERNEL):
     """S_eps: scale mode xi by m(eps*|xi|). Linear; exact identity on fields
     whose active modes satisfy eps*|xi| <= 1/2."""
-    _check_eps(eps)
-    return _map_modes(field, eps, lambda k, e, ker: ker.multiplier(e * k), kernel)
+    return _map_modes(field, eps, lambda k: kernel.multiplier(eps * k))
 
 
 def smooth_eps_derivative(field, eps: float, kernel: SmoothingKernel = DEFAULT_KERNEL):
     """S'_eps = d/d(eps) S_eps: scale mode xi by |xi| * m'(eps*|xi|)."""
-    _check_eps(eps)
-    return _map_modes(field, eps, lambda k, e, ker: k * ker.multiplier_derivative(e * k), kernel)
+    return _map_modes(field, eps, lambda k: k * kernel.multiplier_derivative(eps * k))
 
 
 def estimate_bench(field, pairs, eps_grid, kernel: SmoothingKernel = DEFAULT_KERNEL):

@@ -26,7 +26,6 @@ class TestParseConfig:
         assert cfg.command == "run"
         assert cfg.params["stages"] == 4
         assert cfg.params["epsilon"] == 0.5
-        assert cfg.seed == 0
 
     def test_negative_stage_count_rejected(self):
         with pytest.raises(InputError):
@@ -52,10 +51,6 @@ class TestParseConfig:
         path.write_text('{"command": "free-check", "params": {"bogus": 1}}')
         with pytest.raises(InputError):
             parse_config(config_file=path)
-
-    def test_seed_carried(self):
-        cfg = parse_config(["--seed", "7", "free-check", "--in", "x.csv"])
-        assert cfg.seed == 7
 
 
 class TestObjExport:
@@ -234,7 +229,3 @@ class TestMainDispatch:
         header, rows = read_table(out)
         assert header == ["family", "r", "s", "max_ratio"]
         assert all(float(row[3]) <= 64.0 for row in rows)
-
-    def test_threads_env_validated(self, monkeypatch):
-        monkeypatch.setenv("CORRUGATE_THREADS", "zero")
-        assert main(["free-check", "--in", "nope.csv"]) == 2

@@ -59,7 +59,7 @@ class TestFlowRhs:
     def test_zero_target_is_stationary(self):
         grid, w0 = circle_setup(64)
         h0 = metric(grid, np.zeros(grid.shape))
-        state = FlowState(t=10.0, w=w0, h_accum=h0 * 0.0, E_history=[],
+        state = FlowState(t=10.0, w=w0, E_history=[],
                           t0=10.0, step=0.05, tail_integral=h0 * 0.0)
         rates = flow_rhs(state, h0)
         assert sup_norm(rates.hdot, 0) == 0.0
@@ -68,7 +68,7 @@ class TestFlowRhs:
     def test_path_starts_at_zero(self):
         grid, w0 = circle_setup(64)
         h = metric(grid, np.full(grid.shape, 0.04))
-        state = FlowState(t=10.0, w=w0, h_accum=h * 0.0, E_history=[],
+        state = FlowState(t=10.0, w=w0, E_history=[],
                           t0=10.0, step=0.05, tail_integral=h * 0.0)
         assert sup_norm(eval_h(state, 10.0, h), 0) == 0.0
 
@@ -77,7 +77,7 @@ class TestFlowRhs:
         h = metric(grid, np.full(grid.shape, 0.02))
         cfg = FlowConfig(t0=10.0, t_end=15.0, tol=1e-3)
         # integrate a little past t0 + 0.5 to build history
-        state = FlowState(t=cfg.t0, w=w0, h_accum=h * 0.0, E_history=[],
+        state = FlowState(t=cfg.t0, w=w0, E_history=[],
                           t0=cfg.t0, step=cfg.dt, tail_integral=h * 0.0)
         while state.t < 10.55:
             rates = flow_rhs(state, h)
@@ -112,7 +112,7 @@ class TestFlowRhs:
         w = ImmersionField(grid, np.stack([r * np.cos(x), r * np.sin(x)], axis=-1))
         assert not is_free(w).is_free
         h0 = metric(grid, np.zeros(grid.shape))
-        state = FlowState(t=10.0, w=w, h_accum=h0 * 0.0, E_history=[],
+        state = FlowState(t=10.0, w=w, E_history=[],
                           t0=10.0, step=0.05, tail_integral=h0 * 0.0)
         with pytest.raises(NonconvergenceError):
             flow_rhs(state, h0)
@@ -120,7 +120,7 @@ class TestFlowRhs:
     def test_window_underflow_is_internal_error(self):
         grid, w0 = circle_setup(64)
         h = metric(grid, np.full(grid.shape, 0.02))
-        state = FlowState(t=15.0, w=w0, h_accum=h * 0.0, E_history=[],
+        state = FlowState(t=15.0, w=w0, E_history=[],
                           t0=10.0, step=0.05, tail_integral=h * 0.0)
         with pytest.raises(CorrugateError):
             eval_hdot(state, 15.0, h)

@@ -10,6 +10,7 @@ from corrugate.grid import (
     MetricField,
     PeriodicGrid,
     ScalarField,
+    derivative_sup,
     is_short,
     pullback_metric,
     resample,
@@ -121,6 +122,17 @@ class TestSupNorm:
         expected = (np.max(np.abs(f[::4])) + np.max(np.abs(d1[::4]))
                     + np.max(np.abs(d2[::4])))
         assert measured == pytest.approx(expected, abs=1e-6)
+
+    def test_flat_strip_offsets_enter_first_derivative_only(self):
+        w = flat_strip_map(PeriodicGrid((64, 64)))
+        assert derivative_sup(w, 1) == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        assert derivative_sup(w, 2) == pytest.approx(0.0, abs=1e-12)
+
+    def test_helix_first_derivative_matches_derivatives(self):
+        w = helix_map(PeriodicGrid((256,)))
+        der = w.derivatives()
+        expected = np.max(np.sqrt(np.sum(der * der, axis=(-2, -1))))
+        assert derivative_sup(w, 1) == pytest.approx(expected, abs=1e-12)
 
     def test_order_cap(self):
         grid = PeriodicGrid((16,))
