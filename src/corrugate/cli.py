@@ -188,18 +188,22 @@ def _builtin_start(manifold: str, resolution: int):
     return ImmersionField(grid, np.stack([np.cos(x), np.sin(x), zeros], axis=-1))
 
 
+def _read_kind(path, cls: type, what: str):
+    """Read the field file at ``path`` and require a field of class ``cls``."""
+    f = fieldio.read_field(path)
+    if not isinstance(f, cls):
+        raise InputError(f"{what} expects {cls.kind} data, got {f.kind} data in {path}")
+    return f
+
+
 def _cmd_pullback(p):
-    w = fieldio.read_field(p["in_path"])
-    if not isinstance(w, ImmersionField):
-        raise InputError("pullback expects an immersion field")
+    w = _read_kind(p["in_path"], ImmersionField, "pullback --in")
     fieldio.write_field(pullback_metric(w), p["out"])
     return 0
 
 
 def _cmd_decompose(p):
-    h = fieldio.read_field(p["in_path"])
-    if not isinstance(h, MetricField):
-        raise InputError("decompose expects a metric field")
+    h = _read_kind(p["in_path"], MetricField, "decompose --in")
     prims = global_decompose(h, bump_count=p["bumps"])
     fieldio.write_primitives(prims, p["out"])
     print(f"decomposed into {len(prims)} primitives")
@@ -207,9 +211,7 @@ def _cmd_decompose(p):
 
 
 def _cmd_frame(p):
-    w = fieldio.read_field(p["in_path"])
-    if not isinstance(w, ImmersionField):
-        raise InputError("frame expects an immersion field")
+    w = _read_kind(p["in_path"], ImmersionField, "frame --in")
     pair = normal_pair(w)
     fieldio.write_frame(pair, p["out"])
     print(f"seam mismatch {pair.seam_mismatch:.3e} rad")
@@ -217,8 +219,8 @@ def _cmd_frame(p):
 
 
 def _cmd_stage(p):
-    w = fieldio.read_field(p["in_path"])
-    g = fieldio.read_field(p["metric"])
+    w = _read_kind(p["in_path"], ImmersionField, "stage --in")
+    g = _read_kind(p["metric"], MetricField, "stage --metric")
     z, report = run_stage(w, g, eta=p["eta"], delta=p["delta"])
     prefix = p["out_prefix"]
     fieldio.write_field(z, f"{prefix}_map.csv")
@@ -296,9 +298,7 @@ def _cmd_smooth_bench(p):
 
 
 def _cmd_free_check(p):
-    w = fieldio.read_field(p["in_path"])
-    if not isinstance(w, ImmersionField):
-        raise InputError("free-check expects an immersion field")
+    w = _read_kind(p["in_path"], ImmersionField, "free-check --in")
     report = is_free(w)
     print(f"free={report.is_free} min_gram_det={report.min_gram_det:.6e} "
           f"({report.reason})")

@@ -12,6 +12,13 @@ hdot as three computable pieces: the ramp term, the S'-term on the stored
 integral, and the E(tau) psi'(t - tau) tail; the ramp psi confines the
 memory to a window of width one.
 
+Both window integrals are trapezoid sums over the stored samples
+E(tau_k) with tau_k <= t: sample k carries the weight
+psi(t - tau_k) w_k, respectively psi'(t - tau_k) w_k, where w_k is half
+the sum of its neighbouring gaps (half the one gap at either end), so an
+uneven last step is weighted by its own width. Samples that left the
+window are retired into a running tail integral.
+
 If w(t) converges, its pullback picks up exactly the target tensor h:
 the smoothing error E is reabsorbed into h(t) by construction, which is
 the whole point of the regularization.
@@ -37,7 +44,7 @@ from .grid import (
     sup_norm,
     symmetric_product,
 )
-from .leastnorm import apply_L, is_free
+from .leastnorm import _free_stack, apply_L, is_free
 from .smoothing import smooth, smooth_eps_derivative
 
 #: steps with a non-decaying, above-tolerance residual before giving up
@@ -111,20 +118,22 @@ def _window_quadratures(state: FlowState, t: float, h_target: MetricField,
                         ) -> tuple[MetricField, MetricField]:
     """Trapezoidal L(t) = tail + int E(tau) psi(t-tau) and the psi'-weighted
     tail integral, over the stored samples up to time t."""
-    L = state.tail_integral
-    C = h_target * 0.0
     samples = [(tau, e) for tau, e in state.E_history if tau <= t + 1e-12]
     if len(samples) < 2:
         if state.t > state.t0 + 2.0 * state.step and not samples:
             raise CorrugateError("internal error: E history window underflow")
-        return L, C
-    for (t_a, e_a), (t_b, e_b) in zip(samples, samples[1:]):
-        dt = t_b - t_a
-        wa, wb = psi_ramp(t - t_a), psi_ramp(t - t_b)
-        L = L + (e_a * (wa * 0.5 * dt) + e_b * (wb * 0.5 * dt))
-        da, db = psi_ramp_derivative(t - t_a), psi_ramp_derivative(t - t_b)
-        C = C + (e_a * (da * 0.5 * dt) + e_b * (db * 0.5 * dt))
-    return L, C
+        return state.tail_integral, h_target * 0.0
+    taus = np.array([tau for tau, _ in samples])
+    half = 0.5 * np.diff(taus)
+    trap = np.zeros_like(taus)
+    trap[:-1] += half
+    trap[1:] += half
+    stack = np.stack([e.data for _, e in samples])
+    lag = t - taus
+    L = np.tensordot(psi_ramp(lag) * trap, stack, axes=1)
+    C = np.tensordot(psi_ramp_derivative(lag) * trap, stack, axes=1)
+    grid = h_target.grid
+    return MetricField(grid, state.tail_integral.data + L), MetricField(grid, C)
 
 
 def eval_h(state: FlowState, t: float, h_target: MetricField) -> MetricField:
@@ -161,18 +170,19 @@ def flow_rhs(state: FlowState, h_target: MetricField, t: float | None = None,
 
     Computes hdot from the stored history, the minimum-norm velocity
     wdot = L(S_{1/t} w) hdot, and the new smoothing increment
-    E = 2 d(S_{1/t} w - w) (.) d wdot.
+    E = 2 d(S_{1/t} w - w) (.) d wdot. The derivative stack of S_{1/t} w is
+    built once, for both the freeness check and the solve.
     """
     t = state.t if t is None else t
     w = state.w if w is None else w
     w_smooth = smooth(w, 1.0 / t)
-    report = is_free(w_smooth)
+    stack, report = _free_stack(w_smooth)
     if not report.is_free:
         raise NonconvergenceError(
             f"flow abort at t={t:.3f}: smoothed map lost freeness "
             f"(gram det {report.min_gram_det:.3e})")
     hdot = eval_hdot(state, t, h_target)
-    wdot = apply_L(w_smooth, hdot)
+    wdot = apply_L(w_smooth, hdot, free=(stack, report))
     E_new = symmetric_product(w_smooth - w, wdot) * 2.0
     return FlowRates(wdot=wdot, hdot=hdot, E_new=E_new, w_smooth=w_smooth)
 

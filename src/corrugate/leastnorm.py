@@ -52,17 +52,18 @@ class LinearSystem:
 
 
 def _spd_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Cholesky solve with a relative pivot floor (batched over leading axes)."""
-    eigs = np.linalg.eigvalsh(gram)
-    scale = np.max(eigs, axis=-1)
-    low = np.min(eigs, axis=-1)
+    """Solve gram x = rhs for symmetric positive definite ``gram`` (batched
+    over leading axes) from one eigendecomposition V diag(lam) V^T: the
+    eigenvalues give the relative pivot floor, the eigenvectors the solve
+    x = V diag(1/lam) V^T rhs."""
+    eigs, vecs = np.linalg.eigh(gram)
+    low, scale = eigs[..., 0], eigs[..., -1]
     if np.any(low <= PIVOT_FLOOR * scale):
         worst = float(np.min(low / np.maximum(scale, 1e-300)))
         raise SingularityError(
             f"A A^T pivot below relative floor {PIVOT_FLOOR} (ratio {worst:.3e})")
-    L = np.linalg.cholesky(gram)
-    y = np.linalg.solve(L, rhs[..., None])
-    return np.linalg.solve(np.swapaxes(L, -1, -2), y)[..., 0]
+    coef = np.einsum("...ji,...j->...i", vecs, rhs) / eigs
+    return np.einsum("...ij,...j->...i", vecs, coef)
 
 
 def least_norm_solve(system: LinearSystem) -> np.ndarray:
@@ -87,6 +88,19 @@ def _derivative_stack(w: ImmersionField) -> np.ndarray:
     return np.stack(rows, axis=-2)
 
 
+def _free_stack(w: ImmersionField) -> tuple[np.ndarray | None, FreeMapReport]:
+    """The derivative stack of ``w`` (None when the dimension count already
+    fails) and the freeness report computed from it."""
+    n = w.grid.dim
+    needed = n * (n + 3) // 2
+    if w.ambient_dim < needed:
+        return None, FreeMapReport(False, 0.0, "dimension count")
+    stack = _derivative_stack(w)
+    gram = np.einsum("...ia,...ja->...ij", stack, stack)
+    min_det = float(np.min(np.linalg.det(gram)))
+    return stack, FreeMapReport(min_det > FREE_DET_TOL, min_det, "gram determinant")
+
+
 def is_free(w: ImmersionField) -> FreeMapReport:
     """Linear independence of first and second derivative vectors everywhere.
 
@@ -94,32 +108,26 @@ def is_free(w: ImmersionField) -> FreeMapReport:
     stacked vectors; a map into fewer than n(n+3)/2 dimensions is rejected
     outright by the dimension count.
     """
-    n = w.grid.dim
-    needed = n * (n + 3) // 2
-    if w.ambient_dim < needed:
-        return FreeMapReport(False, 0.0, "dimension count")
-    stack = _derivative_stack(w)
-    gram = np.einsum("...ia,...ja->...ij", stack, stack)
-    det = np.linalg.det(gram)
-    min_det = float(np.min(det))
-    return FreeMapReport(min_det > FREE_DET_TOL, min_det, "gram determinant")
+    return _free_stack(w)[1]
 
 
 def apply_L(w: ImmersionField, hdot: MetricField, *,
-            check_tol: float = LINEARIZATION_TOL) -> ImmersionField:
+            check_tol: float = LINEARIZATION_TOL,
+            free: tuple[np.ndarray | None, FreeMapReport] | None = None,
+            ) -> ImmersionField:
     """Nodewise minimum-norm velocity wdot with 2 dw (.) dwdot = hdot.
 
     Solves, at every node, the stacked system {d_j w . wdot = 0 for all j;
     -2 d_ij w . wdot = hdot_ij for i <= j} and verifies the differential
-    identity a posteriori at ``check_tol``.
+    identity a posteriori at ``check_tol``. ``free`` is ``_free_stack(w)``
+    when the caller has already built it; it is built here otherwise.
     """
     _require_same_grid(w, hdot)
-    report = is_free(w)
+    stack, report = _free_stack(w) if free is None else free
     if not report.is_free:
         raise InputError(f"map is not free ({report.reason}: {report.min_gram_det:.3e})")
     grid = w.grid
     d = grid.dim
-    stack = _derivative_stack(w)
     A = stack.copy()
     A[..., d:, :] *= -2.0
     rhs = np.concatenate([np.zeros(grid.shape + (d,)), hdot.comps], axis=-1)

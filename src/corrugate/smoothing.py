@@ -10,6 +10,7 @@ the eps-derivative estimates in the range r < s.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,11 +55,17 @@ class SmoothingKernel:
 DEFAULT_KERNEL = SmoothingKernel()
 
 
-def _mode_magnitudes(grid) -> np.ndarray:
-    """|xi| on the rfftn lattice of the grid (last grid axis halved)."""
-    freqs = [np.fft.fftfreq(r, d=1.0 / r) for r in grid.shape[:-1]]
-    freqs.append(np.fft.rfftfreq(grid.shape[-1], d=1.0 / grid.shape[-1]))
-    return np.sqrt(sum(k * k for k in np.meshgrid(*freqs, indexing="ij")))
+@functools.lru_cache(maxsize=8)
+def _mode_magnitudes(shape: tuple[int, ...]) -> np.ndarray:
+    """|xi| on the rfftn lattice of a grid of this shape (last axis halved).
+
+    Cached per shape and shared by every caller, hence read-only.
+    """
+    freqs = [np.fft.fftfreq(r, d=1.0 / r) for r in shape[:-1]]
+    freqs.append(np.fft.rfftfreq(shape[-1], d=1.0 / shape[-1]))
+    mags = np.sqrt(sum(k * k for k in np.meshgrid(*freqs, indexing="ij")))
+    mags.flags.writeable = False
+    return mags
 
 
 def _map_modes(field, eps: float, mode_fn):
@@ -72,7 +79,7 @@ def _map_modes(field, eps: float, mode_fn):
     grid = field.grid
     axes = tuple(range(grid.dim))
     spec = np.fft.rfftn(field.data, axes=axes)
-    factors = mode_fn(_mode_magnitudes(grid))
+    factors = mode_fn(_mode_magnitudes(grid.shape))
     spec *= factors.reshape(factors.shape + (1,) * (field.data.ndim - grid.dim))
     return field.with_data(grid, np.fft.irfftn(spec, s=grid.shape, axes=axes))
 

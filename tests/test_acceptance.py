@@ -104,6 +104,7 @@ def test_criterion_04_lambda_rate():
     _report(4, "lambda-rate", -1.2 <= slope <= -0.8, f"slope {slope:+.3f}")
 
 
+@pytest.mark.slow
 def test_criterion_05_stage_contract():
     grid = PeriodicGrid((64, 64))
     w = clifford_map(grid, r=1.0)
@@ -121,6 +122,7 @@ def test_criterion_05_stage_contract():
             f"defect {rep.defect_after:.3g}")
 
 
+@pytest.mark.slow
 def test_criterion_06_driver():
     grid = PeriodicGrid((64, 64))
     v0 = clifford_map(grid, r=1.0)
@@ -206,6 +208,7 @@ def test_criterion_09_smoothing():
             f"bench max {max(r['max_ratio'] for r in recs):.3f}")
 
 
+@pytest.mark.slow
 def test_criterion_10_flow():
     grid = PeriodicGrid((256,))
     w0 = unit_circle_map(grid, ambient=2)

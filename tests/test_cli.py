@@ -178,6 +178,21 @@ class TestMainDispatch:
         z = read_field(prefix + "_map.csv")
         assert isinstance(z, ImmersionField)
 
+    @pytest.mark.parametrize("swap, expected", [("in", "immersion"), ("metric", "metric")])
+    def test_stage_rejects_wrong_field_kind(self, tmp_path, capsys, swap, expected):
+        grid = PeriodicGrid((64,))
+        paths = {"in": tmp_path / "w.csv", "metric": tmp_path / "g.csv"}
+        write_field(unit_circle_map(grid), paths["in"])
+        write_field(MetricField.identity(grid, 1.2**2), paths["metric"])
+        # hand the other input's file to the swapped flag
+        other = "metric" if swap == "in" else "in"
+        paths[swap] = paths[other]
+        code = main(["stage", "--in", str(paths["in"]), "--metric", str(paths["metric"]),
+                     "--eta", "0.1", "--delta", "0.25",
+                     "--out-prefix", str(tmp_path / "s")])
+        assert code == 2
+        assert f"expects {expected} data" in capsys.readouterr().err
+
     def test_run_command_circle_one_stage(self, tmp_path):
         prefix = str(tmp_path / "run")
         code = main(["run", "--stages", "1", "--epsilon", "0.5",

@@ -21,6 +21,7 @@ from corrugate.flow import (
 )
 from corrugate.grid import MetricField, PeriodicGrid, pullback_metric, sup_norm
 from corrugate.leastnorm import is_free
+from corrugate.smoothing import smooth, smooth_eps_derivative
 
 from conftest import unit_circle_map
 
@@ -117,6 +118,53 @@ class TestFlowRhs:
         with pytest.raises(NonconvergenceError):
             flow_rhs(state, h0)
 
+    def test_window_quadrature_matches_pairwise_trapezoid(self):
+        # reference: the window integrals summed one trapezoid pair at a time
+        grid = PeriodicGrid((64,))
+        rng = np.random.default_rng(17)
+        taus = list(10.0 + 0.05 * np.arange(23))
+        taus += [taus[-1] + 0.02, taus[-1] + 0.07]  # short final step, then a future sample
+        t = taus[-2] + 0.01
+        state = FlowState(t=taus[-2], w=circle_setup(64)[1],
+                          E_history=[(tau, metric(grid, rng.normal(size=grid.shape)))
+                                     for tau in taus],
+                          t0=10.0, step=0.05,
+                          tail_integral=metric(grid, rng.normal(size=grid.shape)))
+        h = metric(grid, 0.02 * np.cos(grid.meshes()[0]))
+
+        samples = [(tau, e.data) for tau, e in state.E_history if tau <= t]
+        assert len(samples) == len(taus) - 1
+        L = state.tail_integral.data
+        C = np.zeros_like(L)
+        for (t_a, e_a), (t_b, e_b) in zip(samples, samples[1:]):
+            dt = t_b - t_a
+            L = L + (e_a * (psi_ramp(t - t_a) * 0.5 * dt) + e_b * (psi_ramp(t - t_b) * 0.5 * dt))
+            C = C + (e_a * (psi_ramp_derivative(t - t_a) * 0.5 * dt)
+                     + e_b * (psi_ramp_derivative(t - t_b) * 0.5 * dt))
+        inner = MetricField(grid, h.data * psi_ramp(t - state.t0) + L)
+        h_ref = smooth(inner, 1.0 / t).data
+        hdot_ref = (smooth_eps_derivative(inner, 1.0 / t).data * (-1.0 / t**2)
+                    + smooth(MetricField(grid, h.data * psi_ramp_derivative(t - state.t0) + C),
+                             1.0 / t).data)
+
+        for got, ref in ((eval_h(state, t, h).data, h_ref),
+                         (eval_hdot(state, t, h).data, hdot_ref)):
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_one_derivative_stack_per_evaluation(self, monkeypatch):
+        import corrugate.leastnorm as leastnorm
+
+        built = []
+        stack_of = leastnorm._derivative_stack
+        monkeypatch.setattr(leastnorm, "_derivative_stack",
+                            lambda w: built.append(w) or stack_of(w))
+        grid, w0 = circle_setup(64)
+        h = metric(grid, np.full(grid.shape, 0.02))
+        state = FlowState(t=10.0, w=w0, E_history=[],
+                          t0=10.0, step=0.05, tail_integral=h * 0.0)
+        flow_rhs(state, h)
+        assert len(built) == 1
+
     def test_window_underflow_is_internal_error(self):
         grid, w0 = circle_setup(64)
         h = metric(grid, np.full(grid.shape, 0.02))
@@ -134,6 +182,7 @@ class TestRunFlow:
         drift = np.max(np.abs(u.values - w0.values))
         assert drift <= 1e-12 * len(diag.samples)
 
+    @pytest.mark.slow
     def test_constant_target_reaches_scaled_metric(self):
         grid, w0 = circle_setup(256)
         alpha = 0.04
@@ -143,6 +192,7 @@ class TestRunFlow:
         assert np.max(np.abs(g11 - (1.0 + alpha))) <= 1e-4
         assert diag.final_resid <= 1e-4
 
+    @pytest.mark.slow
     def test_cosine_target_residual(self):
         grid, w0 = circle_setup(256)
         (x,) = grid.meshes()

@@ -5,6 +5,7 @@ from corrugate.errors import ConsistencyError, InputError, SingularityError
 from corrugate.grid import ImmersionField, MetricField, PeriodicGrid
 from corrugate.leastnorm import (
     LinearSystem,
+    _spd_solve,
     apply_L,
     is_free,
     least_norm_solve,
@@ -45,6 +46,18 @@ class TestLeastNormSolve:
         A = np.array([[1.0, 0.0], [2.0, 0.0]])
         with pytest.raises(SingularityError):
             least_norm_solve(LinearSystem(A, [1.0, 2.0]))
+
+    def test_batched_solve_and_pivot_floor(self):
+        rng = np.random.default_rng(29)
+        M = rng.normal(size=(8, 4, 4))
+        grams = M @ np.swapaxes(M, -1, -2) + np.eye(4)
+        rhs = rng.normal(size=(8, 4))
+        ref = np.linalg.solve(grams, rhs[..., None])[..., 0]
+        assert np.max(np.abs(_spd_solve(grams, rhs) - ref)) <= 1e-13 * np.max(np.abs(ref))
+        B = rng.normal(size=(4, 3))
+        grams[5] = B @ B.T  # rank 3: smallest eigenvalue at rounding level
+        with pytest.raises(SingularityError):
+            _spd_solve(grams, rhs)
 
     def test_residual_and_minimality_on_seeded_systems(self):
         rng = np.random.default_rng(71)
