@@ -14,11 +14,16 @@ import numpy as np
 from .errors import InputError
 from .grid import ImmersionField, MetricField, PeriodicGrid, ScalarField
 
-FLOAT_FMT = "{:.17g}"
+FLOAT_FMT = "%.17g"
+
+
+def _row_format(width: int) -> str:
+    return ",".join([FLOAT_FMT] * width)
 
 
 def _fmt_row(row) -> str:
-    return ",".join(FLOAT_FMT.format(float(v)) for v in row)
+    values = np.asarray(row, dtype=float).tolist()
+    return _row_format(len(values)) % tuple(values)
 
 
 #: field classes by the kind name in a block header
@@ -34,8 +39,9 @@ def write_field_block(field, out: io.TextIOBase):
     if isinstance(field, ImmersionField):
         rows = ";".join(_fmt_row(field.offsets[a]) for a in range(grid.dim))
         out.write(f"# offsets {rows}\n")
-    for row in payload:
-        out.write(_fmt_row(row) + "\n")
+    # row by row: a whole-block tolist() would raise the peak memory
+    line = _row_format(payload.shape[1]) + "\n"
+    out.writelines(line % tuple(row.tolist()) for row in payload)
 
 
 def read_field_block(lines, min_resolution: int = 16):
@@ -168,9 +174,8 @@ def export_obj(w: ImmersionField, path):
     take = min(3, w.ambient_dim)
     coords[..., :take] = values[..., :take]
     with open(path, "w") as fh:
-        for i in range(r1):
-            for j in range(r2):
-                fh.write("v " + " ".join(FLOAT_FMT.format(c) for c in coords[i, j]) + "\n")
+        line = "v " + " ".join([FLOAT_FMT] * 3) + "\n"
+        fh.writelines(line % tuple(c.tolist()) for c in coords.reshape(-1, 3))
         for i in range(r1):
             for j in range(r2):
                 a = i * r2 + j + 1
@@ -200,7 +205,7 @@ def write_table(header, rows, path_or_stream):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(
-                v if isinstance(v, str) else FLOAT_FMT.format(float(v)) for v in row) + "\n")
+                v if isinstance(v, str) else FLOAT_FMT % float(v) for v in row) + "\n")
     finally:
         if own:
             fh.close()

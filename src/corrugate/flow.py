@@ -160,18 +160,24 @@ def eval_hdot(state: FlowState, t: float, h_target: MetricField) -> MetricField:
 class FlowRates(NamedTuple):
     wdot: ImmersionField
     hdot: MetricField
-    E_new: MetricField
     w_smooth: ImmersionField
+    w: ImmersionField
+
+    @property
+    def E_new(self) -> MetricField:
+        """The smoothing increment E = 2 d(S_{1/t} w - w) (.) d wdot, built on
+        read: the flow stores it for one of its four stages only."""
+        return symmetric_product(self.w_smooth - self.w, self.wdot) * 2.0
 
 
 def flow_rhs(state: FlowState, h_target: MetricField, t: float | None = None,
              w: ImmersionField | None = None) -> FlowRates:
     """One right-hand-side evaluation at (t, w), default the state's own.
 
-    Computes hdot from the stored history, the minimum-norm velocity
-    wdot = L(S_{1/t} w) hdot, and the new smoothing increment
-    E = 2 d(S_{1/t} w - w) (.) d wdot. The derivative stack of S_{1/t} w is
-    built once, for both the freeness check and the solve.
+    Computes hdot from the stored history and the minimum-norm velocity
+    wdot = L(S_{1/t} w) hdot; the new smoothing increment E is built only
+    when ``E_new`` is read. The derivative stack of S_{1/t} w is built once,
+    for both the freeness check and the solve.
     """
     t = state.t if t is None else t
     w = state.w if w is None else w
@@ -183,8 +189,7 @@ def flow_rhs(state: FlowState, h_target: MetricField, t: float | None = None,
             f"(gram det {report.min_gram_det:.3e})")
     hdot = eval_hdot(state, t, h_target)
     wdot = apply_L(w_smooth, hdot, free=(stack, report))
-    E_new = symmetric_product(w_smooth - w, wdot) * 2.0
-    return FlowRates(wdot=wdot, hdot=hdot, E_new=E_new, w_smooth=w_smooth)
+    return FlowRates(wdot=wdot, hdot=hdot, w_smooth=w_smooth, w=w)
 
 
 class FlowSample(NamedTuple):

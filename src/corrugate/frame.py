@@ -1,10 +1,13 @@
 """Orthonormal normal pairs along immersed charts, by orthogonal propagation.
 
-The pair seeds at node (0,..,0) and sweeps the grid row-major: each node
-projects the previous node's pair onto its own normal space and
-re-orthonormalizes. Periodic seam consistency is measured, not enforced;
-the mismatch angle travels with the result so downstream stages can abort
-on nontrivial holonomy.
+A pair seeds at node (0,..,0) and travels by projection: each node takes
+the previous node's pair, projects it onto its own normal space and
+re-orthonormalizes. Along a 1-D path (the circle, the torus's seed
+column) the whole transport is one prefix-product scan over the node
+projectors; the torus's rows then advance together, one column per step.
+Periodic seam consistency is measured, not enforced; the mismatch angle
+travels with the result so downstream stages can abort on nontrivial
+holonomy.
 """
 
 from __future__ import annotations
@@ -86,20 +89,99 @@ def _project_normal(vec: np.ndarray, tangents: np.ndarray) -> np.ndarray:
     return vec - np.einsum("...i,...ia->...a", coeff, tangents)
 
 
-def _renormalize(nu_p: np.ndarray, b_p: np.ndarray, node_label: str):
-    """Gram-determinant collapse check, then Gram-Schmidt of the pair."""
+def _gram_schmidt(nu_p: np.ndarray, b_p: np.ndarray):
+    """Nodewise Gram-Schmidt of the pair, without a collapse check."""
+    nu = nu_p / np.linalg.norm(nu_p, axis=-1, keepdims=True)
+    b_perp = b_p - np.einsum("...a,...a->...", b_p, nu)[..., None] * nu
+    return nu, b_perp / np.linalg.norm(b_perp, axis=-1, keepdims=True)
+
+
+def _gram_det(nu_p: np.ndarray, b_p: np.ndarray) -> np.ndarray:
     g11 = np.einsum("...a,...a->...", nu_p, nu_p)
     g12 = np.einsum("...a,...a->...", nu_p, b_p)
     g22 = np.einsum("...a,...a->...", b_p, b_p)
-    det = g11 * g22 - g12 * g12
-    if np.min(det) < COLLAPSE_TOL:
-        where = np.unravel_index(int(np.argmin(det)), np.shape(det)) if np.ndim(det) else ()
-        raise PropagationError(
-            f"projected pair nearly dependent at node {node_label}{where} "
-            f"(Gram det {float(np.min(det)):.3e})")
-    nu = nu_p / np.sqrt(g11)[..., None]
-    b_perp = b_p - np.einsum("...a,...a->...", b_p, nu)[..., None] * nu
-    b = b_perp / np.linalg.norm(b_perp, axis=-1)[..., None]
+    return g11 * g22 - g12 * g12
+
+
+def _collapse_error(det: float, node_label: str, where: tuple) -> PropagationError:
+    return PropagationError(
+        f"projected pair nearly dependent at node {node_label}{where} (Gram det {det:.3e})")
+
+
+def _renormalize(nu_p: np.ndarray, b_p: np.ndarray, node_label: str):
+    """Gram-determinant collapse check, then Gram-Schmidt of the pair."""
+    det = _gram_det(nu_p, b_p)
+    collapsed = ~(det >= COLLAPSE_TOL)  # NaN counts as collapsed
+    if np.any(collapsed):
+        first = int(np.argmax(collapsed))
+        where = tuple(int(i) for i in np.unravel_index(first, np.shape(det)))
+        raise _collapse_error(float(np.ravel(det)[first]), node_label, where)
+    return _gram_schmidt(nu_p, b_p)
+
+
+def _scan(tangents: np.ndarray, nu0: np.ndarray, b0: np.ndarray):
+    """GS(P_k..P_1 X_0) at every node k of a path on axis 0, X_0 = (nu0, b0).
+
+    P_k = I - T_k^T T_k projects onto node k's normal space. The prefix
+    products come from a doubling scan of about log2(n) batched matmuls,
+    each product rescaled to unit Frobenius norm so that the cos(theta)
+    contraction per step cannot underflow as a whole. A direction that
+    contracts much faster than the rest can still vanish from a product;
+    _transport detects that.
+    """
+    n, _, N = tangents.shape
+    prod = np.einsum("kia,kic->kac", tangents, tangents)
+    np.negative(prod, out=prod)
+    prod[:, np.arange(N), np.arange(N)] += 1.0
+    prod[0] = np.eye(N)
+    shift = 1
+    while shift < n:
+        prod[shift:] = prod[shift:] @ prod[:-shift]
+        prod[shift:] /= np.sqrt(np.einsum("kac,kac->k", prod[shift:], prod[shift:]))[:, None, None]
+        shift *= 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _gram_schmidt(prod @ nu0, prod @ b0)
+
+
+def _transport(tangents: np.ndarray, nu0: np.ndarray, b0: np.ndarray,
+               node_label: str = ""):
+    """Transport the pair (nu0, b0) at node 0 along a path on axis 0.
+
+    ``tangents`` has shape (n, d, N), orthonormal rows per node. The node
+    sweep X_k = GS(P_k X_{k-1}) equals _scan's GS(P_k..P_1 X_0), because
+    Gram-Schmidt acts on the right by an upper-triangular factor with a
+    positive diagonal. Every step is then re-run once, vectorized, from the
+    scanned pair at the node before: a Gram determinant below COLLAPSE_TOL
+    raises, as in the sweep, and the step must reproduce the scanned pair
+    within UNIT_TOL. Where it does not, the scan lost a direction that
+    contracted much faster than the other (a planar curve whose pair starts
+    in its plane does that), and it restarts from that node's step.
+    Returns the re-run pairs, shape (n, N) each.
+    """
+    n, _, N = tangents.shape
+    nu = np.empty((n, N))
+    b = np.empty((n, N))
+    nu[0], b[0] = nu0, b0
+    start, span = 0, n
+    while start < n - 1:
+        end = min(n, start + span)
+        nu[start:end], b[start:end] = _scan(tangents[start:end], nu[start], b[start])
+        nu_p = _project_normal(nu[start:end - 1], tangents[start + 1:end])
+        b_p = _project_normal(b[start:end - 1], tangents[start + 1:end])
+        det = _gram_det(nu_p, b_p)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nu_p, b_p = _gram_schmidt(nu_p, b_p)
+        gap = np.maximum(np.max(np.abs(nu_p - nu[start + 1:end]), axis=-1),
+                         np.max(np.abs(b_p - b[start + 1:end]), axis=-1))
+        bad = ~(det >= COLLAPSE_TOL) | ~(gap <= UNIT_TOL)  # NaN counts as bad
+        stop = int(np.argmax(bad)) if np.any(bad) else len(bad) - 1
+        if not det[stop] >= COLLAPSE_TOL:
+            raise _collapse_error(float(det[stop]), node_label, (start + 1 + stop,))
+        nu[start + 1:start + 2 + stop] = nu_p[:stop + 1]
+        b[start + 1:start + 2 + stop] = b_p[:stop + 1]
+        # the next scan covers twice the stretch this one held, so a path
+        # that keeps losing its scan costs O(n log n), not O(n^2)
+        start, span = start + 1 + stop, 2 * (stop + 1)
     return nu, b
 
 
@@ -120,12 +202,13 @@ def _pair_angle(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def normal_pair(w: ImmersionField) -> FramePair:
     """Unit orthonormal pair normal to the immersed chart (codimension >= 2).
 
-    Sweeps row-major from node (0,0): the first column propagates the seed
-    down the rows, then every row propagates left to right. On the circle
-    the loop holonomy of the transport is spread out as a constant-rate
-    gauge rotation, producing a continuous periodic frame; the returned
-    ``seam_mismatch`` is the residual closure angle (radians). On the torus
-    the mismatch is measured raw across both seams and left to the caller.
+    Seeds at node (0,..,0) and transports by projection. On the circle the
+    whole loop is one scan (see _transport), and the loop holonomy is
+    spread out as a constant-rate gauge rotation, producing a continuous
+    periodic frame; the returned ``seam_mismatch`` is the residual closure
+    angle (radians). On the torus the seed column is one scan, then all
+    rows advance left to right together, one column per step; the mismatch
+    is measured raw across both seams and left to the caller.
     """
     grid = w.grid
     if w.ambient_dim < grid.dim + 2:
@@ -137,13 +220,7 @@ def normal_pair(w: ImmersionField) -> FramePair:
 
     if grid.dim == 1:
         res = grid.shape[0]
-        nu = np.empty((res, N))
-        b = np.empty((res, N))
-        nu[0], b[0] = _seed_pair(tangents[0], N)
-        for i in range(1, res):
-            nu[i], b[i] = _renormalize(
-                _project_normal(nu[i - 1], tangents[i]),
-                _project_normal(b[i - 1], tangents[i]), f"({i},)")
+        nu, b = _transport(tangents, *_seed_pair(tangents[0], N))
         # loop holonomy of parallel transport (total torsion of the curve);
         # the bundle over the circle is trivial, so spreading the rotation
         # at a constant rate yields a continuous periodic frame; iterate the
@@ -177,12 +254,9 @@ def normal_pair(w: ImmersionField) -> FramePair:
     r1, r2 = grid.shape
     nu = np.empty((r1, r2, N))
     b = np.empty((r1, r2, N))
-    nu[0, 0], b[0, 0] = _seed_pair(tangents[0, 0], N)
     # seed column: each row start propagates from the previous row start
-    for i in range(1, r1):
-        nu[i, 0], b[i, 0] = _renormalize(
-            _project_normal(nu[i - 1, 0], tangents[i, 0]),
-            _project_normal(b[i - 1, 0], tangents[i, 0]), f"({i}, 0)")
+    nu[:, 0], b[:, 0] = _transport(
+        tangents[:, 0], *_seed_pair(tangents[0, 0], N), "seed column ")
     # sweep along rows; all rows advance one column per step
     for j in range(1, r2):
         nu[:, j], b[:, j] = _renormalize(

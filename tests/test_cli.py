@@ -244,3 +244,42 @@ class TestMainDispatch:
         header, rows = read_table(out)
         assert header == ["family", "r", "s", "max_ratio"]
         assert all(float(row[3]) <= 64.0 for row in rows)
+
+
+class TestWriterBytes:
+    """The CSV writers print each float as the per-value "{:.17g}" did."""
+
+    VALUES = [-0.0, 0.0, 1e-300, 1e300, 5e-324, 2.2250738585072014e-309,
+              3.0, -17.0, 2.0 ** 53, 0.1, -1.0 / 3.0, np.pi, 6.02214076e23, -2.5e-8]
+
+    @staticmethod
+    def _old_row(row):
+        return ",".join("{:.17g}".format(float(v)) for v in row)
+
+    def test_field_block_bytes(self, tmp_path):
+        grid = PeriodicGrid((16,))
+        fields = [
+            MetricField(grid, np.resize(np.array(self.VALUES), (16, 1))),
+            ImmersionField(grid, np.resize(np.array(self.VALUES[::-1]), (16, 3)),
+                           np.array([[1.0, -0.0, 1e-300]])),
+        ]
+        for f in fields:
+            path = tmp_path / "f.csv"
+            write_field(f, path)
+            payload = f.values.reshape(16, -1)
+            assert f.kind != "metric" or np.signbit(payload[0, 0])
+            header = f"# field {f.kind} dim=1 res=16 N={payload.shape[1]}\n"
+            if f.kind == "immersion":
+                header += f"# offsets {self._old_row(f.offsets[0])}\n"
+            expected = header + "".join(self._old_row(row) + "\n" for row in payload)
+            assert path.read_text() == expected
+
+    def test_table_bytes(self, tmp_path):
+        from corrugate.fieldio import write_table
+
+        path = tmp_path / "t.csv"
+        rows = [["x", *self.VALUES[:4]], ["y", *self.VALUES[4:8]]]
+        write_table(["name", "a", "b", "c", "d"], rows, path)
+        expected = "name,a,b,c,d\n" + "".join(
+            row[0] + "," + self._old_row(row[1:]) + "\n" for row in rows)
+        assert path.read_text() == expected
