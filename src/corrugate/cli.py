@@ -38,14 +38,20 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"config is not JSON: {exc}") from None
+        if not (isinstance(data, dict) and isinstance(data.get("command"), str)
+                and isinstance(data.get("params", {}), dict)):
+            raise InputError('config must be {"command": <name>, "params": {...}}')
         extra = set(data) - {"command", "params"}
         if extra:
             raise InputError(f"unknown config keys: {sorted(extra)}")
         return cls(command=data["command"], params=dict(data.get("params", {})))
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
         prog="corrugate",
         description="corrugation stages and the regularized isometry flow "
@@ -103,51 +109,61 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("free-check", help="free-map verification")
     p.add_argument("--in", dest="in_path", required=True)
-    return parser
+    return parser, sub.choices
 
 
-_KNOWN_PARAMS = {
-    "pullback": {"in_path", "out"},
-    "decompose": {"in_path", "bumps", "out"},
-    "frame": {"in_path", "out"},
-    "stage": {"in_path", "metric", "eta", "delta", "out_prefix"},
-    "run": {"stages", "epsilon", "resolution", "target_scale", "manifold",
-            "out_prefix"},
-    "flow": {"t0", "alpha", "h_file", "tend", "tol", "resolution", "smallness",
-             "out_prefix"},
-    "smooth-bench": {"resolution", "pairs", "eps", "out"},
-    "free-check": {"in_path"},
-}
+def _config_argv(commands: dict, config: RunConfig) -> list[str]:
+    """The command line that sets a config file's params through the parser.
+
+    A key is an option's destination; an omitted key takes the option's
+    default, and a null value is omitted.
+    """
+    sub = commands.get(config.command)
+    if sub is None:
+        raise InputError(f"unknown subcommand {config.command!r}")
+    options = {a.dest: a.option_strings[0] for a in sub._actions
+               if a.option_strings and a.dest != "help"}
+    extra = set(config.params) - set(options)
+    if extra:
+        raise InputError(f"unknown keys for {config.command}: {sorted(extra)}")
+    return [config.command] + [f"{options[key]}={value}"
+                               for key, value in config.params.items() if value is not None]
 
 
 def _validate(config: RunConfig) -> RunConfig:
-    if config.command not in _KNOWN_PARAMS:
-        raise InputError(f"unknown subcommand {config.command!r}")
-    extra = set(config.params) - _KNOWN_PARAMS[config.command]
-    if extra:
-        raise InputError(f"unknown keys for {config.command}: {sorted(extra)}")
     p = config.params
-    for key in ("stages", "resolution", "bumps"):
-        if key in p and p[key] is not None and int(p[key]) < (0 if key == "stages" else 1):
-            raise InputError(f"{key} must be nonnegative, got {p[key]}")
+    for key, low in (("stages", 0), ("resolution", 1), ("bumps", 1)):
+        if key in p and p[key] < low:
+            raise InputError(f"{key} must be at least {low}, got {p[key]}")
     for key in ("epsilon", "eta", "delta", "tol"):
-        if key in p and p[key] is not None and float(p[key]) <= 0:
+        if key in p and p[key] <= 0:
             raise InputError(f"{key} must be positive, got {p[key]}")
     return config
 
 
 def parse_config(argv=None, config_file=None) -> RunConfig:
-    """Parse CLI arguments (or a JSON config file) into a validated RunConfig."""
+    """Parse CLI arguments (or a JSON config file) into a validated RunConfig.
+
+    A config file's params go through the same parser as the flags, and
+    each given value must be the one the parser makes of its text.
+    """
+    parser, commands = _build_parser()
+    if config_file is None:
+        ns = parser.parse_args(argv)
+        config_file = ns.config
+    given = {}
     if config_file is not None:
         with open(config_file) as fh:
-            return _validate(RunConfig.from_json(fh.read()))
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    if ns.config:
-        return parse_config(config_file=ns.config)
+            config = RunConfig.from_json(fh.read())
+        ns = parser.parse_args(_config_argv(commands, config))
+        given = config.params
     if ns.command is None:
         raise InputError("a subcommand is required (see --help)")
     params = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
+    for key, value in given.items():
+        if params[key] != value:
+            raise InputError(f"{ns.command} {key}: expected "
+                             f"{type(params[key]).__name__}, got {value!r}")
     return _validate(RunConfig(command=ns.command, params=params))
 
 

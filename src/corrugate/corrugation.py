@@ -34,7 +34,7 @@ from .grid import (
     MetricField,
     PeriodicGrid,
     ScalarField,
-    derivative_sup,
+    derivative_sups,
     is_short,
     pullback_metric,
     resample,
@@ -52,6 +52,9 @@ MAX_NODES = 2**22
 
 #: seam mismatch (radians) above which a stage refuses the frame
 SEAM_TOL = 1e-6
+
+#: bump lattices per axis the decomposition tries, coarsest first
+BUMP_COUNTS = (1, 2, 4)
 
 
 @dataclass(frozen=True)
@@ -169,9 +172,8 @@ def check_stage_estimates(w_prev: ImmersionField, w_next: ImmersionField,
     primitive's sup norm, and metric increment within delta_budget of the
     primitive tensor. Pure measurement; a zero primitive passes with zeros.
     """
-    diff = w_next - w_prev
-    c0 = sup_norm(diff, 0)
-    deriv_sq = derivative_sup(diff, 1) ** 2
+    c0, deriv = derivative_sups(w_next - w_prev, 1)
+    deriv_sq = deriv ** 2
     target = prim.tensor()
     bound2 = 2.0 * sup_norm(target, 0)
     incr = pullback_metric(w_next) - pullback_metric(w_prev) - target
@@ -265,8 +267,7 @@ def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
 
 
 def run_stage(w: ImmersionField, g: MetricField, eta: float, delta: float,
-              bump_counts=(1, 2, 4), max_nodes: int = MAX_NODES,
-              ) -> tuple[ImmersionField, StageReport]:
+              max_nodes: int = MAX_NODES) -> tuple[ImmersionField, StageReport]:
     """One full stage: from a strictly short w to a short z with defect < delta.
 
     Picks delta0 so that h = (1 - delta0) g - w#e is positive definite with
@@ -289,7 +290,7 @@ def run_stage(w: ImmersionField, g: MetricField, eta: float, delta: float,
 
     prims = None
     last_exc = None
-    for count in bump_counts:
+    for count in BUMP_COUNTS:
         try:
             prims = global_decompose(h, bump_count=count)
             break
@@ -331,11 +332,11 @@ def run_stage(w: ImmersionField, g: MetricField, eta: float, delta: float,
                 f"lambdas so far {lambdas}")
 
     defect_after = sup_norm(cur_g - pullback_metric(cur_w), 0)
-    diff = cur_w - base_w
+    c0_delta, c1_delta = derivative_sups(cur_w - base_w, 1)
     eps = float(np.finfo(float).eps)
     report = StageReport(
-        c0_delta=sup_norm(diff, 0),
-        c1_delta=derivative_sup(diff, 1),
+        c0_delta=c0_delta,
+        c1_delta=c1_delta,
         defect_before=defect_before,
         defect_after=defect_after,
         lambdas=lambdas,

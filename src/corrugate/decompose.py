@@ -33,6 +33,9 @@ MAX_SHRINKS = 5
 #: cover the chart with overlap multiplicity at most dim+1
 RADIUS_FACTOR = {1: 0.75, 2: 0.72}
 
+#: |dpsi| at or below this inside an amplitude's support fails validation
+GRAD_TOL = 1e-12
+
 
 def primitive_count(n: int) -> int:
     """J(n) = n(n+1)/2: primitives per pointwise splitting."""
@@ -142,11 +145,11 @@ class PrimitiveMetric:
         """dpsi samples, shape grid.shape + (dim,)."""
         return self.psi_periodic.gradient() + self.psi_linear
 
-    def validate(self, tol: float = 1e-12):
+    def validate(self):
         grad = self.psi_gradient()
         gnorm = np.sqrt(np.sum(grad * grad, axis=-1))
         active = self.amplitude.values > 0
-        if np.any(active & (gnorm <= tol)):
+        if np.any(active & (gnorm <= GRAD_TOL)):
             raise InputError("dpsi vanishes inside the support of the amplitude")
 
     def tensor(self) -> MetricField:

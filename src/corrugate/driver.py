@@ -73,8 +73,7 @@ class RunReport:
 
 
 def nash_kuiper_iterate(v0: ImmersionField, g: MetricField,
-                        schedule: IterationSchedule, bump_counts=(1, 2, 4),
-                        max_nodes: int = MAX_NODES,
+                        schedule: IterationSchedule, max_nodes: int = MAX_NODES,
                         ) -> tuple[ImmersionField, RunReport]:
     """Iterate corrugation stages with the 4^-q / 2^-q-1 budget schedule.
 
@@ -92,7 +91,7 @@ def nash_kuiper_iterate(v0: ImmersionField, g: MetricField,
         try:
             z, stage_rep = run_stage(
                 cur_w, cur_g, eta=schedule.eta(q), delta=schedule.delta(q),
-                bump_counts=bump_counts, max_nodes=max_nodes)
+                max_nodes=max_nodes)
         except CorrugateError as exc:
             report.final_defect = sup_norm(cur_g - pullback_metric(cur_w), 0)
             report.c0_distance = sup_norm(cur_w - v0_lifted, 0)

@@ -7,7 +7,6 @@ are written with 17 significant digits, making all round trips lossless.
 from __future__ import annotations
 
 import io
-from pathlib import Path
 
 import numpy as np
 
@@ -44,7 +43,7 @@ def write_field_block(field, out: io.TextIOBase):
     out.writelines(line % tuple(row.tolist()) for row in payload)
 
 
-def read_field_block(lines, min_resolution: int = 16):
+def read_field_block(lines):
     """Inverse of write_field_block; consumes lines from an iterator."""
     header = None
     for line in lines:
@@ -64,7 +63,7 @@ def read_field_block(lines, min_resolution: int = 16):
     ncomp = int(attrs["N"])
     if len(shape) != dim:
         raise InputError("res entry count does not match dim")
-    grid = PeriodicGrid(shape, min_resolution=min_resolution)
+    grid = PeriodicGrid(shape)
 
     offsets = None
     rows = []
@@ -104,9 +103,9 @@ def write_field(field, path):
         write_field_block(field, fh)
 
 
-def read_field(path, min_resolution: int = 16):
+def read_field(path):
     with open(path) as fh:
-        return read_field_block(iter(fh), min_resolution=min_resolution)
+        return read_field_block(iter(fh))
 
 
 def write_frame(frame, path):
@@ -197,18 +196,13 @@ def parse_obj_counts(path) -> tuple[int, int]:
     return nv, nf
 
 
-def write_table(header, rows, path_or_stream):
+def write_table(header, rows, path):
     """Plain CSV: one header line then the data rows."""
-    own = isinstance(path_or_stream, (str, Path))
-    fh = open(path_or_stream, "w") if own else path_or_stream
-    try:
+    with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(
                 v if isinstance(v, str) else FLOAT_FMT % float(v) for v in row) + "\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def read_table(path) -> tuple[list[str], list[list[str]]]:

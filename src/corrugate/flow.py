@@ -40,6 +40,7 @@ from .errors import (
 from .grid import (
     ImmersionField,
     MetricField,
+    derivative_sups,
     pullback_metric,
     sup_norm,
     symmetric_product,
@@ -52,6 +53,9 @@ DIVERGENCE_PATIENCE = 20
 
 #: growth factor that trips a diagnostic flag
 GROWTH_FLAG_FACTOR = 10.0
+
+#: step size of the classical 4th-order integrator
+STEP = 0.05
 
 
 def psi_ramp(s) -> np.ndarray | float:
@@ -75,7 +79,6 @@ class FlowConfig:
     t0: float = 10.0
     t_end: float | None = None
     tol: float = 1e-3
-    dt: float = 0.05
     smallness: float = 0.05
 
     def __post_init__(self):
@@ -84,8 +87,8 @@ class FlowConfig:
         end = self.resolved_end
         if end < self.t0 + 5.0:
             raise InputError("t_end must be at least t0 + 5")
-        if self.dt <= 0 or self.tol <= 0:
-            raise InputError("dt and tol must be positive")
+        if self.tol <= 0:
+            raise InputError("tol must be positive")
 
     @property
     def resolved_end(self) -> float:
@@ -250,10 +253,12 @@ def _record(state: FlowState, rates: FlowRates, w0: ImmersionField,
     identity = symmetric_product(rates.w_smooth, rates.wdot) * 2.0 - rates.hdot
     resid_now = pullback_metric(state.w) - w0_pull - h_target
     diff = state.w - w0
+    hdot_sups = derivative_sups(rates.hdot, 4)
+    wdot_sups = derivative_sups(rates.wdot, 4)
     return FlowSample(
         t=state.t,
-        hdot_c0=sup_norm(rates.hdot, 0), hdot_c4=sup_norm(rates.hdot, 4),
-        wdot_c0=sup_norm(rates.wdot, 0), wdot_c4=sup_norm(rates.wdot, 4),
+        hdot_c0=hdot_sups[0], hdot_c4=float(sum(hdot_sups)),
+        wdot_c0=wdot_sups[0], wdot_c4=float(sum(wdot_sups)),
         ortho_resid=ortho,
         identity_resid=sup_norm(identity, 0),
         dist3=sup_norm(diff, 3),
@@ -264,7 +269,7 @@ def _record(state: FlowState, rates: FlowRates, w0: ImmersionField,
 def run_flow(w0: ImmersionField, h_target: MetricField,
              cfg: FlowConfig = FlowConfig()) -> tuple[ImmersionField, FlowDiagnostics]:
     """Integrate the regularized flow from w0 toward a map realizing
-    w0#e + h_target, with classical 4th-order steps of size cfg.dt.
+    w0#e + h_target, with classical 4th-order steps of size STEP.
 
     The returned map ubar = w(t_end) satisfies
     ||ubar#e - (w0#e + h_target)|| <= cfg.tol, or the run raises with
@@ -283,7 +288,7 @@ def run_flow(w0: ImmersionField, h_target: MetricField,
             f"||h||_3 = {h_size:.3e} exceeds the smallness bound {bound:.3e}; "
             "halve the target or raise t0")
 
-    state = FlowState(t=cfg.t0, w=w0, E_history=[], t0=cfg.t0, step=cfg.dt,
+    state = FlowState(t=cfg.t0, w=w0, E_history=[], t0=cfg.t0, step=STEP,
                       tail_integral=h_target * 0.0)
 
     diag = FlowDiagnostics()
@@ -291,7 +296,7 @@ def run_flow(w0: ImmersionField, h_target: MetricField,
     stall = 0
     t_end = cfg.resolved_end
     while state.t < t_end - 1e-9:
-        dt = min(cfg.dt, t_end - state.t)
+        dt = min(STEP, t_end - state.t)
         rates1 = flow_rhs(state, h_target)
         state.E_history.append((state.t, rates1.E_new))
         sample = _record(state, rates1, w0, w0_pull, h_target)

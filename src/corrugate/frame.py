@@ -119,6 +119,13 @@ def _renormalize(nu_p: np.ndarray, b_p: np.ndarray, node_label: str):
     return _gram_schmidt(nu_p, b_p)
 
 
+def _step(nu: np.ndarray, b: np.ndarray, tangents: np.ndarray, node_label: str):
+    """One transport step: project the pair onto the normal space of
+    ``tangents``, then check for collapse and re-orthonormalize."""
+    return _renormalize(_project_normal(nu, tangents), _project_normal(b, tangents),
+                        node_label)
+
+
 def _scan(tangents: np.ndarray, nu0: np.ndarray, b0: np.ndarray):
     """GS(P_k..P_1 X_0) at every node k of a path on axis 0, X_0 = (nu0, b0).
 
@@ -229,9 +236,7 @@ def normal_pair(w: ImmersionField) -> FramePair:
         holonomy = None
         nu_c, b_c = nu, b
         for _ in range(16):
-            nu_t, b_t = _renormalize(
-                _project_normal(nu_c[-1], tangents[0]),
-                _project_normal(b_c[-1], tangents[0]), "(seam,)")
+            nu_t, b_t = _step(nu_c[-1], b_c[-1], tangents[0], "(seam,)")
             step = -rate / res
             nu_t, b_t = (np.cos(step) * nu_t + np.sin(step) * b_t,
                          -np.sin(step) * nu_t + np.cos(step) * b_t)
@@ -259,16 +264,10 @@ def normal_pair(w: ImmersionField) -> FramePair:
         tangents[:, 0], *_seed_pair(tangents[0, 0], N), "seed column ")
     # sweep along rows; all rows advance one column per step
     for j in range(1, r2):
-        nu[:, j], b[:, j] = _renormalize(
-            _project_normal(nu[:, j - 1], tangents[:, j]),
-            _project_normal(b[:, j - 1], tangents[:, j]), f"(:, {j})")
+        nu[:, j], b[:, j] = _step(nu[:, j - 1], b[:, j - 1], tangents[:, j], f"(:, {j})")
 
-    nu_wrap_row, b_wrap_row = _renormalize(
-        _project_normal(nu[:, -1], tangents[:, 0]),
-        _project_normal(b[:, -1], tangents[:, 0]), "(:, seam)")
-    nu_wrap_col, b_wrap_col = _renormalize(
-        _project_normal(nu[-1, :], tangents[0, :]),
-        _project_normal(b[-1, :], tangents[0, :]), "(seam, :)")
+    nu_wrap_row, b_wrap_row = _step(nu[:, -1], b[:, -1], tangents[:, 0], "(:, seam)")
+    nu_wrap_col, b_wrap_col = _step(nu[-1, :], b[-1, :], tangents[0, :], "(seam, :)")
     mismatch = float(max(
         np.max(_pair_angle(nu_wrap_row, nu[:, 0])),
         np.max(_pair_angle(b_wrap_row, b[:, 0])),

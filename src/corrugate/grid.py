@@ -32,6 +32,12 @@ SHORT_TOL = 1e-9
 #: sup-norm derivative orders supported (all orders the estimates use)
 MAX_DERIVATIVE_ORDER = 4
 
+#: smallest first-derivative Gram eigenvalue that still counts as an immersion
+RANK_TOL = 1e-10
+
+#: downsampling refuses a dropped mode above this, relative to the largest mode
+ALIAS_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class PeriodicGrid:
@@ -362,14 +368,11 @@ class ImmersionField(Field):
             self._second = out
         return self._second
 
-    def min_rank_margin(self) -> float:
-        """Smallest eigenvalue of the first-derivative Gram over all nodes."""
+    def require_immersion(self):
+        """Refuse a map whose first-derivative Gram drops to RANK_TOL at a node."""
         der = self.derivatives()
         gram = np.einsum("...ia,...ja->...ij", der, der)
-        return float(np.min(np.linalg.eigvalsh(gram)))
-
-    def require_immersion(self, tol: float = 1e-10):
-        if self.min_rank_margin() <= tol:
+        if float(np.min(np.linalg.eigvalsh(gram))) <= RANK_TOL:
             raise InputError("differential drops rank: not an immersion at this tolerance")
 
 
@@ -395,7 +398,7 @@ def pullback_metric(w: ImmersionField) -> MetricField:
     return symmetric_product(w, w)
 
 
-def _derivative_sups(field, k: int) -> list[float]:
+def derivative_sups(field, k: int) -> list[float]:
     """Nodewise-sup Frobenius norms of D^0 .. D^k.
 
     D^i is the full i-th derivative tensor (all d^i mixed partials); the
@@ -421,12 +424,12 @@ def _derivative_sups(field, k: int) -> list[float]:
 
 def sup_norm(field, k: int = 0) -> float:
     """C^k norm: sum over i <= k of the nodewise-sup Frobenius norm of D^i."""
-    return float(sum(_derivative_sups(field, k)))
+    return float(sum(derivative_sups(field, k)))
 
 
 def derivative_sup(field, k: int) -> float:
     """Sup Frobenius norm of the k-th derivative tensor alone."""
-    return _derivative_sups(field, k)[k]
+    return derivative_sups(field, k)[k]
 
 
 def is_short(w: ImmersionField, g: MetricField, strict: bool = False) -> tuple[bool, float]:
@@ -443,8 +446,7 @@ def is_short(w: ImmersionField, g: MetricField, strict: bool = False) -> tuple[b
     return margin >= -SHORT_TOL, margin
 
 
-def _resample_axis(values: np.ndarray, axis: int, new: int,
-                   rel_tol: float = 1e-10) -> np.ndarray:
+def _resample_axis(values: np.ndarray, axis: int, new: int) -> np.ndarray:
     """Exact spectral resampling of real samples along one axis.
 
     Upsampling splits the old Nyquist mode evenly between the new +/- old/2
@@ -457,7 +459,7 @@ def _resample_axis(values: np.ndarray, axis: int, new: int,
     half = min(old, new) // 2
     if new < old:
         scale = float(np.max(np.abs(modes))) + 1e-300
-        if float(np.max(np.abs(modes[half + 1:]))) > rel_tol * scale:
+        if float(np.max(np.abs(modes[half + 1:]))) > ALIAS_TOL * scale:
             raise AliasingError(
                 f"downsampling to {new} discards spectral content above mode {half}")
         modes[half] = 2.0 * modes[half].real

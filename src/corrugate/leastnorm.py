@@ -112,14 +112,13 @@ def is_free(w: ImmersionField) -> FreeMapReport:
 
 
 def apply_L(w: ImmersionField, hdot: MetricField, *,
-            check_tol: float = LINEARIZATION_TOL,
             free: tuple[np.ndarray | None, FreeMapReport] | None = None,
             ) -> ImmersionField:
     """Nodewise minimum-norm velocity wdot with 2 dw (.) dwdot = hdot.
 
     Solves, at every node, the stacked system {d_j w . wdot = 0 for all j;
     -2 d_ij w . wdot = hdot_ij for i <= j} and verifies the differential
-    identity a posteriori at ``check_tol``. ``free`` is ``_free_stack(w)``
+    identity a posteriori at LINEARIZATION_TOL. ``free`` is ``_free_stack(w)``
     when the caller has already built it; it is built here otherwise.
     """
     _require_same_grid(w, hdot)
@@ -137,8 +136,8 @@ def apply_L(w: ImmersionField, hdot: MetricField, *,
     wdot = ImmersionField.from_periodic(grid, wdot_vals)
     residual = symmetric_product(w, wdot) * 2.0 - hdot
     worst = float(np.max(np.abs(residual.comps)))
-    if worst > check_tol:
+    if worst > LINEARIZATION_TOL:
         raise ConsistencyError(
-            f"linearization identity residual {worst:.3e} exceeds {check_tol:.1e}; "
+            f"linearization identity residual {worst:.3e} exceeds {LINEARIZATION_TOL:.1e}; "
             "discretization too coarse")
     return wdot

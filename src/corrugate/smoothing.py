@@ -11,48 +11,29 @@ the eps-derivative estimates in the range r < s.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 from .grid import ScalarField, derivative_sup, sup_norm
 
-
-def _smoothstep4(u: np.ndarray) -> np.ndarray:
-    """Order-4 smoothstep: C^4 monotone ramp from 0 at u<=0 to 1 at u>=1."""
-    u = np.clip(u, 0.0, 1.0)
-    return u**5 * (126.0 + u * (-420.0 + u * (540.0 + u * (-315.0 + u * 70.0))))
+#: the multiplier is 1 on [0, FLAT_END] and 0 on [SUPPORT_END, infinity)
+FLAT_END = 0.5
+SUPPORT_END = 1.0
 
 
-def _smoothstep4_derivative(u: np.ndarray) -> np.ndarray:
-    inside = (u > 0.0) & (u < 1.0)
-    uu = np.clip(u, 0.0, 1.0)
-    return np.where(inside, 630.0 * (uu * (1.0 - uu)) ** 4, 0.0)
+def multiplier(s) -> np.ndarray:
+    """m(s): 1 on [0, FLAT_END], 0 on [SUPPORT_END, infinity), and in between
+    one minus the order-4 smoothstep, a C^4 monotone ramp."""
+    u = np.clip((np.asarray(s, dtype=float) - FLAT_END) / (SUPPORT_END - FLAT_END), 0.0, 1.0)
+    return 1.0 - u**5 * (126.0 + u * (-420.0 + u * (540.0 + u * (-315.0 + u * 70.0))))
 
 
-@dataclass(frozen=True)
-class SmoothingKernel:
-    """Spectral multiplier with unit flat region and compact support.
-
-    m == 1 on [0, flat_end], m == 0 on [support_end, infinity), monotone
-    nonincreasing C^4 transition in between.
-    """
-
-    flat_end: float = 0.5
-    support_end: float = 1.0
-
-    def multiplier(self, s) -> np.ndarray:
-        u = (np.asarray(s, dtype=float) - self.flat_end) / (self.support_end - self.flat_end)
-        return 1.0 - _smoothstep4(u)
-
-    def multiplier_derivative(self, s) -> np.ndarray:
-        width = self.support_end - self.flat_end
-        u = (np.asarray(s, dtype=float) - self.flat_end) / width
-        return -_smoothstep4_derivative(u) / width
-
-
-DEFAULT_KERNEL = SmoothingKernel()
+def multiplier_derivative(s) -> np.ndarray:
+    """m'(s), zero outside the transition (FLAT_END, SUPPORT_END)."""
+    width = SUPPORT_END - FLAT_END
+    u = np.clip((np.asarray(s, dtype=float) - FLAT_END) / width, 0.0, 1.0)
+    return -630.0 * (u * (1.0 - u)) ** 4 / width
 
 
 @functools.lru_cache(maxsize=8)
@@ -84,18 +65,18 @@ def _map_modes(field, eps: float, mode_fn):
     return field.with_data(grid, np.fft.irfftn(spec, s=grid.shape, axes=axes))
 
 
-def smooth(field, eps: float, kernel: SmoothingKernel = DEFAULT_KERNEL):
+def smooth(field, eps: float):
     """S_eps: scale mode xi by m(eps*|xi|). Linear; exact identity on fields
     whose active modes satisfy eps*|xi| <= 1/2."""
-    return _map_modes(field, eps, lambda k: kernel.multiplier(eps * k))
+    return _map_modes(field, eps, lambda k: multiplier(eps * k))
 
 
-def smooth_eps_derivative(field, eps: float, kernel: SmoothingKernel = DEFAULT_KERNEL):
+def smooth_eps_derivative(field, eps: float):
     """S'_eps = d/d(eps) S_eps: scale mode xi by |xi| * m'(eps*|xi|)."""
-    return _map_modes(field, eps, lambda k: k * kernel.multiplier_derivative(eps * k))
+    return _map_modes(field, eps, lambda k: k * multiplier_derivative(eps * k))
 
 
-def estimate_bench(field, pairs, eps_grid, kernel: SmoothingKernel = DEFAULT_KERNEL):
+def estimate_bench(field, pairs, eps_grid):
     """Measured constants for the three smoothing estimate families.
 
     For each (r, s) pair and each eps, the measured ratio is the left-hand
@@ -119,8 +100,8 @@ def estimate_bench(field, pairs, eps_grid, kernel: SmoothingKernel = DEFAULT_KER
     for r, s in pairs:
         ratios_b, ratios_c, ratios_d = [], [], []
         for eps in eps_grid:
-            sm = smooth(field, eps, kernel)
-            smd = smooth_eps_derivative(field, eps, kernel)
+            sm = smooth(field, eps)
+            smd = smooth_eps_derivative(field, eps)
             if r >= s:
                 ratios_b.append(derivative_sup(sm, r) / (eps ** (s - r) * norm_s(s)))
             ratios_c.append(derivative_sup(smd, r) / (eps ** (s - r - 1) * norm_s(s)))

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from corrugate.cli import emit_report, main, parse_config, parse_report
+from corrugate.cli import _build_parser, emit_report, main, parse_config, parse_report
 from corrugate.errors import InputError
 from corrugate.fieldio import (
     export_obj,
@@ -51,6 +53,48 @@ class TestParseConfig:
         path.write_text('{"command": "free-check", "params": {"bogus": 1}}')
         with pytest.raises(InputError):
             parse_config(config_file=path)
+
+    @pytest.mark.parametrize("command", sorted(_build_parser()[1]))
+    def test_required_keys_config_matches_flags(self, tmp_path, command):
+        required = [a for a in _build_parser()[1][command]._actions if a.required]
+        argv = [command]
+        params = {}
+        for action in required:
+            argv += [action.option_strings[0], "3"]
+            params[action.dest] = (action.type or str)("3")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"command": command, "params": params}))
+        assert parse_config(config_file=path) == parse_config(argv)
+
+    def test_config_omitting_optional_key_runs_as_flags(self, tmp_path):
+        flags = ["--manifold", "circle", "--stages", "1", "--epsilon", "0.5",
+                 "--target-scale", "1.2"]
+        assert main(["run", *flags, "--out-prefix", str(tmp_path / "flags")]) == 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"command": "run", "params": {
+            "manifold": "circle", "stages": 1, "epsilon": 0.5, "target_scale": 1.2,
+            "out_prefix": str(tmp_path / "config")}}))
+        assert main(["--config", str(path)]) == 0
+        for suffix in ("_report.csv", "_final.csv"):
+            assert ((tmp_path / f"config{suffix}").read_bytes()
+                    == (tmp_path / f"flags{suffix}").read_bytes())
+
+    @pytest.mark.parametrize("text", [
+        '{"command": "run", "params": {"stages": "1", "out_prefix": "x"}}',
+        '{"command": "run", "params": {"stages": null, "out_prefix": "x"}}',
+        '{"command": "run", "params": {"stages": 1.5, "out_prefix": "x"}}',
+        '{"command": "run", "params": {"manifold": "sphere", "out_prefix": "x"}}',
+        '{"command": "run", "params": {}}',
+        '{"command": "warp", "params": {}}',
+        '{"params": {}}',
+        '["run"]',
+        'run --stages 1',
+    ])
+    def test_bad_config_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main(["--config", str(path)]) == 2
+        assert capsys.readouterr().err
 
 
 class TestObjExport:

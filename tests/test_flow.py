@@ -8,6 +8,7 @@ from corrugate.errors import (
     NonconvergenceError,
 )
 from corrugate.flow import (
+    STEP,
     FlowConfig,
     FlowSample,
     FlowState,
@@ -79,18 +80,18 @@ class TestFlowRhs:
         cfg = FlowConfig(t0=10.0, t_end=15.0, tol=1e-3)
         # integrate a little past t0 + 0.5 to build history
         state = FlowState(t=cfg.t0, w=w0, E_history=[],
-                          t0=cfg.t0, step=cfg.dt, tail_integral=h * 0.0)
+                          t0=cfg.t0, step=STEP, tail_integral=h * 0.0)
         while state.t < 10.55:
             rates = flow_rhs(state, h)
             state.E_history.append((state.t, rates.E_new))
             k1 = rates.wdot
-            half = state.t + cfg.dt / 2
-            k2 = flow_rhs(state, h, t=half, w=state.w + k1 * (cfg.dt / 2)).wdot
-            k3 = flow_rhs(state, h, t=half, w=state.w + k2 * (cfg.dt / 2)).wdot
-            k4 = flow_rhs(state, h, t=state.t + cfg.dt, w=state.w + k3 * cfg.dt).wdot
-            state.w = state.w + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (cfg.dt / 6.0)
-            state.t += cfg.dt
-        t_mid = state.t - cfg.dt / 2  # strictly inside the last sample gap
+            half = state.t + STEP / 2
+            k2 = flow_rhs(state, h, t=half, w=state.w + k1 * (STEP / 2)).wdot
+            k3 = flow_rhs(state, h, t=half, w=state.w + k2 * (STEP / 2)).wdot
+            k4 = flow_rhs(state, h, t=state.t + STEP, w=state.w + k3 * STEP).wdot
+            state.w = state.w + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (STEP / 6.0)
+            state.t += STEP
+        t_mid = state.t - STEP / 2  # strictly inside the last sample gap
         exact = eval_hdot(state, t_mid, h).comps
 
         def central_err(delta):

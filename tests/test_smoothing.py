@@ -10,9 +10,10 @@ from corrugate.grid import (
     spectral_derivative,
 )
 from corrugate.smoothing import (
-    DEFAULT_KERNEL,
     calibration_field,
     estimate_bench,
+    multiplier,
+    multiplier_derivative,
     smooth,
     smooth_eps_derivative,
 )
@@ -31,20 +32,20 @@ FROZEN_CEILINGS = {
 
 class TestKernel:
     def test_unit_at_origin(self):
-        assert DEFAULT_KERNEL.multiplier(0.0) == pytest.approx(1.0)
+        assert multiplier(0.0) == pytest.approx(1.0)
 
     def test_flat_region(self):
         s = np.linspace(0.0, 0.5, 20)
-        assert np.all(DEFAULT_KERNEL.multiplier(s) == 1.0)
-        assert np.all(DEFAULT_KERNEL.multiplier_derivative(s) == 0.0)
+        assert np.all(multiplier(s) == 1.0)
+        assert np.all(multiplier_derivative(s) == 0.0)
 
     def test_compact_support(self):
         s = np.linspace(1.0, 5.0, 20)
-        assert np.all(DEFAULT_KERNEL.multiplier(s) == 0.0)
+        assert np.all(multiplier(s) == 0.0)
 
     def test_monotone_transition(self):
         s = np.linspace(0.5, 1.0, 200)
-        m = DEFAULT_KERNEL.multiplier(s)
+        m = multiplier(s)
         assert np.all(np.diff(m) <= 0.0)
 
 
@@ -147,8 +148,8 @@ class TestEstimateBench:
         k = 8
         f = ScalarField.from_function(grid, lambda x: np.cos(k * x))
         eps = 0.1  # eps*k = 0.8: inside the transition band
-        m = float(DEFAULT_KERNEL.multiplier(eps * k))
-        md = float(DEFAULT_KERNEL.multiplier_derivative(eps * k))
+        m = float(multiplier(eps * k))
+        md = float(multiplier_derivative(eps * k))
         sm = smooth(f, eps)
         smd = smooth_eps_derivative(f, eps)
         assert np.max(np.abs(sm.values - m * f.values)) <= 1e-12
