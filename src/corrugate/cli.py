@@ -19,7 +19,7 @@ from .corrugation import StageReport, run_stage
 from .decompose import global_decompose
 from .driver import IterationSchedule, RunReport, nash_kuiper_iterate
 from .errors import CorrugateError, InputError
-from .flow import FlowConfig, FlowDiagnostics, FlowSample, run_flow
+from .flow import FlowConfig, FlowSample, run_flow
 from .frame import normal_pair
 from .grid import ImmersionField, MetricField, PeriodicGrid, pullback_metric
 from .leastnorm import is_free
@@ -168,28 +168,40 @@ def parse_config(argv=None, config_file=None) -> RunConfig:
 
 
 def emit_report(report, path):
-    """Write a stage report, run report, or flow diagnostics as CSV."""
-    if isinstance(report, StageReport):
-        fieldio.write_table(StageReport.CSV_HEADER, [report.csv_row()], path)
-    elif isinstance(report, RunReport):
-        rows = report.csv_rows()
-        fieldio.write_table(rows[0], rows[1:], path)
-    elif isinstance(report, FlowDiagnostics):
-        rows = report.csv_rows()
-        fieldio.write_table(rows[0], rows[1:], path)
-    else:
-        raise InputError(f"cannot serialize report type {type(report).__name__}")
+    """Write the ``csv_rows()`` table of a stage report, run report or flow diagnostics."""
+    rows = report.csv_rows()
+    fieldio.write_table(rows[0], rows[1:], path)
+
+
+#: report kind -> reader of its table's data rows (the flow's is a list of FlowSample)
+_REPORT_PARSERS = {
+    "stage": lambda rows: StageReport.from_csv_row(rows[0]),
+    "run": RunReport.from_csv_rows,
+    "flow": lambda rows: [FlowSample(*[float(v) for v in row]) for row in rows],
+}
 
 
 def parse_report(path, kind):
-    header, rows = fieldio.read_table(path)
-    if kind == "stage":
-        return StageReport.from_csv_row(rows[0])
-    if kind == "run":
-        return RunReport.from_csv_rows(rows)
-    if kind == "flow":
-        return [FlowSample(*[float(v) for v in row]) for row in rows]
-    raise InputError(f"unknown report kind {kind!r}")
+    """Read a table ``emit_report`` wrote, as ``_REPORT_PARSERS[kind]`` does."""
+    parser = _REPORT_PARSERS.get(kind)
+    if parser is None:
+        raise InputError(f"unknown report kind {kind!r}")
+    return parser(fieldio.read_table(path)[1])
+
+
+def _solve_and_record(solve, prefix: str, record: str):
+    """Run ``solve()``; write its report to <prefix>_<record>.csv, its map to <prefix>_final.csv.
+    An aborted run writes the partial report its error carries, if it has a row, and re-raises."""
+    path = f"{prefix}_{record}.csv"
+    try:
+        u, report = solve()
+    except CorrugateError as exc:
+        if exc.partial_report is not None and len(exc.partial_report.csv_rows()) > 1:
+            emit_report(exc.partial_report, path)
+        raise
+    emit_report(report, path)
+    fieldio.write_field(u, f"{prefix}_final.csv")
+    return u, report
 
 
 def _builtin_start(manifold: str, resolution: int):
@@ -252,15 +264,7 @@ def _cmd_run(p):
     g = MetricField.identity(v0.grid, scale * scale)
     sched = IterationSchedule(epsilon=p["epsilon"], stages=p["stages"])
     prefix = p["out_prefix"]
-    try:
-        u, report = nash_kuiper_iterate(v0, g, sched)
-    except CorrugateError as exc:
-        partial = getattr(exc, "partial_report", None)
-        if partial is not None and partial.stage_reports:
-            emit_report(partial, f"{prefix}_report.csv")
-        raise
-    emit_report(report, f"{prefix}_report.csv")
-    fieldio.write_field(u, f"{prefix}_final.csv")
+    u, report = _solve_and_record(lambda: nash_kuiper_iterate(v0, g, sched), prefix, "report")
     if u.grid.dim == 2:
         fieldio.export_obj(u, f"{prefix}_final.obj")
     print(f"final defect {report.final_defect:.6g} after "
@@ -282,16 +286,7 @@ def _cmd_flow(p):
             raise InputError("--h-file must hold a metric on the flow grid")
     cfg = FlowConfig(t0=p["t0"], t_end=p["tend"], tol=p["tol"],
                      smallness=p["smallness"])
-    prefix = p["out_prefix"]
-    try:
-        u, diag = run_flow(w0, h, cfg)
-    except CorrugateError as exc:
-        diagnostics = getattr(exc, "diagnostics", None)
-        if diagnostics is not None:
-            emit_report(diagnostics, f"{prefix}_diagnostics.csv")
-        raise
-    emit_report(diag, f"{prefix}_diagnostics.csv")
-    fieldio.write_field(u, f"{prefix}_final.csv")
+    _, diag = _solve_and_record(lambda: run_flow(w0, h, cfg), p["out_prefix"], "diagnostics")
     print(f"final identity residual {diag.final_resid:.6g} over "
           f"{len(diag.samples)} steps")
     return 0
@@ -300,15 +295,16 @@ def _cmd_flow(p):
 def _cmd_smooth_bench(p):
     grid = PeriodicGrid((p["resolution"],))
     T = calibration_field(grid)
-    pairs = [tuple(int(v) for v in pair.split(","))
-             for pair in p["pairs"].split(";") if pair]
-    if p["eps"]:
-        eps_grid = [float(v) for v in p["eps"].split(",")]
-    else:
-        eps_grid = [2.0 ** (-j) for j in range(1, 7)]
+    try:
+        pairs = [(int(r), int(s)) for r, s in
+                 (pair.split(",") for pair in p["pairs"].split(";") if pair)]
+        eps_grid = ([float(v) for v in p["eps"].split(",")] if p["eps"]
+                    else [2.0 ** (-j) for j in range(1, 7)])
+    except ValueError:
+        raise InputError(f"smooth-bench needs --pairs 'r,s;...' of integers and --eps "
+                         f"of numbers, got {p['pairs']!r} and {p['eps']!r}") from None
     records = estimate_bench(T, pairs, eps_grid)
-    rows = [[rec["family"], str(rec["r"]), str(rec["s"]),
-             f"{rec['max_ratio']:.17g}"] for rec in records]
+    rows = [[rec["family"], rec["r"], rec["s"], rec["max_ratio"]] for rec in records]
     fieldio.write_table(["family", "r", "s", "max_ratio"], rows, p["out"])
     return 0
 

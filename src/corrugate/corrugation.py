@@ -87,14 +87,11 @@ class StageReport:
     CSV_HEADER = ["resolution", "c0_delta", "c1_delta", "defect_before",
                   "defect_after", "slack", "lambdas"]
 
-    def csv_row(self) -> list[str]:
-        return [
-            "x".join(str(r) for r in self.resolution),
-            f"{self.c0_delta:.17g}", f"{self.c1_delta:.17g}",
-            f"{self.defect_before:.17g}", f"{self.defect_after:.17g}",
-            f"{self.slack:.17g}",
-            ";".join(f"{lam:.17g}" for lam in self.lambdas),
-        ]
+    def csv_rows(self) -> list[list]:
+        """The header row, then this stage's values (floats left as floats)."""
+        return [list(self.CSV_HEADER), [
+            "x".join(str(r) for r in self.resolution), self.c0_delta, self.c1_delta,
+            self.defect_before, self.defect_after, self.slack, self.lambdas]]
 
     @classmethod
     def from_csv_row(cls, row) -> "StageReport":
@@ -229,17 +226,25 @@ def _required_grid(grid: PeriodicGrid, k_vec, max_nodes: int) -> PeriodicGrid:
     return PeriodicGrid(tuple(shape))
 
 
+def _seam_checked(frame: FramePair) -> FramePair:
+    if frame.seam_mismatch > SEAM_TOL:
+        raise StageError(f"normal frame seam mismatch {frame.seam_mismatch:.3e} rad; "
+                         "normal bundle not numerically trivial")
+    return frame
+
+
 def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
                   eta_budget: float, delta_budget: float,
                   max_nodes: int = MAX_NODES) -> tuple[SpiralParams, StageFields]:
     """Doubling search from lambda = 8 until the measured estimates pass.
 
     The grid refines (power-of-two resampling of all working fields, frame
-    recomputed) whenever the sampling rule demands it. Returns the first
-    passing lambda together with the fields on the grid where it passed.
+    recomputed and, like the given one, held to SEAM_TOL) whenever the
+    sampling rule demands it. Returns the first passing lambda together
+    with the fields on the grid where it passed.
     """
     lam = LAMBDA_START
-    cur = StageFields(w=w, prim=prim, frame=frame, grid=w.grid)
+    cur = StageFields(w=w, prim=prim, frame=_seam_checked(frame), grid=w.grid)
     last_check = None
     while lam <= LAMBDA_CAP:
         k_vec = integer_phase(cur.prim, lam)
@@ -249,7 +254,7 @@ def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
             cur = StageFields(
                 w=w_f,
                 prim=resample_primitive(cur.prim, needed),
-                frame=normal_pair(w_f),
+                frame=_seam_checked(normal_pair(w_f)),
                 grid=needed,
             )
         wp = spiral_perturbation(cur.w, cur.prim, cur.frame, lam)
@@ -311,13 +316,8 @@ def run_stage(w: ImmersionField, g: MetricField, eta: float, delta: float,
     lambdas: list[float] = []
 
     for j in range(len(pending)):
-        frame = normal_pair(cur_w)
-        if frame.seam_mismatch > SEAM_TOL:
-            raise StageError(
-                f"normal frame seam mismatch {frame.seam_mismatch:.3e} rad; "
-                "normal bundle not numerically trivial")
         params, fields = choose_lambda(
-            cur_w, pending[j], frame, eta_budget, delta_budget, max_nodes)
+            cur_w, pending[j], normal_pair(cur_w), eta_budget, delta_budget, max_nodes)
         if fields.grid.shape != cur_w.grid.shape:
             cur_g = resample(cur_g, fields.grid)
             base_w = resample(base_w, fields.grid)

@@ -55,21 +55,15 @@ class RunReport:
     final_defect: float = float("nan")
     c0_distance: float = float("nan")
 
-    @property
-    def c1_increments(self) -> list[float]:
-        return [rep.c1_delta for rep in self.stage_reports]
-
-    def csv_rows(self) -> list[list[str]]:
+    def csv_rows(self) -> list[list]:
         return [["stage"] + StageReport.CSV_HEADER] + [
-            [str(q + 1)] + rep.csv_row() for q, rep in enumerate(self.stage_reports)]
+            [q] + rep.csv_rows()[1] for q, rep in enumerate(self.stage_reports, start=1)]
 
     @classmethod
     def from_csv_rows(cls, rows) -> "RunReport":
         reports = [StageReport.from_csv_row(row[1:]) for row in rows]
-        out = cls(stage_reports=reports)
-        if reports:
-            out.final_defect = reports[-1].defect_after
-        return out
+        final = reports[-1].defect_after if reports else float("nan")
+        return cls(stage_reports=reports, final_defect=final)
 
 
 def nash_kuiper_iterate(v0: ImmersionField, g: MetricField,
@@ -78,7 +72,8 @@ def nash_kuiper_iterate(v0: ImmersionField, g: MetricField,
     """Iterate corrugation stages with the 4^-q / 2^-q-1 budget schedule.
 
     Returns the final map and the run report; a failing stage aborts with
-    the partial report attached to the raised error as ``partial_report``.
+    the partial report, measured at its last finished stage, attached to the
+    raised error as ``partial_report``.
     """
     flag, margin = is_short(v0, g, strict=True)
     if not flag:
@@ -87,22 +82,24 @@ def nash_kuiper_iterate(v0: ImmersionField, g: MetricField,
     cur_w = v0
     cur_g = g
     v0_lifted = v0
+    aborted = None
     for q in range(1, schedule.stages + 1):
         try:
             z, stage_rep = run_stage(
                 cur_w, cur_g, eta=schedule.eta(q), delta=schedule.delta(q),
                 max_nodes=max_nodes)
         except CorrugateError as exc:
-            report.final_defect = sup_norm(cur_g - pullback_metric(cur_w), 0)
-            report.c0_distance = sup_norm(cur_w - v0_lifted, 0)
-            exc.partial_report = report
-            raise
+            aborted = exc
+            break
         cur_g = resample(cur_g, z.grid)
         v0_lifted = resample(v0_lifted, z.grid)
         cur_w = z
         report.stage_reports.append(stage_rep)
     report.final_defect = sup_norm(cur_g - pullback_metric(cur_w), 0)
     report.c0_distance = sup_norm(cur_w - v0_lifted, 0)
+    if aborted is not None:
+        aborted.partial_report = report
+        raise aborted
     return cur_w, report
 
 
@@ -112,7 +109,7 @@ def c1_cauchy_audit(report_or_increments) -> tuple[list[float], bool]:
     Passes when the geometric mean of the ratios is at most 0.75.
     """
     if isinstance(report_or_increments, RunReport):
-        increments = report_or_increments.c1_increments
+        increments = [rep.c1_delta for rep in report_or_increments.stage_reports]
     else:
         increments = [float(v) for v in report_or_increments]
     if len(increments) < 3:

@@ -9,6 +9,8 @@ class CorrugateError(Exception):
     """Base class for all package errors."""
 
     exit_code = 1
+    #: the record of the work an aborted run completed, set by that run
+    partial_report = None
 
 
 class InputError(CorrugateError):

@@ -1,4 +1,4 @@
-"""Text serialization: field CSV blocks, frame/primitive bundles, OBJ meshes.
+"""Text serialization: field CSV blocks, frame/primitive bundles, OBJ meshes, tables.
 
 Every format is line-oriented ASCII so artifacts stay inspectable. Floats
 are written with 17 significant digits, making all round trips lossless.
@@ -175,13 +175,11 @@ def export_obj(w: ImmersionField, path):
     with open(path, "w") as fh:
         line = "v " + " ".join([FLOAT_FMT] * 3) + "\n"
         fh.writelines(line % tuple(c.tolist()) for c in coords.reshape(-1, 3))
-        for i in range(r1):
-            for j in range(r2):
-                a = i * r2 + j + 1
-                b = ((i + 1) % r1) * r2 + j + 1
-                c = ((i + 1) % r1) * r2 + (j + 1) % r2 + 1
-                d = i * r2 + (j + 1) % r2 + 1
-                fh.write(f"f {a} {b} {c} {d}\n")
+        # quad (i, j), (i+1, j), (i+1, j+1), (i, j+1), indices wrapped
+        a = np.arange(1, r1 * r2 + 1).reshape(r1, r2)
+        below = np.roll(a, -1, axis=0)
+        quads = np.stack([a, below, np.roll(below, -1, axis=1), np.roll(a, -1, axis=1)], axis=-1)
+        fh.writelines("f %d %d %d %d\n" % tuple(q) for q in quads.reshape(-1, 4).tolist())
 
 
 def parse_obj_counts(path) -> tuple[int, int]:
@@ -196,13 +194,19 @@ def parse_obj_counts(path) -> tuple[int, int]:
     return nv, nf
 
 
+def _cell(value) -> str:
+    """Text as given, a number at FLOAT_FMT, a list of numbers joined by ';'."""
+    if isinstance(value, (list, tuple)):
+        return ";".join(map(_cell, value))
+    return value if isinstance(value, str) else FLOAT_FMT % float(value)
+
+
 def write_table(header, rows, path):
-    """Plain CSV: one header line then the data rows."""
+    """Plain CSV: one header line then the data rows (cells as ``_cell``)."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(
-                v if isinstance(v, str) else FLOAT_FMT % float(v) for v in row) + "\n")
+            fh.write(",".join(_cell(v) for v in row) + "\n")
 
 
 def read_table(path) -> tuple[list[str], list[list[str]]]:

@@ -105,12 +105,11 @@ class FlowState:
     w: ImmersionField
     E_history: list[tuple[float, MetricField]]
     t0: float
-    step: float
     tail_integral: MetricField
 
     def prune(self):
         """Retire samples behind the ramp window into the running integral."""
-        cutoff = self.t - 1.0 - 2.0 * self.step
+        cutoff = self.t - 1.0 - 2.0 * STEP
         while len(self.E_history) >= 2 and self.E_history[1][0] <= cutoff:
             (t_a, e_a), (t_b, e_b) = self.E_history[0], self.E_history[1]
             self.tail_integral = self.tail_integral + (e_a + e_b) * (0.5 * (t_b - t_a))
@@ -123,7 +122,7 @@ def _window_quadratures(state: FlowState, t: float, h_target: MetricField,
     tail integral, over the stored samples up to time t."""
     samples = [(tau, e) for tau, e in state.E_history if tau <= t + 1e-12]
     if len(samples) < 2:
-        if state.t > state.t0 + 2.0 * state.step and not samples:
+        if state.t > state.t0 + 2.0 * STEP and not samples:
             raise CorrugateError("internal error: E history window underflow")
         return state.tail_integral, h_target * 0.0
     taus = np.array([tau for tau, _ in samples])
@@ -208,18 +207,14 @@ class FlowSample(NamedTuple):
     dist3: float
     metric_resid: float
 
-    CSV_HEADER = ["t", "hdot_c0", "hdot_c4", "wdot_c0", "wdot_c4",
-                  "ortho_resid", "identity_resid", "dist3", "metric_resid"]
-
 
 @dataclass
 class FlowDiagnostics:
     samples: list[FlowSample] = field(default_factory=list)
     final_resid: float = float("nan")
 
-    def csv_rows(self):
-        return [list(FlowSample.CSV_HEADER)] + [
-            [f"{v:.17g}" for v in s] for s in self.samples]
+    def csv_rows(self) -> list[list]:
+        return [list(FlowSample._fields)] + [list(s) for s in self.samples]
 
 
 def tracked_quantities(samples, t0: float):
@@ -272,8 +267,8 @@ def run_flow(w0: ImmersionField, h_target: MetricField,
     w0#e + h_target, with classical 4th-order steps of size STEP.
 
     The returned map ubar = w(t_end) satisfies
-    ||ubar#e - (w0#e + h_target)|| <= cfg.tol, or the run raises with
-    diagnostics attached.
+    ||ubar#e - (w0#e + h_target)|| <= cfg.tol. Any error raised while
+    integrating carries the steps recorded so far as ``partial_report``.
     """
     if w0.grid.dim != 1 or w0.ambient_dim != 2:
         raise InputError("the flow runs on circle maps into the plane (n=1, N=2)")
@@ -288,49 +283,45 @@ def run_flow(w0: ImmersionField, h_target: MetricField,
             f"||h||_3 = {h_size:.3e} exceeds the smallness bound {bound:.3e}; "
             "halve the target or raise t0")
 
-    state = FlowState(t=cfg.t0, w=w0, E_history=[], t0=cfg.t0, step=STEP,
+    state = FlowState(t=cfg.t0, w=w0, E_history=[], t0=cfg.t0,
                       tail_integral=h_target * 0.0)
 
     diag = FlowDiagnostics()
     best_resid = float("inf")
     stall = 0
     t_end = cfg.resolved_end
-    while state.t < t_end - 1e-9:
-        dt = min(STEP, t_end - state.t)
-        rates1 = flow_rhs(state, h_target)
-        state.E_history.append((state.t, rates1.E_new))
-        sample = _record(state, rates1, w0, w0_pull, h_target)
-        diag.samples.append(sample)
+    try:
+        while state.t < t_end - 1e-9:
+            dt = min(STEP, t_end - state.t)
+            rates1 = flow_rhs(state, h_target)
+            state.E_history.append((state.t, rates1.E_new))
+            sample = _record(state, rates1, w0, w0_pull, h_target)
+            diag.samples.append(sample)
 
-        if sample.metric_resid > cfg.tol:
-            if sample.metric_resid >= best_resid - 1e-15:
-                stall += 1
+            if sample.metric_resid > cfg.tol:
+                stall = stall + 1 if sample.metric_resid >= best_resid - 1e-15 else 0
                 if stall >= DIVERGENCE_PATIENCE:
                     diag.final_resid = sample.metric_resid
-                    err = DivergenceError(
+                    raise DivergenceError(
                         f"residual {sample.metric_resid:.3e} not decaying for "
                         f"{DIVERGENCE_PATIENCE} steps at t={state.t:.2f}")
-                    err.diagnostics = diag
-                    raise err
-            else:
-                stall = 0
-        best_resid = min(best_resid, sample.metric_resid)
+            best_resid = min(best_resid, sample.metric_resid)
 
-        k1 = rates1.wdot
-        half = state.t + dt / 2.0
-        k2 = flow_rhs(state, h_target, t=half, w=state.w + k1 * (dt / 2.0)).wdot
-        k3 = flow_rhs(state, h_target, t=half, w=state.w + k2 * (dt / 2.0)).wdot
-        k4 = flow_rhs(state, h_target, t=state.t + dt, w=state.w + k3 * dt).wdot
-        state.w = state.w + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (dt / 6.0)
-        state.t += dt
-        state.prune()
+            k1 = rates1.wdot
+            half = state.t + dt / 2.0
+            k2 = flow_rhs(state, h_target, t=half, w=state.w + k1 * (dt / 2.0)).wdot
+            k3 = flow_rhs(state, h_target, t=half, w=state.w + k2 * (dt / 2.0)).wdot
+            k4 = flow_rhs(state, h_target, t=state.t + dt, w=state.w + k3 * dt).wdot
+            state.w = state.w + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (dt / 6.0)
+            state.t += dt
+            state.prune()
 
-    final_resid = sup_norm(pullback_metric(state.w) - w0_pull - h_target, 0)
-    diag.final_resid = final_resid
-    if final_resid > cfg.tol:
-        err = NonconvergenceError(
-            f"final metric identity residual {final_resid:.3e} exceeds "
-            f"tolerance {cfg.tol:.1e}")
-        err.diagnostics = diag
-        raise err
+        diag.final_resid = sup_norm(pullback_metric(state.w) - w0_pull - h_target, 0)
+        if diag.final_resid > cfg.tol:
+            raise NonconvergenceError(
+                f"final metric identity residual {diag.final_resid:.3e} exceeds "
+                f"tolerance {cfg.tol:.1e}")
+    except CorrugateError as exc:
+        exc.partial_report = diag
+        raise
     return state.w, diag

@@ -38,17 +38,19 @@ RANK_TOL = 1e-10
 #: downsampling refuses a dropped mode above this, relative to the largest mode
 ALIAS_TOL = 1e-10
 
+#: fewest nodes per grid axis
+MIN_RESOLUTION = 16
+
 
 @dataclass(frozen=True)
 class PeriodicGrid:
     """Uniform periodic grid over [0, 2pi)^d, d = 1 or 2.
 
     Resolutions are powers of two (enables exact spectral resampling) and
-    at least ``min_resolution`` per axis.
+    at least MIN_RESOLUTION per axis.
     """
 
     shape: tuple[int, ...]
-    min_resolution: int = 16
 
     def __post_init__(self):
         shape = tuple(int(r) for r in self.shape)
@@ -56,8 +58,8 @@ class PeriodicGrid:
         if len(shape) not in (1, 2):
             raise InputError(f"grid dimension must be 1 or 2, got {len(shape)}")
         for r in shape:
-            if r < self.min_resolution:
-                raise InputError(f"resolution {r} below minimum {self.min_resolution}")
+            if r < MIN_RESOLUTION:
+                raise InputError(f"resolution {r} below minimum {MIN_RESOLUTION}")
             if r & (r - 1):
                 raise InputError(f"resolution {r} is not a power of two")
 

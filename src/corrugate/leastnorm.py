@@ -36,7 +36,7 @@ LINEARIZATION_TOL = 1e-6
 
 @dataclass
 class LinearSystem:
-    """Underdetermined full-rank system A w = v, A of shape (k, kappa)."""
+    """Underdetermined full-rank systems A w = v, A (..., k, kappa), v (..., k)."""
 
     A: np.ndarray
     v: np.ndarray
@@ -44,11 +44,11 @@ class LinearSystem:
     def __post_init__(self):
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
         self.v = np.atleast_1d(np.asarray(self.v, dtype=float))
-        k, kappa = self.A.shape
+        k, kappa = self.A.shape[-2:]
         if k > kappa:
             raise InputError(f"system must be underdetermined or square, got {k}x{kappa}")
-        if self.v.shape != (k,):
-            raise InputError(f"right-hand side length {self.v.shape} != {k}")
+        if self.v.shape != self.A.shape[:-1]:
+            raise InputError(f"right-hand side shape {self.v.shape} != {self.A.shape[:-1]}")
 
 
 def _spd_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -67,10 +67,10 @@ def _spd_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def least_norm_solve(system: LinearSystem) -> np.ndarray:
-    """omega = A^T (A A^T)^{-1} v: solves A omega = v with minimal norm."""
+    """omega = A^T (A A^T)^{-1} v: each A omega = v solved with minimal norm."""
     A, v = system.A, system.v
-    gram = A @ A.T
-    return A.T @ _spd_solve(gram, v)
+    gram = np.einsum("...ia,...ja->...ij", A, A)
+    return np.einsum("...ia,...i->...a", A, _spd_solve(gram, v))
 
 
 class FreeMapReport(NamedTuple):
@@ -130,10 +130,7 @@ def apply_L(w: ImmersionField, hdot: MetricField, *,
     A = stack.copy()
     A[..., d:, :] *= -2.0
     rhs = np.concatenate([np.zeros(grid.shape + (d,)), hdot.comps], axis=-1)
-    gram = np.einsum("...ia,...ja->...ij", A, A)
-    sol = _spd_solve(gram, rhs)
-    wdot_vals = np.einsum("...ia,...i->...a", A, sol)
-    wdot = ImmersionField.from_periodic(grid, wdot_vals)
+    wdot = ImmersionField.from_periodic(grid, least_norm_solve(LinearSystem(A, rhs)))
     residual = symmetric_product(w, wdot) * 2.0 - hdot
     worst = float(np.max(np.abs(residual.comps)))
     if worst > LINEARIZATION_TOL:

@@ -98,26 +98,19 @@ class TestParseConfig:
 
 
 class TestObjExport:
-    def test_two_by_two_counts(self, tmp_path):
-        grid = PeriodicGrid((2, 2), min_resolution=2)
-        vals = np.zeros((2, 2, 3))
-        w = ImmersionField(grid, vals)
-        path = tmp_path / "mesh.obj"
-        export_obj(w, path)
-        assert parse_obj_counts(path) == (4, 4)
-
     def test_clifford_vertices(self, tmp_path):
         grid = PeriodicGrid((16, 16))
         w = clifford_map(grid, r=0.8)
         path = tmp_path / "mesh.obj"
         export_obj(w, path)
-        nv, nf = parse_obj_counts(path)
-        assert nv == grid.num_nodes
-        assert nf == grid.num_nodes
+        assert parse_obj_counts(path) == (grid.num_nodes, grid.num_nodes)
         with open(path) as fh:
-            first = fh.readline().split()
+            lines = fh.read().splitlines()
+        first = lines[0].split()
         assert first[0] == "v"
         assert all(np.isfinite(float(v)) for v in first[1:])
+        # the last quad wraps across both seams back to vertex 1
+        assert lines[-1] == "f 256 16 1 241"
 
     def test_circle_rejected(self, tmp_path):
         w = unit_circle_map(PeriodicGrid((16,)))
@@ -279,6 +272,27 @@ class TestMainDispatch:
                      "--out-prefix", prefix])
         assert code == 0
 
+    def test_flow_lost_freeness_writes_its_steps(self, tmp_path, monkeypatch):
+        import corrugate.flow as flow
+
+        calls = []
+        free_stack = flow._free_stack
+
+        def free_for_40_calls(w):
+            calls.append(w)
+            stack, report = free_stack(w)
+            return stack, report._replace(is_free=len(calls) <= 40)
+
+        monkeypatch.setattr(flow, "_free_stack", free_for_40_calls)
+        prefix = str(tmp_path / "flow")
+        code = main(["flow", "--alpha", "0.04", "--tend", "16", "--resolution", "64",
+                     "--out-prefix", prefix])
+        assert code == 3
+        # four right-hand sides per step: the 41st call opens step 11
+        samples = parse_report(prefix + "_diagnostics.csv", "flow")
+        assert [s.t for s in samples] == pytest.approx([10.0 + 0.05 * k for k in range(10)])
+        assert not (tmp_path / "flow_final.csv").exists()
+
     def test_smooth_bench_command(self, tmp_path):
         out = tmp_path / "bench.csv"
         code = main(["smooth-bench", "--resolution", "128", "--out", str(out)])
@@ -288,6 +302,23 @@ class TestMainDispatch:
         header, rows = read_table(out)
         assert header == ["family", "r", "s", "max_ratio"]
         assert all(float(row[3]) <= 64.0 for row in rows)
+
+    @pytest.mark.parametrize("params", [
+        {"pairs": "2;x"}, {"pairs": "1,2,3"}, {"pairs": "2"}, {"pairs": "1.5,0"},
+        {"eps": "0.5,x"}, {"eps": "0.5;0.25"},
+    ])
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_smooth_bench_malformed_lists_exit_2(self, tmp_path, capsys, params, source):
+        params = {"resolution": 16, "out": str(tmp_path / "b.csv"), **params}
+        if source == "flags":
+            argv = ["smooth-bench"] + [f"--{key}={value}" for key, value in params.items()]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"command": "smooth-bench", "params": params}))
+            argv = ["--config", str(path)]
+        assert main(argv) == 2
+        assert "smooth-bench needs" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
 
 
 class TestWriterBytes:
@@ -316,6 +347,30 @@ class TestWriterBytes:
             if f.kind == "immersion":
                 header += f"# offsets {self._old_row(f.offsets[0])}\n"
             expected = header + "".join(self._old_row(row) + "\n" for row in payload)
+            assert path.read_text() == expected
+
+    def test_report_bytes(self, tmp_path):
+        from corrugate.corrugation import StageReport
+        from corrugate.driver import RunReport
+        from corrugate.flow import FlowDiagnostics, FlowSample
+
+        odd = [-0.0, 1e-300, 5e-324, float("nan")]
+        stage = StageReport(c0_delta=odd[0], c1_delta=odd[1], defect_before=odd[2],
+                            defect_after=odd[3], lambdas=odd, resolution=(64, 32),
+                            slack=2.2250738585072014e-309)
+        header = "resolution,c0_delta,c1_delta,defect_before,defect_after,slack,lambdas\n"
+        row = ("64x32," + self._old_row(odd + [stage.slack]) + ","
+               + ";".join("{:.17g}".format(v) for v in odd) + "\n")
+        sample = FlowSample(*(odd + odd + [0.1]))
+        cases = [
+            (stage, header + row),
+            (RunReport(stage_reports=[stage, stage]), "stage," + header + "1," + row + "2," + row),
+            (FlowDiagnostics(samples=[sample] * 2),
+             ",".join(FlowSample._fields) + "\n" + 2 * (self._old_row(sample) + "\n")),
+        ]
+        path = tmp_path / "report.csv"
+        for report, expected in cases:
+            emit_report(report, path)
             assert path.read_text() == expected
 
     def test_table_bytes(self, tmp_path):

@@ -9,7 +9,8 @@ from corrugate.corrugation import (
     spiral_perturbation,
 )
 from corrugate.decompose import PrimitiveMetric
-from corrugate.errors import InputError, NonconvergenceError, ResolutionError
+from corrugate.errors import InputError, NonconvergenceError, ResolutionError, StageError
+from corrugate.fieldio import read_table, write_table
 from corrugate.frame import FramePair, normal_pair
 from corrugate.grid import (
     ImmersionField,
@@ -189,6 +190,23 @@ class TestChooseLambda:
         assert params.lam == 8.0
         assert fields.grid.shape[0] >= 128  # 16 samples/period at frequency 8
 
+    def test_every_frame_meets_the_seam_tolerance(self, monkeypatch):
+        import dataclasses
+
+        import corrugate.corrugation as corrugation
+
+        grid = PeriodicGrid((64, 16))
+        w = flat_strip_map(grid)
+        prim = constant_primitive(grid)
+        torn = dataclasses.replace(normal_pair(w), seam_mismatch=1.0)
+        with pytest.raises(StageError, match="seam"):
+            choose_lambda(w, prim, torn, eta_budget=0.5, delta_budget=1e-6)
+        # the frame re-swept on the refined grid (lambda 8 needs 128 nodes)
+        monkeypatch.setattr(corrugation, "normal_pair", lambda w_f: dataclasses.replace(
+            normal_pair(w_f), seam_mismatch=1.0))
+        with pytest.raises(StageError, match="seam"):
+            choose_lambda(w, prim, normal_pair(w), eta_budget=0.5, delta_budget=1e-6)
+
 
 class TestRunStage:
     def test_exact_isometry_rejected_by_strictness(self):
@@ -239,10 +257,13 @@ class TestRunStage:
 
 
 class TestStageReportSerialization:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         rep = StageReport(
             c0_delta=0.01, c1_delta=0.5, defect_before=0.44,
             defect_after=0.15, lambdas=[64.0, 128.0], resolution=(1024,),
             slack=1e-14)
-        back = StageReport.from_csv_row(rep.csv_row())
-        assert back == rep
+        rows = rep.csv_rows()
+        write_table(rows[0], rows[1:], tmp_path / "stage.csv")
+        header, back_rows = read_table(tmp_path / "stage.csv")
+        assert header == StageReport.CSV_HEADER
+        assert StageReport.from_csv_row(back_rows[0]) == rep

@@ -8,6 +8,7 @@ from corrugate.driver import (
     nash_kuiper_iterate,
 )
 from corrugate.errors import InputError, NonconvergenceError
+from corrugate.fieldio import read_table, write_table
 from corrugate.grid import MetricField, PeriodicGrid, is_short, pullback_metric, resample
 
 from conftest import clifford_map, unit_circle_map
@@ -71,6 +72,7 @@ class TestIterate:
         assert len(partial.stage_reports) == 2
         assert partial.stage_reports[0].lambdas == [64.0]
         assert partial.stage_reports[1].lambdas == [4096.0]
+        assert partial.final_defect == partial.stage_reports[-1].defect_after
 
     def test_torus_aborts_with_partial_report(self):
         grid = PeriodicGrid((64, 64))
@@ -108,7 +110,7 @@ class TestCauchyAudit:
 
 
 class TestRunReportSerialization:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         from corrugate.corrugation import StageReport
 
         reports = [
@@ -122,6 +124,7 @@ class TestRunReportSerialization:
         rep = RunReport(stage_reports=reports, final_defect=0.04)
         rows = rep.csv_rows()
         assert len(rows) == 3  # header plus one row per stage
-        back = RunReport.from_csv_rows(rows[1:])
+        write_table(rows[0], rows[1:], tmp_path / "run.csv")
+        back = RunReport.from_csv_rows(read_table(tmp_path / "run.csv")[1])
         assert back.stage_reports == reports
         assert back.final_defect == 0.04

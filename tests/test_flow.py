@@ -62,7 +62,7 @@ class TestFlowRhs:
         grid, w0 = circle_setup(64)
         h0 = metric(grid, np.zeros(grid.shape))
         state = FlowState(t=10.0, w=w0, E_history=[],
-                          t0=10.0, step=0.05, tail_integral=h0 * 0.0)
+                          t0=10.0, tail_integral=h0 * 0.0)
         rates = flow_rhs(state, h0)
         assert sup_norm(rates.hdot, 0) == 0.0
         assert np.max(np.abs(rates.wdot.values)) <= 1e-15
@@ -71,7 +71,7 @@ class TestFlowRhs:
         grid, w0 = circle_setup(64)
         h = metric(grid, np.full(grid.shape, 0.04))
         state = FlowState(t=10.0, w=w0, E_history=[],
-                          t0=10.0, step=0.05, tail_integral=h * 0.0)
+                          t0=10.0, tail_integral=h * 0.0)
         assert sup_norm(eval_h(state, 10.0, h), 0) == 0.0
 
     def test_hdot_matches_central_difference_of_path(self):
@@ -80,7 +80,7 @@ class TestFlowRhs:
         cfg = FlowConfig(t0=10.0, t_end=15.0, tol=1e-3)
         # integrate a little past t0 + 0.5 to build history
         state = FlowState(t=cfg.t0, w=w0, E_history=[],
-                          t0=cfg.t0, step=STEP, tail_integral=h * 0.0)
+                          t0=cfg.t0, tail_integral=h * 0.0)
         while state.t < 10.55:
             rates = flow_rhs(state, h)
             state.E_history.append((state.t, rates.E_new))
@@ -115,7 +115,7 @@ class TestFlowRhs:
         assert not is_free(w).is_free
         h0 = metric(grid, np.zeros(grid.shape))
         state = FlowState(t=10.0, w=w, E_history=[],
-                          t0=10.0, step=0.05, tail_integral=h0 * 0.0)
+                          t0=10.0, tail_integral=h0 * 0.0)
         with pytest.raises(NonconvergenceError):
             flow_rhs(state, h0)
 
@@ -129,7 +129,7 @@ class TestFlowRhs:
         state = FlowState(t=taus[-2], w=circle_setup(64)[1],
                           E_history=[(tau, metric(grid, rng.normal(size=grid.shape)))
                                      for tau in taus],
-                          t0=10.0, step=0.05,
+                          t0=10.0,
                           tail_integral=metric(grid, rng.normal(size=grid.shape)))
         h = metric(grid, 0.02 * np.cos(grid.meshes()[0]))
 
@@ -162,7 +162,7 @@ class TestFlowRhs:
         grid, w0 = circle_setup(64)
         h = metric(grid, np.full(grid.shape, 0.02))
         state = FlowState(t=10.0, w=w0, E_history=[],
-                          t0=10.0, step=0.05, tail_integral=h * 0.0)
+                          t0=10.0, tail_integral=h * 0.0)
         flow_rhs(state, h)
         assert len(built) == 1
 
@@ -170,7 +170,7 @@ class TestFlowRhs:
         grid, w0 = circle_setup(64)
         h = metric(grid, np.full(grid.shape, 0.02))
         state = FlowState(t=15.0, w=w0, E_history=[],
-                          t0=10.0, step=0.05, tail_integral=h * 0.0)
+                          t0=10.0, tail_integral=h * 0.0)
         with pytest.raises(CorrugateError):
             eval_hdot(state, 15.0, h)
 
@@ -229,7 +229,7 @@ class TestRunFlow:
         h = metric(grid, np.full(grid.shape, 0.04))
         with pytest.raises(DivergenceError) as err:
             run_flow(w0, h, FlowConfig(t0=10.0, t_end=30.0, tol=1e-15))
-        assert err.value.diagnostics.samples
+        assert err.value.partial_report.samples
 
     def test_config_validation(self):
         with pytest.raises(InputError):
@@ -265,5 +265,5 @@ class TestDiagnosticsTable:
             FlowSample(10.0, 0, 0, 0, 0, 0, 0, 0, 0),
             FlowSample(10.05, 0, 0, 0, 0, 0, 0, 0, 0)])
         rows = diag.csv_rows()
-        assert rows[0] == FlowSample.CSV_HEADER
+        assert rows[0] == list(FlowSample._fields)
         assert len(rows) == 3

@@ -47,6 +47,18 @@ class TestLeastNormSolve:
         with pytest.raises(SingularityError):
             least_norm_solve(LinearSystem(A, [1.0, 2.0]))
 
+    def test_batched_systems_match_one_at_a_time(self):
+        rng = np.random.default_rng(13)
+        A = rng.normal(size=(5, 3, 2, 4))
+        v = rng.normal(size=(5, 3, 2))
+        batched = least_norm_solve(LinearSystem(A, v))
+        assert batched.shape == (5, 3, 4)
+        for idx in np.ndindex(5, 3):
+            one = least_norm_solve(LinearSystem(A[idx], v[idx]))
+            assert np.max(np.abs(batched[idx] - one)) <= 1e-13
+        with pytest.raises(InputError):
+            LinearSystem(A, v[..., :1])
+
     def test_batched_solve_and_pivot_floor(self):
         rng = np.random.default_rng(29)
         M = rng.normal(size=(8, 4, 4))
@@ -107,6 +119,18 @@ class TestIsFree:
 
 
 class TestApplyL:
+    def test_solves_with_least_norm_solve(self, monkeypatch):
+        import corrugate.leastnorm as leastnorm
+
+        systems = []
+        solve = leastnorm.least_norm_solve
+        monkeypatch.setattr(leastnorm, "least_norm_solve",
+                            lambda system: systems.append(system) or solve(system))
+        grid = PeriodicGrid((64,))
+        apply_L(unit_circle_map(grid, ambient=2), MetricField(grid, np.full((64, 1), 0.3)))
+        assert len(systems) == 1
+        assert systems[0].A.shape == (64, 2, 2)
+
     def test_zero_rate_gives_zero_velocity(self):
         grid = PeriodicGrid((64,))
         w = unit_circle_map(grid, ambient=2)
