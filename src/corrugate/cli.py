@@ -300,9 +300,11 @@ def _cmd_smooth_bench(p):
                  (pair.split(",") for pair in p["pairs"].split(";") if pair)]
         eps_grid = ([float(v) for v in p["eps"].split(",")] if p["eps"]
                     else [2.0 ** (-j) for j in range(1, 7)])
+        if any(order < 0 for pair in pairs for order in pair):
+            raise ValueError("negative derivative order")
     except ValueError:
-        raise InputError(f"smooth-bench needs --pairs 'r,s;...' of integers and --eps "
-                         f"of numbers, got {p['pairs']!r} and {p['eps']!r}") from None
+        raise InputError(f"smooth-bench needs --pairs 'r,s;...' of nonnegative integers and "
+                         f"--eps of numbers, got {p['pairs']!r} and {p['eps']!r}") from None
     records = estimate_bench(T, pairs, eps_grid)
     rows = [[rec["family"], rec["r"], rec["s"], rec["max_ratio"]] for rec in records]
     fieldio.write_table(["family", "r", "s", "max_ratio"], rows, p["out"])

@@ -65,12 +65,6 @@ class SpiralParams:
     eta_budget: float
     delta_budget: float
 
-    def __post_init__(self):
-        if self.lam < 1.0:
-            raise InputError("lambda must be at least 1")
-        if not (self.eta_budget > 0.0 and self.delta_budget > 0.0):
-            raise InputError("budgets must be positive")
-
 
 @dataclass
 class StageReport:
@@ -238,22 +232,24 @@ def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
                   max_nodes: int = MAX_NODES) -> tuple[SpiralParams, StageFields]:
     """Doubling search from lambda = 8 until the measured estimates pass.
 
-    The grid refines (power-of-two resampling of all working fields, frame
-    recomputed and, like the given one, held to SEAM_TOL) whenever the
-    sampling rule demands it. Returns the first passing lambda together
+    Each trial runs on the grid its lambda's sampling rule demands. There
+    the map and primitive are lifted from the arguments ``w`` and ``prim``,
+    and the frame is swept on the lifted map; every frame, the given one
+    too, is held to SEAM_TOL. Returns the first passing lambda together
     with the fields on the grid where it passed.
     """
+    if not (eta_budget > 0.0 and delta_budget > 0.0):
+        raise InputError(f"lambda search budgets must be positive, got eta "
+                         f"{eta_budget!r} and delta {delta_budget!r}")
     lam = LAMBDA_START
     cur = StageFields(w=w, prim=prim, frame=_seam_checked(frame), grid=w.grid)
-    last_check = None
     while lam <= LAMBDA_CAP:
-        k_vec = integer_phase(cur.prim, lam)
-        needed = _required_grid(cur.grid, k_vec, max_nodes)
+        needed = _required_grid(cur.grid, integer_phase(prim, lam), max_nodes)
         if needed.shape != cur.grid.shape:
-            w_f = resample(cur.w, needed)
+            w_f = resample(w, needed)
             cur = StageFields(
                 w=w_f,
-                prim=resample_primitive(cur.prim, needed),
+                prim=resample_primitive(prim, needed),
                 frame=_seam_checked(normal_pair(w_f)),
                 grid=needed,
             )
@@ -278,7 +274,9 @@ def run_stage(w: ImmersionField, g: MetricField, eta: float, delta: float,
     Picks delta0 so that h = (1 - delta0) g - w#e is positive definite with
     ||delta0 g|| < delta/2, decomposes h into primitives, and adds spirals
     sequentially, recomputing the normal frame after each addition. The
-    per-primitive budgets are eta/K(n) and (delta/2)/K(n).
+    per-primitive budgets are eta/K(n) and (delta/2)/K(n). The primitives,
+    ``g`` and ``w`` stay on the input grid and are lifted to the map's grid
+    where they are read.
     """
     if eta <= 0 or delta <= 0:
         raise InputError("stage budgets eta and delta must be positive")
@@ -286,53 +284,43 @@ def run_stage(w: ImmersionField, g: MetricField, eta: float, delta: float,
     flag, margin = is_short(w, g, strict=True)
     if not flag:
         raise InputError(f"stage needs a strictly short start (margin {margin:.3e})")
-    grid = w.grid
     norm_g = sup_norm(g, 0)
     delta0 = min(delta / (2.0 * norm_g + 1e-12), 0.5 * margin / norm_g)
     h = (1.0 - delta0) * g - pullback_metric(w)
     if float(np.min(h.eigenvalues_min())) <= 0.0:
         raise StageError("metric gap lost positivity after the delta0 split")
 
-    prims = None
-    last_exc = None
     for count in BUMP_COUNTS:
         try:
             prims = global_decompose(h, bump_count=count)
             break
-        except (CoverageError, InputError) as exc:
-            last_exc = exc
-    if prims is None:
-        raise last_exc
+        except (CoverageError, InputError):
+            if count == BUMP_COUNTS[-1]:
+                raise
 
-    K = overlap_bound(grid.dim)
+    K = overlap_bound(w.grid.dim)
     eta_budget = eta / K
     delta_budget = (delta / 2.0) / K
 
     defect_before = sup_norm(g - pullback_metric(w), 0)
     cur_w = w
-    cur_g = g
-    base_w = w
-    pending = list(prims)
     lambdas: list[float] = []
 
-    for j in range(len(pending)):
+    for j, prim in enumerate(prims):
         params, fields = choose_lambda(
-            cur_w, pending[j], normal_pair(cur_w), eta_budget, delta_budget, max_nodes)
-        if fields.grid.shape != cur_w.grid.shape:
-            cur_g = resample(cur_g, fields.grid)
-            base_w = resample(base_w, fields.grid)
-            pending[j + 1:] = [resample_primitive(p, fields.grid) for p in pending[j + 1:]]
+            cur_w, resample_primitive(prim, cur_w.grid), normal_pair(cur_w),
+            eta_budget, delta_budget, max_nodes)
         wp = spiral_perturbation(fields.w, fields.prim, fields.frame, params.lam)
         cur_w = fields.w + wp
         lambdas.append(params.lam)
-        ok, mid_margin = is_short(cur_w, cur_g)
+        ok, mid_margin = is_short(cur_w, resample(g, cur_w.grid))
         if not ok:
             raise StageError(
                 f"shortness violated after primitive {j} (margin {mid_margin:.3e}); "
                 f"lambdas so far {lambdas}")
 
-    defect_after = sup_norm(cur_g - pullback_metric(cur_w), 0)
-    c0_delta, c1_delta = derivative_sups(cur_w - base_w, 1)
+    defect_after = sup_norm(resample(g, cur_w.grid) - pullback_metric(cur_w), 0)
+    c0_delta, c1_delta = derivative_sups(cur_w - resample(w, cur_w.grid), 1)
     eps = float(np.finfo(float).eps)
     report = StageReport(
         c0_delta=c0_delta,

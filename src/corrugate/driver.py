@@ -71,32 +71,28 @@ def nash_kuiper_iterate(v0: ImmersionField, g: MetricField,
                         ) -> tuple[ImmersionField, RunReport]:
     """Iterate corrugation stages with the 4^-q / 2^-q-1 budget schedule.
 
-    Returns the final map and the run report; a failing stage aborts with
-    the partial report, measured at its last finished stage, attached to the
-    raised error as ``partial_report``.
+    ``g`` and ``v0`` stay on the input grid and are lifted to the map's grid
+    where they are read. Returns the final map and the run report; a failing
+    stage aborts with the partial report, measured at its last finished
+    stage, attached to the raised error as ``partial_report``.
     """
     flag, margin = is_short(v0, g, strict=True)
     if not flag:
         raise InputError(f"driver needs a strictly short start (margin {margin:.3e})")
     report = RunReport()
     cur_w = v0
-    cur_g = g
-    v0_lifted = v0
     aborted = None
     for q in range(1, schedule.stages + 1):
         try:
-            z, stage_rep = run_stage(
-                cur_w, cur_g, eta=schedule.eta(q), delta=schedule.delta(q),
-                max_nodes=max_nodes)
+            cur_w, stage_rep = run_stage(
+                cur_w, resample(g, cur_w.grid), eta=schedule.eta(q),
+                delta=schedule.delta(q), max_nodes=max_nodes)
         except CorrugateError as exc:
             aborted = exc
             break
-        cur_g = resample(cur_g, z.grid)
-        v0_lifted = resample(v0_lifted, z.grid)
-        cur_w = z
         report.stage_reports.append(stage_rep)
-    report.final_defect = sup_norm(cur_g - pullback_metric(cur_w), 0)
-    report.c0_distance = sup_norm(cur_w - v0_lifted, 0)
+    report.final_defect = sup_norm(resample(g, cur_w.grid) - pullback_metric(cur_w), 0)
+    report.c0_distance = sup_norm(cur_w - resample(v0, cur_w.grid), 0)
     if aborted is not None:
         aborted.partial_report = report
         raise aborted

@@ -45,22 +45,20 @@ def write_field_block(field, out: io.TextIOBase):
 
 def read_field_block(lines):
     """Inverse of write_field_block; consumes lines from an iterator."""
-    header = None
-    for line in lines:
-        line = line.strip()
-        if line:
-            header = line
-            break
+    header = next((line.strip() for line in lines if line.strip()), None)
     if header is None:
         raise InputError("empty field block")
     parts = header.split()
     if len(parts) != 6 or parts[0] != "#" or parts[1] != "field":
         raise InputError(f"malformed field header: {header!r}")
-    kind = parts[2]
-    attrs = dict(p.split("=", 1) for p in parts[3:])
-    dim = int(attrs["dim"])
-    shape = tuple(int(r) for r in attrs["res"].split(","))
-    ncomp = int(attrs["N"])
+    try:
+        cls = FIELD_KINDS[parts[2]]
+        attrs = dict(p.split("=", 1) for p in parts[3:])
+        dim = int(attrs["dim"])
+        shape = tuple(int(r) for r in attrs["res"].split(","))
+        ncomp = int(attrs["N"])
+    except (KeyError, ValueError):
+        raise InputError(f"malformed field header: {header!r}") from None
     if len(shape) != dim:
         raise InputError("res entry count does not match dim")
     grid = PeriodicGrid(shape)
@@ -72,29 +70,29 @@ def read_field_block(lines):
         line = line.strip()
         if not line:
             continue
-        if line.startswith("# offsets"):
-            body = line[len("# offsets"):].strip()
-            offsets = np.array([[float(v) for v in part.split(",")]
-                                for part in body.split(";")])
-            continue
-        rows.append([float(v) for v in line.split(",")])
+        try:
+            if line.startswith("# offsets"):
+                body = line[len("# offsets"):].strip()
+                offsets = np.array([[float(v) for v in part.split(",")]
+                                    for part in body.split(";")])
+                continue
+            rows.append([float(v) for v in line.split(",")])
+        except ValueError:
+            raise InputError(f"malformed field line: {line!r}") from None
+        if len(rows[-1]) != ncomp:
+            raise InputError(f"row width {len(rows[-1])} != declared N={ncomp}: {line!r}")
         if len(rows) == needed:
             break
     if len(rows) != needed:
         raise InputError(f"field block truncated: {len(rows)} of {needed} rows")
     data = np.asarray(rows)
-    if data.shape[1] != ncomp:
-        raise InputError(f"row width {data.shape[1]} != declared N={ncomp}")
-    cls = FIELD_KINDS.get(kind)
-    if cls is None:
-        raise InputError(f"unknown field kind {kind!r}")
     shape = grid.shape + cls.component_shape(grid, (ncomp,))
     if int(np.prod(shape)) != data.size:
-        raise InputError(f"{kind} field on a {dim}-dimensional grid cannot have N={ncomp}")
+        raise InputError(f"{cls.kind} field on a {dim}-dimensional grid cannot have N={ncomp}")
     if offsets is None:
         return cls(grid, data.reshape(shape))
     if cls is not ImmersionField:
-        raise InputError(f"offsets line in a {kind} field block")
+        raise InputError(f"offsets line in a {cls.kind} field block")
     return ImmersionField(grid, data.reshape(shape), offsets)
 
 
@@ -147,14 +145,17 @@ def read_primitives(path):
                 continue
             if not line.startswith("primitive "):
                 raise InputError(f"expected primitive manifest, got {line!r}")
-            attrs = dict(p.split("=", 1) for p in line.split()[1:])
-            amplitude = read_field_block(lines)
-            psi_periodic = read_field_block(lines)
+            try:
+                attrs = dict(p.split("=", 1) for p in line.split()[1:])
+                psi_linear = np.array([float(v) for v in attrs["psi_linear"].split(",")])
+                support_id = int(attrs["patch"])
+            except (KeyError, ValueError):
+                raise InputError(f"malformed primitive manifest: {line!r}") from None
             prims.append(PrimitiveMetric(
-                amplitude=amplitude,
-                psi_periodic=psi_periodic,
-                psi_linear=np.array([float(v) for v in attrs["psi_linear"].split(",")]),
-                support_id=int(attrs["patch"]),
+                amplitude=read_field_block(lines),
+                psi_periodic=read_field_block(lines),
+                psi_linear=psi_linear,
+                support_id=support_id,
             ))
     return prims
 

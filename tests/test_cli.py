@@ -11,6 +11,7 @@ from corrugate.fieldio import (
     read_field,
     read_frame,
     read_primitives,
+    read_table,
     write_field,
     write_frame,
     write_primitives,
@@ -184,6 +185,52 @@ class TestMainDispatch:
         assert main(["free-check", "--in", str(in_path)]) == 0
         assert "free=True" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("line, bad", [
+        (0, "# field immersion dim=1 res=16 N"),
+        (0, "# field immersion dim=1 res=16,x N=2"),
+        (0, "# field immersion dim=1 N=2 M=3"),
+        (2, "1.0,abc"),
+        (2, "1.0,2.0,3.0"),
+        (1, "# offsets 1.0,x"),
+        (1, "# offsets 1.0;2.0,3.0"),
+    ], ids=["N-without-value", "res-not-integer", "res-missing", "row-not-a-number",
+            "row-too-wide", "offset-not-a-number", "offsets-ragged"])
+    def test_malformed_field_file_exits_2(self, tmp_path, capsys, line, bad):
+        path = tmp_path / "w.csv"
+        write_field(unit_circle_map(PeriodicGrid((16,)), ambient=2), path)
+        lines = path.read_text().splitlines()
+        lines[line] = bad
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["free-check", "--in", str(path)]) == 2
+        assert repr(bad) in capsys.readouterr().err
+
+    def test_malformed_h_file_exits_2(self, tmp_path, capsys):
+        grid = PeriodicGrid((16,))
+        path = tmp_path / "h.csv"
+        write_field(MetricField.identity(grid, 0.01), path)
+        path.write_text(path.read_text().replace("N=1", "N"))
+        code = main(["flow", "--h-file", str(path), "--resolution", "16",
+                     "--out-prefix", str(tmp_path / "f")])
+        assert code == 2
+        assert "malformed field header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("manifest", [
+        "primitive id=0 patch=0", "primitive id=0 patch=x psi_linear=1,0",
+        "primitive id=0 patch=0 psi_linear=1,y", "primitive id=0 patch psi_linear=1,0"],
+        ids=["psi-linear-missing", "patch-not-integer", "psi-linear-not-a-number",
+             "patch-without-value"])
+    def test_malformed_primitive_manifest(self, tmp_path, manifest):
+        from corrugate.decompose import global_decompose
+
+        prims = global_decompose(MetricField.identity(PeriodicGrid((16, 16)), 1.44))
+        path = tmp_path / "prims.csv"
+        write_primitives(prims[:1], path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([manifest] + lines[1:]) + "\n")
+        with pytest.raises(InputError, match="malformed primitive manifest") as err:
+            read_primitives(path)
+        assert repr(manifest) in str(err.value)
+
     def test_decompose_command(self, tmp_path):
         grid = PeriodicGrid((32, 32))
         h_path = tmp_path / "h.csv"
@@ -198,6 +245,15 @@ class TestMainDispatch:
         write_field(w, in_path)
         code = main(["frame", "--in", str(in_path), "--out", str(tmp_path / "f.csv")])
         assert code == 4
+
+    def test_frame_command_on_clifford(self, tmp_path):
+        w = clifford_map(PeriodicGrid((32, 32)))
+        in_path, out_path = tmp_path / "w.csv", tmp_path / "frame.csv"
+        write_field(w, in_path)
+        assert main(["frame", "--in", str(in_path), "--out", str(out_path)]) == 0
+        pair = read_frame(out_path)
+        assert pair.grid.shape == (32, 32)
+        pair.validate(w)
 
     def test_stage_command_on_circle(self, tmp_path, capsys):
         w = unit_circle_map(PeriodicGrid((64,)))
@@ -238,6 +294,19 @@ class TestMainDispatch:
         assert code == 0
         rep = parse_report(prefix + "_report.csv", "run")
         assert len(rep.stage_reports) == 1
+
+    def test_run_command_torus_no_stages(self, tmp_path):
+        prefix = str(tmp_path / "torus")
+        code = main(["run", "--manifold", "torus", "--stages", "0",
+                     "--resolution", "16", "--out-prefix", prefix])
+        assert code == 0
+        final = read_field(prefix + "_final.csv")
+        assert isinstance(final, ImmersionField)
+        assert final.grid.shape == (16, 16)
+        assert np.array_equal(final.values, clifford_map(final.grid).values)
+        header, rows = read_table(prefix + "_report.csv")
+        assert header[0] == "stage" and rows == []
+        assert parse_obj_counts(prefix + "_final.obj") == (256, 256)
 
     def test_flow_command_and_divergence_exit_code(self, tmp_path):
         prefix = str(tmp_path / "flow")
@@ -297,15 +366,13 @@ class TestMainDispatch:
         out = tmp_path / "bench.csv"
         code = main(["smooth-bench", "--resolution", "128", "--out", str(out)])
         assert code == 0
-        from corrugate.fieldio import read_table
-
         header, rows = read_table(out)
         assert header == ["family", "r", "s", "max_ratio"]
         assert all(float(row[3]) <= 64.0 for row in rows)
 
     @pytest.mark.parametrize("params", [
         {"pairs": "2;x"}, {"pairs": "1,2,3"}, {"pairs": "2"}, {"pairs": "1.5,0"},
-        {"eps": "0.5,x"}, {"eps": "0.5;0.25"},
+        {"eps": "0.5,x"}, {"eps": "0.5;0.25"}, {"pairs": "-1,0"}, {"pairs": "2,0;0,-3"},
     ])
     @pytest.mark.parametrize("source", ["flags", "config"])
     def test_smooth_bench_malformed_lists_exit_2(self, tmp_path, capsys, params, source):
@@ -319,6 +386,13 @@ class TestMainDispatch:
         assert main(argv) == 2
         assert "smooth-bench needs" in capsys.readouterr().err
         assert not (tmp_path / "b.csv").exists()
+
+
+    def test_smooth_bench_order_above_4_exits_4(self, tmp_path, capsys):
+        code = main(["smooth-bench", "--resolution", "16", "--pairs=5,0",
+                     "--out", str(tmp_path / "b.csv")])
+        assert code == 4
+        assert "derivative order 5 unsupported" in capsys.readouterr().err
 
 
 class TestWriterBytes:

@@ -5,6 +5,7 @@ from corrugate.corrugation import (
     StageReport,
     check_stage_estimates,
     choose_lambda,
+    resample_primitive,
     run_stage,
     spiral_perturbation,
 )
@@ -189,6 +190,42 @@ class TestChooseLambda:
                                        eta_budget=0.5, delta_budget=1e-6)
         assert params.lam == 8.0
         assert fields.grid.shape[0] >= 128  # 16 samples/period at frequency 8
+
+    def test_trial_fields_are_lifted_from_the_arguments(self):
+        grid = PeriodicGrid((64, 16))
+        w = flat_strip_map(grid)
+        prim = PrimitiveMetric(
+            amplitude=ScalarField.from_function(grid, lambda x, y: 1.0 + 0.3 * np.cos(x)),
+            psi_periodic=ScalarField.from_function(grid, lambda x, y: 0.02 * np.sin(x)),
+            psi_linear=np.array([1.0, 0.0]))
+        # sup a / lambda < eta needs lambda 32: the grid refines 64 -> 128 -> 256 -> 512
+        params, fields = choose_lambda(w, prim, rotating_gauge_frame(grid),
+                                       eta_budget=0.05, delta_budget=1e-2)
+        assert params.lam == 32.0
+        assert fields.grid.shape == (512, 16)
+        w_lift = resample(w, fields.grid)
+        prim_lift = resample_primitive(prim, fields.grid)
+        assert np.max(np.abs(fields.w.periodic - w_lift.periodic)) <= 1e-12
+        assert np.array_equal(fields.w.offsets, w.offsets)
+        for got, want in ((fields.prim.amplitude, prim_lift.amplitude),
+                          (fields.prim.psi_periodic, prim_lift.psi_periodic)):
+            assert np.max(np.abs(got.values - want.values)) <= 1e-12
+        assert np.array_equal(fields.prim.psi_linear, prim.psi_linear)
+
+    @pytest.mark.parametrize("eta, delta", [
+        (0.5, -1.0), (0.5, 0.0), (0.5, float("nan")), (-1.0, 1e-2), (float("nan"), 1e-2)])
+    def test_bad_budget_refused_before_any_trial(self, monkeypatch, eta, delta):
+        import corrugate.corrugation as corrugation
+
+        trials = []
+        monkeypatch.setattr(corrugation, "check_stage_estimates",
+                            lambda *args: trials.append(args))
+        grid = PeriodicGrid((64, 16))
+        w = flat_strip_map(grid)
+        with pytest.raises(InputError, match="budgets must be positive"):
+            choose_lambda(w, constant_primitive(grid), normal_pair(w),
+                          eta_budget=eta, delta_budget=delta, max_nodes=2**12)
+        assert trials == []
 
     def test_every_frame_meets_the_seam_tolerance(self, monkeypatch):
         import dataclasses
