@@ -135,9 +135,6 @@ def _validate(config: RunConfig) -> RunConfig:
     for key, low in (("stages", 0), ("resolution", 1), ("bumps", 1)):
         if key in p and p[key] < low:
             raise InputError(f"{key} must be at least {low}, got {p[key]}")
-    for key in ("epsilon", "eta", "delta", "tol"):
-        if key in p and p[key] <= 0:
-            raise InputError(f"{key} must be positive, got {p[key]}")
     return config
 
 

@@ -278,8 +278,9 @@ def run_stage(w: ImmersionField, g: MetricField, eta: float, delta: float,
     ``g`` and ``w`` stay on the input grid and are lifted to the map's grid
     where they are read.
     """
-    if eta <= 0 or delta <= 0:
-        raise InputError("stage budgets eta and delta must be positive")
+    if not (0.0 < eta < np.inf and 0.0 < delta < np.inf):
+        raise InputError(f"stage budgets eta and delta must be finite and positive, "
+                         f"got {eta!r} and {delta!r}")
     w.require_immersion()
     flag, margin = is_short(w, g, strict=True)
     if not flag:

@@ -35,8 +35,8 @@ class IterationSchedule:
     stages: int = 4
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise InputError("epsilon must be positive")
+        if not 0.0 < self.epsilon < np.inf:
+            raise InputError(f"epsilon must be finite and positive, got {self.epsilon!r}")
         if self.stages < 0:
             raise InputError("stage count must be nonnegative")
 

@@ -82,13 +82,15 @@ class FlowConfig:
     smallness: float = 0.05
 
     def __post_init__(self):
-        if self.t0 <= 1.0:
+        # each test is written so that NaN fails it
+        if not self.t0 > 1.0:
             raise InputError("t0 must exceed 1 (smoothing scale 1/t must be < 1)")
-        end = self.resolved_end
-        if end < self.t0 + 5.0:
-            raise InputError("t_end must be at least t0 + 5")
-        if self.tol <= 0:
-            raise InputError("tol must be positive")
+        if not self.t0 + 5.0 <= self.resolved_end < np.inf:
+            raise InputError(f"t_end must be finite and at least t0 + 5, got {self.t_end!r}")
+        if not self.tol > 0:
+            raise InputError(f"tol must be positive, got {self.tol!r}")
+        if not self.smallness > 0:
+            raise InputError(f"smallness must be positive, got {self.smallness!r}")
 
     @property
     def resolved_end(self) -> float:

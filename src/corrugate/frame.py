@@ -2,12 +2,13 @@
 
 A pair seeds at node (0,..,0) and travels by projection: each node takes
 the previous node's pair, projects it onto its own normal space and
-re-orthonormalizes. Along a 1-D path (the circle, the torus's seed
-column) the whole transport is one prefix-product scan over the node
-projectors; the torus's rows then advance together, one column per step.
-Periodic seam consistency is measured, not enforced; the mismatch angle
-travels with the result so downstream stages can abort on nontrivial
-holonomy.
+re-orthonormalizes. That step is written once, as _gram_schmidt followed
+by _check_collapse, the one place a collapsed pair raises. Along a 1-D
+path (the circle, the torus's seed column) the whole transport is one
+prefix-product scan over the node projectors; the torus's rows then
+advance together, one column per step. Periodic seam consistency is
+measured by _closure, not enforced; the mismatch angle travels with the
+result so downstream stages can abort on nontrivial holonomy.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ class FramePair:
     ``seam_mismatch`` is the residual closure angle across the periodic
     seam(s); ``holonomy`` is the raw rotation picked up by one full loop of
     parallel propagation (spread out in one dimension, see normal_pair).
+    On the torus nothing is spread out, and ``holonomy`` is set to
+    ``seam_mismatch``.
     """
 
     grid: PeriodicGrid
@@ -66,21 +69,16 @@ class FramePair:
 def _orthonormal_tangents(w: ImmersionField) -> np.ndarray:
     """Gram-Schmidt the derivative vectors nodewise, shape grid + (d, N)."""
     der = w.derivatives()
-    d = w.grid.dim
-    out = np.empty_like(der)
-    t0 = der[..., 0, :]
-    n0 = np.linalg.norm(t0, axis=-1, keepdims=True)
+    n0 = np.linalg.norm(der[..., 0, :], axis=-1)
     if np.min(n0) <= 1e-12:
         raise InputError("zero tangent vector: not an immersion")
-    out[..., 0, :] = t0 / n0
-    if d == 2:
-        t1 = der[..., 1, :]
-        t1 = t1 - np.einsum("...a,...a->...", t1, out[..., 0, :])[..., None] * out[..., 0, :]
-        n1 = np.linalg.norm(t1, axis=-1, keepdims=True)
-        if np.min(n1) <= 1e-12:
-            raise InputError("dependent tangent vectors: not an immersion")
-        out[..., 1, :] = t1 / n1
-    return out
+    if w.grid.dim == 1:
+        return der / n0[..., None, None]
+    det, t0, t1 = _gram_schmidt(der[..., 0, :], der[..., 1, :])
+    # det = |t0|^2 |t1 - (t1.e0) e0|^2: the second residual is at most 1e-12
+    if np.min(det / n0 ** 2) <= 1e-24:
+        raise InputError("dependent tangent vectors: not an immersion")
+    return np.stack([t0, t1], axis=-2)
 
 
 def _project_normal(vec: np.ndarray, tangents: np.ndarray) -> np.ndarray:
@@ -89,41 +87,36 @@ def _project_normal(vec: np.ndarray, tangents: np.ndarray) -> np.ndarray:
     return vec - np.einsum("...i,...ia->...a", coeff, tangents)
 
 
-def _gram_schmidt(nu_p: np.ndarray, b_p: np.ndarray):
-    """Nodewise Gram-Schmidt of the pair, without a collapse check."""
-    nu = nu_p / np.linalg.norm(nu_p, axis=-1, keepdims=True)
-    b_perp = b_p - np.einsum("...a,...a->...", b_p, nu)[..., None] * nu
-    return nu, b_perp / np.linalg.norm(b_perp, axis=-1, keepdims=True)
+def _gram_schmidt(u: np.ndarray, v: np.ndarray):
+    """Nodewise Gram determinant of the pair (u, v) and its Gram-Schmidt
+    orthonormalization. The determinant is |u|^2 |v_perp|^2, free of the
+    cancellation in g11 g22 - g12^2; a collapsed pair turns NaN, silently."""
+    nu_n = np.linalg.norm(u, axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nu = u / nu_n
+        b_perp = v - np.einsum("...a,...a->...", v, nu)[..., None] * nu
+        b_n = np.linalg.norm(b_perp, axis=-1, keepdims=True)
+        return ((nu_n * b_n)[..., 0]) ** 2, nu, b_perp / b_n
 
 
-def _gram_det(nu_p: np.ndarray, b_p: np.ndarray) -> np.ndarray:
-    g11 = np.einsum("...a,...a->...", nu_p, nu_p)
-    g12 = np.einsum("...a,...a->...", nu_p, b_p)
-    g22 = np.einsum("...a,...a->...", b_p, b_p)
-    return g11 * g22 - g12 * g12
-
-
-def _collapse_error(det: float, node_label: str, where: tuple) -> PropagationError:
-    return PropagationError(
-        f"projected pair nearly dependent at node {node_label}{where} (Gram det {det:.3e})")
-
-
-def _renormalize(nu_p: np.ndarray, b_p: np.ndarray, node_label: str):
-    """Gram-determinant collapse check, then Gram-Schmidt of the pair."""
-    det = _gram_det(nu_p, b_p)
-    collapsed = ~(det >= COLLAPSE_TOL)  # NaN counts as collapsed
-    if np.any(collapsed):
-        first = int(np.argmax(collapsed))
-        where = tuple(int(i) for i in np.unravel_index(first, np.shape(det)))
-        raise _collapse_error(float(np.ravel(det)[first]), node_label, where)
-    return _gram_schmidt(nu_p, b_p)
+def _check_collapse(det: np.ndarray, label: str, first: int = 0):
+    """Raise at the first node whose Gram determinant is below COLLAPSE_TOL
+    (NaN counts as collapsed); ``first`` is the path index of det's entry 0."""
+    collapsed = np.argwhere(~(det >= COLLAPSE_TOL))
+    if len(collapsed):
+        node = collapsed[0]
+        value = float(det[tuple(node)])
+        node[:1] += first
+        raise PropagationError(f"projected pair nearly dependent at node "
+                               f"{label}{tuple(int(i) for i in node)} (Gram det {value:.3e})")
 
 
 def _step(nu: np.ndarray, b: np.ndarray, tangents: np.ndarray, node_label: str):
     """One transport step: project the pair onto the normal space of
-    ``tangents``, then check for collapse and re-orthonormalize."""
-    return _renormalize(_project_normal(nu, tangents), _project_normal(b, tangents),
-                        node_label)
+    ``tangents``, re-orthonormalize it and refuse a collapse."""
+    det, nu, b = _gram_schmidt(_project_normal(nu, tangents), _project_normal(b, tangents))
+    _check_collapse(det, node_label)
+    return nu, b
 
 
 def _scan(tangents: np.ndarray, nu0: np.ndarray, b0: np.ndarray):
@@ -146,8 +139,7 @@ def _scan(tangents: np.ndarray, nu0: np.ndarray, b0: np.ndarray):
         prod[shift:] = prod[shift:] @ prod[:-shift]
         prod[shift:] /= np.sqrt(np.einsum("kac,kac->k", prod[shift:], prod[shift:]))[:, None, None]
         shift *= 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _gram_schmidt(prod @ nu0, prod @ b0)
+    return _gram_schmidt(prod @ nu0, prod @ b0)[1:]
 
 
 def _transport(tangents: np.ndarray, nu0: np.ndarray, b0: np.ndarray,
@@ -158,9 +150,10 @@ def _transport(tangents: np.ndarray, nu0: np.ndarray, b0: np.ndarray,
     sweep X_k = GS(P_k X_{k-1}) equals _scan's GS(P_k..P_1 X_0), because
     Gram-Schmidt acts on the right by an upper-triangular factor with a
     positive diagonal. Every step is then re-run once, vectorized, from the
-    scanned pair at the node before: a Gram determinant below COLLAPSE_TOL
-    raises, as in the sweep, and the step must reproduce the scanned pair
-    within UNIT_TOL. Where it does not, the scan lost a direction that
+    scanned pair at the node before, by the same _gram_schmidt and
+    _check_collapse as _step: a Gram determinant below COLLAPSE_TOL raises,
+    as in the sweep, and the step must reproduce the scanned pair within
+    UNIT_TOL. Where it does not, the scan lost a direction that
     contracted much faster than the other (a planar curve whose pair starts
     in its plane does that), and it restarts from that node's step.
     Returns the re-run pairs, shape (n, N) each.
@@ -173,17 +166,14 @@ def _transport(tangents: np.ndarray, nu0: np.ndarray, b0: np.ndarray,
     while start < n - 1:
         end = min(n, start + span)
         nu[start:end], b[start:end] = _scan(tangents[start:end], nu[start], b[start])
-        nu_p = _project_normal(nu[start:end - 1], tangents[start + 1:end])
-        b_p = _project_normal(b[start:end - 1], tangents[start + 1:end])
-        det = _gram_det(nu_p, b_p)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nu_p, b_p = _gram_schmidt(nu_p, b_p)
+        det, nu_p, b_p = _gram_schmidt(
+            _project_normal(nu[start:end - 1], tangents[start + 1:end]),
+            _project_normal(b[start:end - 1], tangents[start + 1:end]))
         gap = np.maximum(np.max(np.abs(nu_p - nu[start + 1:end]), axis=-1),
                          np.max(np.abs(b_p - b[start + 1:end]), axis=-1))
         bad = ~(det >= COLLAPSE_TOL) | ~(gap <= UNIT_TOL)  # NaN counts as bad
         stop = int(np.argmax(bad)) if np.any(bad) else len(bad) - 1
-        if not det[stop] >= COLLAPSE_TOL:
-            raise _collapse_error(float(det[stop]), node_label, (start + 1 + stop,))
+        _check_collapse(det[:stop + 1], node_label, start + 1)
         nu[start + 1:start + 2 + stop] = nu_p[:stop + 1]
         b[start + 1:start + 2 + stop] = b_p[:stop + 1]
         # the next scan covers twice the stretch this one held, so a path
@@ -193,17 +183,28 @@ def _transport(tangents: np.ndarray, nu0: np.ndarray, b0: np.ndarray,
 
 
 def _seed_pair(tangents_at_start: np.ndarray, ambient: int):
-    """Largest-residual coordinate axes after removing tangential parts."""
-    residuals = np.stack([
-        _project_normal(np.eye(ambient)[a], tangents_at_start) for a in range(ambient)])
-    norms = np.linalg.norm(residuals, axis=-1)
-    order = np.argsort(-norms, kind="stable")
-    first, second = residuals[order[0]], residuals[order[1]]
-    return _renormalize(first, second, "seed")
+    """Two coordinate axes by pivoted Gram-Schmidt of their normal residuals:
+    the largest residual, then the largest once the first is removed, so the
+    pair cannot collapse while the normal space has dimension >= 2."""
+    residuals = _project_normal(np.eye(ambient), tangents_at_start)
+    first = int(np.argmax(np.linalg.norm(residuals, axis=-1)))
+    det, nu, b = _gram_schmidt(residuals[first], residuals)
+    second = int(np.argmax(det))
+    _check_collapse(det[second], "seed")
+    return nu, b[second]
 
 
-def _pair_angle(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.arccos(np.clip(np.einsum("...a,...a->...", u, v), -1.0, 1.0))
+def _rotate(nu: np.ndarray, b: np.ndarray, angle):
+    """Turn the pair (nu, b) by ``angle`` within its own plane."""
+    c, s = np.cos(angle), np.sin(angle)
+    return c * nu + s * b, -s * nu + c * b
+
+
+def _closure(stepped, first) -> float:
+    """Largest angle between a pair stepped across a seam and the pair it
+    should meet there."""
+    return float(max(np.max(np.arccos(np.clip(np.einsum("...a,...a->...", s, f), -1.0, 1.0)))
+                     for s, f in zip(stepped, first)))
 
 
 def normal_pair(w: ImmersionField) -> FramePair:
@@ -227,54 +228,37 @@ def normal_pair(w: ImmersionField) -> FramePair:
 
     if grid.dim == 1:
         res = grid.shape[0]
-        nu, b = _transport(tangents, *_seed_pair(tangents[0], N))
+        raw = _transport(tangents, *_seed_pair(tangents[0], N))
         # loop holonomy of parallel transport (total torsion of the curve);
         # the bundle over the circle is trivial, so spreading the rotation
         # at a constant rate yields a continuous periodic frame; iterate the
         # rate because transport and rotation commute only to leading order
         rate = 0.0
         holonomy = None
-        nu_c, b_c = nu, b
+        nu, b = raw
         for _ in range(16):
-            nu_t, b_t = _step(nu_c[-1], b_c[-1], tangents[0], "(seam,)")
-            step = -rate / res
-            nu_t, b_t = (np.cos(step) * nu_t + np.sin(step) * b_t,
-                         -np.sin(step) * nu_t + np.cos(step) * b_t)
-            residual = float(np.arctan2(np.dot(nu_t, b_c[0]), np.dot(nu_t, nu_c[0])))
+            nu_t, b_t = _rotate(*_step(nu[-1], b[-1], tangents[0], "(seam,)"), -rate / res)
+            residual = float(np.arctan2(np.dot(nu_t, b[0]), np.dot(nu_t, nu[0])))
             if holonomy is None:
                 holonomy = residual
             if abs(residual) <= 1e-12:
                 break
             rate += residual
-            angles = -rate * np.arange(res) / res
-            ca, sa = np.cos(angles)[:, None], np.sin(angles)[:, None]
-            nu_c = ca * nu + sa * b
-            b_c = -sa * nu + ca * b
-        mismatch = float(max(np.max(_pair_angle(nu_t, nu_c[0])),
-                             np.max(_pair_angle(b_t, b_c[0]))))
-        pair = FramePair(grid, nu_c, b_c, seam_mismatch=mismatch, holonomy=holonomy)
-        pair.validate()
-        return pair
-
-    r1, r2 = grid.shape
-    nu = np.empty((r1, r2, N))
-    b = np.empty((r1, r2, N))
-    # seed column: each row start propagates from the previous row start
-    nu[:, 0], b[:, 0] = _transport(
-        tangents[:, 0], *_seed_pair(tangents[0, 0], N), "seed column ")
-    # sweep along rows; all rows advance one column per step
-    for j in range(1, r2):
-        nu[:, j], b[:, j] = _step(nu[:, j - 1], b[:, j - 1], tangents[:, j], f"(:, {j})")
-
-    nu_wrap_row, b_wrap_row = _step(nu[:, -1], b[:, -1], tangents[:, 0], "(:, seam)")
-    nu_wrap_col, b_wrap_col = _step(nu[-1, :], b[-1, :], tangents[0, :], "(seam, :)")
-    mismatch = float(max(
-        np.max(_pair_angle(nu_wrap_row, nu[:, 0])),
-        np.max(_pair_angle(b_wrap_row, b[:, 0])),
-        np.max(_pair_angle(nu_wrap_col, nu[0, :])),
-        np.max(_pair_angle(b_wrap_col, b[0, :])),
-    ))
-    pair = FramePair(grid, nu, b, seam_mismatch=mismatch, holonomy=mismatch)
+            nu, b = _rotate(*raw, -rate * np.arange(res)[:, None] / res)
+        mismatch = _closure((nu_t, b_t), (nu[0], b[0]))
+    else:
+        nu = np.empty(grid.shape + (N,))
+        b = np.empty_like(nu)
+        # seed column: each row start propagates from the previous row start
+        nu[:, 0], b[:, 0] = _transport(
+            tangents[:, 0], *_seed_pair(tangents[0, 0], N), "seed column ")
+        # sweep along rows; all rows advance one column per step
+        for j in range(1, grid.shape[1]):
+            nu[:, j], b[:, j] = _step(nu[:, j - 1], b[:, j - 1], tangents[:, j], f"(:, {j})")
+        mismatch = holonomy = max(
+            _closure(_step(nu[:, -1], b[:, -1], tangents[:, 0], "(:, seam)"), (nu[:, 0], b[:, 0])),
+            _closure(_step(nu[-1, :], b[-1, :], tangents[0, :], "(seam, :)"), (nu[0, :], b[0, :])))
+    pair = FramePair(grid, nu, b, seam_mismatch=mismatch, holonomy=holonomy)
     # normality holds by construction (projection against the orthonormal
     # tangents); only the pair's own invariants need re-checking
     pair.validate()

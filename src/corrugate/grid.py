@@ -297,7 +297,6 @@ class ImmersionField(Field):
             self.data = self.data - self._linear_part(grid, offsets)
         self.offsets = offsets
         self._first = None
-        self._second = None
 
     @classmethod
     def component_shape(cls, grid: PeriodicGrid, given: tuple) -> tuple:
@@ -350,25 +349,19 @@ class ImmersionField(Field):
         return self._first
 
     def second_derivatives(self) -> np.ndarray:
-        """Symmetrized second derivatives, shape grid.shape + (dim, dim, N).
-
-        Cached; returned read-only.
-        """
-        if self._second is None:
-            d = self.grid.dim
-            out = np.empty(self.grid.shape + (d, d, self.ambient_dim))
-            for i in range(d):
-                for j in range(i, d):
-                    if i == j:
-                        der = spectral_derivative(self.data, self.grid, i, order=2)
-                    else:
-                        der = spectral_derivative(
-                            spectral_derivative(self.data, self.grid, i), self.grid, j)
-                    out[..., i, j, :] = der
-                    out[..., j, i, :] = der
-            out.flags.writeable = False
-            self._second = out
-        return self._second
+        """Symmetrized second derivatives, shape grid.shape + (dim, dim, N)."""
+        d = self.grid.dim
+        out = np.empty(self.grid.shape + (d, d, self.ambient_dim))
+        for i in range(d):
+            for j in range(i, d):
+                if i == j:
+                    der = spectral_derivative(self.data, self.grid, i, order=2)
+                else:
+                    der = spectral_derivative(
+                        spectral_derivative(self.data, self.grid, i), self.grid, j)
+                out[..., i, j, :] = der
+                out[..., j, i, :] = der
+        return out
 
     def require_immersion(self):
         """Refuse a map whose first-derivative Gram drops to RANK_TOL at a node."""

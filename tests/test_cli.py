@@ -255,6 +255,16 @@ class TestMainDispatch:
         assert pair.grid.shape == (32, 32)
         pair.validate(w)
 
+    def test_frame_command_on_tilted_flat_strip(self, tmp_path):
+        # all four coordinate axes have the same normal residual at the seed
+        c = np.sqrt(0.5)
+        w = ImmersionField.from_periodic(PeriodicGrid((16, 16)), np.zeros((16, 16, 4)),
+                                         [[c, c, 0.0, 0.0], [0.0, 0.0, c, c]])
+        in_path, out_path = tmp_path / "w.csv", tmp_path / "frame.csv"
+        write_field(w, in_path)
+        assert main(["frame", "--in", str(in_path), "--out", str(out_path)]) == 0
+        read_frame(out_path).validate(w)
+
     def test_stage_command_on_circle(self, tmp_path, capsys):
         w = unit_circle_map(PeriodicGrid((64,)))
         g = MetricField.identity(PeriodicGrid((64,)), 1.2**2)
@@ -324,6 +334,20 @@ class TestMainDispatch:
                      "--tol", "1e-15", "--resolution", "128",
                      "--out-prefix", prefix + "_bad"])
         assert code == 3
+
+    @pytest.mark.parametrize("option", [
+        "flow --tol nan", "flow --smallness nan", "flow --t0 nan", "flow --tend nan",
+        "run --epsilon nan", "run --epsilon inf"])
+    def test_non_finite_option_exits_2(self, tmp_path, capsys, option):
+        command, flag, value = option.split()
+        # each base command finishes quickly where an option goes unchecked
+        base = {"flow": ["--alpha", "0.04", "--tend", "16", "--resolution", "64"],
+                "run": ["--manifold", "circle", "--stages", "1", "--resolution", "64",
+                        "--target-scale", "1.2"]}[command]
+        argv = [command, *base, flag, value, "--out-prefix", str(tmp_path / "x")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_flow_needs_exactly_one_target(self, tmp_path):
         code = main(["flow", "--out-prefix", str(tmp_path / "x")])

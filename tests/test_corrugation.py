@@ -252,6 +252,14 @@ class TestRunStage:
         with pytest.raises(InputError):
             run_stage(w, pullback_metric(w), eta=0.5, delta=0.25)
 
+    @pytest.mark.parametrize("eta, delta", [
+        (float("inf"), 0.25), (0.5, float("inf")), (float("nan"), 0.25), (0.5, float("nan"))])
+    def test_non_finite_budget_refused(self, eta, delta):
+        grid = PeriodicGrid((64,))
+        with pytest.raises(InputError, match="finite and positive"):
+            run_stage(unit_circle_map(grid), MetricField.identity(grid, 1.2**2),
+                      eta=eta, delta=delta)
+
     def test_circle_stage_contract(self):
         grid = PeriodicGrid((64,))
         w = unit_circle_map(grid)

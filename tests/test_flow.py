@@ -237,6 +237,13 @@ class TestRunFlow:
         with pytest.raises(InputError):
             FlowConfig(t0=0.5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("t_end", float("inf")), ("t_end", float("nan")), ("t0", float("nan")),
+        ("tol", float("nan")), ("smallness", float("nan")), ("smallness", 0.0)])
+    def test_non_finite_or_nonpositive_config_refused(self, field, value):
+        with pytest.raises(InputError, match=f"^{field} "):
+            FlowConfig(**{field: value})
+
 
 class TestDiagnosticsTable:
     def test_stationary_quantities_vanish(self):

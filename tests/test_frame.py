@@ -2,17 +2,27 @@ import numpy as np
 import pytest
 
 from corrugate import frame as frame_module
-from corrugate.errors import CapabilityError, PropagationError
+from corrugate.errors import CapabilityError, InputError, PropagationError
 from corrugate.frame import (
     FramePair,
     _orthonormal_tangents,
     _seed_pair,
+    _step,
     _transport,
     normal_pair,
 )
 from corrugate.grid import ImmersionField, PeriodicGrid
 
 from conftest import clifford_map, flat_strip_map, unit_circle_map
+
+
+def _clifford_pair(grid):
+    """The Clifford torus's radial normal pair, (cos x, sin x, 0, 0) and
+    (0, 0, cos y, sin y)."""
+    x, y = grid.meshes()
+    zeros = np.zeros_like(x)
+    return (np.stack([np.cos(x), np.sin(x), zeros, zeros], axis=-1),
+            np.stack([zeros, zeros, np.cos(y), np.sin(y)], axis=-1))
 
 
 class TestNormalPair:
@@ -29,14 +39,36 @@ class TestNormalPair:
         assert np.max(np.abs(frame.nu - frame.nu[0, 0])) <= 1e-12
         assert np.max(np.abs(frame.b - frame.b[0, 0])) <= 1e-12
 
+    def test_tilted_flat_strip_seeds_a_valid_pair(self):
+        # every coordinate axis has normal residual 1/sqrt(2) at the seed, and
+        # e1, e2 project to opposite multiples of one normal
+        grid = PeriodicGrid((16, 16))
+        c = np.sqrt(0.5)
+        w = ImmersionField.from_periodic(grid, np.zeros(grid.shape + (4,)),
+                                         [[c, c, 0.0, 0.0], [0.0, 0.0, c, c]])
+        normal_pair(w).validate(w)
+
     def test_clifford_candidate_pair_passes_invariants(self):
         grid = PeriodicGrid((32, 32))
-        w = clifford_map(grid, r=0.8)
-        x, y = grid.meshes()
-        zeros = np.zeros_like(x)
-        nu = np.stack([np.cos(x), np.sin(x), zeros, zeros], axis=-1)
-        b = np.stack([zeros, zeros, np.cos(y), np.sin(y)], axis=-1)
-        FramePair(grid, nu, b).validate(w)
+        FramePair(grid, *_clifford_pair(grid)).validate(clifford_map(grid, r=0.8))
+
+    @pytest.mark.parametrize("defect, message", [
+        ("stretched", "nu is not unit length"), ("sheared", "not mutually orthogonal"),
+        ("tilted", "not normal to the immersion")])
+    def test_validate_refuses_a_broken_pair(self, defect, message):
+        grid = PeriodicGrid((32, 32))
+        nu, b = _clifford_pair(grid)
+        if defect == "stretched":
+            nu = (1.0 + 1e-8) * nu
+        elif defect == "sheared":
+            b = (b + 1e-8 * nu) / np.sqrt(1.0 + 1e-16)
+        else:
+            # turn nu by 1e-7 rad toward the unit x-tangent: still unit and
+            # orthogonal to b
+            tangent = np.stack([-nu[..., 1], nu[..., 0], nu[..., 2], nu[..., 3]], axis=-1)
+            nu = np.cos(1e-7) * nu + np.sin(1e-7) * tangent
+        with pytest.raises(InputError, match=message):
+            FramePair(grid, nu, b).validate(clifford_map(grid, r=0.8))
 
     def test_clifford_output_satisfies_invariants(self):
         grid = PeriodicGrid((32, 32))
@@ -51,6 +83,19 @@ class TestNormalPair:
         frame = normal_pair(w)
         frame.validate(w)
         assert frame.seam_mismatch <= 1e-6
+
+    def test_constant_map_has_no_tangent(self):
+        grid = PeriodicGrid((16, 16))
+        with pytest.raises(InputError, match="zero tangent vector"):
+            normal_pair(ImmersionField(grid, np.ones(grid.shape + (4,))))
+
+    def test_parallel_derivative_columns_are_dependent(self):
+        grid = PeriodicGrid((16, 16))
+        x, y = grid.meshes()
+        zeros = np.zeros_like(x)
+        w = ImmersionField(grid, np.stack([np.cos(x + y), np.sin(x + y), zeros, zeros], axis=-1))
+        with pytest.raises(InputError, match="dependent tangent vectors"):
+            normal_pair(w)
 
     def test_codimension_one_rejected(self):
         grid = PeriodicGrid((64,))
@@ -165,8 +210,21 @@ class TestTransport:
         with pytest.raises(PropagationError, match=r"node \(5,\)"):
             _transport(tangents, e[1], e[2])
 
+    def test_step_collapse_names_its_node(self):
+        # four rows advance together; at row 3 the tangent is the pair's nu
+        e = np.eye(3)
+        nu, b = np.tile(e[0], (4, 1)), np.tile(e[1], (4, 1))
+        tangents = np.tile(e[2], (4, 1, 1))
+        tangents[3, 0] = e[0]
+        with pytest.raises(PropagationError, match=r"at node \(:, 7\)\(3,\) \(Gram det"):
+            _step(nu, b, tangents, "(:, 7)")
+
+    def test_seed_collapses_without_a_normal_plane(self):
+        with pytest.raises(PropagationError, match=r"at node seed\(\) \(Gram det"):
+            _seed_pair(np.eye(3)[:2], 3)
+
     def test_circle_renormalizes_independently_of_node_count(self, monkeypatch):
-        calls = {"_renormalize": 0, "_scan": 0}
+        calls = {"_step": 0, "_scan": 0}
         for name in calls:
             original = getattr(frame_module, name)
 
