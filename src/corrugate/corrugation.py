@@ -39,6 +39,7 @@ from .grid import (
     pullback_metric,
     resample,
     sup_norm,
+    triangular_index_pairs,
 )
 
 LAMBDA_START = 8.0
@@ -134,7 +135,12 @@ def spiral_perturbation(w: ImmersionField, prim: PrimitiveMetric,
 
 
 class StageCheck(NamedTuple):
-    """Measured triple of the inductive estimates plus pass flags."""
+    """Measured triple of the inductive estimates plus pass flags.
+
+    ``cross_err`` and ``quad_err`` are the sups of the two terms the metric
+    increment error splits into (see check_stage_estimates); ``incr_err``
+    is the sup of their sum, so it is at most cross_err + quad_err.
+    """
 
     c0: float
     deriv_sq: float
@@ -142,6 +148,8 @@ class StageCheck(NamedTuple):
     c0_ok: bool
     deriv_ok: bool
     incr_ok: bool
+    cross_err: float
+    quad_err: float
 
     @property
     def ok(self) -> bool:
@@ -153,6 +161,19 @@ class StageCheck(NamedTuple):
                   ("increment", self.incr_ok)] if not flag]
         return ",".join(names) if names else "none"
 
+    def measured(self) -> str:
+        """The measured estimates, with the increment's split into terms and
+        the name of the larger term."""
+        larger = "cross" if self.cross_err >= self.quad_err else "quadratic"
+        return (f"C0 {self.c0:.3e}, |D|^2 {self.deriv_sq:.3e}, increment "
+                f"{self.incr_err:.3e} (cross term {self.cross_err:.3e}, quadratic "
+                f"term {self.quad_err:.3e}; the {larger} term dominates)")
+
+
+def _sup_root(sq: np.ndarray) -> float:
+    """Sup over nodes of a norm, given its nodewise square."""
+    return float(np.sqrt(np.max(sq)))
+
 
 def check_stage_estimates(w_prev: ImmersionField, w_next: ImmersionField,
                           prim: PrimitiveMetric, eta_budget: float,
@@ -162,18 +183,48 @@ def check_stage_estimates(w_prev: ImmersionField, w_next: ImmersionField,
     C0 move below eta_budget, squared derivative move below twice the
     primitive's sup norm, and metric increment within delta_budget of the
     primitive tensor. Pure measurement; a zero primitive passes with zeros.
+
+    With w = w_prev and the increment w^p = w_next - w_prev, the metric
+    increment error splits exactly as
+
+        w_next#e - w#e - a^2 dpsi(x)dpsi
+            = 2 sym(dw^T dw^p) + (dw^p^T dw^p - a^2 dpsi(x)dpsi),
+
+    the cross term and the quadratic term, reported as ``cross_err`` and
+    ``quad_err``. So only the increment is differentiated (dw is w_prev's
+    cached derivative), and the sum is free of the cancellation in the
+    difference of two pullbacks. Each sup is the nodewise Frobenius norm of
+    the symmetric tensor, sqrt(c00^2 + 2 c01^2 + c11^2) on the torus.
     """
-    c0, deriv = derivative_sups(w_next - w_prev, 1)
-    deriv_sq = deriv ** 2
-    target = prim.tensor()
-    bound2 = 2.0 * sup_norm(target, 0)
-    incr = pullback_metric(w_next) - pullback_metric(w_prev) - target
-    incr_err = sup_norm(incr, 0)
+    inc = w_next - w_prev
+    lift = inc.values if np.any(inc.offsets) else inc.data
+    c0 = _sup_root(np.einsum("...a,...a->...", lift, lift))
+    dinc = inc.derivatives()
+    deriv_sq = float(np.max(np.einsum("...ia,...ia->...", dinc, dinc)))
+    dw = w_prev.derivatives()
+    grad = prim.psi_gradient()
+    a2 = prim.amplitude.values ** 2
+    sq_target = sq_cross = sq_quad = sq_incr = 0.0
+    for i, j in triangular_index_pairs(w_prev.grid.dim):
+        weight = 1.0 if i == j else 2.0
+        target = a2 * grad[..., i] * grad[..., j]
+        cross = np.einsum("...a,...a->...", dw[..., i, :], dinc[..., j, :])
+        cross += (cross if i == j
+                  else np.einsum("...a,...a->...", dw[..., j, :], dinc[..., i, :]))
+        quad = np.einsum("...a,...a->...", dinc[..., i, :], dinc[..., j, :]) - target
+        sq_target = sq_target + weight * target * target
+        sq_cross = sq_cross + weight * cross * cross
+        sq_quad = sq_quad + weight * quad * quad
+        incr = cross + quad
+        sq_incr = sq_incr + weight * incr * incr
+    bound2 = 2.0 * _sup_root(sq_target)
+    incr_err = _sup_root(sq_incr)
     return StageCheck(
         c0=c0, deriv_sq=deriv_sq, incr_err=incr_err,
         c0_ok=c0 < eta_budget,
         deriv_ok=(deriv_sq < bound2) or (deriv_sq <= 1e-14),
         incr_ok=incr_err < delta_budget,
+        cross_err=_sup_root(sq_cross), quad_err=_sup_root(sq_quad),
     )
 
 
@@ -205,7 +256,7 @@ class StageFields(NamedTuple):
     grid: PeriodicGrid
 
 
-def _required_grid(grid: PeriodicGrid, k_vec, max_nodes: int) -> PeriodicGrid:
+def _required_grid(grid: PeriodicGrid, k_vec) -> PeriodicGrid:
     shape = []
     for a, k in enumerate(k_vec):
         need = SAMPLES_PER_PERIOD * abs(int(k)) if k else grid.shape[a]
@@ -213,10 +264,6 @@ def _required_grid(grid: PeriodicGrid, k_vec, max_nodes: int) -> PeriodicGrid:
         while res < need:
             res *= 2
         shape.append(res)
-    if int(np.prod(shape)) > max_nodes:
-        raise NonconvergenceError(
-            f"oscillation at frequency {tuple(int(k) for k in k_vec)} needs grid "
-            f"{tuple(shape)}, beyond the desk-scale cap of {max_nodes} nodes")
     return PeriodicGrid(tuple(shape))
 
 
@@ -243,8 +290,17 @@ def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
                          f"{eta_budget!r} and delta {delta_budget!r}")
     lam = LAMBDA_START
     cur = StageFields(w=w, prim=prim, frame=_seam_checked(frame), grid=w.grid)
+    last_check = None
     while lam <= LAMBDA_CAP:
-        needed = _required_grid(cur.grid, integer_phase(prim, lam), max_nodes)
+        k_vec = integer_phase(prim, lam)
+        needed = _required_grid(cur.grid, k_vec)
+        if needed.num_nodes > max_nodes:
+            tried = "" if last_check is None else (
+                f"; the trial at lambda {lam / 2.0:.0f} failed estimate(s) "
+                f"{last_check.failing()} with measured {last_check.measured()}")
+            raise NonconvergenceError(
+                f"oscillation at frequency {tuple(int(k) for k in k_vec)} needs grid "
+                f"{needed.shape}, beyond the desk-scale cap of {max_nodes} nodes{tried}")
         if needed.shape != cur.grid.shape:
             w_f = resample(w, needed)
             cur = StageFields(
@@ -262,9 +318,7 @@ def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
     raise NonconvergenceError(
         f"no lambda up to {LAMBDA_CAP:.0f} meets the budgets "
         f"(eta {eta_budget:.3e}, delta {delta_budget:.3e}); last failing "
-        f"estimate(s): {last_check.failing()} with measured "
-        f"(C0 {last_check.c0:.3e}, |D|^2 {last_check.deriv_sq:.3e}, "
-        f"increment {last_check.incr_err:.3e})")
+        f"estimate(s): {last_check.failing()} with measured {last_check.measured()}")
 
 
 def run_stage(w: ImmersionField, g: MetricField, eta: float, delta: float,

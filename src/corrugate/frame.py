@@ -6,9 +6,14 @@ re-orthonormalizes. That step is written once, as _gram_schmidt followed
 by _check_collapse, the one place a collapsed pair raises. Along a 1-D
 path (the circle, the torus's seed column) the whole transport is one
 prefix-product scan over the node projectors; the torus's rows then
-advance together, one column per step. Periodic seam consistency is
-measured by _closure, not enforced; the mismatch angle travels with the
-result so downstream stages can abort on nontrivial holonomy.
+advance together, one column per step. Fields are row-major, grid axes
+first, so one column of a torus field is strided by a whole row; the row
+sweep (_sweep_rows) copies SLAB_COLUMNS columns of the tangents at a time
+into column-major order, steps on contiguous memory and writes the slab's
+pairs back, returning the same row-major, C-contiguous arrays. Periodic
+seam consistency is measured by _closure, not enforced; the mismatch
+angle travels with the result so downstream stages can abort on
+nontrivial holonomy.
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ COLLAPSE_TOL = 1e-6
 UNIT_TOL = 1e-9
 ORTHO_TOL = 1e-9
 NORMAL_TOL = 1e-8
+
+#: columns the torus row sweep copies into column-major order at a time
+SLAB_COLUMNS = 64
 
 
 @dataclass
@@ -182,6 +190,27 @@ def _transport(tangents: np.ndarray, nu0: np.ndarray, b0: np.ndarray,
     return nu, b
 
 
+def _sweep_rows(tangents: np.ndarray, nu: np.ndarray, b: np.ndarray):
+    """Fill columns 1.. of the torus pair (nu, b) from its column 0, all
+    rows advancing one column per step by _step, in slabs of SLAB_COLUMNS
+    column-major columns (see the module docstring). Each step does the
+    arithmetic it would do on the strided columns, so the pair is bit for
+    bit that of a column-by-column sweep."""
+    rows, cols, N = nu.shape
+    slab = np.empty((SLAB_COLUMNS, rows) + tangents.shape[2:])
+    nu_s = np.empty((SLAB_COLUMNS, rows, N))
+    b_s = np.empty_like(nu_s)
+    pair = nu[:, 0].copy(), b[:, 0].copy()
+    for start in range(1, cols, SLAB_COLUMNS):
+        width = min(SLAB_COLUMNS, cols - start)
+        slab[:width] = np.swapaxes(tangents[:, start:start + width], 0, 1)
+        for k in range(width):
+            pair = _step(*pair, slab[k], f"(:, {start + k})")
+            nu_s[k], b_s[k] = pair
+        nu[:, start:start + width] = np.swapaxes(nu_s[:width], 0, 1)
+        b[:, start:start + width] = np.swapaxes(b_s[:width], 0, 1)
+
+
 def _seed_pair(tangents_at_start: np.ndarray, ambient: int):
     """Two coordinate axes by pivoted Gram-Schmidt of their normal residuals:
     the largest residual, then the largest once the first is removed, so the
@@ -252,12 +281,13 @@ def normal_pair(w: ImmersionField) -> FramePair:
         # seed column: each row start propagates from the previous row start
         nu[:, 0], b[:, 0] = _transport(
             tangents[:, 0], *_seed_pair(tangents[0, 0], N), "seed column ")
-        # sweep along rows; all rows advance one column per step
-        for j in range(1, grid.shape[1]):
-            nu[:, j], b[:, j] = _step(nu[:, j - 1], b[:, j - 1], tangents[:, j], f"(:, {j})")
+        _sweep_rows(tangents, nu, b)
         mismatch = holonomy = max(
             _closure(_step(nu[:, -1], b[:, -1], tangents[:, 0], "(:, seam)"), (nu[:, 0], b[:, 0])),
             _closure(_step(nu[-1, :], b[-1, :], tangents[0, :], "(seam, :)"), (nu[0, :], b[0, :])))
+    # the tangents are read no further; freed, they do not add to the peak
+    # memory of validate's temporaries
+    del tangents
     pair = FramePair(grid, nu, b, seam_mismatch=mismatch, holonomy=holonomy)
     # normality holds by construction (projection against the orthonormal
     # tangents); only the pair's own invariants need re-checking

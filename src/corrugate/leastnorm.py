@@ -53,17 +53,39 @@ class LinearSystem:
 
 def _spd_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve gram x = rhs for symmetric positive definite ``gram`` (batched
-    over leading axes) from one eigendecomposition V diag(lam) V^T: the
-    eigenvalues give the relative pivot floor, the eigenvectors the solve
-    x = V diag(1/lam) V^T rhs."""
+    over leading axes), refusing a smallest eigenvalue at or below
+    PIVOT_FLOOR times the largest.
+
+    A 2x2 system [[p, q], [q, r]] is solved in closed form by Cramer's rule;
+    its large eigenvalue is high = (p + r)/2 + sqrt(((p - r)/2)^2 + q^2) and
+    its small one low = det/high, which avoids the cancellation in
+    (p + r)/2 - sqrt(...). Larger systems take one eigendecomposition
+    V diag(lam) V^T: the eigenvalues give the floor, the eigenvectors the
+    solve x = V diag(1/lam) V^T rhs.
+    """
+    if gram.shape[-1] == 2:
+        p, q, r = gram[..., 0, 0], gram[..., 0, 1], gram[..., 1, 1]
+        det = p * r - q * q
+        high = 0.5 * (p + r) + np.hypot(0.5 * (p - r), q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            low = det / high
+        _check_pivot(low, high)
+        x0 = (r * rhs[..., 0] - q * rhs[..., 1]) / det
+        x1 = (p * rhs[..., 1] - q * rhs[..., 0]) / det
+        return np.stack([x0, x1], axis=-1)
     eigs, vecs = np.linalg.eigh(gram)
-    low, scale = eigs[..., 0], eigs[..., -1]
-    if np.any(low <= PIVOT_FLOOR * scale):
+    _check_pivot(eigs[..., 0], eigs[..., -1])
+    coef = np.einsum("...ji,...j->...i", vecs, rhs) / eigs
+    return np.einsum("...ij,...j->...i", vecs, coef)
+
+
+def _check_pivot(low: np.ndarray, scale: np.ndarray):
+    """Refuse a smallest eigenvalue at or below PIVOT_FLOOR times the largest
+    (NaN counts as refused)."""
+    if not np.all(low > PIVOT_FLOOR * scale):
         worst = float(np.min(low / np.maximum(scale, 1e-300)))
         raise SingularityError(
             f"A A^T pivot below relative floor {PIVOT_FLOOR} (ratio {worst:.3e})")
-    coef = np.einsum("...ji,...j->...i", vecs, rhs) / eigs
-    return np.einsum("...ij,...j->...i", vecs, coef)
 
 
 def least_norm_solve(system: LinearSystem) -> np.ndarray:

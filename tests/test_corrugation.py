@@ -18,10 +18,12 @@ from corrugate.grid import (
     MetricField,
     PeriodicGrid,
     ScalarField,
+    derivative_sups,
     is_short,
     pullback_metric,
     resample,
     sup_norm,
+    symmetric_product,
 )
 
 from conftest import clifford_map, flat_strip_map, unit_circle_map
@@ -150,6 +152,67 @@ class TestCheckStageEstimates:
         assert check.c0 == 0.0 and check.deriv_sq == 0.0 and check.incr_err == 0.0
 
 
+def _check_case(case):
+    """(w_prev, w_next, prim) of one estimate check."""
+    if case.startswith("strip"):
+        grid = PeriodicGrid((256, 16))
+        w = flat_strip_map(grid)
+        prim = constant_primitive(grid, lambda x, y: 1.0 + 0.3 * np.cos(x))
+        w_next = w + spiral_perturbation(w, prim, rotating_gauge_frame(grid), 8.0)
+        if case == "strip_stretched":
+            # offsets that differ between the maps: C0 is taken of the lift
+            w_next = w_next + 0.01 * w
+        return w, w_next, prim
+    if case == "circle":
+        grid = PeriodicGrid((256,))
+        w = unit_circle_map(grid)
+        prim = constant_primitive(grid, lambda x: 0.5 + 0.2 * np.cos(x))
+        return w, w + spiral_perturbation(w, prim, normal_pair(w), 8.0), prim
+    lam = float(case.split("_")[1])
+    grid = PeriodicGrid((1024, 32))
+    x, y = grid.meshes()
+    w = clifford_map(grid, r=1.0)
+    w = ImmersionField(grid, w.values * (1.0 + 0.05 * np.sin(x + 2 * y))[..., None])
+    prim = PrimitiveMetric(
+        amplitude=ScalarField.from_function(grid, lambda x, y: 1.0 + 0.3 * np.cos(y)),
+        psi_periodic=ScalarField.from_function(grid, lambda x, y: 0.1 * np.sin(x + y)),
+        psi_linear=np.array([1.0, 0.0]))
+    return w, w + spiral_perturbation(w, prim, normal_pair(w), lam), prim
+
+
+class TestFusedCheck:
+    @pytest.mark.parametrize("case", [
+        "strip", "strip_stretched", "clifford_8", "clifford_16", "clifford_32",
+        "clifford_64", "circle"])
+    def test_matches_the_pullback_difference(self, case):
+        w_prev, w_next, prim = _check_case(case)
+        check = check_stage_estimates(w_prev, w_next, prim, 1.0, 1.0)
+        c0, deriv = derivative_sups(w_next - w_prev, 1)
+        incr = pullback_metric(w_next) - pullback_metric(w_prev) - prim.tensor()
+        for got, want in ((check.c0, c0), (check.deriv_sq, deriv ** 2),
+                          (check.incr_err, sup_norm(incr, 0))):
+            assert abs(got - want) <= 1e-12 * want
+        inc = w_next - w_prev
+        cross = 2.0 * symmetric_product(w_prev, inc)
+        quad = pullback_metric(inc) - prim.tensor()
+        scale = 1e-12 * (check.cross_err + check.quad_err)
+        assert abs(check.cross_err - sup_norm(cross, 0)) <= scale
+        assert abs(check.quad_err - sup_norm(quad, 0)) <= scale
+        assert check.incr_err <= check.cross_err + check.quad_err + scale
+
+    def test_differentiates_only_the_increment_and_dpsi(self, monkeypatch):
+        import corrugate.grid as grid_module
+
+        w_prev, w_next, prim = _check_case("clifford_8")
+        w_prev.derivatives()
+        calls = []
+        original = grid_module.spectral_gradient
+        monkeypatch.setattr(grid_module, "spectral_gradient",
+                            lambda *args: calls.append(1) or original(*args))
+        check_stage_estimates(w_prev, w_next, prim, 1.0, 1.0)
+        assert len(calls) == 2
+
+
 class TestChooseLambda:
     def test_flat_constant_case_returns_first_candidate(self):
         grid = PeriodicGrid((256, 16))
@@ -211,6 +274,29 @@ class TestChooseLambda:
                           (fields.prim.psi_periodic, prim_lift.psi_periodic)):
             assert np.max(np.abs(got.values - want.values)) <= 1e-12
         assert np.array_equal(fields.prim.psi_linear, prim.psi_linear)
+
+    def test_node_cap_abort_names_the_dominant_term(self):
+        # lambda 8 and 16 are tried on 128x16 and 256x16; lambda 32 needs
+        # 512x16, over the cap. The frame is parallel, so the cross term is 0
+        grid = PeriodicGrid((64, 16))
+        w = flat_strip_map(grid)
+        prim = constant_primitive(grid, lambda x, y: 1.0 + 0.3 * np.cos(x))
+        with pytest.raises(NonconvergenceError) as err:
+            choose_lambda(w, prim, normal_pair(w), eta_budget=1.0,
+                          delta_budget=1e-6, max_nodes=2**12)
+        message = str(err.value)
+        assert "needs grid (512, 16), beyond the desk-scale cap of 4096 nodes" in message
+        assert "the trial at lambda 16 failed estimate(s) increment" in message
+        assert "cross term 0.000e+00" in message
+        assert "the quadratic term dominates" in message
+
+    def test_lambda_cap_abort_names_the_dominant_term(self):
+        grid = PeriodicGrid((64,))
+        w = unit_circle_map(grid)
+        prim = constant_primitive(grid, lambda x: 0.5 + 0.2 * np.cos(x))
+        with pytest.raises(NonconvergenceError,
+                           match=r"no lambda up to 16384 .* the cross term dominates"):
+            choose_lambda(w, prim, normal_pair(w), eta_budget=1.0, delta_budget=1e-9)
 
     @pytest.mark.parametrize("eta, delta", [
         (0.5, -1.0), (0.5, 0.0), (0.5, float("nan")), (-1.0, 1e-2), (float("nan"), 1e-2)])

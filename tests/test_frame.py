@@ -134,6 +134,28 @@ class TestNormalPair:
         assert np.array_equal(f1.b, f2.b)
 
 
+class TestTorusRowSweep:
+    def test_matches_a_node_by_node_sweep(self):
+        grid = PeriodicGrid((256, 256))
+        x, y = grid.meshes()
+        w = clifford_map(grid, r=1.0)
+        w = ImmersionField(grid, w.values * (1.0 + 0.05 * np.sin(x + 2 * y))[..., None])
+        pair = normal_pair(w)
+        assert pair.nu.flags["C_CONTIGUOUS"] and pair.b.flags["C_CONTIGUOUS"]
+        assert pair.nu.shape == pair.b.shape == (256, 256, 4)
+        tangents = _orthonormal_tangents(w)
+        nu = np.empty_like(pair.nu)
+        b = np.empty_like(pair.b)
+        nu[:, 0], b[:, 0] = _transport(
+            tangents[:, 0], *_seed_pair(tangents[0, 0], 4), "seed column ")
+        for i in range(256):
+            for j in range(1, 256):
+                nu[i, j], b[i, j] = _step(nu[i, j - 1], b[i, j - 1], tangents[i, j],
+                                          f"({i}, {j})")
+        assert np.array_equal(pair.nu, nu)
+        assert np.array_equal(pair.b, b)
+
+
 def _sweep(tangents, nu0, b0):
     """Node-by-node transport: project the previous pair, Gram-Schmidt it."""
     nu = np.empty((tangents.shape[0], nu0.size))

@@ -71,6 +71,30 @@ class TestLeastNormSolve:
         with pytest.raises(SingularityError):
             _spd_solve(grams, rhs)
 
+    def test_two_by_two_closed_form_matches_eigh(self):
+        rng = np.random.default_rng(31)
+        M = rng.normal(size=(64, 2, 5))
+        grams = M @ np.swapaxes(M, -1, -2)
+        rhs = rng.normal(size=(64, 2))
+        eigs, vecs = np.linalg.eigh(grams)
+        ref = np.einsum("...ij,...j->...i", vecs,
+                        np.einsum("...ji,...j->...i", vecs, rhs) / eigs)
+        assert np.max(np.abs(_spd_solve(grams, rhs) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("ratio, singular", [(2e-12, False), (0.5e-12, True)])
+    def test_two_by_two_pivot_floor(self, ratio, singular):
+        # eigenvalues 1 and ratio, turned off the axes so that q != 0
+        c, s = np.cos(0.3), np.sin(0.3)
+        rot = np.array([[c, -s], [s, c]])
+        gram = rot @ np.diag([1.0, ratio]) @ rot.T
+        rhs = rot @ np.array([1.0, ratio])
+        if singular:
+            with pytest.raises(SingularityError, match="relative floor"):
+                _spd_solve(gram, rhs)
+        else:
+            # the exact solution is rot @ (1, 1)
+            assert np.max(np.abs(_spd_solve(gram, rhs) - rot @ np.ones(2))) <= 1e-3
+
     def test_residual_and_minimality_on_seeded_systems(self):
         rng = np.random.default_rng(71)
         for _ in range(100):
