@@ -138,19 +138,17 @@ def _validate(config: RunConfig) -> RunConfig:
     return config
 
 
-def parse_config(argv=None, config_file=None) -> RunConfig:
-    """Parse CLI arguments (or a JSON config file) into a validated RunConfig.
+def parse_config(argv=None) -> RunConfig:
+    """Parse CLI arguments, or the JSON file ``--config`` names, into a validated RunConfig.
 
     A config file's params go through the same parser as the flags, and
     each given value must be the one the parser makes of its text.
     """
     parser, commands = _build_parser()
-    if config_file is None:
-        ns = parser.parse_args(argv)
-        config_file = ns.config
+    ns = parser.parse_args(argv)
     given = {}
-    if config_file is not None:
-        with open(config_file) as fh:
+    if ns.config is not None:
+        with open(ns.config) as fh:
             config = RunConfig.from_json(fh.read())
         ns = parser.parse_args(_config_argv(commands, config))
         given = config.params

@@ -60,11 +60,9 @@ BUMP_COUNTS = (1, 2, 4)
 
 @dataclass(frozen=True)
 class SpiralParams:
-    """Accepted oscillation frequency and the budgets it was checked against."""
+    """Accepted oscillation frequency."""
 
     lam: float
-    eta_budget: float
-    delta_budget: float
 
 
 @dataclass
@@ -275,15 +273,15 @@ def _seam_checked(frame: FramePair) -> FramePair:
 
 
 def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
-                  eta_budget: float, delta_budget: float,
-                  max_nodes: int = MAX_NODES) -> tuple[SpiralParams, StageFields]:
+                  eta_budget: float, delta_budget: float) -> tuple[SpiralParams, StageFields]:
     """Doubling search from lambda = 8 until the measured estimates pass.
 
     Each trial runs on the grid its lambda's sampling rule demands. There
     the map and primitive are lifted from the arguments ``w`` and ``prim``,
     and the frame is swept on the lifted map; every frame, the given one
     too, is held to SEAM_TOL. Returns the first passing lambda together
-    with the fields on the grid where it passed.
+    with the fields on the grid where it passed. A grid over MAX_NODES,
+    read at call time, aborts the search with a message quoting the cap.
     """
     if not (eta_budget > 0.0 and delta_budget > 0.0):
         raise InputError(f"lambda search budgets must be positive, got eta "
@@ -294,13 +292,13 @@ def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
     while lam <= LAMBDA_CAP:
         k_vec = integer_phase(prim, lam)
         needed = _required_grid(cur.grid, k_vec)
-        if needed.num_nodes > max_nodes:
+        if needed.num_nodes > MAX_NODES:
             tried = "" if last_check is None else (
                 f"; the trial at lambda {lam / 2.0:.0f} failed estimate(s) "
                 f"{last_check.failing()} with measured {last_check.measured()}")
             raise NonconvergenceError(
                 f"oscillation at frequency {tuple(int(k) for k in k_vec)} needs grid "
-                f"{needed.shape}, beyond the desk-scale cap of {max_nodes} nodes{tried}")
+                f"{needed.shape}, beyond the desk-scale cap of {MAX_NODES} nodes{tried}")
         if needed.shape != cur.grid.shape:
             w_f = resample(w, needed)
             cur = StageFields(
@@ -313,7 +311,7 @@ def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
         last_check = check_stage_estimates(
             cur.w, cur.w + wp, cur.prim, eta_budget, delta_budget)
         if last_check.ok:
-            return SpiralParams(lam, eta_budget, delta_budget), cur
+            return SpiralParams(lam), cur
         lam *= 2.0
     raise NonconvergenceError(
         f"no lambda up to {LAMBDA_CAP:.0f} meets the budgets "
@@ -321,8 +319,8 @@ def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
         f"estimate(s): {last_check.failing()} with measured {last_check.measured()}")
 
 
-def run_stage(w: ImmersionField, g: MetricField, eta: float, delta: float,
-              max_nodes: int = MAX_NODES) -> tuple[ImmersionField, StageReport]:
+def run_stage(w: ImmersionField, g: MetricField, eta: float,
+              delta: float) -> tuple[ImmersionField, StageReport]:
     """One full stage: from a strictly short w to a short z with defect < delta.
 
     Picks delta0 so that h = (1 - delta0) g - w#e is positive definite with
@@ -330,7 +328,7 @@ def run_stage(w: ImmersionField, g: MetricField, eta: float, delta: float,
     sequentially, recomputing the normal frame after each addition. The
     per-primitive budgets are eta/K(n) and (delta/2)/K(n). The primitives,
     ``g`` and ``w`` stay on the input grid and are lifted to the map's grid
-    where they are read.
+    where they are read; a lambda search past MAX_NODES aborts the stage.
     """
     if not (0.0 < eta < np.inf and 0.0 < delta < np.inf):
         raise InputError(f"stage budgets eta and delta must be finite and positive, "
@@ -364,7 +362,7 @@ def run_stage(w: ImmersionField, g: MetricField, eta: float, delta: float,
     for j, prim in enumerate(prims):
         params, fields = choose_lambda(
             cur_w, resample_primitive(prim, cur_w.grid), normal_pair(cur_w),
-            eta_budget, delta_budget, max_nodes)
+            eta_budget, delta_budget)
         wp = spiral_perturbation(fields.w, fields.prim, fields.frame, params.lam)
         cur_w = fields.w + wp
         lambdas.append(params.lam)

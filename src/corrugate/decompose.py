@@ -9,7 +9,7 @@ splittings with bounded overlap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,11 +37,6 @@ RADIUS_FACTOR = {1: 0.75, 2: 0.72}
 GRAD_TOL = 1e-12
 
 
-def primitive_count(n: int) -> int:
-    """J(n) = n(n+1)/2: primitives per pointwise splitting."""
-    return n * (n + 1) // 2
-
-
 def overlap_bound(n: int) -> int:
     """K(n) = n(n+1)^2/2: max primitives active at any point."""
     return n * (n + 1) ** 2 // 2
@@ -55,7 +50,6 @@ class RankOneBasis:
     L_i(A) = <D_i, A>_F and L_i(v_j (x) v_j) = delta_ij.
     """
 
-    n: int
     vectors: np.ndarray
     duals: np.ndarray
 
@@ -80,7 +74,7 @@ def rank_one_basis(n: int) -> RankOneBasis:
         for j in range(i + 1, n):
             vecs.append((np.eye(n)[i] + np.eye(n)[j]) / np.sqrt(2.0))
     vectors = np.asarray(vecs)
-    return RankOneBasis(n=n, vectors=vectors, duals=_duals_for(vectors))
+    return RankOneBasis(vectors=vectors, duals=_duals_for(vectors))
 
 
 def _eigh_ordered(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,11 +153,6 @@ class PrimitiveMetric:
         return MetricField.from_matrices(self.grid, mats)
 
 
-def reconstruct(primitives, grid: PeriodicGrid) -> MetricField:
-    """Sum of primitive tensors (the decomposition residual oracle)."""
-    return sum((prim.tensor() for prim in primitives), MetricField.identity(grid, 0.0))
-
-
 def _require_positive_definite(h: MetricField):
     low = float(np.min(h.eigenvalues_min()))
     if low <= 0.0:
@@ -181,19 +170,17 @@ def _pointwise_split(h_mats: np.ndarray, center_matrix: np.ndarray,
     M_prime = np.einsum("in,im->nm", basis.vectors, basis.vectors)
     L = congruence_match(center_matrix, M_prime)
     v = basis.vectors @ L
-    transported = RankOneBasis(n=basis.n, vectors=v, duals=_duals_for(v))
+    transported = RankOneBasis(vectors=v, duals=_duals_for(v))
     return v, transported.coefficients(h_mats)
 
 
-def pointwise_decompose(h: MetricField, p, require_valid_at=None,
-                        ) -> tuple[list[PrimitiveMetric], np.ndarray]:
+def pointwise_decompose(h: MetricField, p) -> tuple[list[PrimitiveMetric], np.ndarray]:
     """Split h around the node ``p`` into J primitives with linear psi.
 
     Returns the primitives (amplitudes sqrt(alpha_i) clipped at zero) and
     the boolean validity mask where every alpha_i is positive; the
     reconstruction identity holds exactly on that region, and alpha_i = 1
-    at the center node. Querying a node outside the validity region (via
-    ``require_valid_at``) is a coverage error.
+    at the center node. A caller that needs a node covered checks the mask.
     """
     _require_positive_definite(h)
     grid = h.grid
@@ -204,13 +191,6 @@ def pointwise_decompose(h: MetricField, p, require_valid_at=None,
     basis = rank_one_basis(grid.dim)
     v, alphas = _pointwise_split(mats, mats[p], basis)
     valid = np.all(alphas > 0.0, axis=-1)
-    if require_valid_at is not None:
-        node = tuple(int(i) for i in np.atleast_1d(require_valid_at))
-        if not valid[node]:
-            raise CoverageError(
-                f"node {node} lies outside the validity region of the "
-                f"splitting centered at {p} (min alpha "
-                f"{float(np.min(alphas[node])):.3e})")
     zero_psi = ScalarField.constant(grid, 0.0)
     prims = [
         PrimitiveMetric(

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corrugation import MAX_NODES, StageReport, run_stage
+from .corrugation import StageReport, run_stage
 from .errors import CorrugateError, InputError
 from .grid import (
     ImmersionField,
@@ -67,14 +67,13 @@ class RunReport:
 
 
 def nash_kuiper_iterate(v0: ImmersionField, g: MetricField,
-                        schedule: IterationSchedule, max_nodes: int = MAX_NODES,
-                        ) -> tuple[ImmersionField, RunReport]:
+                        schedule: IterationSchedule) -> tuple[ImmersionField, RunReport]:
     """Iterate corrugation stages with the 4^-q / 2^-q-1 budget schedule.
 
     ``g`` and ``v0`` stay on the input grid and are lifted to the map's grid
-    where they are read. Returns the final map and the run report; a failing
-    stage aborts with the partial report, measured at its last finished
-    stage, attached to the raised error as ``partial_report``.
+    where they are read. Returns the final map and the run report, whose
+    final defect is the last finished stage's (v0's when none finished); a
+    failing stage aborts with that partial report as ``partial_report``.
     """
     flag, margin = is_short(v0, g, strict=True)
     if not flag:
@@ -86,12 +85,13 @@ def nash_kuiper_iterate(v0: ImmersionField, g: MetricField,
         try:
             cur_w, stage_rep = run_stage(
                 cur_w, resample(g, cur_w.grid), eta=schedule.eta(q),
-                delta=schedule.delta(q), max_nodes=max_nodes)
+                delta=schedule.delta(q))
         except CorrugateError as exc:
             aborted = exc
             break
         report.stage_reports.append(stage_rep)
-    report.final_defect = sup_norm(resample(g, cur_w.grid) - pullback_metric(cur_w), 0)
+    report.final_defect = (report.stage_reports[-1].defect_after if report.stage_reports
+                           else sup_norm(g - pullback_metric(v0), 0))
     report.c0_distance = sup_norm(cur_w - resample(v0, cur_w.grid), 0)
     if aborted is not None:
         aborted.partial_report = report
@@ -102,7 +102,8 @@ def nash_kuiper_iterate(v0: ImmersionField, g: MetricField,
 def c1_cauchy_audit(report_or_increments) -> tuple[list[float], bool]:
     """Successive C^1-increment ratios for q >= 2 and the decay verdict.
 
-    Passes when the geometric mean of the ratios is at most 0.75.
+    Passes when the geometric mean of the ratios is at most 0.75. After a
+    zero increment, a zero one has ratio 0 (converged) and a positive one inf.
     """
     if isinstance(report_or_increments, RunReport):
         increments = [rep.c1_delta for rep in report_or_increments.stage_reports]
@@ -110,7 +111,7 @@ def c1_cauchy_audit(report_or_increments) -> tuple[list[float], bool]:
         increments = [float(v) for v in report_or_increments]
     if len(increments) < 3:
         raise InputError("Cauchy audit needs at least 3 stages")
-    ratios = [increments[i] / increments[i - 1] for i in range(1, len(increments))]
+    ratios = [b / a if a else (np.inf if b else 0.0) for a, b in zip(increments, increments[1:])]
     log_terms = [np.log(max(r, 1e-300)) for r in ratios]
     geo_mean = float(np.exp(np.mean(log_terms)))
     return ratios, geo_mean <= CAUCHY_RATIO_GATE

@@ -68,11 +68,6 @@ class FramePair:
                 if np.max(np.abs(tdots)) > NORMAL_TOL:
                     raise InputError("frame vector is not normal to the immersion")
 
-    def plane_projector(self) -> np.ndarray:
-        """Nodewise orthogonal projector onto span{nu, b}."""
-        return (np.einsum("...a,...c->...ac", self.nu, self.nu)
-                + np.einsum("...a,...c->...ac", self.b, self.b))
-
 
 def _orthonormal_tangents(w: ImmersionField) -> np.ndarray:
     """Gram-Schmidt the derivative vectors nodewise, shape grid + (d, N)."""

@@ -110,8 +110,8 @@ def spectral_derivative(values: np.ndarray, grid: PeriodicGrid, axis: int,
 
 
 def spectral_gradient(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """All first partials of node samples, stacked on a new last axis."""
-    return np.stack([spectral_derivative(values, grid, a) for a in range(grid.dim)], axis=-1)
+    """All first partials of node samples, stacked on a new axis after the grid axes."""
+    return np.stack([spectral_derivative(values, grid, a) for a in range(grid.dim)], grid.dim)
 
 
 def _require_same_grid(a, b):
@@ -199,8 +199,8 @@ class ScalarField(Field):
     def constant(cls, grid: PeriodicGrid, c: float) -> "ScalarField":
         return cls(grid, np.full(grid.shape, float(c)))
 
-    def derivative(self, axis: int, order: int = 1) -> "ScalarField":
-        return ScalarField(self.grid, spectral_derivative(self.data, self.grid, axis, order))
+    def derivative(self, axis: int) -> "ScalarField":
+        return ScalarField(self.grid, spectral_derivative(self.data, self.grid, axis))
 
     def gradient(self) -> np.ndarray:
         """Gradient samples, shape grid.shape + (dim,)."""
@@ -322,7 +322,7 @@ class ImmersionField(Field):
         return (self.offsets,)
 
     def _norm_terms(self):
-        return self.values, self.data, self.offsets.T
+        return self.values, self.data, self.offsets
 
     @property
     def periodic(self) -> np.ndarray:
@@ -343,7 +343,8 @@ class ImmersionField(Field):
         Cached (fields are treated as immutable); returned read-only.
         """
         if self._first is None:
-            der = np.swapaxes(spectral_gradient(self.data, self.grid), -1, -2) + self.offsets
+            der = spectral_gradient(self.data, self.grid)
+            der += self.offsets
             der.flags.writeable = False
             self._first = der
         return self._first

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from corrugate.grid import ImmersionField, MetricField, PeriodicGrid, ScalarField
+
+# property tests draw the same examples on every run and keep no database
+settings.register_profile("deterministic", derandomize=True, database=None,
+                          max_examples=50, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture
@@ -79,3 +85,19 @@ def flat_strip_map(grid) -> ImmersionField:
     offsets[0, 0] = 1.0
     offsets[1, 1] = 1.0
     return ImmersionField(grid, vals, offsets)
+
+
+def primitive_count(n: int) -> int:
+    """J(n) = n(n+1)/2: primitives per pointwise splitting."""
+    return n * (n + 1) // 2
+
+
+def reconstruct(primitives, grid) -> MetricField:
+    """Sum of primitive tensors (the decomposition residual oracle)."""
+    return sum((prim.tensor() for prim in primitives), MetricField.identity(grid, 0.0))
+
+
+def plane_projector(frame) -> np.ndarray:
+    """Nodewise orthogonal projector onto span{nu, b} of a FramePair."""
+    return (np.einsum("...a,...c->...ac", frame.nu, frame.nu)
+            + np.einsum("...a,...c->...ac", frame.b, frame.b))

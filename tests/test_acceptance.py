@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from corrugate.corrugation import run_stage
-from corrugate.decompose import active_count, global_decompose, reconstruct
+from corrugate.decompose import active_count, global_decompose
 from corrugate.driver import IterationSchedule, c1_cauchy_audit, nash_kuiper_iterate
 from corrugate.errors import CorrugateError
 from corrugate.flow import FlowConfig, run_flow, tracked_quantities
@@ -39,6 +39,7 @@ from conftest import (
     clifford_map,
     flat_strip_map,
     random_spd_metric_field,
+    reconstruct,
     unit_circle_map,
 )
 from test_corrugation import constant_primitive, rotating_gauge_frame

@@ -46,14 +46,14 @@ class TestParseConfig:
         cfg = parse_config(["flow", "--alpha", "0.04", "--out-prefix", "pre"])
         path = tmp_path / "cfg.json"
         path.write_text(cfg.to_json())
-        back = parse_config(config_file=path)
+        back = parse_config(["--config", str(path)])
         assert back == cfg
 
     def test_config_file_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"command": "free-check", "params": {"bogus": 1}}')
         with pytest.raises(InputError):
-            parse_config(config_file=path)
+            parse_config(["--config", str(path)])
 
     @pytest.mark.parametrize("command", sorted(_build_parser()[1]))
     def test_required_keys_config_matches_flags(self, tmp_path, command):
@@ -65,7 +65,7 @@ class TestParseConfig:
             params[action.dest] = (action.type or str)("3")
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"command": command, "params": params}))
-        assert parse_config(config_file=path) == parse_config(argv)
+        assert parse_config(["--config", str(path)]) == parse_config(argv)
 
     def test_config_omitting_optional_key_runs_as_flags(self, tmp_path):
         flags = ["--manifold", "circle", "--stages", "1", "--epsilon", "0.5",

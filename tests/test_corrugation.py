@@ -275,15 +275,17 @@ class TestChooseLambda:
             assert np.max(np.abs(got.values - want.values)) <= 1e-12
         assert np.array_equal(fields.prim.psi_linear, prim.psi_linear)
 
-    def test_node_cap_abort_names_the_dominant_term(self):
+    def test_node_cap_abort_names_the_dominant_term(self, monkeypatch):
+        import corrugate.corrugation as corrugation
+
         # lambda 8 and 16 are tried on 128x16 and 256x16; lambda 32 needs
         # 512x16, over the cap. The frame is parallel, so the cross term is 0
+        monkeypatch.setattr(corrugation, "MAX_NODES", 2**12)
         grid = PeriodicGrid((64, 16))
         w = flat_strip_map(grid)
         prim = constant_primitive(grid, lambda x, y: 1.0 + 0.3 * np.cos(x))
         with pytest.raises(NonconvergenceError) as err:
-            choose_lambda(w, prim, normal_pair(w), eta_budget=1.0,
-                          delta_budget=1e-6, max_nodes=2**12)
+            choose_lambda(w, prim, normal_pair(w), eta_budget=1.0, delta_budget=1e-6)
         message = str(err.value)
         assert "needs grid (512, 16), beyond the desk-scale cap of 4096 nodes" in message
         assert "the trial at lambda 16 failed estimate(s) increment" in message
@@ -306,11 +308,12 @@ class TestChooseLambda:
         trials = []
         monkeypatch.setattr(corrugation, "check_stage_estimates",
                             lambda *args: trials.append(args))
+        monkeypatch.setattr(corrugation, "MAX_NODES", 2**12)
         grid = PeriodicGrid((64, 16))
         w = flat_strip_map(grid)
         with pytest.raises(InputError, match="budgets must be positive"):
             choose_lambda(w, constant_primitive(grid), normal_pair(w),
-                          eta_budget=eta, delta_budget=delta, max_nodes=2**12)
+                          eta_budget=eta, delta_budget=delta)
         assert trials == []
 
     def test_every_frame_meets_the_seam_tolerance(self, monkeypatch):
@@ -375,16 +378,28 @@ class TestRunStage:
         assert np.array_equal(z1.periodic, z2.periodic)
         assert rep1.lambdas == rep2.lambdas
 
-    def test_torus_stage_exceeds_desk_scale(self):
+    def test_torus_stage_exceeds_desk_scale(self, monkeypatch):
+        import corrugate.corrugation as corrugation
+
         # the sequential-primitive frequency feedback drives the lambda
         # search past any desk-scale grid cap already on the first
         # primitive; the honest outcome at these budgets is nonconvergence
         # (the acceptance suite runs the full default cap)
+        monkeypatch.setattr(corrugation, "MAX_NODES", 2**18)
         grid = PeriodicGrid((64, 64))
         w = clifford_map(grid, r=1.0)
         g = MetricField.identity(grid, 1.5**2)
         with pytest.raises(NonconvergenceError):
-            run_stage(w, g, eta=0.5, delta=0.25, max_nodes=2**18)
+            run_stage(w, g, eta=0.5, delta=0.25)
+
+    def test_torus_stage_quotes_the_cap_in_force(self, monkeypatch):
+        import corrugate.corrugation as corrugation
+
+        monkeypatch.setattr(corrugation, "MAX_NODES", 2**12)
+        grid = PeriodicGrid((64, 64))
+        w = clifford_map(grid, r=1.0)
+        with pytest.raises(NonconvergenceError, match="cap of 4096 nodes"):
+            run_stage(w, MetricField.identity(grid, 1.5**2), eta=0.5, delta=0.25)
 
 
 class TestStageReportSerialization:

@@ -8,14 +8,12 @@ from corrugate.decompose import (
     global_decompose,
     overlap_bound,
     pointwise_decompose,
-    primitive_count,
     rank_one_basis,
-    reconstruct,
 )
 from corrugate.errors import CoverageError, InputError
 from corrugate.grid import MetricField, PeriodicGrid, ScalarField
 
-from conftest import random_spd_metric_field
+from conftest import primitive_count, random_spd_metric_field, reconstruct
 
 
 def random_spd_matrix(rng, n=2, max_condition=10.0):
@@ -125,7 +123,7 @@ class TestPointwiseDecompose:
         with pytest.raises(InputError):
             pointwise_decompose(MetricField(grid, comps), (0, 0))
 
-    def test_query_outside_validity_is_coverage_error(self):
+    def test_node_outside_validity_is_masked(self):
         # eigenframe rotating by pi/2 across the chart: the far nodes leave
         # the positive cone of the transported basis
         grid = PeriodicGrid((64, 64))
@@ -137,8 +135,6 @@ class TestPointwiseDecompose:
         h = MetricField(grid, comps)
         _, valid = pointwise_decompose(h, (0, 0))
         assert not valid[32, 0]
-        with pytest.raises(CoverageError):
-            pointwise_decompose(h, (0, 0), require_valid_at=(32, 0))
 
 
 class TestGlobalDecompose:

@@ -9,7 +9,14 @@ from corrugate.driver import (
 )
 from corrugate.errors import InputError, NonconvergenceError
 from corrugate.fieldio import read_table, write_table
-from corrugate.grid import MetricField, PeriodicGrid, is_short, pullback_metric, resample
+from corrugate.grid import (
+    MetricField,
+    PeriodicGrid,
+    is_short,
+    pullback_metric,
+    resample,
+    sup_norm,
+)
 
 from conftest import clifford_map, unit_circle_map
 
@@ -35,6 +42,7 @@ class TestIterate:
         u, rep = nash_kuiper_iterate(w, g, IterationSchedule(epsilon=0.5, stages=0))
         assert np.array_equal(u.periodic, w.periodic)
         assert rep.stage_reports == []
+        assert rep.final_defect == sup_norm(g - pullback_metric(w), 0)
 
     def test_not_strictly_short_rejected(self):
         grid = PeriodicGrid((64,))
@@ -74,14 +82,30 @@ class TestIterate:
         assert partial.stage_reports[1].lambdas == [4096.0]
         assert partial.final_defect == partial.stage_reports[-1].defect_after
 
-    def test_torus_aborts_with_partial_report(self):
+    def test_torus_aborts_with_partial_report(self, monkeypatch):
+        import corrugate.corrugation as corrugation
+
+        monkeypatch.setattr(corrugation, "MAX_NODES", 2**18)
         grid = PeriodicGrid((64, 64))
         w = clifford_map(grid, r=1.0)
         g = MetricField.identity(grid, 1.5**2)
         sched = IterationSchedule(epsilon=0.5, stages=1)
         with pytest.raises(NonconvergenceError) as err:
-            nash_kuiper_iterate(w, g, sched, max_nodes=2**18)
+            nash_kuiper_iterate(w, g, sched)
         assert err.value.partial_report.stage_reports == []
+
+    def test_torus_abort_quotes_the_cap_in_force(self, monkeypatch):
+        import corrugate.corrugation as corrugation
+
+        monkeypatch.setattr(corrugation, "MAX_NODES", 2**12)
+        grid = PeriodicGrid((64, 64))
+        w = clifford_map(grid, r=1.0)
+        g = MetricField.identity(grid, 1.5**2)
+        sched = IterationSchedule(epsilon=0.5, stages=1)
+        with pytest.raises(NonconvergenceError, match="cap of 4096 nodes") as err:
+            nash_kuiper_iterate(w, g, sched)
+        # no stage finished, so the final defect is measured on the start map
+        assert err.value.partial_report.final_defect == sup_norm(g - pullback_metric(w), 0)
 
 
 class TestCauchyAudit:
@@ -93,6 +117,16 @@ class TestCauchyAudit:
     def test_flat_increments_fail(self):
         ratios, passed = c1_cauchy_audit([1.0, 1.0, 1.0])
         assert np.allclose(ratios, [1.0, 1.0])
+        assert not passed
+
+    def test_zero_after_zero_counts_as_converged(self):
+        ratios, passed = c1_cauchy_audit([1.0, 0.0, 0.0])
+        assert ratios == [0.0, 0.0]
+        assert passed
+
+    def test_positive_after_zero_fails(self):
+        ratios, passed = c1_cauchy_audit([1.0, 0.0, 0.5])
+        assert ratios == [0.0, np.inf]
         assert not passed
 
     def test_needs_three_stages(self):

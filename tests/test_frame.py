@@ -13,7 +13,7 @@ from corrugate.frame import (
 )
 from corrugate.grid import ImmersionField, PeriodicGrid
 
-from conftest import clifford_map, flat_strip_map, unit_circle_map
+from conftest import clifford_map, flat_strip_map, plane_projector, unit_circle_map
 
 
 def _clifford_pair(grid):
@@ -31,7 +31,7 @@ class TestNormalPair:
         frame = normal_pair(flat_strip_map(grid))
         frame.validate(flat_strip_map(grid))
         # normal plane is exactly span{e3, e4}
-        proj = frame.plane_projector()
+        proj = plane_projector(frame)
         expected = np.zeros((4, 4))
         expected[2, 2] = expected[3, 3] = 1.0
         assert np.max(np.abs(proj - expected)) <= 1e-12
@@ -109,8 +109,8 @@ class TestNormalPair:
         rng = np.random.default_rng(41)
         R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         w_rot = ImmersionField(grid, w.values @ R.T)
-        p1 = normal_pair(w).plane_projector()
-        p2 = normal_pair(w_rot).plane_projector()
+        p1 = plane_projector(normal_pair(w))
+        p2 = plane_projector(normal_pair(w_rot))
         transported = np.einsum("ac,...cd,bd->...ab", R, p1, R)
         assert np.max(np.linalg.norm(p2 - transported, axis=(-2, -1))) <= 1e-8
 
@@ -120,8 +120,8 @@ class TestNormalPair:
         rng = np.random.default_rng(43)
         R, _ = np.linalg.qr(rng.normal(size=(4, 4)))
         w_rot = ImmersionField(grid, w.values @ R.T)
-        p1 = normal_pair(w).plane_projector()
-        p2 = normal_pair(w_rot).plane_projector()
+        p1 = plane_projector(normal_pair(w))
+        p2 = plane_projector(normal_pair(w_rot))
         transported = np.einsum("ac,...cd,bd->...ab", R, p1, R)
         assert np.max(np.linalg.norm(p2 - transported, axis=(-2, -1))) <= 1e-8
 
