@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fieldio
+from . import corrugation, fieldio
 from .corrugation import StageReport, run_stage
 from .decompose import global_decompose
 from .driver import IterationSchedule, RunReport, nash_kuiper_iterate
@@ -135,6 +135,12 @@ def _validate(config: RunConfig) -> RunConfig:
     for key, low in (("stages", 0), ("resolution", 1), ("bumps", 1)):
         if key in p and p[key] < low:
             raise InputError(f"{key} must be at least {low}, got {p[key]}")
+    if config.command == "run":
+        nodes = p["resolution"] ** (2 if p["manifold"] == "torus" else 1)
+        if nodes > corrugation.MAX_NODES:
+            raise InputError(f"resolution {p['resolution']} gives a start grid of {nodes} "
+                             f"nodes, beyond the desk-scale cap of "
+                             f"{corrugation.MAX_NODES} nodes")
     return config
 
 

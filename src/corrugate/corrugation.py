@@ -7,10 +7,10 @@ O(1/lambda). A stage decomposes the remaining metric gap into primitives
 and adds one spiral per primitive, doubling lambda until the three
 inductive estimates hold at measured (not assumed) accuracy.
 
-On a periodic chart the oscillation phase must itself be periodic, so the
-linear part of lambda*psi is rounded to the nearest integer frequency
-vector; the rounding error is O(1/lambda) and lands inside the same
-measured budget as the construction's other first-order error terms.
+Every phase psi is linear, and on a periodic chart the oscillation phase
+lambda*psi must be periodic, so lambda*psi_linear is rounded to the nearest
+integer frequency vector; the rounding error is O(1/lambda) and lands inside
+the same measured budget as the construction's other first-order terms.
 """
 
 from __future__ import annotations
@@ -107,9 +107,9 @@ def spiral_perturbation(w: ImmersionField, prim: PrimitiveMetric,
                         frame: FramePair, lam: float) -> ImmersionField:
     """The increment (a/lambda)(nu cos(lambda psi) + b sin(lambda psi)).
 
-    The linear part of the phase is rounded to integers per axis so the
-    increment is periodic; the grid must carry at least SAMPLES_PER_PERIOD
-    nodes per oscillation period on every axis.
+    The phase lambda*psi, psi linear, is rounded to integer frequencies per
+    axis so the increment is periodic; the grid must carry at least
+    SAMPLES_PER_PERIOD nodes per oscillation period on every axis.
     """
     grid = w.grid
     if prim.grid.shape != grid.shape or frame.grid.shape != grid.shape:
@@ -122,10 +122,7 @@ def spiral_perturbation(w: ImmersionField, prim: PrimitiveMetric,
             raise ResolutionError(
                 f"axis {a}: {grid.shape[a]} nodes cannot carry "
                 f"{SAMPLES_PER_PERIOD} samples per period at frequency {k}")
-    meshes = grid.meshes()
-    phase = lam * prim.psi_periodic.values
-    for a in range(grid.dim):
-        phase = phase + k_vec[a] * meshes[a]
+    phase = sum(k * mesh for k, mesh in zip(k_vec, grid.meshes()))
     amp = prim.amplitude.values / lam
     vals = (amp * np.cos(phase))[..., None] * frame.nu \
         + (amp * np.sin(phase))[..., None] * frame.b
@@ -200,12 +197,12 @@ def check_stage_estimates(w_prev: ImmersionField, w_next: ImmersionField,
     dinc = inc.derivatives()
     deriv_sq = float(np.max(np.einsum("...ia,...ia->...", dinc, dinc)))
     dw = w_prev.derivatives()
-    grad = prim.psi_gradient()
+    k = prim.psi_linear
     a2 = prim.amplitude.values ** 2
     sq_target = sq_cross = sq_quad = sq_incr = 0.0
     for i, j in triangular_index_pairs(w_prev.grid.dim):
         weight = 1.0 if i == j else 2.0
-        target = a2 * grad[..., i] * grad[..., j]
+        target = a2 * k[i] * k[j]
         cross = np.einsum("...a,...a->...", dw[..., i, :], dinc[..., j, :])
         cross += (cross if i == j
                   else np.einsum("...a,...a->...", dw[..., j, :], dinc[..., i, :]))
@@ -239,7 +236,6 @@ def resample_primitive(prim: PrimitiveMetric, new_grid: PeriodicGrid) -> Primiti
         raise InputError(f"amplitude resample undershoots zero by {low:.3e}")
     return PrimitiveMetric(
         amplitude=ScalarField(new_grid, np.maximum(amp, 0.0)),
-        psi_periodic=resample(prim.psi_periodic, new_grid),
         psi_linear=prim.psi_linear.copy(),
         support_id=prim.support_id,
     )
@@ -328,11 +324,15 @@ def run_stage(w: ImmersionField, g: MetricField, eta: float,
     sequentially, recomputing the normal frame after each addition. The
     per-primitive budgets are eta/K(n) and (delta/2)/K(n). The primitives,
     ``g`` and ``w`` stay on the input grid and are lifted to the map's grid
-    where they are read; a lambda search past MAX_NODES aborts the stage.
+    where they are read. An input grid over MAX_NODES is refused before
+    anything is built on it; a lambda search past MAX_NODES aborts the stage.
     """
     if not (0.0 < eta < np.inf and 0.0 < delta < np.inf):
         raise InputError(f"stage budgets eta and delta must be finite and positive, "
                          f"got {eta!r} and {delta!r}")
+    if w.grid.num_nodes > MAX_NODES:
+        raise InputError(f"input grid {w.grid.shape} has {w.grid.num_nodes} nodes, "
+                         f"beyond the desk-scale cap of {MAX_NODES} nodes")
     w.require_immersion()
     flag, margin = is_short(w, g, strict=True)
     if not flag:

@@ -19,7 +19,6 @@ from .grid import (
     MetricField,
     PeriodicGrid,
     ScalarField,
-    _require_same_grid,
 )
 
 #: patch acceptance floor for the coefficient fields alpha_i
@@ -33,7 +32,7 @@ MAX_SHRINKS = 5
 #: cover the chart with overlap multiplicity at most dim+1
 RADIUS_FACTOR = {1: 0.75, 2: 0.72}
 
-#: |dpsi| at or below this inside an amplitude's support fails validation
+#: |dpsi| at or below this inside an amplitude's support is refused
 GRAD_TOL = 1e-12
 
 
@@ -116,40 +115,36 @@ def congruence_match(M: np.ndarray, M_prime: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PrimitiveMetric:
-    """Rank-one tensor a^2 dpsi (x) dpsi with psi = linear + periodic part."""
+    """Rank-one tensor a^2 dpsi (x) dpsi with psi linear, psi(x) = psi_linear . x;
+    a spiral's phase lambda*psi is rounded to integer frequencies."""
 
     amplitude: ScalarField
-    psi_periodic: ScalarField
     psi_linear: np.ndarray
     support_id: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.amplitude, ScalarField):
+            raise InputError(f"primitive amplitude must be scalar, got {self.amplitude.kind} data")
         self.psi_linear = np.asarray(self.psi_linear, dtype=float)
-        _require_same_grid(self.amplitude, self.psi_periodic)
         if self.psi_linear.shape != (self.grid.dim,):
             raise InputError("psi_linear must have one coefficient per axis")
         if float(np.min(self.amplitude.values)) < 0.0:
             raise InputError("primitive amplitude must be nonnegative")
+        if np.linalg.norm(self.psi_linear) <= GRAD_TOL and np.any(self.amplitude.values > 0):
+            raise InputError("dpsi vanishes inside the support of the amplitude")
 
     @property
     def grid(self) -> PeriodicGrid:
         return self.amplitude.grid
 
-    def psi_gradient(self) -> np.ndarray:
-        """dpsi samples, shape grid.shape + (dim,)."""
-        return self.psi_periodic.gradient() + self.psi_linear
-
-    def validate(self):
-        grad = self.psi_gradient()
-        gnorm = np.sqrt(np.sum(grad * grad, axis=-1))
-        active = self.amplitude.values > 0
-        if np.any(active & (gnorm <= GRAD_TOL)):
-            raise InputError("dpsi vanishes inside the support of the amplitude")
+    @property
+    def psi_periodic(self) -> ScalarField:
+        """The periodic part of psi, zero on the primitive's grid."""
+        return ScalarField.constant(self.grid, 0.0)
 
     def tensor(self) -> MetricField:
-        grad = self.psi_gradient()
         a2 = self.amplitude.values**2
-        mats = a2[..., None, None] * np.einsum("...i,...j->...ij", grad, grad)
+        mats = a2[..., None, None] * np.outer(self.psi_linear, self.psi_linear)
         return MetricField.from_matrices(self.grid, mats)
 
 
@@ -191,11 +186,9 @@ def pointwise_decompose(h: MetricField, p) -> tuple[list[PrimitiveMetric], np.nd
     basis = rank_one_basis(grid.dim)
     v, alphas = _pointwise_split(mats, mats[p], basis)
     valid = np.all(alphas > 0.0, axis=-1)
-    zero_psi = ScalarField.constant(grid, 0.0)
     prims = [
         PrimitiveMetric(
             amplitude=ScalarField(grid, np.sqrt(np.maximum(alphas[..., i], 0.0))),
-            psi_periodic=zero_psi,
             psi_linear=v[i],
             support_id=0,
         )
@@ -295,7 +288,6 @@ def global_decompose(h: MetricField, bump_count: int = 1) -> list[PrimitiveMetri
             amp = phi * np.sqrt(np.maximum(alphas[..., i], 0.0))
             primitives.append(PrimitiveMetric(
                 amplitude=ScalarField(grid, amp),
-                psi_periodic=ScalarField.constant(grid, 0.0),
                 psi_linear=v[i],
                 support_id=ell,
             ))

@@ -30,9 +30,9 @@ FIELD_KINDS = {cls.kind: cls for cls in (ScalarField, MetricField, ImmersionFiel
 
 
 def write_field_block(field, out: io.TextIOBase):
-    """One field as a header line plus one CSV row per node (row-major)."""
+    """One field as a header line plus one CSV row of ``data`` per node (row-major)."""
     grid = field.grid
-    payload = field.values.reshape(grid.num_nodes, -1)
+    payload = field.data.reshape(grid.num_nodes, -1)
     res = ",".join(str(r) for r in grid.shape)
     out.write(f"# field {field.kind} dim={grid.dim} res={res} N={payload.shape[1]}\n")
     if isinstance(field, ImmersionField):
@@ -89,11 +89,9 @@ def read_field_block(lines):
     shape = grid.shape + cls.component_shape(grid, (ncomp,))
     if int(np.prod(shape)) != data.size:
         raise InputError(f"{cls.kind} field on a {dim}-dimensional grid cannot have N={ncomp}")
-    if offsets is None:
-        return cls(grid, data.reshape(shape))
-    if cls is not ImmersionField:
+    if offsets is not None and cls is not ImmersionField:
         raise InputError(f"offsets line in a {cls.kind} field block")
-    return ImmersionField(grid, data.reshape(shape), offsets)
+    return cls.from_periodic(grid, data.reshape(shape), *([] if offsets is None else [offsets]))
 
 
 def write_field(field, path):
@@ -109,8 +107,8 @@ def read_field(path):
 def write_frame(frame, path):
     """FramePair as two immersion-style blocks (nu then b)."""
     with open(path, "w") as fh:
-        write_field_block(ImmersionField(frame.grid, frame.nu), fh)
-        write_field_block(ImmersionField(frame.grid, frame.b), fh)
+        write_field_block(ImmersionField.from_periodic(frame.grid, frame.nu), fh)
+        write_field_block(ImmersionField.from_periodic(frame.grid, frame.b), fh)
 
 
 def read_frame(path):
@@ -120,17 +118,16 @@ def read_frame(path):
         lines = iter(fh)
         nu = read_field_block(lines)
         b = read_field_block(lines)
-    return FramePair(nu.grid, nu.values, b.values)
+    return FramePair(nu.grid, nu.data, b.data)
 
 
 def write_primitives(primitives, path):
-    """Each primitive: one manifest line, then amplitude and psi blocks."""
+    """Each primitive: one manifest line, then its amplitude block."""
     with open(path, "w") as fh:
         for k, prim in enumerate(primitives):
             lin = _fmt_row(prim.psi_linear)
             fh.write(f"primitive id={k} patch={prim.support_id} psi_linear={lin}\n")
             write_field_block(prim.amplitude, fh)
-            write_field_block(prim.psi_periodic, fh)
 
 
 def read_primitives(path):
@@ -153,7 +150,6 @@ def read_primitives(path):
                 raise InputError(f"malformed primitive manifest: {line!r}") from None
             prims.append(PrimitiveMetric(
                 amplitude=read_field_block(lines),
-                psi_periodic=read_field_block(lines),
                 psi_linear=psi_linear,
                 support_id=support_id,
             ))

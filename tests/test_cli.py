@@ -38,6 +38,20 @@ class TestParseConfig:
         code = main(["run", "--out-prefix", "x", "--bogus", "1"])
         assert code == 2
 
+    def test_start_grid_over_the_node_cap_refused(self, monkeypatch):
+        import corrugate.corrugation as corrugation
+
+        with pytest.raises(InputError, match="start grid of 16777216 nodes, beyond the "
+                                             "desk-scale cap of 4194304 nodes"):
+            parse_config(["run", "--manifold", "torus", "--resolution", "4096",
+                          "--out-prefix", "x"])
+        parse_config(["run", "--manifold", "circle", "--resolution", "4096",
+                      "--out-prefix", "x"])
+        monkeypatch.setattr(corrugation, "MAX_NODES", 2**10)
+        with pytest.raises(InputError, match="cap of 1024 nodes"):
+            parse_config(["run", "--manifold", "circle", "--resolution", "2048",
+                          "--out-prefix", "x"])
+
     def test_missing_subcommand(self):
         with pytest.raises(InputError):
             parse_config([])
@@ -439,7 +453,8 @@ class TestWriterBytes:
         for f in fields:
             path = tmp_path / "f.csv"
             write_field(f, path)
-            payload = f.values.reshape(16, -1)
+            # the rows are the stored samples; the offsets line holds the linear part
+            payload = f.data.reshape(16, -1)
             assert f.kind != "metric" or np.signbit(payload[0, 0])
             header = f"# field {f.kind} dim=1 res=16 N={payload.shape[1]}\n"
             if f.kind == "immersion":

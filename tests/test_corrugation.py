@@ -36,7 +36,6 @@ def constant_primitive(grid, amp_fn=None, direction=(1.0, 0.0)):
         amp = ScalarField.from_function(grid, amp_fn)
     return PrimitiveMetric(
         amplitude=amp,
-        psi_periodic=ScalarField.constant(grid, 0.0),
         psi_linear=np.asarray(direction, dtype=float)[: grid.dim],
     )
 
@@ -61,7 +60,6 @@ class TestSpiralPerturbation:
         w = flat_strip_map(grid)
         prim = PrimitiveMetric(
             amplitude=ScalarField.constant(grid, 0.0),
-            psi_periodic=ScalarField.constant(grid, 0.0),
             psi_linear=np.array([1.0, 0.0]))
         wp = spiral_perturbation(w, prim, normal_pair(w), 8.0)
         assert np.max(np.abs(wp.values)) == 0.0
@@ -145,7 +143,6 @@ class TestCheckStageEstimates:
         w = flat_strip_map(grid)
         prim = PrimitiveMetric(
             amplitude=ScalarField.constant(grid, 0.0),
-            psi_periodic=ScalarField.constant(grid, 0.0),
             psi_linear=np.array([1.0, 0.0]))
         check = check_stage_estimates(w, w, prim, eta_budget=0.1, delta_budget=0.1)
         assert check.ok
@@ -175,7 +172,6 @@ def _check_case(case):
     w = ImmersionField(grid, w.values * (1.0 + 0.05 * np.sin(x + 2 * y))[..., None])
     prim = PrimitiveMetric(
         amplitude=ScalarField.from_function(grid, lambda x, y: 1.0 + 0.3 * np.cos(y)),
-        psi_periodic=ScalarField.from_function(grid, lambda x, y: 0.1 * np.sin(x + y)),
         psi_linear=np.array([1.0, 0.0]))
     return w, w + spiral_perturbation(w, prim, normal_pair(w), lam), prim
 
@@ -200,7 +196,7 @@ class TestFusedCheck:
         assert abs(check.quad_err - sup_norm(quad, 0)) <= scale
         assert check.incr_err <= check.cross_err + check.quad_err + scale
 
-    def test_differentiates_only_the_increment_and_dpsi(self, monkeypatch):
+    def test_differentiates_only_the_increment(self, monkeypatch):
         import corrugate.grid as grid_module
 
         w_prev, w_next, prim = _check_case("clifford_8")
@@ -210,7 +206,7 @@ class TestFusedCheck:
         monkeypatch.setattr(grid_module, "spectral_gradient",
                             lambda *args: calls.append(1) or original(*args))
         check_stage_estimates(w_prev, w_next, prim, 1.0, 1.0)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 class TestChooseLambda:
@@ -259,7 +255,6 @@ class TestChooseLambda:
         w = flat_strip_map(grid)
         prim = PrimitiveMetric(
             amplitude=ScalarField.from_function(grid, lambda x, y: 1.0 + 0.3 * np.cos(x)),
-            psi_periodic=ScalarField.from_function(grid, lambda x, y: 0.02 * np.sin(x)),
             psi_linear=np.array([1.0, 0.0]))
         # sup a / lambda < eta needs lambda 32: the grid refines 64 -> 128 -> 256 -> 512
         params, fields = choose_lambda(w, prim, rotating_gauge_frame(grid),
@@ -270,9 +265,8 @@ class TestChooseLambda:
         prim_lift = resample_primitive(prim, fields.grid)
         assert np.max(np.abs(fields.w.periodic - w_lift.periodic)) <= 1e-12
         assert np.array_equal(fields.w.offsets, w.offsets)
-        for got, want in ((fields.prim.amplitude, prim_lift.amplitude),
-                          (fields.prim.psi_periodic, prim_lift.psi_periodic)):
-            assert np.max(np.abs(got.values - want.values)) <= 1e-12
+        assert np.max(np.abs(fields.prim.amplitude.values
+                             - prim_lift.amplitude.values)) <= 1e-12
         assert np.array_equal(fields.prim.psi_linear, prim.psi_linear)
 
     def test_node_cap_abort_names_the_dominant_term(self, monkeypatch):
@@ -400,6 +394,20 @@ class TestRunStage:
         w = clifford_map(grid, r=1.0)
         with pytest.raises(NonconvergenceError, match="cap of 4096 nodes"):
             run_stage(w, MetricField.identity(grid, 1.5**2), eta=0.5, delta=0.25)
+
+    def test_input_grid_over_the_cap_refused_before_decomposing(self, monkeypatch):
+        import corrugate.corrugation as corrugation
+
+        calls = []
+        original = corrugation.global_decompose
+        monkeypatch.setattr(corrugation, "global_decompose",
+                            lambda *args, **kw: calls.append(1) or original(*args, **kw))
+        monkeypatch.setattr(corrugation, "MAX_NODES", 2**10)
+        grid = PeriodicGrid((64, 64))
+        with pytest.raises(InputError, match="4096 nodes, beyond the desk-scale cap of 1024"):
+            run_stage(clifford_map(grid, r=1.0), MetricField.identity(grid, 1.5**2),
+                      eta=0.5, delta=0.25)
+        assert calls == []
 
 
 class TestStageReportSerialization:

@@ -208,16 +208,18 @@ class TestPrimitiveMetric:
         with pytest.raises(InputError):
             PrimitiveMetric(
                 amplitude=ScalarField.constant(grid, -1.0),
-                psi_periodic=ScalarField.constant(grid, 0.0),
                 psi_linear=np.array([1.0]),
             )
 
-    def test_validate_flags_vanishing_dpsi(self):
+    def test_rejects_non_scalar_amplitude(self):
         grid = PeriodicGrid((16,))
-        prim = PrimitiveMetric(
-            amplitude=ScalarField.constant(grid, 1.0),
-            psi_periodic=ScalarField.constant(grid, 0.0),
-            psi_linear=np.array([0.0]),
-        )
-        with pytest.raises(InputError):
-            prim.validate()
+        with pytest.raises(InputError, match="amplitude must be scalar, got metric data"):
+            PrimitiveMetric(amplitude=MetricField.identity(grid), psi_linear=np.array([1.0]))
+
+    def test_constructor_refuses_vanishing_dpsi(self):
+        grid = PeriodicGrid((16,))
+        with pytest.raises(InputError, match="dpsi vanishes"):
+            PrimitiveMetric(
+                amplitude=ScalarField.constant(grid, 1.0),
+                psi_linear=np.array([0.0]),
+            )
