@@ -33,9 +33,6 @@ class RunConfig:
     command: str
     params: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        return json.dumps({"command": self.command, "params": self.params}, sort_keys=True)
-
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         try:

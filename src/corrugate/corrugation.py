@@ -34,6 +34,7 @@ from .grid import (
     MetricField,
     PeriodicGrid,
     ScalarField,
+    bandwidth,
     derivative_sups,
     is_short,
     pullback_metric,
@@ -44,9 +45,6 @@ from .grid import (
 
 LAMBDA_START = 8.0
 LAMBDA_CAP = 2.0**14
-
-#: oscillation sampling rule: at least this many nodes per period
-SAMPLES_PER_PERIOD = 16
 
 #: desk-scale cap on total grid nodes a lambda search may request
 MAX_NODES = 2**22
@@ -108,8 +106,8 @@ def spiral_perturbation(w: ImmersionField, prim: PrimitiveMetric,
     """The increment (a/lambda)(nu cos(lambda psi) + b sin(lambda psi)).
 
     The phase lambda*psi, psi linear, is rounded to integer frequencies per
-    axis so the increment is periodic; the grid must carry at least
-    SAMPLES_PER_PERIOD nodes per oscillation period on every axis.
+    axis so the increment is periodic; an axis with at most 4|k| nodes is
+    refused, since its nodes cannot read the increment's products alias-free.
     """
     grid = w.grid
     if prim.grid.shape != grid.shape or frame.grid.shape != grid.shape:
@@ -118,10 +116,9 @@ def spiral_perturbation(w: ImmersionField, prim: PrimitiveMetric,
         raise InputError("lambda must be at least 1")
     k_vec = integer_phase(prim, lam)
     for a, k in enumerate(k_vec):
-        if k and grid.shape[a] < SAMPLES_PER_PERIOD * abs(int(k)):
-            raise ResolutionError(
-                f"axis {a}: {grid.shape[a]} nodes cannot carry "
-                f"{SAMPLES_PER_PERIOD} samples per period at frequency {k}")
+        if grid.shape[a] <= 4 * abs(int(k)):
+            raise ResolutionError(f"axis {a}: {grid.shape[a]} nodes cannot carry "
+                                  f"frequency {k}, which needs more than {4 * abs(int(k))}")
     phase = sum(k * mesh for k, mesh in zip(k_vec, grid.meshes()))
     amp = prim.amplitude.values / lam
     vals = (amp * np.cos(phase))[..., None] * frame.nu \
@@ -250,12 +247,13 @@ class StageFields(NamedTuple):
     grid: PeriodicGrid
 
 
-def _required_grid(grid: PeriodicGrid, k_vec) -> PeriodicGrid:
+def _required_grid(grid: PeriodicGrid, k_vec, band) -> PeriodicGrid:
+    """Per axis, the smallest power of two from ``grid`` up with n > 4(|k| + B):
+    a spiral a e^{ik.x}, a of bandwidth B, has modes to |k| + B, so the products
+    of it that the checks and the next stage read stay below Nyquist."""
     shape = []
-    for a, k in enumerate(k_vec):
-        need = SAMPLES_PER_PERIOD * abs(int(k)) if k else grid.shape[a]
-        res = grid.shape[a]
-        while res < need:
+    for res, k, b in zip(grid.shape, k_vec, band):
+        while res <= 4 * (abs(int(k)) + b):
             res *= 2
         shape.append(res)
     return PeriodicGrid(tuple(shape))
@@ -272,22 +270,24 @@ def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
                   eta_budget: float, delta_budget: float) -> tuple[SpiralParams, StageFields]:
     """Doubling search from lambda = 8 until the measured estimates pass.
 
-    Each trial runs on the grid its lambda's sampling rule demands. There
-    the map and primitive are lifted from the arguments ``w`` and ``prim``,
-    and the frame is swept on the lifted map; every frame, the given one
-    too, is held to SEAM_TOL. Returns the first passing lambda together
-    with the fields on the grid where it passed. A grid over MAX_NODES,
-    read at call time, aborts the search with a message quoting the cap.
+    Each trial runs on the grid _required_grid gives for its frequency and
+    the bandwidth B of ``w.data`` and the amplitude, measured once here.
+    There the map and primitive are lifted from the arguments and the frame
+    is swept on the lifted map, so it stays out of B; every frame, the given
+    one too, is held to SEAM_TOL. Returns the first passing lambda with the
+    fields on its grid. A grid over MAX_NODES, read at call time, aborts.
     """
     if not (eta_budget > 0.0 and delta_budget > 0.0):
         raise InputError(f"lambda search budgets must be positive, got eta "
                          f"{eta_budget!r} and delta {delta_budget!r}")
     lam = LAMBDA_START
     cur = StageFields(w=w, prim=prim, frame=_seam_checked(frame), grid=w.grid)
+    band = [max(bandwidth(w.data, a), bandwidth(prim.amplitude.data, a))
+            for a in range(w.grid.dim)]
     last_check = None
     while lam <= LAMBDA_CAP:
         k_vec = integer_phase(prim, lam)
-        needed = _required_grid(cur.grid, k_vec)
+        needed = _required_grid(cur.grid, k_vec, band)
         if needed.num_nodes > MAX_NODES:
             tried = "" if last_check is None else (
                 f"; the trial at lambda {lam / 2.0:.0f} failed estimate(s) "

@@ -202,10 +202,6 @@ class ScalarField(Field):
     def derivative(self, axis: int) -> "ScalarField":
         return ScalarField(self.grid, spectral_derivative(self.data, self.grid, axis))
 
-    def gradient(self) -> np.ndarray:
-        """Gradient samples, shape grid.shape + (dim,)."""
-        return spectral_gradient(self.data, self.grid)
-
 
 def triangular_index_pairs(dim: int) -> list[tuple[int, int]]:
     """Component order of stored metric entries: (0,0),(0,1),(1,1) for d=2."""
@@ -442,20 +438,27 @@ def is_short(w: ImmersionField, g: MetricField, strict: bool = False) -> tuple[b
     return margin >= -SHORT_TOL, margin
 
 
+def bandwidth(values: np.ndarray, axis: int) -> int:
+    """Highest wavenumber along ``axis`` of node samples, reading every mode
+    under ALIAS_TOL of the largest as zero; 0 for an all-zero field."""
+    modes = np.moveaxis(np.abs(np.fft.rfft(values, axis=axis)), axis, 0)
+    mags = np.max(modes.reshape(len(modes), -1), axis=1)
+    return int(np.max(np.flatnonzero(mags > ALIAS_TOL * np.max(mags)), initial=0))
+
+
 def _resample_axis(values: np.ndarray, axis: int, new: int) -> np.ndarray:
     """Exact spectral resampling of real samples along one axis.
 
     Upsampling splits the old Nyquist mode evenly between the new +/- old/2
     modes. Downsampling folds the new Nyquist pair into 2 Re and refuses to
-    discard content above it.
+    discard content above it (a bandwidth above new/2).
     """
     old = values.shape[axis]
     spec = np.fft.rfft(values, axis=axis)
     modes = np.moveaxis(spec, axis, 0)
     half = min(old, new) // 2
     if new < old:
-        scale = float(np.max(np.abs(modes))) + 1e-300
-        if float(np.max(np.abs(modes[half + 1:]))) > ALIAS_TOL * scale:
+        if bandwidth(values, axis) > half:
             raise AliasingError(
                 f"downsampling to {new} discards spectral content above mode {half}")
         modes[half] = 2.0 * modes[half].real

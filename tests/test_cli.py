@@ -59,7 +59,7 @@ class TestParseConfig:
     def test_config_file_round_trip(self, tmp_path):
         cfg = parse_config(["flow", "--alpha", "0.04", "--out-prefix", "pre"])
         path = tmp_path / "cfg.json"
-        path.write_text(cfg.to_json())
+        path.write_text(json.dumps({"command": cfg.command, "params": cfg.params}))
         back = parse_config(["--config", str(path)])
         assert back == cfg
 

@@ -3,13 +3,14 @@ import pytest
 
 from corrugate.corrugation import (
     StageReport,
+    _required_grid,
     check_stage_estimates,
     choose_lambda,
     resample_primitive,
     run_stage,
     spiral_perturbation,
 )
-from corrugate.decompose import PrimitiveMetric
+from corrugate.decompose import PrimitiveMetric, global_decompose
 from corrugate.errors import InputError, NonconvergenceError, ResolutionError, StageError
 from corrugate.fieldio import read_table, write_table
 from corrugate.frame import FramePair, normal_pair
@@ -89,7 +90,20 @@ class TestSpiralPerturbation:
         grid = PeriodicGrid((64, 16))
         w = flat_strip_map(grid)
         with pytest.raises(ResolutionError):
-            spiral_perturbation(w, constant_primitive(grid), normal_pair(w), 8.0)
+            spiral_perturbation(w, constant_primitive(grid), normal_pair(w), 32.0)
+
+    @pytest.mark.parametrize("lam, refused", [(15.0, False), (16.0, True)])
+    def test_resolution_boundary_is_four_nodes_per_period(self, lam, refused):
+        # frequency 16 on 64 nodes is n = 4|k|, the first refused; 15 passes
+        grid = PeriodicGrid((64, 16))
+        w = flat_strip_map(grid)
+        args = (w, constant_primitive(grid), normal_pair(w), lam)
+        if refused:
+            with pytest.raises(ResolutionError, match="axis 0: 64 nodes cannot carry "
+                                                      "frequency 16"):
+                spiral_perturbation(*args)
+        else:
+            assert spiral_perturbation(*args).grid == grid
 
     def test_parallel_gauge_superconvergence(self):
         # with the transported (constant) frame the increment error is the
@@ -209,6 +223,19 @@ class TestFusedCheck:
         assert len(calls) == 1
 
 
+class TestRequiredGrid:
+    @pytest.mark.parametrize("shape, k_vec, band, want", [
+        ((64, 64), (0, 0), (0, 0), (64, 64)),      # never below the current grid
+        ((64, 16), (8, 0), (0, 0), (64, 16)),      # 64 > 4 * 8
+        ((64, 16), (16, 0), (0, 0), (128, 16)),    # 64 = 4 * 16 is not enough
+        ((64, 64), (-44, 62), (1, 1), (256, 256)),
+        ((64, 64), (15, 0), (1, 20), (128, 128)),  # a band alone refines an axis
+        ((256,), (1010,), (112,), (8192,)),        # 4 * 1122 = 4488
+    ])
+    def test_more_than_four_times_frequency_plus_bandwidth(self, shape, k_vec, band, want):
+        assert _required_grid(PeriodicGrid(shape), k_vec, band).shape == want
+
+
 class TestChooseLambda:
     def test_flat_constant_case_returns_first_candidate(self):
         grid = PeriodicGrid((256, 16))
@@ -242,13 +269,13 @@ class TestChooseLambda:
         assert lam == 2.0 ** np.round(np.log2(lam))
 
     def test_refines_grid_when_needed(self):
-        grid = PeriodicGrid((64, 16))
+        grid = PeriodicGrid((32, 16))
         w = flat_strip_map(grid)
         prim = constant_primitive(grid)
         params, fields = choose_lambda(w, prim, normal_pair(w),
                                        eta_budget=0.5, delta_budget=1e-6)
         assert params.lam == 8.0
-        assert fields.grid.shape[0] >= 128  # 16 samples/period at frequency 8
+        assert fields.grid.shape[0] >= 64  # more than 4|k| nodes at frequency 8
 
     def test_trial_fields_are_lifted_from_the_arguments(self):
         grid = PeriodicGrid((64, 16))
@@ -256,11 +283,12 @@ class TestChooseLambda:
         prim = PrimitiveMetric(
             amplitude=ScalarField.from_function(grid, lambda x, y: 1.0 + 0.3 * np.cos(x)),
             psi_linear=np.array([1.0, 0.0]))
-        # sup a / lambda < eta needs lambda 32: the grid refines 64 -> 128 -> 256 -> 512
+        # sup a / lambda < eta needs lambda 32; the amplitude's bandwidth is 1,
+        # so the grid refines 64 -> 128 -> 256 (more than 4(32 + 1) nodes)
         params, fields = choose_lambda(w, prim, rotating_gauge_frame(grid),
                                        eta_budget=0.05, delta_budget=1e-2)
         assert params.lam == 32.0
-        assert fields.grid.shape == (512, 16)
+        assert fields.grid.shape == (256, 16)
         w_lift = resample(w, fields.grid)
         prim_lift = resample_primitive(prim, fields.grid)
         assert np.max(np.abs(fields.w.periodic - w_lift.periodic)) <= 1e-12
@@ -269,11 +297,28 @@ class TestChooseLambda:
                              - prim_lift.amplitude.values)) <= 1e-12
         assert np.array_equal(fields.prim.psi_linear, prim.psi_linear)
 
+    def test_clifford_torus_primitives_accepted_on_256_grids(self):
+        # the gap of scale 1.5 over the Clifford torus, decomposed as
+        # run_stage does; each primitive searched from the unperturbed map
+        grid = PeriodicGrid((64, 64))
+        w = clifford_map(grid, r=1.0)
+        g = MetricField.identity(grid, 1.5**2)
+        _, margin = is_short(w, g, strict=True)
+        norm_g = sup_norm(g, 0)
+        delta0 = min(0.25 / (2.0 * norm_g + 1e-12), 0.5 * margin / norm_g)
+        prims = global_decompose((1.0 - delta0) * g - pullback_metric(w), bump_count=1)
+        pair = normal_pair(w)
+        found = []
+        for prim in prims:
+            params, fields = choose_lambda(w, prim, pair, 0.5 / 9, 0.05)
+            found.append((params.lam, fields.grid.shape))
+        assert found == [(64.0, (256, 256)), (64.0, (256, 256)), (64.0, (256, 64))]
+
     def test_node_cap_abort_names_the_dominant_term(self, monkeypatch):
         import corrugate.corrugation as corrugation
 
-        # lambda 8 and 16 are tried on 128x16 and 256x16; lambda 32 needs
-        # 512x16, over the cap. The frame is parallel, so the cross term is 0
+        # lambda 8, 16 and 32 are tried on 64x16, 128x16 and 256x16; lambda 64
+        # needs 512x16, over the cap. The frame is parallel, so the cross term is 0
         monkeypatch.setattr(corrugation, "MAX_NODES", 2**12)
         grid = PeriodicGrid((64, 16))
         w = flat_strip_map(grid)
@@ -282,7 +327,7 @@ class TestChooseLambda:
             choose_lambda(w, prim, normal_pair(w), eta_budget=1.0, delta_budget=1e-6)
         message = str(err.value)
         assert "needs grid (512, 16), beyond the desk-scale cap of 4096 nodes" in message
-        assert "the trial at lambda 16 failed estimate(s) increment" in message
+        assert "the trial at lambda 32 failed estimate(s) increment" in message
         assert "cross term 0.000e+00" in message
         assert "the quadratic term dominates" in message
 
@@ -315,13 +360,13 @@ class TestChooseLambda:
 
         import corrugate.corrugation as corrugation
 
-        grid = PeriodicGrid((64, 16))
+        grid = PeriodicGrid((32, 16))
         w = flat_strip_map(grid)
         prim = constant_primitive(grid)
         torn = dataclasses.replace(normal_pair(w), seam_mismatch=1.0)
         with pytest.raises(StageError, match="seam"):
             choose_lambda(w, prim, torn, eta_budget=0.5, delta_budget=1e-6)
-        # the frame re-swept on the refined grid (lambda 8 needs 128 nodes)
+        # the frame re-swept on the refined grid (lambda 8 needs 64 nodes)
         monkeypatch.setattr(corrugation, "normal_pair", lambda w_f: dataclasses.replace(
             normal_pair(w_f), seam_mismatch=1.0))
         with pytest.raises(StageError, match="seam"):

@@ -66,6 +66,20 @@ class TestIterate:
         assert flag
         assert rep.final_defect == rep.stage_reports[-1].defect_after
 
+    def test_circle_grids_read_the_defect_of_the_continuum_map(self):
+        # stage 2 runs at frequency 1010 with amplitude bandwidth 112, so it
+        # needs more than 4488 nodes; there the node defect is the defect
+        # of the map read on twice as many nodes
+        grid = PeriodicGrid((64,))
+        g = MetricField.identity(grid, 1.2**2)
+        u, rep = nash_kuiper_iterate(unit_circle_map(grid), g,
+                                     IterationSchedule(epsilon=0.5, stages=2))
+        assert [stage.resolution for stage in rep.stage_reports] == [(256,), (8192,)]
+        assert [stage.lambdas for stage in rep.stage_reports] == [[64.0], [4096.0]]
+        fine = PeriodicGrid((2 * u.grid.shape[0],))
+        upsampled = sup_norm(resample(g, fine) - pullback_metric(resample(u, fine)), 0)
+        assert abs(rep.final_defect - upsampled) <= 1e-9 * upsampled
+
     def test_four_stages_hit_the_frequency_cap(self):
         # the forced lambda growth ratio (~128 * 2^-q per stage; measured
         # 64 -> 4096 -> beyond 2^14) exceeds the search cap at stage 3:

@@ -10,6 +10,7 @@ from corrugate.grid import (
     MetricField,
     PeriodicGrid,
     ScalarField,
+    bandwidth,
     derivative_sup,
     is_short,
     pullback_metric,
@@ -197,6 +198,18 @@ class TestResample:
         with pytest.raises(AliasingError):
             resample(f, PeriodicGrid((32,)))
 
+    def test_downsample_refuses_content_above_the_new_nyquist_only(self):
+        grid = PeriodicGrid((64,))
+        small = PeriodicGrid((32,))
+        nyquist = ScalarField.from_function(grid, lambda x: np.cos(16 * x))
+        assert np.allclose(resample(nyquist, small).values, (-1.0) ** np.arange(32))
+        tail = ScalarField.from_function(grid, lambda x: 1.0 + 1e-12 * np.cos(17 * x))
+        assert np.allclose(resample(tail, small).values, 1.0)
+        assert np.array_equal(resample(ScalarField.constant(grid, 0.0), small).values,
+                              np.zeros(32))
+        with pytest.raises(AliasingError, match="above mode 16"):
+            resample(ScalarField.from_function(grid, lambda x: np.cos(17 * x)), small)
+
     def test_downsample_band_limited_sup_never_grows(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -261,3 +274,10 @@ class TestSerialization:
         back = self.round_trip(w)
         assert np.array_equal(back.periodic, w.periodic)
         assert np.array_equal(back.offsets, w.offsets)
+
+
+class TestBandwidth:
+    def test_zero_field_has_bandwidth_zero(self):
+        # the flat strip's periodic part is all zero
+        w = flat_strip_map(PeriodicGrid((32, 16)))
+        assert [bandwidth(w.data, a) for a in range(2)] == [0, 0]

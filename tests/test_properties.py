@@ -20,7 +20,14 @@ from corrugate.fieldio import (
     write_field_block,
     write_primitives,
 )
-from corrugate.grid import MIN_RESOLUTION, ImmersionField, MetricField, PeriodicGrid, ScalarField
+from corrugate.grid import (
+    MIN_RESOLUTION,
+    ImmersionField,
+    MetricField,
+    PeriodicGrid,
+    ScalarField,
+    bandwidth,
+)
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 nonnegative = st.floats(min_value=0.0, allow_infinity=False, width=64)
@@ -135,3 +142,23 @@ def test_cauchy_audit_gives_a_verdict(increments):
     assert len(ratios) == len(increments) - 1
     assert not any(np.isnan(ratios))
     assert isinstance(passed, bool)
+
+
+@given(st.data())
+def test_bandwidth_is_the_top_mode_of_a_band_limited_field(data):
+    """Modes 0..m along one axis, with coefficients that vary across it:
+    arbitrary below m, of size 1/2..1 at m, where at Nyquist only cosines
+    survive."""
+    grid = data.draw(grids)
+    axis = data.draw(st.integers(0, grid.dim - 1))
+    n = grid.shape[axis]
+    top = data.draw(st.integers(0, n // 2))
+    across = tuple(1 if a == axis else r for a, r in enumerate(grid.shape))
+    coeff = data.draw(arrays(float, (top + 1, 2) + across,
+                             elements=st.floats(-1.0, 1.0, width=64)))
+    coeff[top] = 0.5 + 0.5 * np.abs(coeff[top])
+    if top in (0, n // 2):
+        coeff[top, 1] = 0.0
+    modes = np.arange(top + 1).reshape((-1,) + (1,) * grid.dim) * grid.meshes()[axis]
+    values = np.sum(coeff[:, 0] * np.cos(modes) + coeff[:, 1] * np.sin(modes), axis=0)
+    assert bandwidth(values, axis) == top
