@@ -171,20 +171,39 @@ def emit_report(report, path):
     fieldio.write_table(rows[0], rows[1:], path)
 
 
-#: report kind -> reader of its table's data rows (the flow's is a list of FlowSample)
+#: report kind -> its table's header, the reader of one data row, and the
+#: report built from the rows read (the flow's is a list of FlowSample)
 _REPORT_PARSERS = {
-    "stage": lambda rows: StageReport.from_csv_row(rows[0]),
-    "run": RunReport.from_csv_rows,
-    "flow": lambda rows: [FlowSample(*[float(v) for v in row]) for row in rows],
+    "stage": (StageReport.CSV_HEADER, StageReport.from_csv_row, lambda reports: reports[0]),
+    "run": (["stage"] + StageReport.CSV_HEADER, lambda row: StageReport.from_csv_row(row[1:]),
+            RunReport.from_stage_reports),
+    "flow": (list(FlowSample._fields), lambda row: FlowSample(*map(float, row)), list),
 }
 
 
 def parse_report(path, kind):
-    """Read a table ``emit_report`` wrote, as ``_REPORT_PARSERS[kind]`` does."""
-    parser = _REPORT_PARSERS.get(kind)
-    if parser is None:
+    """Read a table ``emit_report`` wrote. InputError for a header other than
+    the kind's, a row of another width or with a cell that does not parse,
+    run stages not numbered 1, 2, ..., or a stage table without one row."""
+    if kind not in _REPORT_PARSERS:
         raise InputError(f"unknown report kind {kind!r}")
-    return parser(fieldio.read_table(path)[1])
+    header, read_row, build = _REPORT_PARSERS[kind]
+    got, rows = fieldio.read_table(path)
+    if got != header:
+        raise InputError(f"{kind} report header {','.join(got)!r} != {','.join(header)!r}")
+    if kind == "stage" and len(rows) != 1:
+        raise InputError(f"a stage report holds one row, {path} has {len(rows)}")
+    parsed = []
+    for row in rows:
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} cells, not {len(header)}")
+            if kind == "run" and row[0] != str(len(parsed) + 1):
+                raise ValueError(f"stage {row[0]!r} where stage {len(parsed) + 1} belongs")
+            parsed.append(read_row(row))
+        except (ValueError, InputError) as exc:
+            raise InputError(f"malformed {kind} report row {','.join(row)!r}: {exc}") from None
+    return build(parsed)
 
 
 def _solve_and_record(solve, prefix: str, record: str):

@@ -91,7 +91,7 @@ class StageReport:
             c0_delta=float(c0), c1_delta=float(c1),
             defect_before=float(before), defect_after=float(after),
             lambdas=[float(v) for v in lams.split(";")] if lams else [],
-            resolution=tuple(int(r) for r in res.split("x")),
+            resolution=PeriodicGrid(tuple(int(r) for r in res.split("x"))).shape,
             slack=float(slack),
         )
 

@@ -60,8 +60,8 @@ class RunReport:
             [q] + rep.csv_rows()[1] for q, rep in enumerate(self.stage_reports, start=1)]
 
     @classmethod
-    def from_csv_rows(cls, rows) -> "RunReport":
-        reports = [StageReport.from_csv_row(row[1:]) for row in rows]
+    def from_stage_reports(cls, reports) -> "RunReport":
+        """The run whose final defect is its last stage's (NaN without stages)."""
         final = reports[-1].defect_after if reports else float("nan")
         return cls(stage_reports=reports, final_defect=final)
 

@@ -54,18 +54,19 @@ class FramePair:
     holonomy: float = 0.0
 
     def validate(self, w: ImmersionField | None = None):
+        # each test is written so that NaN fails it
         for name, vec in (("nu", self.nu), ("b", self.b)):
             norms = np.linalg.norm(vec, axis=-1)
-            if np.max(np.abs(norms - 1.0)) > UNIT_TOL:
+            if not np.all(np.abs(norms - 1.0) <= UNIT_TOL):
                 raise InputError(f"{name} is not unit length within {UNIT_TOL}")
         dots = np.einsum("...a,...a->...", self.nu, self.b)
-        if np.max(np.abs(dots)) > ORTHO_TOL:
+        if not np.all(np.abs(dots) <= ORTHO_TOL):
             raise InputError("frame vectors are not mutually orthogonal")
         if w is not None:
             der = w.derivatives()
             for vec in (self.nu, self.b):
                 tdots = np.einsum("...ia,...a->...i", der, vec)
-                if np.max(np.abs(tdots)) > NORMAL_TOL:
+                if not np.all(np.abs(tdots) <= NORMAL_TOL):
                     raise InputError("frame vector is not normal to the immersion")
 
 

@@ -11,9 +11,11 @@ A kind supplies its component shape:
   ImmersionField   map into R^N per node, lift = linear part + periodic part
 
 Differentiation is DFT-based, hence exact (to rounding) for band-limited
-fields. Maps whose lift is linear-plus-periodic (e.g. x -> (x, 0, ...))
-carry per-axis ``offsets``: ``data`` holds the periodic part only, and
-every first derivative adds the constant linear slope back in.
+fields. Every derivative iterates one rule, ik per mode with the Nyquist
+mode zeroed, so D^2 is the gradient of the gradient wherever it is read.
+Maps whose lift is linear-plus-periodic (e.g. x -> (x, 0, ...)) carry
+per-axis ``offsets``: ``data`` holds the periodic part only, and every
+first derivative adds the constant linear slope back in.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ SHORT_TOL = 1e-9
 #: sup-norm derivative orders supported (all orders the estimates use)
 MAX_DERIVATIVE_ORDER = 4
 
-#: smallest first-derivative Gram eigenvalue that still counts as an immersion
+#: a pullback-metric eigenvalue at or below this is not an immersion
 RANK_TOL = 1e-10
 
 #: downsampling refuses a dropped mode above this, relative to the largest mode
@@ -89,20 +91,17 @@ def _check_finite(values, what: str):
         raise InputError(f"non-finite values in {what}")
 
 
-def spectral_derivative(values: np.ndarray, grid: PeriodicGrid, axis: int,
-                        order: int = 1) -> np.ndarray:
-    """Spectral d^order/dx_axis^order of node samples, periodic in each axis.
+def spectral_derivative(values: np.ndarray, grid: PeriodicGrid, axis: int) -> np.ndarray:
+    """Spectral d/dx_axis of node samples, periodic in each axis.
 
     ``values`` may carry trailing component axes; grid axes come first.
-    The Nyquist mode is zeroed for odd orders (its derivative is not
-    representable on the grid).
+    The Nyquist mode is zeroed: the grid cannot represent its derivative.
     """
     res = grid.shape[axis]
     spec = np.fft.rfft(values, axis=axis)
     k = grid.wavenumbers(axis)
-    mult = (1j * k) ** order
-    if order % 2 == 1:
-        mult[-1] = 0.0
+    mult = 1j * k
+    mult[-1] = 0.0
     shape = [1] * spec.ndim
     shape[axis] = len(k)
     spec *= mult.reshape(shape)
@@ -346,25 +345,14 @@ class ImmersionField(Field):
         return self._first
 
     def second_derivatives(self) -> np.ndarray:
-        """Symmetrized second derivatives, shape grid.shape + (dim, dim, N)."""
-        d = self.grid.dim
-        out = np.empty(self.grid.shape + (d, d, self.ambient_dim))
-        for i in range(d):
-            for j in range(i, d):
-                if i == j:
-                    der = spectral_derivative(self.data, self.grid, i, order=2)
-                else:
-                    der = spectral_derivative(
-                        spectral_derivative(self.data, self.grid, i), self.grid, j)
-                out[..., i, j, :] = der
-                out[..., j, i, :] = der
-        return out
+        """Second derivatives, shape grid.shape + (dim, dim, N): entry
+        [..., i, j, :] is d_i d_j w, the cached first derivatives
+        differentiated once more."""
+        return spectral_gradient(self.derivatives(), self.grid)
 
     def require_immersion(self):
-        """Refuse a map whose first-derivative Gram drops to RANK_TOL at a node."""
-        der = self.derivatives()
-        gram = np.einsum("...ia,...ja->...ij", der, der)
-        if float(np.min(np.linalg.eigvalsh(gram))) <= RANK_TOL:
+        """Refuse a map whose pullback metric has an eigenvalue <= RANK_TOL."""
+        if float(np.min(pullback_metric(self).eigenvalues_min())) <= RANK_TOL:
             raise InputError("differential drops rank: not an immersion at this tolerance")
 
 

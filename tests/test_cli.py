@@ -162,6 +162,48 @@ class TestReportIO:
         assert back == diag.samples
 
 
+    @staticmethod
+    def _table(tmp_path, kind):
+        """The path and lines of a stage or two-stage run report as emit_report writes it."""
+        from corrugate.corrugation import StageReport
+        from corrugate.driver import RunReport
+
+        stage = StageReport(c0_delta=0.01, c1_delta=0.5, defect_before=0.44,
+                            defect_after=0.15, lambdas=[64.0], resolution=(256,),
+                            slack=1e-14)
+        path = tmp_path / f"{kind}.csv"
+        emit_report(stage if kind == "stage" else RunReport(stage_reports=[stage, stage]), path)
+        return path, path.read_text().splitlines()
+
+    @pytest.mark.parametrize("kind, edit, message", [
+        ("run", lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]], "7 cells, not 8"),
+        ("run", lambda lines: lines[:2] + [lines[2].replace("0.5", "abc")],
+         "could not convert string to float: 'abc'"),
+        ("stage", lambda lines: lines[:1], "holds one row"),
+        ("stage", lambda lines: lines + lines[1:], "holds one row"),
+        ("stage", lambda lines: [lines[0], lines[1].replace("256", "25x6", 1)],
+         "resolution 25 is not a power of two"),
+        ("stage", lambda lines: ["stage," + lines[0], "1," + lines[1]], "header"),
+        ("run", lambda lines: lines[1:], "header"),
+        ("run", lambda lines: lines[:2] + lines[1:2], "stage '1' where stage 2 belongs"),
+        ("run", lambda lines: [lines[0], "abc" + lines[1][1:]], "stage 'abc' where stage 1"),
+    ], ids=["short-row", "text-cell", "no-stage-row", "two-stage-rows", "bad-resolution",
+            "run-header-on-stage", "no-header", "repeated-stage", "text-stage"])
+    def test_malformed_report_raises_input_error(self, tmp_path, kind, edit, message):
+        path, lines = self._table(tmp_path, kind)
+        path.write_text("\n".join(edit(lines)) + "\n")
+        with pytest.raises(InputError, match=message):
+            parse_report(path, kind)
+
+    def test_malformed_cell_error_quotes_its_row(self, tmp_path):
+        path, lines = self._table(tmp_path, "run")
+        bad = lines[2].replace("256", "x")
+        path.write_text("\n".join(lines[:2] + [bad]) + "\n")
+        with pytest.raises(InputError) as err:
+            parse_report(path, "run")
+        assert repr(bad) in str(err.value)
+
+
 class TestFrameAndPrimitiveIO:
     def test_frame_round_trip(self, tmp_path):
         w = unit_circle_map(PeriodicGrid((64,)))

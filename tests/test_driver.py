@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from corrugate.cli import parse_report
 from corrugate.driver import (
     IterationSchedule,
     RunReport,
@@ -8,7 +9,7 @@ from corrugate.driver import (
     nash_kuiper_iterate,
 )
 from corrugate.errors import InputError, NonconvergenceError
-from corrugate.fieldio import read_table, write_table
+from corrugate.fieldio import write_table
 from corrugate.grid import (
     MetricField,
     PeriodicGrid,
@@ -173,6 +174,6 @@ class TestRunReportSerialization:
         rows = rep.csv_rows()
         assert len(rows) == 3  # header plus one row per stage
         write_table(rows[0], rows[1:], tmp_path / "run.csv")
-        back = RunReport.from_csv_rows(read_table(tmp_path / "run.csv")[1])
+        back = parse_report(tmp_path / "run.csv", "run")
         assert back.stage_reports == reports
         assert back.final_defect == 0.04

@@ -70,6 +70,15 @@ class TestNormalPair:
         with pytest.raises(InputError, match=message):
             FramePair(grid, nu, b).validate(clifford_map(grid, r=0.8))
 
+    @pytest.mark.parametrize("which", ["nu", "b"])
+    def test_validate_refuses_a_nan(self, which):
+        grid = PeriodicGrid((16, 16))
+        w = clifford_map(grid)
+        pair = normal_pair(w)
+        getattr(pair, which)[3, 5, 1] = np.nan
+        with pytest.raises(InputError, match=f"{which} is not unit length"):
+            pair.validate(w)
+
     def test_clifford_output_satisfies_invariants(self):
         grid = PeriodicGrid((32, 32))
         w = clifford_map(grid, r=0.8)

@@ -10,9 +10,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from corrugate.cli import emit_report, parse_report
+from corrugate.corrugation import StageReport
 from corrugate.decompose import GRAD_TOL, PrimitiveMetric
-from corrugate.driver import c1_cauchy_audit
-from corrugate.errors import InputError
+from corrugate.driver import RunReport, c1_cauchy_audit
+from corrugate.errors import InputError, PropagationError, SingularityError
 from corrugate.fieldio import (
     read_field,
     read_primitives,
@@ -20,6 +22,8 @@ from corrugate.fieldio import (
     write_field_block,
     write_primitives,
 )
+from corrugate.flow import FlowDiagnostics, FlowSample
+from corrugate.frame import normal_pair
 from corrugate.grid import (
     MIN_RESOLUTION,
     ImmersionField,
@@ -27,7 +31,13 @@ from corrugate.grid import (
     PeriodicGrid,
     ScalarField,
     bandwidth,
+    resample,
+    spectral_derivative,
+    spectral_gradient,
 )
+from corrugate.leastnorm import PIVOT_FLOOR, _spd_solve
+
+from conftest import clifford_map, unit_circle_map
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 nonnegative = st.floats(min_value=0.0, allow_infinity=False, width=64)
@@ -162,3 +172,238 @@ def test_bandwidth_is_the_top_mode_of_a_band_limited_field(data):
     modes = np.arange(top + 1).reshape((-1,) + (1,) * grid.dim) * grid.meshes()[axis]
     values = np.sum(coeff[:, 0] * np.cos(modes) + coeff[:, 1] * np.sin(modes), axis=0)
     assert bandwidth(values, axis) == top
+
+
+# ---------------------------------------------------------------------------
+# report tables
+
+
+def _report_text(kind) -> str:
+    """A stage report, a two-stage run report or a two-step flow table, as
+    emit_report writes them."""
+    stage = StageReport(c0_delta=0.01, c1_delta=0.5, defect_before=0.44, defect_after=0.15,
+                        lambdas=[64.0, 128.0], resolution=(256, 64), slack=1e-14)
+    report = {"stage": stage,
+              "run": RunReport(stage_reports=[stage, stage]),
+              "flow": FlowDiagnostics(samples=[FlowSample(*np.linspace(10.0, 11.0, 9))] * 2),
+              }[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report.csv")
+        emit_report(report, path)
+        with open(path) as fh:
+            return fh.read()
+
+
+@st.composite
+def mutated_reports(draw):
+    """A report table with one line dropped or duplicated, one cell swapped
+    for nan, inf, text, nothing or another grid, or the text truncated."""
+    kind = draw(st.sampled_from(["stage", "run", "flow"]))
+    lines = _report_text(kind).splitlines()
+    at = draw(st.integers(0, len(lines) - 1))
+    how = draw(st.sampled_from(["drop", "duplicate", "swap", "truncate"]))
+    if how == "drop":
+        del lines[at]
+    elif how == "duplicate":
+        lines.insert(at, lines[at])
+    elif how == "swap":
+        cells = lines[at].split(",")
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(
+            ["nan", "inf", "-inf", "abc", "", "1e999", "25x6", "16x16x16", "7", "0x16"]))
+        lines[at] = ",".join(cells)
+    text = "\n".join(lines) + "\n"
+    if how == "truncate":
+        text = text[:draw(st.integers(0, len(text)))]
+    return kind, text
+
+
+@given(mutated_reports())
+@example(("run", "stage,resolution,c0_delta,c1_delta,defect_before,defect_after,slack,lambdas\n"
+                 "1,256x64,0.01,0.5,0.44,0.15,1e-14\n"))
+@example(("stage", "resolution,c0_delta,c1_delta,defect_before,defect_after,slack,lambdas\n"))
+def test_mutated_report_parses_or_raises_input_error(case):
+    kind, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report.csv")
+        with open(path, "w") as fh:
+            fh.write(text)
+        try:
+            parse_report(path, kind)
+        except InputError:
+            pass
+
+
+# ---------------------------------------------------------------------------
+# spectral identities
+
+
+@st.composite
+def band_limited(draw, grid, ncomp):
+    """Node samples of sum_k c_k cos(k.x) + s_k sin(k.x) per component, over
+    one to four distinct nonzero wavevectors with |k_a| < n_a/2 on every axis
+    (no Nyquist content) and |c_k|, |s_k| in [0.1, 1], with the analytic
+    second derivatives, shape grid + (d, d, ncomp)."""
+    ranges = [st.integers(-(n // 2 - 1), n // 2 - 1) for n in grid.shape]
+    # k and -k give the same functions: keep the one whose first nonzero entry is positive
+    canonical = st.tuples(*ranges).filter(lambda k: any(k) and next(v for v in k if v) > 0)
+    waves = draw(st.lists(canonical, min_size=1, max_size=4, unique=True))
+    amps = st.floats(0.1, 1.0).flatmap(lambda a: st.sampled_from([a, -a]))
+    values = np.zeros(grid.shape + (ncomp,))
+    second = np.zeros(grid.shape + (grid.dim, grid.dim, ncomp))
+    meshes = grid.meshes()
+    for k in waves:
+        phase = sum(ka * xa for ka, xa in zip(k, meshes))[..., None]
+        c, s = (np.array([draw(amps) for _ in range(ncomp)]) for _ in range(2))
+        term = c * np.cos(phase) + s * np.sin(phase)
+        values += term
+        second -= np.einsum("ij,...a->...ija", np.outer(k, k), term)
+    return values, second
+
+
+@st.composite
+def band_limited_maps(draw):
+    """A band-limited map into R^3 with random offsets, and its analytic D^2."""
+    grid = draw(grids)
+    values, second = draw(band_limited(grid, 3))
+    offsets = draw(arrays(float, (grid.dim, 3), elements=st.floats(-2.0, 2.0)))
+    return ImmersionField.from_periodic(grid, values, offsets), second
+
+
+@given(band_limited_maps())
+def test_second_derivatives_are_the_analytic_ones(case):
+    w, second = case
+    got = w.second_derivatives()
+    scale = np.max(np.abs(second))
+    assert np.max(np.abs(got - second)) <= 1e-10 * scale
+    if w.grid.dim == 2:
+        assert np.max(np.abs(got[..., 0, 1, :] - got[..., 1, 0, :])) <= 1e-12 * scale
+
+
+@st.composite
+def band_limited_fields_and_finer_grids(draw):
+    """A band-limited scalar field and a grid 1, 2 or 4 times finer per axis."""
+    grid = draw(grids)
+    values, _ = draw(band_limited(grid, 1))
+    factors = draw(st.tuples(*[st.sampled_from([1, 2, 4]) for _ in grid.shape]))
+    fine = PeriodicGrid(tuple(n * f for n, f in zip(grid.shape, factors)))
+    return ScalarField(grid, values[..., 0]), fine
+
+
+@given(band_limited_fields_and_finer_grids())
+def test_upsampling_commutes_with_the_gradient(case):
+    f, fine = case
+    up_then_grad = spectral_gradient(resample(f, fine).data, fine)
+    grad_then_up = np.stack([
+        resample(ScalarField(f.grid, spectral_derivative(f.data, f.grid, a)), fine).data
+        for a in range(f.grid.dim)], axis=-1)
+    assert np.max(np.abs(up_then_grad - grad_then_up)) <= 1e-12 * np.max(np.abs(grad_then_up))
+
+
+@given(band_limited_fields_and_finer_grids())
+def test_downsampling_an_upsample_returns_the_input(case):
+    f, fine = case
+    back = resample(resample(f, fine), f.grid)
+    assert np.max(np.abs(back.data - f.data)) <= 1e-12 * np.max(np.abs(f.data))
+
+
+@st.composite
+def spd_fields(draw):
+    """A metric field of SPD matrices with eigenvalues in [1e-6, 1e3] and
+    random eigenvectors, node by node."""
+    grid = draw(grids)
+    positive = st.floats(1e-6, 1e3)
+    eigs = draw(arrays(float, grid.shape + (grid.dim,), elements=positive))
+    if grid.dim == 1:
+        return MetricField(grid, eigs)
+    angle = draw(arrays(float, grid.shape, elements=st.floats(0.0, np.pi)))
+    rot = np.stack([np.stack([np.cos(angle), -np.sin(angle)], -1),
+                    np.stack([np.sin(angle), np.cos(angle)], -1)], -2)
+    return MetricField.from_matrices(grid, np.einsum("...ik,...k,...jk->...ij", rot, eigs, rot))
+
+
+@given(spd_fields())
+def test_closed_form_smallest_eigenvalue_is_eigvalsh(g):
+    mats = g.matrices()
+    want = np.linalg.eigvalsh(mats)[..., 0]
+    trace = np.trace(mats, axis1=-2, axis2=-1)
+    assert np.all(np.abs(g.eigenvalues_min() - want) <= 1e-12 * trace)
+
+
+# ---------------------------------------------------------------------------
+# solver and frame
+
+
+def _eigh_solve(gram, rhs):
+    """The reference: refuse as _spd_solve does, then x = V diag(1/lam) V^T rhs."""
+    eigs, vecs = np.linalg.eigh(gram)
+    accepted = bool(np.all(eigs[..., 0] > PIVOT_FLOOR * eigs[..., -1]))
+    return accepted, np.einsum("...ij,...j->...i", vecs,
+                               np.einsum("...ji,...j->...i", vecs, rhs) / eigs)
+
+
+@st.composite
+def spd_batches(draw):
+    """Batches of 2x2 SPD grams with scales 1e-3..1e3, with their eigenvalue
+    ratios: the first within 10x of PIVOT_FLOOR on either side, the others
+    from PIVOT_FLOOR/10 up to 1, log-uniformly."""
+    size = draw(st.integers(1, 8))
+    floor = np.log10(PIVOT_FLOOR)
+    ratio = 10.0 ** np.concatenate([
+        [draw(st.floats(floor - 1, floor + 1))],
+        draw(arrays(float, size - 1, elements=st.floats(floor - 1, 0.0)))])
+    scale = 10.0 ** draw(arrays(float, size, elements=st.floats(-3.0, 3.0)))
+    angle = draw(arrays(float, size, elements=st.floats(0.0, np.pi)))
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    eigs = np.stack([scale, scale * ratio], -1)
+    gram = np.einsum("...ik,...k,...jk->...ij", rot, eigs, rot)
+    rhs = draw(arrays(float, (size, 2), elements=st.floats(-1.0, 1.0)))
+    return gram, rhs, ratio
+
+
+@given(spd_batches())
+def test_closed_form_solve_agrees_with_eigh(case):
+    """Away from the floor both refuse the same batches. Where both accept,
+    the solutions agree to 1e-10 relative when the gram is well conditioned,
+    and everywhere leave residuals that agree to 1e-10 of |gram| |x|: near
+    the floor the forward error is rounding times the condition number."""
+    gram, rhs, ratio = case
+    accepted, want = _eigh_solve(gram, rhs)
+    try:
+        got = _spd_solve(gram, rhs)
+    except SingularityError:
+        got = None
+    # rounding moves a ratio near the floor by about 1e-3 of itself
+    near_floor = np.any(np.abs(np.log10(ratio / PIVOT_FLOOR)) < np.log10(1.05))
+    if not near_floor:
+        assert accepted == (got is not None) == bool(np.all(ratio > PIVOT_FLOOR))
+    if accepted and got is not None:
+        size = np.linalg.norm(gram, axis=(-2, -1)) * np.linalg.norm(want, axis=-1)
+        resid = np.einsum("...ij,...j->...i", gram, got - want)
+        assert np.all(np.linalg.norm(resid, axis=-1) <= 1e-10 * size)
+        well = ratio > 1e-4
+        error = np.linalg.norm(got - want, axis=-1)
+        assert np.all(error[well] <= 1e-10 * np.linalg.norm(want, axis=-1)[well])
+
+
+@st.composite
+def perturbed_circles_and_tori(draw):
+    """The unit circle in R^3 or the Clifford torus in R^4 plus a band-limited
+    perturbation whose first derivatives stay below 0.7 of the unit tangents,
+    so the map stays an immersion."""
+    grid = draw(grids)
+    base = unit_circle_map(grid) if grid.dim == 1 else clifford_map(grid)
+    values, _ = draw(band_limited(grid, base.ambient_dim))
+    slope = np.max(np.linalg.norm(spectral_gradient(values, grid), axis=-1))
+    size = draw(st.floats(0.0, 0.7))
+    return ImmersionField.from_periodic(grid, base.data + size / slope * values)
+
+
+@given(perturbed_circles_and_tori())
+def test_normal_pair_is_valid_or_refused(w):
+    try:
+        pair = normal_pair(w)
+    except PropagationError:
+        return
+    assert np.all(np.isfinite(pair.nu)) and np.all(np.isfinite(pair.b))
+    pair.validate(w)
