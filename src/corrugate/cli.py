@@ -65,7 +65,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--bumps", type=int, default=1)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("frame", help="orthonormal normal pair along an immersion")
+    p = sub.add_parser("frame", help="orthonormal normal pair along a codimension-2 immersion")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", required=True)
 

@@ -49,7 +49,7 @@ LAMBDA_CAP = 2.0**14
 #: desk-scale cap on total grid nodes a lambda search may request
 MAX_NODES = 2**22
 
-#: seam mismatch (radians) above which a stage refuses the frame
+#: largest link residual (radians) above which a stage refuses the frame
 SEAM_TOL = 1e-6
 
 #: bump lattices per axis the decomposition tries, coarsest first
@@ -273,7 +273,7 @@ def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
     Each trial runs on the grid _required_grid gives for its frequency and
     the bandwidth B of ``w.data`` and the amplitude, measured once here.
     There the map and primitive are lifted from the arguments and the frame
-    is swept on the lifted map, so it stays out of B; every frame, the given
+    is built on the lifted map, so it stays out of B; every frame, the given
     one too, is held to SEAM_TOL. Returns the first passing lambda with the
     fields on its grid. A grid over MAX_NODES, read at call time, aborts.
     """

@@ -48,7 +48,7 @@ class CoverageError(NonconvergenceError):
 
 
 class PropagationError(NonconvergenceError):
-    """Normal-frame propagation collapsed (projected pair nearly dependent)."""
+    """No periodic normal frame: the normal bundle's Euler number is not 0."""
 
 
 class StageError(NonconvergenceError):

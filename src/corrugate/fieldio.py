@@ -118,6 +118,9 @@ def read_frame(path):
         lines = iter(fh)
         nu = read_field_block(lines)
         b = read_field_block(lines)
+    if nu.data.shape != b.data.shape:
+        raise InputError(f"frame blocks differ: nu has shape {nu.data.shape}, "
+                         f"b has shape {b.data.shape}")
     return FramePair(nu.grid, nu.data, b.data)
 
 

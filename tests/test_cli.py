@@ -13,6 +13,7 @@ from corrugate.fieldio import (
     read_primitives,
     read_table,
     write_field,
+    write_field_block,
     write_frame,
     write_primitives,
 )
@@ -214,6 +215,14 @@ class TestFrameAndPrimitiveIO:
         assert np.array_equal(back.nu, pair.nu)
         assert np.array_equal(back.b, pair.b)
 
+    def test_frame_blocks_on_different_grids_are_refused(self, tmp_path):
+        path = tmp_path / "frame.csv"
+        with open(path, "w") as fh:
+            write_field_block(unit_circle_map(PeriodicGrid((32,))), fh)
+            write_field_block(unit_circle_map(PeriodicGrid((16,)), ambient=4), fh)
+        with pytest.raises(InputError, match=r"\(32, 3\).*\(16, 4\)"):
+            read_frame(path)
+
     def test_primitives_round_trip(self, tmp_path):
         from corrugate.decompose import global_decompose
 
@@ -301,6 +310,12 @@ class TestMainDispatch:
         write_field(w, in_path)
         code = main(["frame", "--in", str(in_path), "--out", str(tmp_path / "f.csv")])
         assert code == 4
+
+    def test_frame_command_refuses_a_curve_in_r4(self, tmp_path):
+        # frames are built in codimension 2 only
+        in_path = tmp_path / "w.csv"
+        write_field(unit_circle_map(PeriodicGrid((64,)), ambient=4), in_path)
+        assert main(["frame", "--in", str(in_path), "--out", str(tmp_path / "f.csv")]) == 4
 
     def test_frame_command_on_clifford(self, tmp_path):
         w = clifford_map(PeriodicGrid((32, 32)))

@@ -366,7 +366,7 @@ class TestChooseLambda:
         torn = dataclasses.replace(normal_pair(w), seam_mismatch=1.0)
         with pytest.raises(StageError, match="seam"):
             choose_lambda(w, prim, torn, eta_budget=0.5, delta_budget=1e-6)
-        # the frame re-swept on the refined grid (lambda 8 needs 64 nodes)
+        # the frame rebuilt on the refined grid (lambda 8 needs 64 nodes)
         monkeypatch.setattr(corrugation, "normal_pair", lambda w_f: dataclasses.replace(
             normal_pair(w_f), seam_mismatch=1.0))
         with pytest.raises(StageError, match="seam"):

@@ -3,14 +3,7 @@ import pytest
 
 from corrugate import frame as frame_module
 from corrugate.errors import CapabilityError, InputError, PropagationError
-from corrugate.frame import (
-    FramePair,
-    _orthonormal_tangents,
-    _seed_pair,
-    _step,
-    _transport,
-    normal_pair,
-)
+from corrugate.frame import FramePair, normal_pair
 from corrugate.grid import ImmersionField, PeriodicGrid
 
 from conftest import clifford_map, flat_strip_map, plane_projector, unit_circle_map
@@ -143,133 +136,60 @@ class TestNormalPair:
         assert np.array_equal(f1.b, f2.b)
 
 
-class TestTorusRowSweep:
-    def test_matches_a_node_by_node_sweep(self):
-        grid = PeriodicGrid((256, 256))
-        x, y = grid.meshes()
-        w = clifford_map(grid, r=1.0)
-        w = ImmersionField(grid, w.values * (1.0 + 0.05 * np.sin(x + 2 * y))[..., None])
+def _bumped_clifford(res):
+    """The Clifford torus scaled by 1 + 0.05 sin(x + 2y): its normal bundle
+    is curved, so no parallel frame closes across the seams."""
+    grid = PeriodicGrid((res, res))
+    x, y = grid.meshes()
+    bump = 1.0 + 0.05 * np.sin(x + 2 * y)
+    return ImmersionField(grid, clifford_map(grid).values * bump[..., None])
+
+
+class TestCoulombGauge:
+    @pytest.mark.parametrize("r", [0.8, 1.0, 1.5])
+    def test_clifford_frame_is_the_radial_pair(self, r):
+        grid = PeriodicGrid((64, 32))
+        pair = normal_pair(clifford_map(grid, r=r))
+        nu, b = _clifford_pair(grid)
+        assert np.max(np.abs(pair.nu - nu)) <= 1e-12
+        assert np.max(np.abs(pair.b - b)) <= 1e-12
+
+    def test_unit_circle_frame_is_the_radial_pair(self):
+        grid = PeriodicGrid((64,))
+        (x,) = grid.meshes()
+        pair = normal_pair(unit_circle_map(grid))
+        nu = np.stack([np.cos(x), np.sin(x), np.zeros_like(x)], axis=-1)
+        assert np.max(np.abs(pair.nu - nu)) <= 1e-12
+        assert np.max(np.abs(pair.b - [0.0, 0.0, 1.0])) <= 1e-12
+
+    def test_curved_bundle_closes_across_the_seams(self):
+        w = _bumped_clifford(64)
         pair = normal_pair(w)
+        pair.validate(w)
+        assert pair.nu.shape == pair.b.shape == (64, 64, 4)
         assert pair.nu.flags["C_CONTIGUOUS"] and pair.b.flags["C_CONTIGUOUS"]
-        assert pair.nu.shape == pair.b.shape == (256, 256, 4)
-        tangents = _orthonormal_tangents(w)
-        nu = np.empty_like(pair.nu)
-        b = np.empty_like(pair.b)
-        nu[:, 0], b[:, 0] = _transport(
-            tangents[:, 0], *_seed_pair(tangents[0, 0], 4), "seed column ")
-        for i in range(256):
-            for j in range(1, 256):
-                nu[i, j], b[i, j] = _step(nu[i, j - 1], b[i, j - 1], tangents[i, j],
-                                          f"({i}, {j})")
-        assert np.array_equal(pair.nu, nu)
-        assert np.array_equal(pair.b, b)
+        assert pair.seam_mismatch <= 1e-12
 
+    def test_result_does_not_depend_on_the_start_pair(self):
+        nu, b = frame_module._start_pair(_bumped_clifford(128))
+        turn = np.random.default_rng(5).uniform(-np.pi, np.pi, nu.shape[1:])
+        nu_t, b_t = np.cos(turn) * nu + np.sin(turn) * b, np.cos(turn) * b - np.sin(turn) * nu
+        frame_module._coulomb_turn(nu, b)
+        frame_module._coulomb_turn(nu_t, b_t)
+        # one constant rotation takes the one result to the other
+        angle = np.arctan2(nu_t[:, 0, 0] @ b[:, 0, 0], nu_t[:, 0, 0] @ nu[:, 0, 0])
+        c, s = np.cos(angle), np.sin(angle)
+        assert np.max(np.abs(nu_t - (c * nu + s * b))) <= 1e-12
+        assert np.max(np.abs(b_t - (c * b - s * nu))) <= 1e-12
 
-def _sweep(tangents, nu0, b0):
-    """Node-by-node transport: project the previous pair, Gram-Schmidt it."""
-    nu = np.empty((tangents.shape[0], nu0.size))
-    b = np.empty_like(nu)
-    nu[0], b[0] = nu0, b0
-    for k in range(1, tangents.shape[0]):
-        coeff_nu = tangents[k] @ nu[k - 1]
-        coeff_b = tangents[k] @ b[k - 1]
-        p_nu = nu[k - 1] - coeff_nu @ tangents[k]
-        p_b = b[k - 1] - coeff_b @ tangents[k]
-        nu[k] = p_nu / np.linalg.norm(p_nu)
-        p_b = p_b - (p_b @ nu[k]) * nu[k]
-        b[k] = p_b / np.linalg.norm(p_b)
-    return nu, b
-
-
-def _corrugated_circle(res, lam=64, a=0.6):
-    """Unit circle in R^3 with an out-of-plane corrugation of frequency lam."""
-    grid = PeriodicGrid((res,))
-    (x,) = grid.meshes()
-    r = 1.0 + (a / lam) * np.cos(lam * x)
-    return ImmersionField(grid, np.stack(
-        [r * np.cos(x), r * np.sin(x), (a / lam) * np.sin(lam * x)], axis=-1))
-
-
-def _planar_wiggle(res, lam=1024, a=2.0):
-    """A circle in the plane z = 0 of R^3 with a radial wiggle of frequency
-    lam: the transport contracts the in-plane normal by a factor per node
-    that underflows over the loop, while the out-of-plane normal keeps its
-    length."""
-    grid = PeriodicGrid((res,))
-    (x,) = grid.meshes()
-    r = 1.0 + (a / lam) * np.cos(lam * x)
-    return ImmersionField(grid, np.stack([r * np.cos(x), r * np.sin(x), 0.0 * x], axis=-1))
-
-
-def _twisted_curve(res):
-    """A closed curve in R^4 with torsion in every normal direction."""
-    grid = PeriodicGrid((res,))
-    (x,) = grid.meshes()
-    return ImmersionField(grid, np.stack(
-        [np.cos(x), np.sin(x), 0.3 * np.cos(3 * x), 0.2 * np.sin(5 * x)], axis=-1))
-
-
-class TestTransport:
-    @pytest.mark.parametrize(
-        "path", ["corrugated_circle", "planar_wiggle", "curve_r4", "torus_seed_column"])
-    def test_scan_matches_node_sweep(self, path):
-        if path == "corrugated_circle":
-            tangents = _orthonormal_tangents(_corrugated_circle(4096))
-        elif path == "planar_wiggle":
-            tangents = _orthonormal_tangents(_planar_wiggle(4096))
-        elif path == "curve_r4":
-            tangents = _orthonormal_tangents(_twisted_curve(512))
-        else:
-            grid = PeriodicGrid((64, 64))
-            x, y = grid.meshes()
-            w = clifford_map(grid, r=0.9)
-            bump = 0.05 * np.sin(x + 2 * y)
-            w = ImmersionField(grid, w.values * (1.0 + bump)[..., None])
-            tangents = _orthonormal_tangents(w)[:, 0]
-        seed = _seed_pair(tangents[0], tangents.shape[-1])
-        nu, b = _transport(tangents, *seed)
-        nu_ref, b_ref = _sweep(tangents, *seed)
-        assert np.max(np.abs(nu - nu_ref)) <= 1e-12
-        assert np.max(np.abs(b - b_ref)) <= 1e-12
-
-    def test_right_angle_turn_raises_at_its_node(self):
-        n = 12
-        tangents = np.zeros((n, 1, 3))
-        tangents[:5, 0, 0] = 1.0
-        tangents[5:, 0, 1] = 1.0
-        e = np.eye(3)
-        with pytest.raises(PropagationError, match=r"node \(5,\)"):
-            _transport(tangents, e[1], e[2])
-
-    def test_step_collapse_names_its_node(self):
-        # four rows advance together; at row 3 the tangent is the pair's nu
-        e = np.eye(3)
-        nu, b = np.tile(e[0], (4, 1)), np.tile(e[1], (4, 1))
-        tangents = np.tile(e[2], (4, 1, 1))
-        tangents[3, 0] = e[0]
-        with pytest.raises(PropagationError, match=r"at node \(:, 7\)\(3,\) \(Gram det"):
-            _step(nu, b, tangents, "(:, 7)")
-
-    def test_seed_collapses_without_a_normal_plane(self):
-        with pytest.raises(PropagationError, match=r"at node seed\(\) \(Gram det"):
-            _seed_pair(np.eye(3)[:2], 3)
-
-    def test_circle_renormalizes_independently_of_node_count(self, monkeypatch):
-        calls = {"_step": 0, "_scan": 0}
-        for name in calls:
-            original = getattr(frame_module, name)
-
-            def counting(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
-
-            monkeypatch.setattr(frame_module, name, counting)
-        counts = []
-        for res in (64, 4096):
-            for name in calls:
-                calls[name] = 0
-            normal_pair(unit_circle_map(PeriodicGrid((res,))))
-            counts.append(dict(calls))
-        assert counts[0] == counts[1]
-        # one scan covers the whole loop: no restart on a smooth circle
-        assert counts[1]["_scan"] == 1
+    @pytest.mark.parametrize("flux", [1, -1])
+    def test_nonzero_euler_number_is_refused(self, flux):
+        # links of curvature 2 pi / n^2 in every cell: one 2 pi vortex spread
+        # over the torus, which no periodic frame can carry
+        n = 16
+        i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        l0 = np.where(i == n - 1, -2.0 * np.pi * j / n, 0.0)
+        l1 = 2.0 * np.pi * i / n ** 2
+        links = [frame_module._wrap(flux * link) for link in (l0, l1)]
+        with pytest.raises(PropagationError, match=f"normal Euler number {flux}:"):
+            frame_module._gauge_links(links)

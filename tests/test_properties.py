@@ -407,3 +407,4 @@ def test_normal_pair_is_valid_or_refused(w):
         return
     assert np.all(np.isfinite(pair.nu)) and np.all(np.isfinite(pair.b))
     pair.validate(w)
+    assert pair.seam_mismatch <= 1e-12
