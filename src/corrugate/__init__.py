@@ -27,7 +27,6 @@ from .decompose import (
     RankOneBasis,
     congruence_match,
     global_decompose,
-    pointwise_decompose,
     rank_one_basis,
 )
 from .driver import IterationSchedule, RunReport, c1_cauchy_audit, nash_kuiper_iterate
@@ -88,7 +87,6 @@ __all__ = [
     "least_norm_solve",
     "nash_kuiper_iterate",
     "normal_pair",
-    "pointwise_decompose",
     "psi_ramp",
     "pullback_metric",
     "rank_one_basis",

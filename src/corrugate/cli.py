@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import corrugation, fieldio
+from . import fieldio
 from .corrugation import StageReport, run_stage
 from .decompose import global_decompose
 from .driver import IterationSchedule, RunReport, nash_kuiper_iterate
@@ -28,7 +28,7 @@ from .smoothing import calibration_field, estimate_bench
 
 @dataclass
 class RunConfig:
-    """Validated invocation: subcommand and typed parameter map."""
+    """Parsed invocation: subcommand and typed parameter map."""
 
     command: str
     params: dict = field(default_factory=dict)
@@ -127,25 +127,13 @@ def _config_argv(commands: dict, config: RunConfig) -> list[str]:
                                for key, value in config.params.items() if value is not None]
 
 
-def _validate(config: RunConfig) -> RunConfig:
-    p = config.params
-    for key, low in (("stages", 0), ("resolution", 1), ("bumps", 1)):
-        if key in p and p[key] < low:
-            raise InputError(f"{key} must be at least {low}, got {p[key]}")
-    if config.command == "run":
-        nodes = p["resolution"] ** (2 if p["manifold"] == "torus" else 1)
-        if nodes > corrugation.MAX_NODES:
-            raise InputError(f"resolution {p['resolution']} gives a start grid of {nodes} "
-                             f"nodes, beyond the desk-scale cap of "
-                             f"{corrugation.MAX_NODES} nodes")
-    return config
-
-
 def parse_config(argv=None) -> RunConfig:
-    """Parse CLI arguments, or the JSON file ``--config`` names, into a validated RunConfig.
+    """Parse CLI arguments, or the JSON file ``--config`` names, into a RunConfig.
 
     A config file's params go through the same parser as the flags, and
-    each given value must be the one the parser makes of its text.
+    each given value must be the one the parser makes of its text. Value
+    ranges are checked where the values are used: a grid's resolution and
+    node count by the grid, a stage count by its schedule.
     """
     parser, commands = _build_parser()
     ns = parser.parse_args(argv)
@@ -162,7 +150,7 @@ def parse_config(argv=None) -> RunConfig:
         if params[key] != value:
             raise InputError(f"{ns.command} {key}: expected "
                              f"{type(params[key]).__name__}, got {value!r}")
-    return _validate(RunConfig(command=ns.command, params=params))
+    return RunConfig(command=ns.command, params=params)
 
 
 def emit_report(report, path):
@@ -276,10 +264,10 @@ def _cmd_stage(p):
 
 
 def _cmd_run(p):
+    sched = IterationSchedule(epsilon=p["epsilon"], stages=p["stages"])
     v0 = _builtin_start(p["manifold"], p["resolution"])
     scale = p["target_scale"]
     g = MetricField.identity(v0.grid, scale * scale)
-    sched = IterationSchedule(epsilon=p["epsilon"], stages=p["stages"])
     prefix = p["out_prefix"]
     u, report = _solve_and_record(lambda: nash_kuiper_iterate(v0, g, sched), prefix, "report")
     if u.grid.dim == 2:

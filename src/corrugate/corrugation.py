@@ -15,11 +15,13 @@ the same measured budget as the construction's other first-order terms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
+from . import grid as grid_module
 from .decompose import PrimitiveMetric, global_decompose, overlap_bound
 from .errors import (
     CoverageError,
@@ -45,9 +47,6 @@ from .grid import (
 
 LAMBDA_START = 8.0
 LAMBDA_CAP = 2.0**14
-
-#: desk-scale cap on total grid nodes a lambda search may request
-MAX_NODES = 2**22
 
 #: largest link residual (radians) above which a stage refuses the frame
 SEAM_TOL = 1e-6
@@ -247,16 +246,17 @@ class StageFields(NamedTuple):
     grid: PeriodicGrid
 
 
-def _required_grid(grid: PeriodicGrid, k_vec, band) -> PeriodicGrid:
+def _required_grid(grid: PeriodicGrid, k_vec, band) -> tuple[int, ...]:
     """Per axis, the smallest power of two from ``grid`` up with n > 4(|k| + B):
     a spiral a e^{ik.x}, a of bandwidth B, has modes to |k| + B, so the products
-    of it that the checks and the next stage read stay below Nyquist."""
+    of it that the checks and the next stage read stay below Nyquist. Returns
+    a shape, so one over the node cap is explained before a grid refuses it."""
     shape = []
     for res, k, b in zip(grid.shape, k_vec, band):
         while res <= 4 * (abs(int(k)) + b):
             res *= 2
         shape.append(res)
-    return PeriodicGrid(tuple(shape))
+    return tuple(shape)
 
 
 def _seam_checked(frame: FramePair) -> FramePair:
@@ -275,7 +275,8 @@ def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
     There the map and primitive are lifted from the arguments and the frame
     is built on the lifted map, so it stays out of B; every frame, the given
     one too, is held to SEAM_TOL. Returns the first passing lambda with the
-    fields on its grid. A grid over MAX_NODES, read at call time, aborts.
+    fields on its grid. A grid over the cap ``grid.MAX_NODES``, read at call
+    time, aborts.
     """
     if not (eta_budget > 0.0 and delta_budget > 0.0):
         raise InputError(f"lambda search budgets must be positive, got eta "
@@ -287,15 +288,17 @@ def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
     last_check = None
     while lam <= LAMBDA_CAP:
         k_vec = integer_phase(prim, lam)
-        needed = _required_grid(cur.grid, k_vec, band)
-        if needed.num_nodes > MAX_NODES:
+        shape = _required_grid(cur.grid, k_vec, band)
+        if math.prod(shape) > grid_module.MAX_NODES:
             tried = "" if last_check is None else (
                 f"; the trial at lambda {lam / 2.0:.0f} failed estimate(s) "
                 f"{last_check.failing()} with measured {last_check.measured()}")
             raise NonconvergenceError(
                 f"oscillation at frequency {tuple(int(k) for k in k_vec)} needs grid "
-                f"{needed.shape}, beyond the desk-scale cap of {MAX_NODES} nodes{tried}")
-        if needed.shape != cur.grid.shape:
+                f"{shape}, beyond the desk-scale cap of {grid_module.MAX_NODES} "
+                f"nodes{tried}")
+        if shape != cur.grid.shape:
+            needed = PeriodicGrid(shape)
             w_f = resample(w, needed)
             cur = StageFields(
                 w=w_f,
@@ -324,15 +327,11 @@ def run_stage(w: ImmersionField, g: MetricField, eta: float,
     sequentially, recomputing the normal frame after each addition. The
     per-primitive budgets are eta/K(n) and (delta/2)/K(n). The primitives,
     ``g`` and ``w`` stay on the input grid and are lifted to the map's grid
-    where they are read. An input grid over MAX_NODES is refused before
-    anything is built on it; a lambda search past MAX_NODES aborts the stage.
+    where they are read. A lambda search past the node cap aborts the stage.
     """
     if not (0.0 < eta < np.inf and 0.0 < delta < np.inf):
         raise InputError(f"stage budgets eta and delta must be finite and positive, "
                          f"got {eta!r} and {delta!r}")
-    if w.grid.num_nodes > MAX_NODES:
-        raise InputError(f"input grid {w.grid.shape} has {w.grid.num_nodes} nodes, "
-                         f"beyond the desk-scale cap of {MAX_NODES} nodes")
     w.require_immersion()
     flag, margin = is_short(w, g, strict=True)
     if not flag:

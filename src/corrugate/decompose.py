@@ -14,12 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError, InputError
-from .grid import (
-    TWO_PI,
-    MetricField,
-    PeriodicGrid,
-    ScalarField,
-)
+from .grid import TWO_PI, MetricField, PeriodicGrid, ScalarField, _check_finite
 
 #: patch acceptance floor for the coefficient fields alpha_i
 ALPHA_FLOOR = 0.05
@@ -128,6 +123,7 @@ class PrimitiveMetric:
         self.psi_linear = np.asarray(self.psi_linear, dtype=float)
         if self.psi_linear.shape != (self.grid.dim,):
             raise InputError("psi_linear must have one coefficient per axis")
+        _check_finite(self.psi_linear, "psi_linear")
         if float(np.min(self.amplitude.values)) < 0.0:
             raise InputError("primitive amplitude must be nonnegative")
         if np.linalg.norm(self.psi_linear) <= GRAD_TOL and np.any(self.amplitude.values > 0):
@@ -167,34 +163,6 @@ def _pointwise_split(h_mats: np.ndarray, center_matrix: np.ndarray,
     v = basis.vectors @ L
     transported = RankOneBasis(vectors=v, duals=_duals_for(v))
     return v, transported.coefficients(h_mats)
-
-
-def pointwise_decompose(h: MetricField, p) -> tuple[list[PrimitiveMetric], np.ndarray]:
-    """Split h around the node ``p`` into J primitives with linear psi.
-
-    Returns the primitives (amplitudes sqrt(alpha_i) clipped at zero) and
-    the boolean validity mask where every alpha_i is positive; the
-    reconstruction identity holds exactly on that region, and alpha_i = 1
-    at the center node. A caller that needs a node covered checks the mask.
-    """
-    _require_positive_definite(h)
-    grid = h.grid
-    p = tuple(int(i) for i in np.atleast_1d(p))
-    if len(p) != grid.dim:
-        raise InputError("center node index must have one entry per axis")
-    mats = h.matrices()
-    basis = rank_one_basis(grid.dim)
-    v, alphas = _pointwise_split(mats, mats[p], basis)
-    valid = np.all(alphas > 0.0, axis=-1)
-    prims = [
-        PrimitiveMetric(
-            amplitude=ScalarField(grid, np.sqrt(np.maximum(alphas[..., i], 0.0))),
-            psi_linear=v[i],
-            support_id=0,
-        )
-        for i in range(v.shape[0])
-    ]
-    return prims, valid
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +210,9 @@ def global_decompose(h: MetricField, bump_count: int = 1) -> list[PrimitiveMetri
     """
     _require_positive_definite(h)
     grid = h.grid
-    if bump_count < 1:
-        raise InputError("bump_count must be at least 1")
+    if not 1 <= bump_count <= min(grid.shape):
+        raise InputError(f"bump_count must be 1 to {min(grid.shape)}, at most one patch "
+                         f"per node, got {bump_count}")
     mats = h.matrices()
     basis = rank_one_basis(grid.dim)
     centers = _patch_centers(grid, bump_count)

@@ -87,6 +87,10 @@ class FlowConfig:
             raise InputError("t0 must exceed 1 (smoothing scale 1/t must be < 1)")
         if not self.t0 + 5.0 <= self.resolved_end < np.inf:
             raise InputError(f"t_end must be finite and at least t0 + 5, got {self.t_end!r}")
+        # float spacing only grows with t, so no step before t_end stalls either
+        if self.resolved_end + STEP == self.resolved_end:
+            raise InputError(f"t_end {self.resolved_end!r} is too large for steps of "
+                             f"{STEP}: t_end + {STEP} == t_end")
         if not self.tol > 0:
             raise InputError(f"tol must be positive, got {self.tol!r}")
         if not self.smallness > 0:

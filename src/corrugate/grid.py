@@ -20,6 +20,7 @@ first derivative adds the constant linear slope back in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,13 +44,17 @@ ALIAS_TOL = 1e-10
 #: fewest nodes per grid axis
 MIN_RESOLUTION = 16
 
+#: desk-scale cap on the nodes of any grid, read when each grid is built
+MAX_NODES = 2**22
+
 
 @dataclass(frozen=True)
 class PeriodicGrid:
     """Uniform periodic grid over [0, 2pi)^d, d = 1 or 2.
 
     Resolutions are powers of two (enables exact spectral resampling) and
-    at least MIN_RESOLUTION per axis.
+    at least MIN_RESOLUTION per axis; a grid over MAX_NODES nodes is refused
+    before any of its arrays exists.
     """
 
     shape: tuple[int, ...]
@@ -64,6 +69,9 @@ class PeriodicGrid:
                 raise InputError(f"resolution {r} below minimum {MIN_RESOLUTION}")
             if r & (r - 1):
                 raise InputError(f"resolution {r} is not a power of two")
+        if self.num_nodes > MAX_NODES:
+            raise InputError(f"grid {shape} has {self.num_nodes} nodes, beyond the "
+                             f"desk-scale cap of {MAX_NODES} nodes")
 
     @property
     def dim(self) -> int:
@@ -71,7 +79,7 @@ class PeriodicGrid:
 
     @property
     def num_nodes(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     def axes(self) -> list[np.ndarray]:
         """Per-axis node coordinates, 2pi*i/res."""

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import corrugate.grid as grid_module
 from corrugate.cli import _build_parser, emit_report, main, parse_config, parse_report
 from corrugate.errors import InputError
 from corrugate.fieldio import (
@@ -31,27 +32,26 @@ class TestParseConfig:
         assert cfg.params["stages"] == 4
         assert cfg.params["epsilon"] == 0.5
 
-    def test_negative_stage_count_rejected(self):
-        with pytest.raises(InputError):
-            parse_config(["run", "--stages", "-1", "--out-prefix", "x"])
+    def test_negative_stage_count_rejected(self, tmp_path, capsys):
+        assert main(["run", "--stages", "-1", "--out-prefix", str(tmp_path / "x")]) == 2
+        assert "stage count must be nonnegative" in capsys.readouterr().err
 
     def test_unknown_flag_is_usage_error(self):
         code = main(["run", "--out-prefix", "x", "--bogus", "1"])
         assert code == 2
 
-    def test_start_grid_over_the_node_cap_refused(self, monkeypatch):
-        import corrugate.corrugation as corrugation
-
-        with pytest.raises(InputError, match="start grid of 16777216 nodes, beyond the "
-                                             "desk-scale cap of 4194304 nodes"):
-            parse_config(["run", "--manifold", "torus", "--resolution", "4096",
-                          "--out-prefix", "x"])
-        parse_config(["run", "--manifold", "circle", "--resolution", "4096",
-                      "--out-prefix", "x"])
-        monkeypatch.setattr(corrugation, "MAX_NODES", 2**10)
-        with pytest.raises(InputError, match="cap of 1024 nodes"):
-            parse_config(["run", "--manifold", "circle", "--resolution", "2048",
-                          "--out-prefix", "x"])
+    def test_start_grid_over_the_node_cap_refused(self, monkeypatch, tmp_path, capsys):
+        prefix = str(tmp_path / "x")
+        assert main(["run", "--manifold", "torus", "--resolution", "4096",
+                     "--out-prefix", prefix]) == 2
+        assert ("grid (4096, 4096) has 16777216 nodes, beyond the desk-scale cap of "
+                "4194304 nodes") in capsys.readouterr().err
+        assert PeriodicGrid((4096,)).num_nodes == 4096  # the circle's start grid is not
+        monkeypatch.setattr(grid_module, "MAX_NODES", 2**10)
+        assert main(["run", "--manifold", "circle", "--resolution", "2048",
+                     "--out-prefix", prefix]) == 2
+        assert "cap of 1024 nodes" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_missing_subcommand(self):
         with pytest.raises(InputError):
@@ -295,6 +295,35 @@ class TestMainDispatch:
         with pytest.raises(InputError, match="malformed primitive manifest") as err:
             read_primitives(path)
         assert repr(manifest) in str(err.value)
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_phase_in_manifest_refused(self, tmp_path, value):
+        from corrugate.decompose import global_decompose
+
+        prims = global_decompose(MetricField.identity(PeriodicGrid((16, 16)), 1.44))
+        path = tmp_path / "prims.csv"
+        write_primitives(prims[:1], path)
+        lines = path.read_text().splitlines()
+        manifest = f"primitive id=0 patch=0 psi_linear={value},1"
+        path.write_text("\n".join([manifest] + lines[1:]) + "\n")
+        with pytest.raises(InputError, match="non-finite values in psi_linear"):
+            read_primitives(path)
+
+    @pytest.mark.parametrize("argv, shape, nodes", [
+        (["free-check", "--in", "{header_only}"], "(4294967296, 4294967296)",
+         18446744073709551616),
+        (["flow", "--alpha", "0.04", "--resolution", "4398046511104", "--out-prefix", "{out}"],
+         "(4398046511104,)", 4398046511104),
+        (["smooth-bench", "--resolution", "8388608", "--out", "{out}"], "(8388608,)", 8388608),
+    ], ids=["field-header", "flow", "smooth-bench"])
+    def test_grid_over_the_node_cap_exits_2(self, tmp_path, capsys, argv, shape, nodes):
+        header_only = tmp_path / "header.csv"
+        header_only.write_text("# field immersion dim=2 res=4294967296,4294967296 N=4\n")
+        argv = [a.format(header_only=header_only, out=tmp_path / "out") for a in argv]
+        assert main(argv) == 2
+        assert (f"grid {shape} has {nodes} nodes, beyond the desk-scale cap of 4194304 "
+                "nodes") in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["header.csv"]
 
     def test_decompose_command(self, tmp_path):
         grid = PeriodicGrid((32, 32))

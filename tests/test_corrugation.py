@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import corrugate.grid as grid_module
 from corrugate.corrugation import (
     StageReport,
     _required_grid,
@@ -211,8 +212,6 @@ class TestFusedCheck:
         assert check.incr_err <= check.cross_err + check.quad_err + scale
 
     def test_differentiates_only_the_increment(self, monkeypatch):
-        import corrugate.grid as grid_module
-
         w_prev, w_next, prim = _check_case("clifford_8")
         w_prev.derivatives()
         calls = []
@@ -233,7 +232,7 @@ class TestRequiredGrid:
         ((256,), (1010,), (112,), (8192,)),        # 4 * 1122 = 4488
     ])
     def test_more_than_four_times_frequency_plus_bandwidth(self, shape, k_vec, band, want):
-        assert _required_grid(PeriodicGrid(shape), k_vec, band).shape == want
+        assert _required_grid(PeriodicGrid(shape), k_vec, band) == want
 
 
 class TestChooseLambda:
@@ -315,11 +314,9 @@ class TestChooseLambda:
         assert found == [(64.0, (256, 256)), (64.0, (256, 256)), (64.0, (256, 64))]
 
     def test_node_cap_abort_names_the_dominant_term(self, monkeypatch):
-        import corrugate.corrugation as corrugation
-
         # lambda 8, 16 and 32 are tried on 64x16, 128x16 and 256x16; lambda 64
         # needs 512x16, over the cap. The frame is parallel, so the cross term is 0
-        monkeypatch.setattr(corrugation, "MAX_NODES", 2**12)
+        monkeypatch.setattr(grid_module, "MAX_NODES", 2**12)
         grid = PeriodicGrid((64, 16))
         w = flat_strip_map(grid)
         prim = constant_primitive(grid, lambda x, y: 1.0 + 0.3 * np.cos(x))
@@ -347,7 +344,7 @@ class TestChooseLambda:
         trials = []
         monkeypatch.setattr(corrugation, "check_stage_estimates",
                             lambda *args: trials.append(args))
-        monkeypatch.setattr(corrugation, "MAX_NODES", 2**12)
+        monkeypatch.setattr(grid_module, "MAX_NODES", 2**12)
         grid = PeriodicGrid((64, 16))
         w = flat_strip_map(grid)
         with pytest.raises(InputError, match="budgets must be positive"):
@@ -418,13 +415,11 @@ class TestRunStage:
         assert rep1.lambdas == rep2.lambdas
 
     def test_torus_stage_exceeds_desk_scale(self, monkeypatch):
-        import corrugate.corrugation as corrugation
-
         # the sequential-primitive frequency feedback drives the lambda
         # search past any desk-scale grid cap already on the first
         # primitive; the honest outcome at these budgets is nonconvergence
         # (the acceptance suite runs the full default cap)
-        monkeypatch.setattr(corrugation, "MAX_NODES", 2**18)
+        monkeypatch.setattr(grid_module, "MAX_NODES", 2**18)
         grid = PeriodicGrid((64, 64))
         w = clifford_map(grid, r=1.0)
         g = MetricField.identity(grid, 1.5**2)
@@ -432,27 +427,18 @@ class TestRunStage:
             run_stage(w, g, eta=0.5, delta=0.25)
 
     def test_torus_stage_quotes_the_cap_in_force(self, monkeypatch):
-        import corrugate.corrugation as corrugation
-
-        monkeypatch.setattr(corrugation, "MAX_NODES", 2**12)
+        monkeypatch.setattr(grid_module, "MAX_NODES", 2**12)
         grid = PeriodicGrid((64, 64))
         w = clifford_map(grid, r=1.0)
         with pytest.raises(NonconvergenceError, match="cap of 4096 nodes"):
             run_stage(w, MetricField.identity(grid, 1.5**2), eta=0.5, delta=0.25)
 
     def test_input_grid_over_the_cap_refused_before_decomposing(self, monkeypatch):
-        import corrugate.corrugation as corrugation
-
-        calls = []
-        original = corrugation.global_decompose
-        monkeypatch.setattr(corrugation, "global_decompose",
-                            lambda *args, **kw: calls.append(1) or original(*args, **kw))
-        monkeypatch.setattr(corrugation, "MAX_NODES", 2**10)
-        grid = PeriodicGrid((64, 64))
-        with pytest.raises(InputError, match="4096 nodes, beyond the desk-scale cap of 1024"):
-            run_stage(clifford_map(grid, r=1.0), MetricField.identity(grid, 1.5**2),
-                      eta=0.5, delta=0.25)
-        assert calls == []
+        # the cap belongs to the grid: a stage input over it cannot be built
+        monkeypatch.setattr(grid_module, "MAX_NODES", 2**10)
+        with pytest.raises(InputError, match=r"grid \(64, 64\) has 4096 nodes, beyond "
+                                             "the desk-scale cap of 1024 nodes"):
+            PeriodicGrid((64, 64))
 
 
 class TestStageReportSerialization:

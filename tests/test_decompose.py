@@ -3,11 +3,11 @@ import pytest
 
 from corrugate.decompose import (
     PrimitiveMetric,
+    _pointwise_split,
     active_count,
     congruence_match,
     global_decompose,
     overlap_bound,
-    pointwise_decompose,
     rank_one_basis,
 )
 from corrugate.errors import CoverageError, InputError
@@ -73,34 +73,39 @@ class TestCongruenceMatch:
 
 
 class TestPointwiseDecompose:
+    """The split around one center matrix that each bump patch of
+    global_decompose makes: directions v and coefficient fields alphas."""
+
+    @staticmethod
+    def split_at(h, node):
+        mats = h.matrices()
+        v, alphas = _pointwise_split(mats, mats[node], rank_one_basis(h.grid.dim))
+        err = np.abs(np.einsum("...i,in,im->...nm", alphas, v, v) - mats)
+        return alphas, np.all(alphas > 0.0, axis=-1), err
+
     def test_transported_constant_field_has_unit_alphas(self):
         grid = PeriodicGrid((16, 16))
         L = np.array([[1.0, 0.3], [0.2, 1.5]])
         basis = rank_one_basis(2)
         v = basis.vectors @ L
         M = np.einsum("in,im->nm", v, v)
-        h = MetricField.constant_matrix(grid, M)
-        prims, valid = pointwise_decompose(h, (0, 0))
+        alphas, valid, _ = self.split_at(MetricField.constant_matrix(grid, M), (0, 0))
         assert valid.all()
-        for prim in prims:
-            assert np.max(np.abs(prim.amplitude.values - 1.0)) <= 1e-12
+        assert np.max(np.abs(alphas - 1.0)) <= 1e-12
 
     def test_constant_multiple_of_identity_reconstructs(self):
         grid = PeriodicGrid((16, 16))
-        h = MetricField.identity(grid, 2.25)
-        prims, valid = pointwise_decompose(h, (3, 5))
+        _, valid, err = self.split_at(MetricField.identity(grid, 2.25), (3, 5))
         assert valid.all()
-        err = reconstruct(prims, grid).comps - h.comps
-        assert np.max(np.abs(err)) <= 1e-10
+        assert np.max(err) <= 1e-10
 
     def test_center_normalization(self):
         rng = np.random.default_rng(5)
         grid = PeriodicGrid((16, 16))
         h = random_spd_metric_field(grid, rng, base=1.5, spread=0.4)
         p = (7, 2)
-        prims, _ = pointwise_decompose(h, p)
-        for prim in prims:
-            assert prim.amplitude.values[p] == pytest.approx(1.0, abs=1e-12)
+        alphas, _, _ = self.split_at(h, p)
+        assert alphas[p] == pytest.approx(np.ones(3), abs=1e-12)
 
     def test_perturbed_identity_reconstructs_on_valid_region(self):
         grid = PeriodicGrid((32, 32))
@@ -109,10 +114,8 @@ class TestPointwiseDecompose:
         comps = np.zeros(grid.shape + (3,))
         comps[..., 0] = base + 0.1 * np.cos(x)
         comps[..., 2] = base
-        h = MetricField(grid, comps)
-        prims, valid = pointwise_decompose(h, (0, 0))
+        _, valid, err = self.split_at(MetricField(grid, comps), (0, 0))
         assert valid.any()
-        err = np.abs(reconstruct(prims, grid).comps - h.comps)
         assert np.max(err[valid]) <= 1e-8
 
     def test_rejects_indefinite_field(self):
@@ -120,8 +123,8 @@ class TestPointwiseDecompose:
         comps = np.zeros(grid.shape + (3,))
         comps[..., 0] = 1.0
         comps[..., 2] = -0.5
-        with pytest.raises(InputError):
-            pointwise_decompose(MetricField(grid, comps), (0, 0))
+        with pytest.raises(InputError, match="not positive definite"):
+            global_decompose(MetricField(grid, comps))
 
     def test_node_outside_validity_is_masked(self):
         # eigenframe rotating by pi/2 across the chart: the far nodes leave
@@ -132,8 +135,7 @@ class TestPointwiseDecompose:
         c, s = np.cos(theta), np.sin(theta)
         comps = np.stack([4 * c * c + s * s, 3 * c * s, 4 * s * s + c * c],
                          axis=-1)
-        h = MetricField(grid, comps)
-        _, valid = pointwise_decompose(h, (0, 0))
+        _, valid, _ = self.split_at(MetricField(grid, comps), (0, 0))
         assert not valid[32, 0]
 
 
@@ -196,6 +198,13 @@ class TestGlobalDecompose:
         with pytest.raises(CoverageError):
             global_decompose(h, bump_count=1)
 
+    @pytest.mark.parametrize("count", [0, 17, 64])
+    def test_bump_count_outside_one_to_the_nodes_per_axis_refused(self, count):
+        # patches finer than the nodes leave some without support; 2^64 per
+        # axis would never finish building the lattice
+        with pytest.raises(InputError, match=f"bump_count must be 1 to 16, .* got {count}"):
+            global_decompose(MetricField.identity(PeriodicGrid((16, 32))), bump_count=count)
+
     def test_odd_lattice_rejected_in_2d(self):
         grid = PeriodicGrid((16, 16))
         with pytest.raises(InputError):
@@ -215,6 +224,13 @@ class TestPrimitiveMetric:
         grid = PeriodicGrid((16,))
         with pytest.raises(InputError, match="amplitude must be scalar, got metric data"):
             PrimitiveMetric(amplitude=MetricField.identity(grid), psi_linear=np.array([1.0]))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_constructor_refuses_a_non_finite_phase(self, value):
+        # a zero amplitude passes the dpsi test whatever psi_linear holds
+        with pytest.raises(InputError, match="non-finite values in psi_linear"):
+            PrimitiveMetric(amplitude=ScalarField.constant(PeriodicGrid((16,)), 0.0),
+                            psi_linear=np.array([value]))
 
     def test_constructor_refuses_vanishing_dpsi(self):
         grid = PeriodicGrid((16,))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import corrugate.grid as grid_module
 from corrugate.cli import parse_report
 from corrugate.driver import (
     IterationSchedule,
@@ -98,9 +99,7 @@ class TestIterate:
         assert partial.final_defect == partial.stage_reports[-1].defect_after
 
     def test_torus_aborts_with_partial_report(self, monkeypatch):
-        import corrugate.corrugation as corrugation
-
-        monkeypatch.setattr(corrugation, "MAX_NODES", 2**18)
+        monkeypatch.setattr(grid_module, "MAX_NODES", 2**18)
         grid = PeriodicGrid((64, 64))
         w = clifford_map(grid, r=1.0)
         g = MetricField.identity(grid, 1.5**2)
@@ -110,9 +109,7 @@ class TestIterate:
         assert err.value.partial_report.stage_reports == []
 
     def test_torus_abort_quotes_the_cap_in_force(self, monkeypatch):
-        import corrugate.corrugation as corrugation
-
-        monkeypatch.setattr(corrugation, "MAX_NODES", 2**12)
+        monkeypatch.setattr(grid_module, "MAX_NODES", 2**12)
         grid = PeriodicGrid((64, 64))
         w = clifford_map(grid, r=1.0)
         g = MetricField.identity(grid, 1.5**2)

@@ -237,6 +237,13 @@ class TestRunFlow:
         with pytest.raises(InputError):
             FlowConfig(t0=0.5)
 
+    @pytest.mark.parametrize("t0, t_end", [(1e17, 1.0000000000000002e17), (1e17, None)])
+    def test_end_where_a_step_does_not_advance_time_refused(self, t0, t_end):
+        # float spacing at 1e17 is 16, so t + STEP == t and the run would never end
+        with pytest.raises(InputError, match=f"^t_end .* too large for steps of {STEP}"):
+            FlowConfig(t0=t0, t_end=t_end)
+        FlowConfig(t0=1e12)  # spacing 1.2e-4 there, so every step advances
+
     @pytest.mark.parametrize("field, value", [
         ("t_end", float("inf")), ("t_end", float("nan")), ("t0", float("nan")),
         ("tol", float("nan")), ("smallness", float("nan")), ("smallness", 0.0)])

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+import corrugate.grid as grid_module
 from corrugate.errors import AliasingError, CapabilityError, InputError
 from corrugate.fieldio import read_field_block, write_field_block
 from corrugate.grid import (
@@ -45,6 +46,22 @@ class TestGridValidation:
     def test_rejects_dim_three(self):
         with pytest.raises(InputError):
             PeriodicGrid((16, 16, 16))
+
+    def test_grid_over_the_node_cap_refused_with_its_exact_count(self):
+        # 2^64 nodes: a fixed-width product would wrap around to 0
+        with pytest.raises(InputError, match=r"grid \(4294967296, 4294967296\) has "
+                                             "18446744073709551616 nodes, beyond the "
+                                             "desk-scale cap of 4194304 nodes"):
+            PeriodicGrid((2**32, 2**32))
+
+    def test_grid_at_the_node_cap_is_built(self):
+        assert PeriodicGrid((2**11, 2**11)).num_nodes == grid_module.MAX_NODES == 2**22
+
+    def test_node_cap_is_read_when_a_grid_is_built(self, monkeypatch):
+        monkeypatch.setattr(grid_module, "MAX_NODES", 2**8)
+        assert PeriodicGrid((16, 16)).num_nodes == 2**8
+        with pytest.raises(InputError, match="512 nodes, beyond the desk-scale cap of 256"):
+            PeriodicGrid((32, 16))
 
 
 class TestPullback:

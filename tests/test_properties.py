@@ -1,16 +1,17 @@
 """Property tests under the deterministic hypothesis profile of conftest.py."""
 
 import io
+import json
 import os
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from corrugate.cli import emit_report, parse_report
+from corrugate.cli import emit_report, main, parse_report
 from corrugate.corrugation import StageReport
 from corrugate.decompose import GRAD_TOL, PrimitiveMetric
 from corrugate.driver import RunReport, c1_cauchy_audit
@@ -231,6 +232,156 @@ def test_mutated_report_parses_or_raises_input_error(case):
             parse_report(path, kind)
         except InputError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# the command line on mutated input
+
+#: the exit-code contract: success, input error, nonconvergence, capability error
+EXIT_CODES = (0, 2, 3, 4)
+
+
+def _block_lines(field) -> list[str]:
+    out = io.StringIO()
+    write_field_block(field, out)
+    return out.getvalue().splitlines()
+
+
+#: the field files the commands read, as lines, by name
+_FIELD_FILES = {name: _block_lines(f) for name, f in [
+    ("circle", unit_circle_map(PeriodicGrid((16,)), ambient=2)),
+    ("torus", clifford_map(PeriodicGrid((16, 16)))),
+    ("circle-metric", MetricField.identity(PeriodicGrid((16,)), 1.44)),
+    ("metric", MetricField.identity(PeriodicGrid((16, 16)), 1.44))]}
+
+#: replacements for each header token after "# field"
+_HEADER_TOKENS = [
+    ["scalar", "metric", "immersion", "frame", "="],
+    ["dim=0", "dim=1", "dim=2", "dim=3", "dim=x", "dim"],
+    ["res=16", "res=32", "res=16,16", "res=8", "res=17", "res=-16", "res=16,x", "res=",
+     "res=4294967296,4294967296", "res=4398046511104", "res=16,16,16"],
+    ["N=0", "N=1", "N=2", "N=3", "N=4", "N=-1", "N=x", "N=18446744073709551616"],
+]
+_CELLS = ["nan", "inf", "-inf", "1e999", "", "x", "0", "1e300"]
+_OFFSETS = ["# offsets", "# offsets 1,0", "# offsets 1,0;0,1", "# offsets 6.283,0,0,0;0,0,1,0",
+            "# offsets nan,0", "# offsets 1e999,0", "# offsets x", "# offsets 1;2;3"]
+
+
+def _sometimes(draw) -> bool:
+    return draw(st.integers(0, 3)) == 0
+
+
+@st.composite
+def mutated_field_files(draw):
+    """A command and a field file with each of these mutations about one time
+    in four: header tokens replaced, a header token dropped, the offsets line
+    added, replaced or dropped, a row made wider or narrower, a cell replaced,
+    a row duplicated, rows dropped, the file cut off."""
+    lines = list(draw(st.sampled_from(list(_FIELD_FILES.values()))))
+    tokens = lines[0].split()
+    if _sometimes(draw):
+        tokens[2:] = [draw(st.one_of(st.just(token), st.sampled_from(pool)))
+                      for token, pool in zip(tokens[2:], _HEADER_TOKENS)]
+    if _sometimes(draw):
+        del tokens[draw(st.integers(2, len(tokens) - 1))]
+    lines[0] = " ".join(tokens)
+    if _sometimes(draw):
+        offsets = draw(st.sampled_from(_OFFSETS + [None]))
+        lines[1:1 + lines[1].startswith("# offsets")] = [] if offsets is None else [offsets]
+    first = 1 + lines[1].startswith("# offsets")
+    if _sometimes(draw):
+        row = draw(st.integers(first, len(lines) - 1))
+        cells = lines[row].split(",")
+        lines[row] = ",".join(cells + ["0.5"] if draw(st.booleans()) else cells[:-1])
+    if _sometimes(draw):
+        row = draw(st.integers(first, len(lines) - 1))
+        cells = lines[row].split(",")
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(_CELLS))
+        lines[row] = ",".join(cells)
+    if _sometimes(draw):
+        row = draw(st.integers(first, len(lines) - 1))
+        lines.insert(row, lines[row])
+    if _sometimes(draw):
+        row = draw(st.integers(first, len(lines) - 1))
+        del lines[row:row + draw(st.integers(1, 3))]
+    if _sometimes(draw):
+        lines = lines[:draw(st.integers(1, len(lines) - 1))]
+    return draw(st.sampled_from(["pullback", "frame", "free-check", "decompose"])), lines
+
+
+@settings(max_examples=200)
+@given(mutated_field_files())
+@example(("free-check", ["# field immersion dim=2 res=4294967296,4294967296 N=4"]))
+def test_mutated_field_file_exits_with_a_contract_code(case):
+    command, lines = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.csv")
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        argv = [command, "--in", path]
+        if command != "free-check":
+            argv += ["--out", os.path.join(tmp, "out.csv")]
+        assert main(argv) in EXIT_CODES
+
+
+#: configs of the commands that finish in milliseconds; {tmp} is the run's folder
+_CONFIGS = [
+    {"command": "free-check", "params": {"in_path": "{tmp}/circle.csv"}},
+    {"command": "pullback", "params": {"in_path": "{tmp}/torus.csv", "out": "{tmp}/g.csv"}},
+    {"command": "frame", "params": {"in_path": "{tmp}/torus.csv", "out": "{tmp}/f.csv"}},
+    {"command": "decompose", "params": {"in_path": "{tmp}/metric.csv", "bumps": 1,
+                                        "out": "{tmp}/p.csv"}},
+    {"command": "smooth-bench", "params": {"resolution": 16, "pairs": "2,0;0,2",
+                                           "eps": "0.5,0.25", "out": "{tmp}/s.csv"}},
+]
+_JSON_VALUES = [None, -1, 0, 1, 2, 3, 16, 2**64, 0.5, 1e308, float("inf"), "", "x", "1,1",
+                True, [], {}]
+
+
+@st.composite
+def mutated_configs(draw):
+    """A --config text with one mutation: a key dropped, added or given
+    another value or type, the command renamed, the params or the whole
+    config replaced by another JSON value, or the text cut off."""
+    base = draw(st.sampled_from(_CONFIGS))
+    params = dict(base["params"])
+    config = dict(base, params=params)
+    how = draw(st.sampled_from(["drop", "value", "add", "command", "params", "whole", "cut"]))
+    if how == "drop":
+        owner = draw(st.sampled_from([config, params]))
+        del owner[draw(st.sampled_from(sorted(owner)))]
+    elif how == "value":
+        params[draw(st.sampled_from(sorted(params)))] = draw(st.sampled_from(_JSON_VALUES))
+    elif how == "add":
+        key = draw(st.sampled_from(["bogus", "stages", "resolution", "bumps", "eta"]))
+        params[key] = draw(st.sampled_from(_JSON_VALUES))
+    elif how == "command":
+        config["command"] = draw(st.sampled_from(["run", "flow", "stage", "pullback", "nope", ""]))
+    elif how == "params":
+        config["params"] = draw(st.sampled_from(_JSON_VALUES))
+    text = json.dumps(draw(st.sampled_from(_JSON_VALUES)) if how == "whole" else config)
+    if how == "cut":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+@settings(max_examples=200)
+@given(mutated_configs())
+def test_mutated_config_exits_with_a_contract_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, lines in _FIELD_FILES.items():
+            with open(os.path.join(tmp, f"{name}.csv"), "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            fh.write(text.replace("{tmp}", tmp))
+        # a mutated value can name an output file relative to the working folder
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            assert main(["--config", path]) in EXIT_CODES
+        finally:
+            os.chdir(cwd)
 
 
 # ---------------------------------------------------------------------------
