@@ -17,7 +17,14 @@ E(tau_k) with tau_k <= t: sample k carries the weight
 psi(t - tau_k) w_k, respectively psi'(t - tau_k) w_k, where w_k is half
 the sum of its neighbouring gaps (half the one gap at either end), so an
 uneven last step is weighted by its own width. Samples that left the
-window are retired into a running tail integral.
+window are retired into a running tail integral, so the history is one
+time vector and one sample array sized to the window, not to the run.
+
+The steps run on arrays, with fields only where a run starts and returns.
+A right-hand side takes six FFT calls: one spectrum of the map, whose
+batched inverse gives S_{1/t} w and its first and second derivatives, one
+of the pair that hdot smooths, and a round trip of wdot for the identity
+check.
 
 If w(t) converges, its pullback picks up exactly the target tensor h:
 the smoothing error E is reabsorbed into h(t) by construction, which is
@@ -26,6 +33,7 @@ the whole point of the regularization.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -37,16 +45,9 @@ from .errors import (
     InputError,
     NonconvergenceError,
 )
-from .grid import (
-    ImmersionField,
-    MetricField,
-    derivative_sups,
-    pullback_metric,
-    sup_norm,
-    symmetric_product,
-)
-from .leastnorm import _free_stack, apply_L, is_free
-from .smoothing import smooth, smooth_eps_derivative
+from .grid import ImmersionField, MetricField, pullback_metric, sup_norm
+from .leastnorm import _freeness, _min_norm_velocity, is_free
+from .smoothing import multiplier, multiplier_derivative, smooth
 
 #: steps with a non-decaying, above-tolerance residual before giving up
 DIVERGENCE_PATIENCE = 20
@@ -101,54 +102,167 @@ class FlowConfig:
         return self.t_end if self.t_end is not None else self.t0 + 200.0
 
 
-@dataclass
-class FlowState:
-    """Integrator state: current time and map, stored increments E(tau)
-    with their times, and the retired part of the history integral
-    (samples that left the width-one ramp window)."""
+#: E samples a state makes room for: the width-one window, the two steps
+#: that ``prune`` keeps behind it, the newest sample and some slack
+WINDOW_SLOTS = int(np.ceil((1.0 + 2.0 * STEP) / STEP)) + 4
 
-    t: float
-    w: ImmersionField
-    E_history: list[tuple[float, MetricField]]
-    t0: float
-    tail_integral: MetricField
+
+class FlowState:
+    """Integrator state on arrays, built from fields: time ``t``, the map's
+    periodic samples ``P`` (its grid and ``offsets`` stay those of ``w``,
+    which reads back as a field), the stored increments E(tau) as a time
+    vector ``taus[:count]`` and one sample array ``E[:count]``, sized to the
+    ramp window rather than to the run, and ``tail``, the retired part of
+    the history integral (samples that left the width-one window)."""
+
+    def __init__(self, t: float, w: ImmersionField, E_history: list[tuple[float, MetricField]],
+                 t0: float, tail_integral: MetricField):
+        if w.grid.dim != 1:
+            raise InputError("the flow runs on circle maps (n=1)")
+        self.t = t
+        self.t0 = t0
+        self.w = w
+        self.tail = tail_integral.data
+        self.taus = np.empty(max(WINDOW_SLOTS, len(E_history)))
+        self.E = np.empty(self.taus.shape + self.tail.shape)
+        self.count = 0
+        for tau, e in E_history:
+            self.record(tau, e.data)
+
+    @property
+    def w(self) -> ImmersionField:
+        return ImmersionField.from_periodic(self.grid, self.P, self.offsets)
+
+    @w.setter
+    def w(self, w: ImmersionField):
+        self.grid, self.P, self.offsets = w.grid, w.data, w.offsets
+
+    def record(self, tau: float, E: np.ndarray):
+        """Store the sample E(tau), tau after every stored time."""
+        if self.count == len(self.taus):
+            self.taus = np.concatenate([self.taus, self.taus])
+            self.E = np.concatenate([self.E, self.E])
+        self.taus[self.count] = tau
+        self.E[self.count] = E
+        self.count += 1
 
     def prune(self):
         """Retire samples behind the ramp window into the running integral."""
         cutoff = self.t - 1.0 - 2.0 * STEP
-        while len(self.E_history) >= 2 and self.E_history[1][0] <= cutoff:
-            (t_a, e_a), (t_b, e_b) = self.E_history[0], self.E_history[1]
-            self.tail_integral = self.tail_integral + (e_a + e_b) * (0.5 * (t_b - t_a))
-            self.E_history.pop(0)
+        taus, E = self.taus, self.E
+        gone = 0
+        while self.count - gone >= 2 and taus[gone + 1] <= cutoff:
+            self.tail = self.tail + (E[gone] + E[gone + 1]) * (0.5 * (taus[gone + 1] - taus[gone]))
+            gone += 1
+        if gone:
+            self.count -= gone
+            taus[:self.count] = taus[gone:gone + self.count]
+            E[:self.count] = E[gone:gone + self.count]
 
 
-def _window_quadratures(state: FlowState, t: float, h_target: MetricField,
-                        ) -> tuple[MetricField, MetricField]:
+def _window_quadratures(state: FlowState, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Trapezoidal L(t) = tail + int E(tau) psi(t-tau) and the psi'-weighted
     tail integral, over the stored samples up to time t."""
-    samples = [(tau, e) for tau, e in state.E_history if tau <= t + 1e-12]
-    if len(samples) < 2:
-        if state.t > state.t0 + 2.0 * STEP and not samples:
+    taus = state.taus[:np.searchsorted(state.taus[:state.count], t + 1e-12, side="right")]
+    if len(taus) < 2:
+        if state.t > state.t0 + 2.0 * STEP and not len(taus):
             raise CorrugateError("internal error: E history window underflow")
-        return state.tail_integral, h_target * 0.0
-    taus = np.array([tau for tau, _ in samples])
+        return state.tail, np.zeros_like(state.tail)
     half = 0.5 * np.diff(taus)
     trap = np.zeros_like(taus)
     trap[:-1] += half
     trap[1:] += half
-    stack = np.stack([e.data for _, e in samples])
     lag = t - taus
-    L = np.tensordot(psi_ramp(lag) * trap, stack, axes=1)
-    C = np.tensordot(psi_ramp_derivative(lag) * trap, stack, axes=1)
-    grid = h_target.grid
-    return MetricField(grid, state.tail_integral.data + L), MetricField(grid, C)
+    weights = np.stack([psi_ramp(lag), psi_ramp_derivative(lag)]) * trap
+    L, C = np.einsum("wk,k...->w...", weights, state.E[:len(taus)])
+    return state.tail + L, C
+
+
+def _derivative_multipliers(n: int, orders: int) -> np.ndarray:
+    """(ik)^1 .. (ik)^orders per rfft mode of n nodes, the Nyquist mode
+    zeroed as in ``spectral_derivative``; shape (orders, n/2 + 1, 1)."""
+    ik = 1j * np.arange(n // 2 + 1, dtype=float)
+    ik[-1] = 0.0
+    return np.cumprod(np.broadcast_to(ik, (orders, len(ik))), axis=0)[..., None]
+
+
+@functools.lru_cache(maxsize=4)
+def _spectral_multipliers(n: int, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per rfft mode of n nodes at smoothing scale 1/t, with m = m(|xi|/t):
+    the jet multipliers (m, ik m, (ik)^2 m, ik) and the hdot pair
+    (-t^-2 |xi| m'(|xi|/t), m). Cached, since the middle stages of a step
+    share their time, hence read-only."""
+    eps = 1.0 / t
+    k = np.arange(n // 2 + 1, dtype=float)[:, None]
+    m = multiplier(eps * k)
+    ik, ik2 = _derivative_multipliers(n, 2)
+    jet = np.stack([m, ik * m, ik2 * m, ik])
+    pair = np.stack([k * multiplier_derivative(eps * k) * -(eps * eps), m])
+    jet.flags.writeable = pair.flags.writeable = False
+    return jet, pair
+
+
+def _smoothed_jet(P: np.ndarray, t: float) -> np.ndarray:
+    """S_{1/t} w, d S_{1/t} w, d^2 S_{1/t} w and dw of a circle map from its
+    periodic samples ``P``: one rfft and one batched irfft. Periodic parts
+    only; the map's offsets add to both first derivatives."""
+    jet, _ = _spectral_multipliers(len(P), t)
+    return np.fft.irfft(jet * np.fft.rfft(P, axis=0), n=len(P), axis=1)
+
+
+def _hdot(state: FlowState, t: float, h: np.ndarray) -> np.ndarray:
+    """hdot(t) from the target's components ``h``: the S'-term
+    -t^-2 S'[psi h + L(t)] plus S[psi' h + C(t)], where C(t) is the
+    E(tau) psi'(t - tau) window integral; one rfft of the stacked pair and
+    one irfft of the combined spectrum."""
+    L, C = _window_quadratures(state, t)
+    s = t - state.t0
+    _, pair = _spectral_multipliers(len(h), t)
+    spec = pair * np.fft.rfft(np.stack([h * psi_ramp(s) + L, h * psi_ramp_derivative(s) + C]),
+                              axis=1)
+    return np.fft.irfft(spec[0] + spec[1], n=len(h), axis=0)
+
+
+class _Rates(NamedTuple):
+    """One right-hand side on the circle's nodes: arrays of shape (n, N)
+    for maps, (n, 1, N) for their first derivatives and (n, 1) for
+    metrics."""
+
+    wdot: np.ndarray
+    dwdot: np.ndarray
+    hdot: np.ndarray
+    w_smooth: np.ndarray
+    dw_smooth: np.ndarray
+    dw: np.ndarray
+    identity_resid: float
+
+    @property
+    def E(self) -> np.ndarray:
+        """The smoothing increment E = 2 d(S_{1/t} w - w) (.) d wdot."""
+        return np.einsum("...a,...a->...", self.dw_smooth - self.dw, self.dwdot) * 2.0
+
+
+def _rhs(state: FlowState, h: np.ndarray, t: float, P: np.ndarray,
+         offsets: np.ndarray) -> _Rates:
+    """The right-hand side at (t, w) on arrays, w given by its periodic
+    samples ``P`` and ``offsets``: six FFT calls."""
+    w_smooth, d_smooth, d2_smooth, d_w = _smoothed_jet(P, t)
+    stack = np.stack([d_smooth + offsets[0], d2_smooth], axis=1)
+    report = _freeness(stack)
+    if not report.is_free:
+        raise NonconvergenceError(
+            f"flow abort at t={t:.3f}: smoothed map lost freeness "
+            f"(gram det {report.min_gram_det:.3e})")
+    hdot = _hdot(state, t, h)
+    wdot, dwdot, worst = _min_norm_velocity(stack, hdot, state.grid)
+    return _Rates(wdot, dwdot, hdot, w_smooth, stack[:, :1], (d_w + offsets[0])[:, None], worst)
 
 
 def eval_h(state: FlowState, t: float, h_target: MetricField) -> MetricField:
     """The tensor path h(t) = S_{1/t}[psi(t - t0) h + L(t)] from the stored
     history (valid for t at or slightly beyond the newest stored sample)."""
-    L, _ = _window_quadratures(state, t, h_target)
-    inner = h_target * psi_ramp(t - state.t0) + L
+    L, _ = _window_quadratures(state, t)
+    inner = MetricField(h_target.grid, h_target.data * psi_ramp(t - state.t0) + L)
     return smooth(inner, 1.0 / t)
 
 
@@ -158,11 +272,7 @@ def eval_hdot(state: FlowState, t: float, h_target: MetricField) -> MetricField:
     ramp term S[psi' h], the S'-term -t^-2 S'[psi h + L(t)], and the
     smoothed E(tau) psi'(t - tau) window integral.
     """
-    L, C = _window_quadratures(state, t, h_target)
-    inner = h_target * psi_ramp(t - state.t0) + L
-    s_prime = smooth_eps_derivative(inner, 1.0 / t) * (-1.0 / t**2)
-    ramp = smooth(h_target * psi_ramp_derivative(t - state.t0) + C, 1.0 / t)
-    return s_prime + ramp
+    return MetricField(h_target.grid, _hdot(state, t, h_target.data))
 
 
 class FlowRates(NamedTuple):
@@ -170,34 +280,22 @@ class FlowRates(NamedTuple):
     hdot: MetricField
     w_smooth: ImmersionField
     w: ImmersionField
-
-    @property
-    def E_new(self) -> MetricField:
-        """The smoothing increment E = 2 d(S_{1/t} w - w) (.) d wdot, built on
-        read: the flow stores it for one of its four stages only."""
-        return symmetric_product(self.w_smooth - self.w, self.wdot) * 2.0
+    E_new: MetricField
 
 
 def flow_rhs(state: FlowState, h_target: MetricField, t: float | None = None,
              w: ImmersionField | None = None) -> FlowRates:
-    """One right-hand-side evaluation at (t, w), default the state's own.
-
-    Computes hdot from the stored history and the minimum-norm velocity
-    wdot = L(S_{1/t} w) hdot; the new smoothing increment E is built only
-    when ``E_new`` is read. The derivative stack of S_{1/t} w is built once,
-    for both the freeness check and the solve.
-    """
+    """One right-hand-side evaluation at (t, w), default the state's own:
+    hdot from the stored history, the minimum-norm velocity
+    wdot = L(S_{1/t} w) hdot and the new smoothing increment E, as fields."""
     t = state.t if t is None else t
     w = state.w if w is None else w
-    w_smooth = smooth(w, 1.0 / t)
-    stack, report = _free_stack(w_smooth)
-    if not report.is_free:
-        raise NonconvergenceError(
-            f"flow abort at t={t:.3f}: smoothed map lost freeness "
-            f"(gram det {report.min_gram_det:.3e})")
-    hdot = eval_hdot(state, t, h_target)
-    wdot = apply_L(w_smooth, hdot, free=(stack, report))
-    return FlowRates(wdot=wdot, hdot=hdot, w_smooth=w_smooth, w=w)
+    r = _rhs(state, h_target.data, t, w.data, w.offsets)
+    grid = w.grid
+    return FlowRates(wdot=ImmersionField.from_periodic(grid, r.wdot),
+                     hdot=MetricField(grid, r.hdot),
+                     w_smooth=ImmersionField.from_periodic(grid, r.w_smooth, w.offsets),
+                     w=w, E_new=MetricField(grid, r.E))
 
 
 class FlowSample(NamedTuple):
@@ -246,24 +344,28 @@ def tracked_quantities(samples, t0: float):
     return rows, flags
 
 
-def _record(state: FlowState, rates: FlowRates, w0: ImmersionField,
-            w0_pull: MetricField, h_target: MetricField) -> FlowSample:
-    wbar_der = rates.w_smooth.derivatives()
-    ortho = float(np.max(np.abs(
-        np.einsum("...ia,...a->...i", wbar_der, rates.wdot.values))))
-    identity = symmetric_product(rates.w_smooth, rates.wdot) * 2.0 - rates.hdot
-    resid_now = pullback_metric(state.w) - w0_pull - h_target
-    diff = state.w - w0
-    hdot_sups = derivative_sups(rates.hdot, 4)
-    wdot_sups = derivative_sups(rates.wdot, 4)
+def _record(state: FlowState, rates: _Rates, P0: np.ndarray, w0_pull: np.ndarray,
+            h: np.ndarray) -> FlowSample:
+    """The step's diagnostics from the right-hand side just evaluated at
+    (state.t, state.P): each D^0..D^4 sup of hdot, wdot and w - w0 from one
+    rfft and one batched irfft of the three side by side."""
+    ortho = float(np.max(np.abs(np.einsum("...ia,...a->...i", rates.dw_smooth, rates.wdot))))
+    resid_now = np.einsum("...ia,...ia->...i", rates.dw, rates.dw) - w0_pull - h
+    cols = np.concatenate([rates.hdot, rates.wdot, state.P - P0], axis=1)
+    ders = np.fft.irfft(_derivative_multipliers(len(cols), 4) * np.fft.rfft(cols, axis=0),
+                        n=len(cols), axis=1)
+    squares = np.concatenate([cols[None], ders]) ** 2
+    hdot_sups, wdot_sups, dist_sups = (
+        np.max(np.sqrt(np.sum(part, axis=-1)), axis=1).tolist()
+        for part in np.split(squares, [1, 1 + rates.wdot.shape[1]], axis=-1))
     return FlowSample(
         t=state.t,
-        hdot_c0=hdot_sups[0], hdot_c4=float(sum(hdot_sups)),
-        wdot_c0=wdot_sups[0], wdot_c4=float(sum(wdot_sups)),
+        hdot_c0=hdot_sups[0], hdot_c4=sum(hdot_sups),
+        wdot_c0=wdot_sups[0], wdot_c4=sum(wdot_sups),
         ortho_resid=ortho,
-        identity_resid=sup_norm(identity, 0),
-        dist3=sup_norm(diff, 3),
-        metric_resid=sup_norm(resid_now, 0),
+        identity_resid=rates.identity_resid,
+        dist3=sum(dist_sups[:4]),
+        metric_resid=float(np.max(np.abs(resid_now))),
     )
 
 
@@ -272,7 +374,9 @@ def run_flow(w0: ImmersionField, h_target: MetricField,
     """Integrate the regularized flow from w0 toward a map realizing
     w0#e + h_target, with classical 4th-order steps of size STEP.
 
-    The returned map ubar = w(t_end) satisfies
+    The steps run on arrays; fields are built from them only here, at the
+    start and at the end, where they are checked for finite values. The
+    returned map ubar = w(t_end) satisfies
     ||ubar#e - (w0#e + h_target)|| <= cfg.tol. Any error raised while
     integrating carries the steps recorded so far as ``partial_report``.
     """
@@ -291,6 +395,7 @@ def run_flow(w0: ImmersionField, h_target: MetricField,
 
     state = FlowState(t=cfg.t0, w=w0, E_history=[], t0=cfg.t0,
                       tail_integral=h_target * 0.0)
+    h, offsets = h_target.data, w0.offsets
 
     diag = FlowDiagnostics()
     best_resid = float("inf")
@@ -299,9 +404,9 @@ def run_flow(w0: ImmersionField, h_target: MetricField,
     try:
         while state.t < t_end - 1e-9:
             dt = min(STEP, t_end - state.t)
-            rates1 = flow_rhs(state, h_target)
-            state.E_history.append((state.t, rates1.E_new))
-            sample = _record(state, rates1, w0, w0_pull, h_target)
+            rates1 = _rhs(state, h, state.t, state.P, offsets)
+            state.record(state.t, rates1.E)
+            sample = _record(state, rates1, w0.data, w0_pull.data, h)
             diag.samples.append(sample)
 
             if sample.metric_resid > cfg.tol:
@@ -313,16 +418,17 @@ def run_flow(w0: ImmersionField, h_target: MetricField,
                         f"{DIVERGENCE_PATIENCE} steps at t={state.t:.2f}")
             best_resid = min(best_resid, sample.metric_resid)
 
-            k1 = rates1.wdot
+            P, k1 = state.P, rates1.wdot
             half = state.t + dt / 2.0
-            k2 = flow_rhs(state, h_target, t=half, w=state.w + k1 * (dt / 2.0)).wdot
-            k3 = flow_rhs(state, h_target, t=half, w=state.w + k2 * (dt / 2.0)).wdot
-            k4 = flow_rhs(state, h_target, t=state.t + dt, w=state.w + k3 * dt).wdot
-            state.w = state.w + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (dt / 6.0)
+            k2 = _rhs(state, h, half, P + k1 * (dt / 2.0), offsets).wdot
+            k3 = _rhs(state, h, half, P + k2 * (dt / 2.0), offsets).wdot
+            k4 = _rhs(state, h, state.t + dt, P + k3 * dt, offsets).wdot
+            state.P = P + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (dt / 6.0)
             state.t += dt
             state.prune()
 
-        diag.final_resid = sup_norm(pullback_metric(state.w) - w0_pull - h_target, 0)
+        u = state.w
+        diag.final_resid = sup_norm(pullback_metric(u) - w0_pull - h_target, 0)
         if diag.final_resid > cfg.tol:
             raise NonconvergenceError(
                 f"final metric identity residual {diag.final_resid:.3e} exceeds "
@@ -330,4 +436,4 @@ def run_flow(w0: ImmersionField, h_target: MetricField,
     except CorrugateError as exc:
         exc.partial_report = diag
         raise
-    return state.w, diag
+    return u, diag

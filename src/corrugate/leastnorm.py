@@ -19,8 +19,9 @@ from .errors import ConsistencyError, InputError, SingularityError
 from .grid import (
     ImmersionField,
     MetricField,
+    PeriodicGrid,
     _require_same_grid,
-    symmetric_product,
+    spectral_gradient,
     triangular_index_pairs,
 )
 
@@ -88,10 +89,16 @@ def _check_pivot(low: np.ndarray, scale: np.ndarray):
             f"A A^T pivot below relative floor {PIVOT_FLOOR} (ratio {worst:.3e})")
 
 
+def _row_products(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Nodewise A B^T, (..., i, a) and (..., j, a) to (..., i, j), summed
+    term by term over the short last axis, where einsum is slow."""
+    return sum(A[..., :, None, a] * B[..., None, :, a] for a in range(A.shape[-1]))
+
+
 def least_norm_solve(system: LinearSystem) -> np.ndarray:
     """omega = A^T (A A^T)^{-1} v: each A omega = v solved with minimal norm."""
     A, v = system.A, system.v
-    gram = np.einsum("...ia,...ja->...ij", A, A)
+    gram = _row_products(A, A)
     return np.einsum("...ia,...i->...a", A, _spd_solve(gram, v))
 
 
@@ -110,6 +117,18 @@ def _derivative_stack(w: ImmersionField) -> np.ndarray:
     return np.stack(rows, axis=-2)
 
 
+def _freeness(stack: np.ndarray) -> FreeMapReport:
+    """Freeness read from a derivative stack: its smallest nodewise Gram
+    determinant against FREE_DET_TOL (in closed form for 2x2 Grams)."""
+    gram = _row_products(stack, stack)
+    if gram.shape[-1] == 2:
+        det = gram[..., 0, 0] * gram[..., 1, 1] - gram[..., 0, 1] * gram[..., 0, 1]
+    else:
+        det = np.linalg.det(gram)
+    min_det = float(np.min(det))
+    return FreeMapReport(min_det > FREE_DET_TOL, min_det, "gram determinant")
+
+
 def _free_stack(w: ImmersionField) -> tuple[np.ndarray | None, FreeMapReport]:
     """The derivative stack of ``w`` (None when the dimension count already
     fails) and the freeness report computed from it."""
@@ -118,9 +137,7 @@ def _free_stack(w: ImmersionField) -> tuple[np.ndarray | None, FreeMapReport]:
     if w.ambient_dim < needed:
         return None, FreeMapReport(False, 0.0, "dimension count")
     stack = _derivative_stack(w)
-    gram = np.einsum("...ia,...ja->...ij", stack, stack)
-    min_det = float(np.min(np.linalg.det(gram)))
-    return stack, FreeMapReport(min_det > FREE_DET_TOL, min_det, "gram determinant")
+    return stack, _freeness(stack)
 
 
 def is_free(w: ImmersionField) -> FreeMapReport:
@@ -133,30 +150,39 @@ def is_free(w: ImmersionField) -> FreeMapReport:
     return _free_stack(w)[1]
 
 
-def apply_L(w: ImmersionField, hdot: MetricField, *,
-            free: tuple[np.ndarray | None, FreeMapReport] | None = None,
-            ) -> ImmersionField:
-    """Nodewise minimum-norm velocity wdot with 2 dw (.) dwdot = hdot.
+def _min_norm_velocity(stack: np.ndarray, hdot: np.ndarray, grid: PeriodicGrid,
+                       ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Nodewise minimum-norm wdot with 2 dw (.) dwdot = hdot, on arrays.
 
-    Solves, at every node, the stacked system {d_j w . wdot = 0 for all j;
-    -2 d_ij w . wdot = hdot_ij for i <= j} and verifies the differential
-    identity a posteriori at LINEARIZATION_TOL. ``free`` is ``_free_stack(w)``
-    when the caller has already built it; it is built here otherwise.
+    ``stack`` is the derivative stack of a free map w and ``hdot`` the
+    triangular components of the metric rate. Solves, at every node, the
+    stacked system {d_j w . wdot = 0 for all j; -2 d_ij w . wdot = hdot_ij
+    for i <= j} and verifies the differential identity a posteriori at
+    LINEARIZATION_TOL (NaN fails it). Returns wdot's periodic samples, its
+    first derivatives and the largest identity residual.
     """
-    _require_same_grid(w, hdot)
-    stack, report = _free_stack(w) if free is None else free
-    if not report.is_free:
-        raise InputError(f"map is not free ({report.reason}: {report.min_gram_det:.3e})")
-    grid = w.grid
     d = grid.dim
     A = stack.copy()
     A[..., d:, :] *= -2.0
-    rhs = np.concatenate([np.zeros(grid.shape + (d,)), hdot.comps], axis=-1)
-    wdot = ImmersionField.from_periodic(grid, least_norm_solve(LinearSystem(A, rhs)))
-    residual = symmetric_product(w, wdot) * 2.0 - hdot
-    worst = float(np.max(np.abs(residual.comps)))
-    if worst > LINEARIZATION_TOL:
+    rhs = np.concatenate([np.zeros(grid.shape + (d,)), hdot], axis=-1)
+    wdot = least_norm_solve(LinearSystem(A, rhs))
+    dwdot = spectral_gradient(wdot, grid)
+    cross = _row_products(stack[..., :d, :], dwdot)
+    twice = np.stack([cross[..., i, j] + cross[..., j, i]
+                      for i, j in triangular_index_pairs(d)], axis=-1)
+    worst = float(np.max(np.abs(twice - hdot)))
+    if not worst <= LINEARIZATION_TOL:
         raise ConsistencyError(
             f"linearization identity residual {worst:.3e} exceeds {LINEARIZATION_TOL:.1e}; "
             "discretization too coarse")
-    return wdot
+    return wdot, dwdot, worst
+
+
+def apply_L(w: ImmersionField, hdot: MetricField) -> ImmersionField:
+    """Nodewise minimum-norm velocity wdot with 2 dw (.) dwdot = hdot,
+    verified a posteriori at LINEARIZATION_TOL (see ``_min_norm_velocity``)."""
+    _require_same_grid(w, hdot)
+    stack, report = _free_stack(w)
+    if not report.is_free:
+        raise InputError(f"map is not free ({report.reason}: {report.min_gram_det:.3e})")
+    return ImmersionField.from_periodic(w.grid, _min_norm_velocity(stack, hdot.comps, w.grid)[0])

@@ -11,6 +11,7 @@ the eps-derivative estimates in the range r < s.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -87,15 +88,24 @@ def estimate_bench(field, pairs, eps_grid):
       family d (s >= r):  ||D^r(T - S_eps T)||_0 vs eps^(s-r)
 
     Returns a list of records {family, r, s, max_ratio} (max over the eps
-    grid).
+    grid). An eps whose power overflows, or underflows to zero, is refused.
     """
     records = []
     norms = {}
 
-    def norm_s(s):
+    def scale(eps, power, s):
+        """eps^power * ||field||_s, refused outside the positive finite floats."""
         if s not in norms:
             norms[s] = sup_norm(field, s)
-        return norms[s]
+        try:
+            out = eps ** power * norms[s]
+        except OverflowError:
+            out = math.inf
+        if not 0.0 < out < math.inf:
+            raise InputError(f"eps {eps!r} to the power {power} times ||T||_{s} = "
+                             f"{norms[s]:.3e} leaves the float range; the ratio "
+                             "would be meaningless")
+        return out
 
     for r, s in pairs:
         ratios_b, ratios_c, ratios_d = [], [], []
@@ -103,11 +113,11 @@ def estimate_bench(field, pairs, eps_grid):
             sm = smooth(field, eps)
             smd = smooth_eps_derivative(field, eps)
             if r >= s:
-                ratios_b.append(derivative_sup(sm, r) / (eps ** (s - r) * norm_s(s)))
-            ratios_c.append(derivative_sup(smd, r) / (eps ** (s - r - 1) * norm_s(s)))
+                ratios_b.append(derivative_sup(sm, r) / scale(eps, s - r, s))
+            ratios_c.append(derivative_sup(smd, r) / scale(eps, s - r - 1, s))
             if s >= r:
                 diff = field - sm
-                ratios_d.append(derivative_sup(diff, r) / (eps ** (s - r) * norm_s(s)))
+                ratios_d.append(derivative_sup(diff, r) / scale(eps, s - r, s))
         if ratios_b:
             records.append({"family": "b", "r": r, "s": s, "max_ratio": max(ratios_b)})
         records.append({"family": "c", "r": r, "s": s, "max_ratio": max(ratios_c)})

@@ -469,14 +469,13 @@ class TestMainDispatch:
         import corrugate.flow as flow
 
         calls = []
-        free_stack = flow._free_stack
+        freeness = flow._freeness
 
-        def free_for_40_calls(w):
-            calls.append(w)
-            stack, report = free_stack(w)
-            return stack, report._replace(is_free=len(calls) <= 40)
+        def free_for_40_calls(stack):
+            calls.append(stack)
+            return freeness(stack)._replace(is_free=len(calls) <= 40)
 
-        monkeypatch.setattr(flow, "_free_stack", free_for_40_calls)
+        monkeypatch.setattr(flow, "_freeness", free_for_40_calls)
         prefix = str(tmp_path / "flow")
         code = main(["flow", "--alpha", "0.04", "--tend", "16", "--resolution", "64",
                      "--out-prefix", prefix])
@@ -517,6 +516,17 @@ class TestMainDispatch:
                      "--out", str(tmp_path / "b.csv")])
         assert code == 4
         assert "derivative order 5 unsupported" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps, pairs, power", [
+        ("1e-300", "2,0;3,1;0,2", -2), ("1e-160", "2,0;3,1;0,2", -2), ("1e-300", "0,2", 2)])
+    def test_smooth_bench_eps_power_out_of_float_range_exits_2(self, tmp_path, capsys,
+                                                               eps, pairs, power):
+        # eps^-2 overflows (it ended in an OverflowError) and eps^2 underflows to zero
+        code = main(["smooth-bench", "--resolution", "16", f"--pairs={pairs}", "--eps", eps,
+                     "--out", str(tmp_path / "b.csv")])
+        assert code == 2
+        assert f"eps {float(eps)!r} to the power {power} " in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
 
 
 class TestWriterBytes:

@@ -83,7 +83,7 @@ class TestFlowRhs:
                           t0=cfg.t0, tail_integral=h * 0.0)
         while state.t < 10.55:
             rates = flow_rhs(state, h)
-            state.E_history.append((state.t, rates.E_new))
+            state.record(state.t, rates.E_new.data)
             k1 = rates.wdot
             half = state.t + STEP / 2
             k2 = flow_rhs(state, h, t=half, w=state.w + k1 * (STEP / 2)).wdot
@@ -126,16 +126,15 @@ class TestFlowRhs:
         taus = list(10.0 + 0.05 * np.arange(23))
         taus += [taus[-1] + 0.02, taus[-1] + 0.07]  # short final step, then a future sample
         t = taus[-2] + 0.01
-        state = FlowState(t=taus[-2], w=circle_setup(64)[1],
-                          E_history=[(tau, metric(grid, rng.normal(size=grid.shape)))
-                                     for tau in taus],
-                          t0=10.0,
-                          tail_integral=metric(grid, rng.normal(size=grid.shape)))
+        history = [(tau, metric(grid, rng.normal(size=grid.shape))) for tau in taus]
+        tail = metric(grid, rng.normal(size=grid.shape))
+        state = FlowState(t=taus[-2], w=circle_setup(64)[1], E_history=history,
+                          t0=10.0, tail_integral=tail)
         h = metric(grid, 0.02 * np.cos(grid.meshes()[0]))
 
-        samples = [(tau, e.data) for tau, e in state.E_history if tau <= t]
+        samples = [(tau, e.data) for tau, e in history if tau <= t]
         assert len(samples) == len(taus) - 1
-        L = state.tail_integral.data
+        L = tail.data
         C = np.zeros_like(L)
         for (t_a, e_a), (t_b, e_b) in zip(samples, samples[1:]):
             dt = t_b - t_a
@@ -152,19 +151,44 @@ class TestFlowRhs:
                          (eval_hdot(state, t, h).data, hdot_ref)):
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
-    def test_one_derivative_stack_per_evaluation(self, monkeypatch):
-        import corrugate.leastnorm as leastnorm
-
-        built = []
-        stack_of = leastnorm._derivative_stack
-        monkeypatch.setattr(leastnorm, "_derivative_stack",
-                            lambda w: built.append(w) or stack_of(w))
+    def test_one_rhs_makes_at_most_six_transforms(self, monkeypatch):
+        # one spectrum of the map, one of the stacked h pair and one of wdot,
+        # each brought back by one batched inverse transform
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, lambda *args, _fn=getattr(np.fft, name), **kw:
+                                calls.append(_fn) or _fn(*args, **kw))
         grid, w0 = circle_setup(64)
         h = metric(grid, np.full(grid.shape, 0.02))
         state = FlowState(t=10.0, w=w0, E_history=[],
                           t0=10.0, tail_integral=h * 0.0)
         flow_rhs(state, h)
-        assert len(built) == 1
+        assert 0 < len(calls) <= 6
+
+    def test_recorded_sups_match_the_field_norms(self):
+        # the step's batched D^0..D^4 sups and residuals against the field norms
+        from corrugate.flow import _record, _rhs
+        from corrugate.grid import ImmersionField, derivative_sups, symmetric_product
+
+        grid, w0 = circle_setup(64)
+        (x,) = grid.meshes()
+        w = ImmersionField(grid, w0.values + 0.05 * np.stack([np.cos(3 * x), np.sin(2 * x)], -1))
+        h = metric(grid, 0.02 * np.cos(2 * x))
+        state = FlowState(t=10.05, w=w, E_history=[], t0=10.0, tail_integral=h * 0.0)
+        rates = _rhs(state, h.data, state.t, state.P, w.offsets)
+        sample = _record(state, rates, w0.data, pullback_metric(w0).data, h.data)
+        hdot = MetricField(grid, rates.hdot)
+        wdot = ImmersionField.from_periodic(grid, rates.wdot)
+        identity = symmetric_product(smooth(w, 1.0 / state.t), wdot) * 2.0 - hdot
+        for got, want in ((sample.hdot_c4, sum(derivative_sups(hdot, 4))),
+                          (sample.wdot_c4, sum(derivative_sups(wdot, 4))),
+                          (sample.dist3, sup_norm(w - w0, 3)),
+                          (sample.hdot_c0, sup_norm(hdot, 0)),
+                          (sample.wdot_c0, sup_norm(wdot, 0))):
+            assert got == pytest.approx(want, rel=1e-12)
+        resid = pullback_metric(w) - pullback_metric(w0) - h
+        assert sample.metric_resid == pytest.approx(sup_norm(resid, 0), abs=1e-15)
+        assert sample.identity_resid == pytest.approx(sup_norm(identity, 0), abs=1e-15)
 
     def test_window_underflow_is_internal_error(self):
         grid, w0 = circle_setup(64)
@@ -192,6 +216,15 @@ class TestRunFlow:
         g11 = pullback_metric(u).component(0, 0)
         assert np.max(np.abs(g11 - (1.0 + alpha))) <= 1e-4
         assert diag.final_resid <= 1e-4
+
+    def test_alpha_run_pins_final_residual(self):
+        # the flow bench's run: its final residual is pinned, its audits hold every step
+        grid, w0 = circle_setup(256)
+        _, diag = run_flow(w0, metric(grid, np.full(grid.shape, 0.04)),
+                           FlowConfig(t0=10.0, t_end=22.0, tol=1e-4))
+        assert abs(diag.final_resid - 6.26828e-8) <= 1e-11
+        assert max(s.ortho_resid for s in diag.samples) <= 1e-8
+        assert max(s.identity_resid for s in diag.samples) <= 1e-6
 
     @pytest.mark.slow
     def test_cosine_target_residual(self):

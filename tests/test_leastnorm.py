@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from corrugate.errors import ConsistencyError, InputError, SingularityError
-from corrugate.grid import ImmersionField, MetricField, PeriodicGrid
+from corrugate.grid import ImmersionField, MetricField, PeriodicGrid, symmetric_product
 from corrugate.leastnorm import (
     LinearSystem,
     _spd_solve,
     apply_L,
     is_free,
     least_norm_solve,
-    symmetric_product,
 )
 
 from conftest import unit_circle_map

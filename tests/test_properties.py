@@ -23,7 +23,7 @@ from corrugate.fieldio import (
     write_field_block,
     write_primitives,
 )
-from corrugate.flow import FlowDiagnostics, FlowSample
+from corrugate.flow import FlowDiagnostics, FlowSample, _smoothed_jet
 from corrugate.frame import normal_pair
 from corrugate.grid import (
     MIN_RESOLUTION,
@@ -37,6 +37,7 @@ from corrugate.grid import (
     spectral_gradient,
 )
 from corrugate.leastnorm import PIVOT_FLOOR, _spd_solve
+from corrugate.smoothing import smooth, smooth_eps_derivative
 
 from conftest import clifford_map, unit_circle_map
 
@@ -455,6 +456,59 @@ def test_downsampling_an_upsample_returns_the_input(case):
     f, fine = case
     back = resample(resample(f, fine), f.grid)
     assert np.max(np.abs(back.data - f.data)) <= 1e-12 * np.max(np.abs(f.data))
+
+
+@st.composite
+def perturbed_circle_maps(draw):
+    """The unit circle in the plane or in R^3 plus a band-limited perturbation
+    and random offsets."""
+    grid = PeriodicGrid((draw(st.sampled_from([16, 32, 64])),))
+    base = unit_circle_map(grid, ambient=draw(st.integers(2, 3)))
+    values, _ = draw(band_limited(grid, base.ambient_dim))
+    size = draw(st.floats(0.0, 0.5))
+    offsets = draw(arrays(float, (1, base.ambient_dim), elements=st.floats(-2.0, 2.0)))
+    return ImmersionField.from_periodic(grid, base.data + size * values, offsets)
+
+
+@given(perturbed_circle_maps(), st.floats(0.0, 1.0, exclude_min=True))
+def test_one_spectrum_gives_the_smoothed_jet(w, eps):
+    # the flow's S w, d S w, d^2 S w and dw from one spectrum, against
+    # smooth() and the field derivatives, each relative to w's own size
+    S, dS, d2S, dw = _smoothed_jet(w.data, 1.0 / eps)
+    ref = smooth(w, eps)
+    for got, want, size in ((S, ref.data, w.data),
+                            (dS + w.offsets[0], ref.derivatives()[:, 0], w.derivatives()),
+                            (d2S, ref.second_derivatives()[:, 0, 0], w.second_derivatives()),
+                            (dw + w.offsets[0], w.derivatives()[:, 0], w.derivatives())):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(size))
+
+
+@st.composite
+def fields_and_shifts(draw):
+    """A scalar field or an immersion with offsets, samples in [-1, 1], on a
+    1-D or 2-D grid, and a whole-node shift per axis."""
+    grid = draw(grids)
+    unit = st.floats(-1.0, 1.0)
+    if draw(st.booleans()):
+        field = ScalarField(grid, draw(arrays(float, grid.shape, elements=unit)))
+    else:
+        ambient = draw(st.integers(grid.dim, 3))
+        field = ImmersionField.from_periodic(
+            grid, draw(arrays(float, grid.shape + (ambient,), elements=unit)),
+            draw(arrays(float, (grid.dim, ambient), elements=unit)))
+    shifts = draw(st.tuples(*[st.integers(-2 * n, 2 * n) for n in grid.shape]))
+    return field, shifts
+
+
+@given(fields_and_shifts(), st.floats(0.0, 1.0, exclude_min=True))
+def test_smoothing_commutes_with_whole_node_shifts(case, eps):
+    field, shifts = case
+    axes = tuple(range(field.grid.dim))
+    shifted = field.with_data(field.grid, np.roll(field.data, shifts, axis=axes))
+    for op in (smooth, smooth_eps_derivative):
+        want = np.roll(op(field, eps).data, shifts, axis=axes)
+        got = op(shifted, eps).data
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
 
 @st.composite
