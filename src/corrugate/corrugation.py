@@ -246,16 +246,27 @@ class StageFields(NamedTuple):
     grid: PeriodicGrid
 
 
-def _required_grid(grid: PeriodicGrid, k_vec, band) -> tuple[int, ...]:
-    """Per axis, the smallest power of two from ``grid`` up with n > 4(|k| + B):
+def _is_5_smooth(m: int) -> bool:
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def _required_grid(base: PeriodicGrid, grid: PeriodicGrid, k_vec, band) -> tuple[int, ...]:
+    """Per axis, the smallest n = m * (``base``'s size) with m 5-smooth (only
+    prime factors 2, 3 and 5), n at least ``grid``'s size and n > 4(|k| + B):
     a spiral a e^{ik.x}, a of bandwidth B, has modes to |k| + B, so the products
-    of it that the checks and the next stage read stay below Nyquist. Returns
-    a shape, so one over the node cap is explained before a grid refuses it."""
+    of it that the checks and the next stage read stay below Nyquist. A
+    multiple of the base grid keeps the base's values at its nodes, and a
+    5-smooth factor keeps the FFT fast. Returns a shape, so one over the node
+    cap is explained before a grid refuses it."""
     shape = []
-    for res, k, b in zip(grid.shape, k_vec, band):
-        while res <= 4 * (abs(int(k)) + b):
-            res *= 2
-        shape.append(res)
+    for n0, res, k, b in zip(base.shape, grid.shape, k_vec, band):
+        m = -(-max(res, 4 * (abs(int(k)) + b) + 1) // n0)
+        while not _is_5_smooth(m):
+            m += 1
+        shape.append(n0 * m)
     return tuple(shape)
 
 
@@ -270,8 +281,9 @@ def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
                   eta_budget: float, delta_budget: float) -> tuple[SpiralParams, StageFields]:
     """Doubling search from lambda = 8 until the measured estimates pass.
 
-    Each trial runs on the grid _required_grid gives for its frequency and
-    the bandwidth B of ``w.data`` and the amplitude, measured once here.
+    Each trial runs on the grid _required_grid gives, a multiple of
+    ``w.grid``, for its frequency and the bandwidth B of ``w.data`` and the
+    amplitude, measured once here.
     There the map and primitive are lifted from the arguments and the frame
     is built on the lifted map, so it stays out of B; every frame, the given
     one too, is held to SEAM_TOL. Returns the first passing lambda with the
@@ -288,7 +300,7 @@ def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
     last_check = None
     while lam <= LAMBDA_CAP:
         k_vec = integer_phase(prim, lam)
-        shape = _required_grid(cur.grid, k_vec, band)
+        shape = _required_grid(w.grid, cur.grid, k_vec, band)
         if math.prod(shape) > grid_module.MAX_NODES:
             tried = "" if last_check is None else (
                 f"; the trial at lambda {lam / 2.0:.0f} failed estimate(s) "

@@ -25,6 +25,17 @@ def _fmt_row(row) -> str:
     return _row_format(len(values)) % tuple(values)
 
 
+#: rows formatted per write: whole blocks at a time, without a whole-array tolist()
+WRITE_CHUNK = 4096
+
+
+def _write_rows(out, line: str, rows: np.ndarray):
+    """Each row of a 2-D array through the %-template ``line``."""
+    for start in range(0, len(rows), WRITE_CHUNK):
+        chunk = rows[start:start + WRITE_CHUNK]
+        out.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
 #: field classes by the kind name in a block header
 FIELD_KINDS = {cls.kind: cls for cls in (ScalarField, MetricField, ImmersionField)}
 
@@ -38,9 +49,7 @@ def write_field_block(field, out: io.TextIOBase):
     if isinstance(field, ImmersionField):
         rows = ";".join(_fmt_row(field.offsets[a]) for a in range(grid.dim))
         out.write(f"# offsets {rows}\n")
-    # row by row: a whole-block tolist() would raise the peak memory
-    line = _row_format(payload.shape[1]) + "\n"
-    out.writelines(line % tuple(row.tolist()) for row in payload)
+    _write_rows(out, _row_format(payload.shape[1]) + "\n", payload)
 
 
 def read_field_block(lines):
@@ -70,28 +79,47 @@ def read_field_block(lines):
         line = line.strip()
         if not line:
             continue
-        try:
-            if line.startswith("# offsets"):
-                body = line[len("# offsets"):].strip()
+        if line.startswith("# offsets"):
+            body = line[len("# offsets"):].strip()
+            try:
                 offsets = np.array([[float(v) for v in part.split(",")]
                                     for part in body.split(";")])
-                continue
-            rows.append([float(v) for v in line.split(",")])
-        except ValueError:
-            raise InputError(f"malformed field line: {line!r}") from None
-        if len(rows[-1]) != ncomp:
-            raise InputError(f"row width {len(rows[-1])} != declared N={ncomp}: {line!r}")
+            except ValueError:
+                raise InputError(f"malformed field line: {line!r}") from None
+            continue
+        rows.append(line)
         if len(rows) == needed:
             break
     if len(rows) != needed:
         raise InputError(f"field block truncated: {len(rows)} of {needed} rows")
-    data = np.asarray(rows)
+    data = _parse_rows(rows, ncomp)
     shape = grid.shape + cls.component_shape(grid, (ncomp,))
     if int(np.prod(shape)) != data.size:
         raise InputError(f"{cls.kind} field on a {dim}-dimensional grid cannot have N={ncomp}")
     if offsets is not None and cls is not ImmersionField:
         raise InputError(f"offsets line in a {cls.kind} field block")
     return cls.from_periodic(grid, data.reshape(shape), *([] if offsets is None else [offsets]))
+
+
+def _parse_rows(rows: list[str], ncomp: int) -> np.ndarray:
+    """The block's rows as a (rows, ncomp) array. One loadtxt call reads a
+    well-formed block; on a refusal each row is read alone, which accepts
+    every row float() does and quotes the first one it refuses."""
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        if data.shape[1] == ncomp:
+            return data
+    except ValueError:
+        pass
+    parsed = []
+    for line in rows:
+        try:
+            parsed.append([float(v) for v in line.split(",")])
+        except ValueError:
+            raise InputError(f"malformed field line: {line!r}") from None
+        if len(parsed[-1]) != ncomp:
+            raise InputError(f"row width {len(parsed[-1])} != declared N={ncomp}: {line!r}")
+    return np.asarray(parsed)
 
 
 def write_field(field, path):
@@ -173,13 +201,12 @@ def export_obj(w: ImmersionField, path):
     take = min(3, w.ambient_dim)
     coords[..., :take] = values[..., :take]
     with open(path, "w") as fh:
-        line = "v " + " ".join([FLOAT_FMT] * 3) + "\n"
-        fh.writelines(line % tuple(c.tolist()) for c in coords.reshape(-1, 3))
+        _write_rows(fh, "v " + " ".join([FLOAT_FMT] * 3) + "\n", coords.reshape(-1, 3))
         # quad (i, j), (i+1, j), (i+1, j+1), (i, j+1), indices wrapped
         a = np.arange(1, r1 * r2 + 1).reshape(r1, r2)
         below = np.roll(a, -1, axis=0)
         quads = np.stack([a, below, np.roll(below, -1, axis=1), np.roll(a, -1, axis=1)], axis=-1)
-        fh.writelines("f %d %d %d %d\n" % tuple(q) for q in quads.reshape(-1, 4).tolist())
+        _write_rows(fh, "f %d %d %d %d\n", quads.reshape(-1, 4))
 
 
 def parse_obj_counts(path) -> tuple[int, int]:

@@ -52,9 +52,9 @@ MAX_NODES = 2**22
 class PeriodicGrid:
     """Uniform periodic grid over [0, 2pi)^d, d = 1 or 2.
 
-    Resolutions are powers of two (enables exact spectral resampling) and
-    at least MIN_RESOLUTION per axis; a grid over MAX_NODES nodes is refused
-    before any of its arrays exists.
+    Resolutions are even (each axis has a Nyquist mode, which resampling
+    splits or folds) and at least MIN_RESOLUTION per axis; a grid over
+    MAX_NODES nodes is refused before any of its arrays exists.
     """
 
     shape: tuple[int, ...]
@@ -67,8 +67,8 @@ class PeriodicGrid:
         for r in shape:
             if r < MIN_RESOLUTION:
                 raise InputError(f"resolution {r} below minimum {MIN_RESOLUTION}")
-            if r & (r - 1):
-                raise InputError(f"resolution {r} is not a power of two")
+            if r % 2:
+                raise InputError(f"resolution {r} is odd; a grid axis needs an even size")
         if self.num_nodes > MAX_NODES:
             raise InputError(f"grid {shape} has {self.num_nodes} nodes, beyond the "
                              f"desk-scale cap of {MAX_NODES} nodes")
@@ -467,9 +467,10 @@ def _resample_axis(values: np.ndarray, axis: int, new: int) -> np.ndarray:
 def resample(field, new_grid: PeriodicGrid):
     """Spectral interpolation onto ``new_grid`` (same type returned).
 
-    Each axis resolution must be a power-of-two multiple (or divisor, when
-    the field's bandwidth permits) of the old one; both are powers of two
-    already, so this only rules out dimension changes.
+    Any even resolution per axis; a coarser one is refused when the field's
+    bandwidth reaches past its Nyquist mode. Only dimension changes are
+    ruled out. Lifting to a multiple of the old resolution keeps the
+    values at the old nodes.
     """
     old_grid = field.grid
     if new_grid.dim != old_grid.dim:

@@ -53,8 +53,8 @@ def _mode_magnitudes(shape: tuple[int, ...]) -> np.ndarray:
 def _map_modes(field, eps: float, mode_fn):
     """Scale each Fourier mode xi of ``field`` by mode_fn(|xi|).
 
-    An immersion's linear part is already smooth; only its periodic part
-    carries modes.
+    An immersion's linear part carries no modes; it is scaled as the zero
+    mode is, by mode_fn(0).
     """
     if not (0.0 < eps <= 1.0):
         raise InputError(f"smoothing scale must lie in (0, 1], got {eps}")
@@ -63,7 +63,9 @@ def _map_modes(field, eps: float, mode_fn):
     spec = np.fft.rfftn(field.data, axes=axes)
     factors = mode_fn(_mode_magnitudes(grid.shape))
     spec *= factors.reshape(factors.shape + (1,) * (field.data.ndim - grid.dim))
-    return field.with_data(grid, np.fft.irfftn(spec, s=grid.shape, axes=axes))
+    zero_mode = float(mode_fn(0.0))
+    return field.from_periodic(grid, np.fft.irfftn(spec, s=grid.shape, axes=axes),
+                               *(zero_mode * e for e in field._extras()))
 
 
 def smooth(field, eps: float):
@@ -110,13 +112,13 @@ def estimate_bench(field, pairs, eps_grid):
     for r, s in pairs:
         ratios_b, ratios_c, ratios_d = [], [], []
         for eps in eps_grid:
-            sm = smooth(field, eps)
             smd = smooth_eps_derivative(field, eps)
             if r >= s:
-                ratios_b.append(derivative_sup(sm, r) / scale(eps, s - r, s))
+                ratios_b.append(derivative_sup(smooth(field, eps), r) / scale(eps, s - r, s))
             ratios_c.append(derivative_sup(smd, r) / scale(eps, s - r - 1, s))
             if s >= r:
-                diff = field - sm
+                # one multiplier, so the difference is exactly 0 where S_eps is the identity
+                diff = _map_modes(field, eps, lambda k: 1.0 - multiplier(eps * k))
                 ratios_d.append(derivative_sup(diff, r) / scale(eps, s - r, s))
         if ratios_b:
             records.append({"family": "b", "r": r, "s": s, "max_ratio": max(ratios_b)})

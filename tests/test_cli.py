@@ -183,7 +183,7 @@ class TestReportIO:
         ("stage", lambda lines: lines[:1], "holds one row"),
         ("stage", lambda lines: lines + lines[1:], "holds one row"),
         ("stage", lambda lines: [lines[0], lines[1].replace("256", "25x6", 1)],
-         "resolution 25 is not a power of two"),
+         "resolution 25 is odd"),
         ("stage", lambda lines: ["stage," + lines[0], "1," + lines[1]], "header"),
         ("run", lambda lines: lines[1:], "header"),
         ("run", lambda lines: lines[:2] + lines[1:2], "stage '1' where stage 2 belongs"),
@@ -492,6 +492,15 @@ class TestMainDispatch:
         header, rows = read_table(out)
         assert header == ["family", "r", "s", "max_ratio"]
         assert all(float(row[3]) <= 64.0 for row in rows)
+
+    def test_smooth_bench_family_d_is_zero_where_smoothing_is_the_identity(self, tmp_path):
+        # eps |xi| <= 1/2 on every mode: T - S_eps T is 0, not rounding over eps^2
+        out = tmp_path / "bench.csv"
+        code = main(["smooth-bench", "--resolution", "16", "--pairs", "0,2",
+                     "--eps", "1e-150", "--out", str(out)])
+        assert code == 0
+        _, rows = read_table(out)
+        assert [row for row in rows if row[0] == "d"] == [["d", "0", "2", "0"]]
 
     @pytest.mark.parametrize("params", [
         {"pairs": "2;x"}, {"pairs": "1,2,3"}, {"pairs": "2"}, {"pairs": "1.5,0"},

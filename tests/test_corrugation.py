@@ -227,12 +227,22 @@ class TestRequiredGrid:
         ((64, 64), (0, 0), (0, 0), (64, 64)),      # never below the current grid
         ((64, 16), (8, 0), (0, 0), (64, 16)),      # 64 > 4 * 8
         ((64, 16), (16, 0), (0, 0), (128, 16)),    # 64 = 4 * 16 is not enough
-        ((64, 64), (-44, 62), (1, 1), (256, 256)),
+        ((64, 64), (-44, 62), (1, 1), (192, 256)),  # 3 * 64 > 180, 4 * 64 > 252
         ((64, 64), (15, 0), (1, 20), (128, 128)),  # a band alone refines an axis
-        ((256,), (1010,), (112,), (8192,)),        # 4 * 1122 = 4488
+        ((256,), (1010,), (112,), (4608,)),        # 18 * 256 > 4 * 1122 = 4488
     ])
     def test_more_than_four_times_frequency_plus_bandwidth(self, shape, k_vec, band, want):
-        assert _required_grid(PeriodicGrid(shape), k_vec, band) == want
+        grid = PeriodicGrid(shape)
+        assert _required_grid(grid, grid, k_vec, band) == want
+
+    @pytest.mark.parametrize("base, current, k, want", [
+        (64, 192, 0, 192),   # the current grid suffices
+        (64, 192, 50, 256),  # a multiple of 64, not of 192
+        (48, 48, 24, 144),   # 3 * 48 > 96
+    ])
+    def test_multiple_of_the_input_grid_from_the_current_one_up(self, base, current, k, want):
+        got = _required_grid(PeriodicGrid((base,)), PeriodicGrid((current,)), (k,), (0,))
+        assert got == (want,)
 
 
 class TestChooseLambda:
@@ -283,11 +293,11 @@ class TestChooseLambda:
             amplitude=ScalarField.from_function(grid, lambda x, y: 1.0 + 0.3 * np.cos(x)),
             psi_linear=np.array([1.0, 0.0]))
         # sup a / lambda < eta needs lambda 32; the amplitude's bandwidth is 1,
-        # so the grid refines 64 -> 128 -> 256 (more than 4(32 + 1) nodes)
+        # so the grid refines 64 -> 128 -> 192 (more than 4(32 + 1) nodes)
         params, fields = choose_lambda(w, prim, rotating_gauge_frame(grid),
                                        eta_budget=0.05, delta_budget=1e-2)
         assert params.lam == 32.0
-        assert fields.grid.shape == (256, 16)
+        assert fields.grid.shape == (192, 16)
         w_lift = resample(w, fields.grid)
         prim_lift = resample_primitive(prim, fields.grid)
         assert np.max(np.abs(fields.w.periodic - w_lift.periodic)) <= 1e-12
@@ -311,11 +321,12 @@ class TestChooseLambda:
         for prim in prims:
             params, fields = choose_lambda(w, prim, pair, 0.5 / 9, 0.05)
             found.append((params.lam, fields.grid.shape))
-        assert found == [(64.0, (256, 256)), (64.0, (256, 256)), (64.0, (256, 64))]
+        # frequencies (34, +-49) and (49, 0) at lambda 64, bandwidth 1
+        assert found == [(64.0, (192, 256)), (64.0, (192, 256)), (64.0, (256, 64))]
 
     def test_node_cap_abort_names_the_dominant_term(self, monkeypatch):
-        # lambda 8, 16 and 32 are tried on 64x16, 128x16 and 256x16; lambda 64
-        # needs 512x16, over the cap. The frame is parallel, so the cross term is 0
+        # lambda 8, 16 and 32 are tried on 64x16, 128x16 and 192x16; lambda 64
+        # needs 320x16, over the cap. The frame is parallel, so the cross term is 0
         monkeypatch.setattr(grid_module, "MAX_NODES", 2**12)
         grid = PeriodicGrid((64, 16))
         w = flat_strip_map(grid)
@@ -323,7 +334,7 @@ class TestChooseLambda:
         with pytest.raises(NonconvergenceError) as err:
             choose_lambda(w, prim, normal_pair(w), eta_budget=1.0, delta_budget=1e-6)
         message = str(err.value)
-        assert "needs grid (512, 16), beyond the desk-scale cap of 4096 nodes" in message
+        assert "needs grid (320, 16), beyond the desk-scale cap of 4096 nodes" in message
         assert "the trial at lambda 32 failed estimate(s) increment" in message
         assert "cross term 0.000e+00" in message
         assert "the quadratic term dominates" in message

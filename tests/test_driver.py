@@ -76,7 +76,7 @@ class TestIterate:
         g = MetricField.identity(grid, 1.2**2)
         u, rep = nash_kuiper_iterate(unit_circle_map(grid), g,
                                      IterationSchedule(epsilon=0.5, stages=2))
-        assert [stage.resolution for stage in rep.stage_reports] == [(256,), (8192,)]
+        assert [stage.resolution for stage in rep.stage_reports] == [(192,), (4608,)]
         assert [stage.lambdas for stage in rep.stage_reports] == [[64.0], [4096.0]]
         fine = PeriodicGrid((2 * u.grid.shape[0],))
         upsampled = sup_norm(resample(g, fine) - pullback_metric(resample(u, fine)), 0)

@@ -39,9 +39,11 @@ class TestGridValidation:
         with pytest.raises(InputError):
             PeriodicGrid((8,))
 
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(InputError):
-            PeriodicGrid((48,))
+    def test_rejects_odd_resolution(self):
+        # any even size is a grid axis; an odd one has no Nyquist mode
+        assert PeriodicGrid((48, 4608)).shape == (48, 4608)
+        with pytest.raises(InputError, match="resolution 25 is odd"):
+            PeriodicGrid((25,))
 
     def test_rejects_dim_three(self):
         with pytest.raises(InputError):
@@ -208,6 +210,16 @@ class TestResample:
         f = random_scalar_field(grid, rng, max_mode=5)
         up = resample(f, PeriodicGrid((64, 64)))
         assert np.max(np.abs(up.values[::2, ::2] - f.values)) <= 1e-12
+
+    @pytest.mark.parametrize("coarse, fine", [
+        ((64,), (4608,)), ((48,), (144,)), ((48, 64), (144, 320))])
+    def test_five_smooth_multiples_keep_the_input_nodes(self, coarse, fine):
+        # every mode of the coarse grid, its Nyquist mode too
+        f = ScalarField(PeriodicGrid(coarse), np.random.default_rng(4).normal(size=coarse))
+        up = resample(f, PeriodicGrid(fine))
+        nodes = tuple(slice(None, None, n // m) for n, m in zip(fine, coarse))
+        assert np.max(np.abs(up.values[nodes] - f.values)) <= 1e-12
+        assert np.max(np.abs(resample(up, f.grid).values - f.values)) <= 1e-12
 
     def test_downsample_aliasing_error(self):
         grid = PeriodicGrid((64,))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from corrugate.cli import emit_report, main, parse_report
-from corrugate.corrugation import StageReport
+from corrugate.corrugation import StageReport, _required_grid
 from corrugate.decompose import GRAD_TOL, PrimitiveMetric
 from corrugate.driver import RunReport, c1_cauchy_audit
 from corrugate.errors import InputError, PropagationError, SingularityError
@@ -433,10 +433,10 @@ def test_second_derivatives_are_the_analytic_ones(case):
 
 @st.composite
 def band_limited_fields_and_finer_grids(draw):
-    """A band-limited scalar field and a grid 1, 2 or 4 times finer per axis."""
+    """A band-limited scalar field and a grid 1 to 6 times finer per axis."""
     grid = draw(grids)
     values, _ = draw(band_limited(grid, 1))
-    factors = draw(st.tuples(*[st.sampled_from([1, 2, 4]) for _ in grid.shape]))
+    factors = draw(st.tuples(*[st.sampled_from([1, 2, 3, 4, 5, 6]) for _ in grid.shape]))
     fine = PeriodicGrid(tuple(n * f for n, f in zip(grid.shape, factors)))
     return ScalarField(grid, values[..., 0]), fine
 
@@ -456,6 +456,20 @@ def test_downsampling_an_upsample_returns_the_input(case):
     f, fine = case
     back = resample(resample(f, fine), f.grid)
     assert np.max(np.abs(back.data - f.data)) <= 1e-12 * np.max(np.abs(f.data))
+
+
+#: every 5-smooth number (only prime factors 2, 3 and 5) up to 2^20
+_SMOOTH = sorted(n for n in (2**a * 3**b * 5**c for a in range(21) for b in range(13)
+                             for c in range(9)) if n <= 2**20)
+
+
+@given(st.sampled_from([n for n in _SMOOTH if n % 2 == 0 and 16 <= n <= 320]),
+       st.integers(1, 6), st.integers(-3000, 3000), st.integers(0, 200))
+def test_required_grid_is_the_smallest_5_smooth_multiple(base, times, k, band):
+    want = min(n for n in _SMOOTH
+               if n % base == 0 and n >= base * times and n > 4 * (abs(k) + band))
+    got = _required_grid(PeriodicGrid((base,)), PeriodicGrid((base * times,)), (k,), (band,))
+    assert got == (want,)
 
 
 @st.composite

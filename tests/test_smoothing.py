@@ -115,6 +115,14 @@ class TestEpsDerivative:
         f = ScalarField.constant(grid, 3.0)
         assert np.max(np.abs(smooth_eps_derivative(f, 0.5).values)) == 0.0
 
+    def test_linear_part_has_no_eps_derivative(self):
+        # S_eps keeps a map's linear part for every eps
+        grid = PeriodicGrid((32,))
+        (x,) = grid.meshes()
+        w = ImmersionField(grid, np.stack([x, np.zeros_like(x)], axis=-1),
+                           offsets=np.array([[1.0, 0.0]]))
+        assert np.max(np.abs(smooth_eps_derivative(w, 0.5).values)) == 0.0
+
     def test_flat_region_is_zero(self):
         grid = PeriodicGrid((64,))
         f = ScalarField.from_function(grid, lambda x: np.cos(4 * x))
