@@ -30,7 +30,7 @@ from .decompose import (
     rank_one_basis,
 )
 from .driver import IterationSchedule, RunReport, c1_cauchy_audit, nash_kuiper_iterate
-from .flow import FlowConfig, FlowState, flow_rhs, psi_ramp, run_flow, tracked_quantities
+from .flow import FlowConfig, psi_ramp, run_flow, tracked_quantities
 from .frame import FramePair, normal_pair
 from .grid import (
     ImmersionField,
@@ -43,7 +43,7 @@ from .grid import (
     resample,
     sup_norm,
 )
-from .leastnorm import LinearSystem, apply_L, is_free, least_norm_solve
+from .leastnorm import LinearSystem, is_free, least_norm_solve
 from .smoothing import estimate_bench, smooth, smooth_eps_derivative
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "CoverageError",
     "DivergenceError",
     "FlowConfig",
-    "FlowState",
     "FramePair",
     "ImmersionField",
     "InputError",
@@ -73,14 +72,12 @@ __all__ = [
     "SpiralParams",
     "StageError",
     "StageReport",
-    "apply_L",
     "c1_cauchy_audit",
     "check_stage_estimates",
     "choose_lambda",
     "congruence_match",
     "derivative_sup",
     "estimate_bench",
-    "flow_rhs",
     "global_decompose",
     "is_free",
     "is_short",

@@ -287,8 +287,6 @@ def _cmd_flow(p):
         h = MetricField(grid, np.full(grid.shape + (1,), p["alpha"]))
     else:
         h = fieldio.read_field(p["h_file"])
-        if not isinstance(h, MetricField) or h.grid.shape != grid.shape:
-            raise InputError("--h-file must hold a metric on the flow grid")
     cfg = FlowConfig(t0=p["t0"], t_end=p["tend"], tol=p["tol"],
                      smallness=p["smallness"])
     _, diag = _solve_and_record(lambda: run_flow(w0, h, cfg), p["out_prefix"], "diagnostics")

@@ -22,9 +22,11 @@ time vector and one sample array sized to the window, not to the run.
 
 The steps run on arrays, with fields only where a run starts and returns.
 A right-hand side takes six FFT calls: one spectrum of the map, whose
-batched inverse gives S_{1/t} w and its first and second derivatives, one
-of the pair that hdot smooths, and a round trip of wdot for the identity
-check.
+batched inverse gives the first and second derivatives of S_{1/t} w and
+the first of w, one of the pair that hdot smooths, and a round trip of
+wdot for the identity check. Every derivative multiplies by
+``grid.derivative_multipliers``, the one ik-with-Nyquist-zeroed rule the
+fields differentiate by.
 
 If w(t) converges, its pullback picks up exactly the target tensor h:
 the smoothing error E is reabsorbed into h(t) by construction, which is
@@ -45,9 +47,15 @@ from .errors import (
     InputError,
     NonconvergenceError,
 )
-from .grid import ImmersionField, MetricField, pullback_metric, sup_norm
+from .grid import (
+    ImmersionField,
+    MetricField,
+    derivative_multipliers,
+    pullback_metric,
+    sup_norm,
+)
 from .leastnorm import _freeness, _min_norm_velocity, is_free
-from .smoothing import multiplier, multiplier_derivative, smooth
+from .smoothing import multiplier, multiplier_derivative
 
 #: steps with a non-decaying, above-tolerance residual before giving up
 DIVERGENCE_PATIENCE = 20
@@ -108,34 +116,20 @@ WINDOW_SLOTS = int(np.ceil((1.0 + 2.0 * STEP) / STEP)) + 4
 
 
 class FlowState:
-    """Integrator state on arrays, built from fields: time ``t``, the map's
-    periodic samples ``P`` (its grid and ``offsets`` stay those of ``w``,
-    which reads back as a field), the stored increments E(tau) as a time
-    vector ``taus[:count]`` and one sample array ``E[:count]``, sized to the
-    ramp window rather than to the run, and ``tail``, the retired part of
-    the history integral (samples that left the width-one window)."""
+    """Integrator state on arrays, started at time ``t0`` from the map
+    ``w0``: time ``t``, the map's periodic samples ``P`` on ``w0``'s grid,
+    the stored increments E(tau) as a time vector ``taus[:count]`` and one
+    sample array ``E[:count]``, sized to the ramp window rather than to the
+    run, and ``tail``, the retired part of the history integral (samples
+    that left the width-one window)."""
 
-    def __init__(self, t: float, w: ImmersionField, E_history: list[tuple[float, MetricField]],
-                 t0: float, tail_integral: MetricField):
-        if w.grid.dim != 1:
-            raise InputError("the flow runs on circle maps (n=1)")
-        self.t = t
-        self.t0 = t0
-        self.w = w
-        self.tail = tail_integral.data
-        self.taus = np.empty(max(WINDOW_SLOTS, len(E_history)))
+    def __init__(self, t0: float, w0: ImmersionField):
+        self.t = self.t0 = t0
+        self.grid, self.P = w0.grid, w0.data
+        self.tail = np.zeros(w0.grid.shape + (1,))
+        self.taus = np.empty(WINDOW_SLOTS)
         self.E = np.empty(self.taus.shape + self.tail.shape)
         self.count = 0
-        for tau, e in E_history:
-            self.record(tau, e.data)
-
-    @property
-    def w(self) -> ImmersionField:
-        return ImmersionField.from_periodic(self.grid, self.P, self.offsets)
-
-    @w.setter
-    def w(self, w: ImmersionField):
-        self.grid, self.P, self.offsets = w.grid, w.data, w.offsets
 
     def record(self, tau: float, E: np.ndarray):
         """Store the sample E(tau), tau after every stored time."""
@@ -178,34 +172,26 @@ def _window_quadratures(state: FlowState, t: float) -> tuple[np.ndarray, np.ndar
     return state.tail + L, C
 
 
-def _derivative_multipliers(n: int, orders: int) -> np.ndarray:
-    """(ik)^1 .. (ik)^orders per rfft mode of n nodes, the Nyquist mode
-    zeroed as in ``spectral_derivative``; shape (orders, n/2 + 1, 1)."""
-    ik = 1j * np.arange(n // 2 + 1, dtype=float)
-    ik[-1] = 0.0
-    return np.cumprod(np.broadcast_to(ik, (orders, len(ik))), axis=0)[..., None]
-
-
 @functools.lru_cache(maxsize=4)
 def _spectral_multipliers(n: int, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Per rfft mode of n nodes at smoothing scale 1/t, with m = m(|xi|/t):
-    the jet multipliers (m, ik m, (ik)^2 m, ik) and the hdot pair
+    the jet multipliers (ik m, (ik)^2 m, ik) and the hdot pair
     (-t^-2 |xi| m'(|xi|/t), m). Cached, since the middle stages of a step
     share their time, hence read-only."""
     eps = 1.0 / t
     k = np.arange(n // 2 + 1, dtype=float)[:, None]
     m = multiplier(eps * k)
-    ik, ik2 = _derivative_multipliers(n, 2)
-    jet = np.stack([m, ik * m, ik2 * m, ik])
+    ik, ik2 = derivative_multipliers(n, 2)[..., None]
+    jet = np.stack([ik * m, ik2 * m, ik])
     pair = np.stack([k * multiplier_derivative(eps * k) * -(eps * eps), m])
     jet.flags.writeable = pair.flags.writeable = False
     return jet, pair
 
 
 def _smoothed_jet(P: np.ndarray, t: float) -> np.ndarray:
-    """S_{1/t} w, d S_{1/t} w, d^2 S_{1/t} w and dw of a circle map from its
-    periodic samples ``P``: one rfft and one batched irfft. Periodic parts
-    only; the map's offsets add to both first derivatives."""
+    """d S_{1/t} w, d^2 S_{1/t} w and dw of a circle map from its periodic
+    samples ``P``: one rfft and one batched irfft. Periodic parts only; the
+    map's offsets add to both first derivatives."""
     jet, _ = _spectral_multipliers(len(P), t)
     return np.fft.irfft(jet * np.fft.rfft(P, axis=0), n=len(P), axis=1)
 
@@ -231,22 +217,21 @@ class _Rates(NamedTuple):
     wdot: np.ndarray
     dwdot: np.ndarray
     hdot: np.ndarray
-    w_smooth: np.ndarray
-    dw_smooth: np.ndarray
+    d_smooth: np.ndarray
     dw: np.ndarray
     identity_resid: float
 
     @property
     def E(self) -> np.ndarray:
         """The smoothing increment E = 2 d(S_{1/t} w - w) (.) d wdot."""
-        return np.einsum("...a,...a->...", self.dw_smooth - self.dw, self.dwdot) * 2.0
+        return np.einsum("...a,...a->...", self.d_smooth - self.dw, self.dwdot) * 2.0
 
 
 def _rhs(state: FlowState, h: np.ndarray, t: float, P: np.ndarray,
          offsets: np.ndarray) -> _Rates:
     """The right-hand side at (t, w) on arrays, w given by its periodic
     samples ``P`` and ``offsets``: six FFT calls."""
-    w_smooth, d_smooth, d2_smooth, d_w = _smoothed_jet(P, t)
+    d_smooth, d2_smooth, d_w = _smoothed_jet(P, t)
     stack = np.stack([d_smooth + offsets[0], d2_smooth], axis=1)
     report = _freeness(stack)
     if not report.is_free:
@@ -255,47 +240,7 @@ def _rhs(state: FlowState, h: np.ndarray, t: float, P: np.ndarray,
             f"(gram det {report.min_gram_det:.3e})")
     hdot = _hdot(state, t, h)
     wdot, dwdot, worst = _min_norm_velocity(stack, hdot, state.grid)
-    return _Rates(wdot, dwdot, hdot, w_smooth, stack[:, :1], (d_w + offsets[0])[:, None], worst)
-
-
-def eval_h(state: FlowState, t: float, h_target: MetricField) -> MetricField:
-    """The tensor path h(t) = S_{1/t}[psi(t - t0) h + L(t)] from the stored
-    history (valid for t at or slightly beyond the newest stored sample)."""
-    L, _ = _window_quadratures(state, t)
-    inner = MetricField(h_target.grid, h_target.data * psi_ramp(t - state.t0) + L)
-    return smooth(inner, 1.0 / t)
-
-
-def eval_hdot(state: FlowState, t: float, h_target: MetricField) -> MetricField:
-    """d/dt of the integral relation, as three computable pieces.
-
-    ramp term S[psi' h], the S'-term -t^-2 S'[psi h + L(t)], and the
-    smoothed E(tau) psi'(t - tau) window integral.
-    """
-    return MetricField(h_target.grid, _hdot(state, t, h_target.data))
-
-
-class FlowRates(NamedTuple):
-    wdot: ImmersionField
-    hdot: MetricField
-    w_smooth: ImmersionField
-    w: ImmersionField
-    E_new: MetricField
-
-
-def flow_rhs(state: FlowState, h_target: MetricField, t: float | None = None,
-             w: ImmersionField | None = None) -> FlowRates:
-    """One right-hand-side evaluation at (t, w), default the state's own:
-    hdot from the stored history, the minimum-norm velocity
-    wdot = L(S_{1/t} w) hdot and the new smoothing increment E, as fields."""
-    t = state.t if t is None else t
-    w = state.w if w is None else w
-    r = _rhs(state, h_target.data, t, w.data, w.offsets)
-    grid = w.grid
-    return FlowRates(wdot=ImmersionField.from_periodic(grid, r.wdot),
-                     hdot=MetricField(grid, r.hdot),
-                     w_smooth=ImmersionField.from_periodic(grid, r.w_smooth, w.offsets),
-                     w=w, E_new=MetricField(grid, r.E))
+    return _Rates(wdot, dwdot, hdot, stack[:, :1], (d_w + offsets[0])[:, None], worst)
 
 
 class FlowSample(NamedTuple):
@@ -349,11 +294,11 @@ def _record(state: FlowState, rates: _Rates, P0: np.ndarray, w0_pull: np.ndarray
     """The step's diagnostics from the right-hand side just evaluated at
     (state.t, state.P): each D^0..D^4 sup of hdot, wdot and w - w0 from one
     rfft and one batched irfft of the three side by side."""
-    ortho = float(np.max(np.abs(np.einsum("...ia,...a->...i", rates.dw_smooth, rates.wdot))))
+    ortho = float(np.max(np.abs(np.einsum("...ia,...a->...i", rates.d_smooth, rates.wdot))))
     resid_now = np.einsum("...ia,...ia->...i", rates.dw, rates.dw) - w0_pull - h
     cols = np.concatenate([rates.hdot, rates.wdot, state.P - P0], axis=1)
-    ders = np.fft.irfft(_derivative_multipliers(len(cols), 4) * np.fft.rfft(cols, axis=0),
-                        n=len(cols), axis=1)
+    ders = np.fft.irfft(derivative_multipliers(len(cols), 4)[..., None]
+                        * np.fft.rfft(cols, axis=0), n=len(cols), axis=1)
     squares = np.concatenate([cols[None], ders]) ** 2
     hdot_sups, wdot_sups, dist_sups = (
         np.max(np.sqrt(np.sum(part, axis=-1)), axis=1).tolist()
@@ -382,6 +327,9 @@ def run_flow(w0: ImmersionField, h_target: MetricField,
     """
     if w0.grid.dim != 1 or w0.ambient_dim != 2:
         raise InputError("the flow runs on circle maps into the plane (n=1, N=2)")
+    if not isinstance(h_target, MetricField) or h_target.grid.shape != w0.grid.shape:
+        raise InputError(f"the target must be a metric on the starting map's grid "
+                         f"{w0.grid.shape}")
     report = is_free(w0)
     if not report.is_free:
         raise InputError(f"starting map is not free ({report.reason})")
@@ -393,8 +341,7 @@ def run_flow(w0: ImmersionField, h_target: MetricField,
             f"||h||_3 = {h_size:.3e} exceeds the smallness bound {bound:.3e}; "
             "halve the target or raise t0")
 
-    state = FlowState(t=cfg.t0, w=w0, E_history=[], t0=cfg.t0,
-                      tail_integral=h_target * 0.0)
+    state = FlowState(cfg.t0, w0)
     h, offsets = h_target.data, w0.offsets
 
     diag = FlowDiagnostics()
@@ -427,7 +374,7 @@ def run_flow(w0: ImmersionField, h_target: MetricField,
             state.t += dt
             state.prune()
 
-        u = state.w
+        u = ImmersionField.from_periodic(w0.grid, state.P, offsets)
         diag.final_resid = sup_norm(pullback_metric(u) - w0_pull - h_target, 0)
         if diag.final_resid > cfg.tol:
             raise NonconvergenceError(

@@ -12,7 +12,8 @@ A kind supplies its component shape:
 
 Differentiation is DFT-based, hence exact (to rounding) for band-limited
 fields. Every derivative iterates one rule, ik per mode with the Nyquist
-mode zeroed, so D^2 is the gradient of the gradient wherever it is read.
+mode zeroed (``derivative_multipliers``, which the flow reads too), so D^2
+is the gradient of the gradient wherever it is read.
 Maps whose lift is linear-plus-periodic (e.g. x -> (x, 0, ...)) carry
 per-axis ``offsets``: ``data`` holds the periodic part only, and every
 first derivative adds the constant linear slope back in.
@@ -20,6 +21,7 @@ first derivative adds the constant linear slope back in.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,29 +91,34 @@ class PeriodicGrid:
         """Full coordinate arrays of shape ``self.shape`` (indexing 'ij')."""
         return list(np.meshgrid(*self.axes(), indexing="ij"))
 
-    def wavenumbers(self, axis: int) -> np.ndarray:
-        """Integer angular wavenumbers 0..res/2 for the rfft along ``axis``."""
-        return np.arange(self.shape[axis] // 2 + 1, dtype=float)
-
 
 def _check_finite(values, what: str):
     if not np.all(np.isfinite(values)):
         raise InputError(f"non-finite values in {what}")
 
 
+@functools.lru_cache(maxsize=16)
+def derivative_multipliers(n: int, orders: int) -> np.ndarray:
+    """(ik)^1 .. (ik)^orders per rfft mode k = 0..n/2 of n nodes, shape
+    (orders, n/2 + 1). The Nyquist mode is zeroed: the grid cannot
+    represent its derivative. Cached, hence read-only."""
+    ik = 1j * np.arange(n // 2 + 1, dtype=float)
+    ik[-1] = 0.0
+    out = np.cumprod(np.broadcast_to(ik, (orders, len(ik))), axis=0)
+    out.flags.writeable = False
+    return out
+
+
 def spectral_derivative(values: np.ndarray, grid: PeriodicGrid, axis: int) -> np.ndarray:
     """Spectral d/dx_axis of node samples, periodic in each axis.
 
     ``values`` may carry trailing component axes; grid axes come first.
-    The Nyquist mode is zeroed: the grid cannot represent its derivative.
     """
     res = grid.shape[axis]
     spec = np.fft.rfft(values, axis=axis)
-    k = grid.wavenumbers(axis)
-    mult = 1j * k
-    mult[-1] = 0.0
+    mult = derivative_multipliers(res, 1)[0]
     shape = [1] * spec.ndim
-    shape[axis] = len(k)
+    shape[axis] = len(mult)
     spec *= mult.reshape(shape)
     return np.fft.irfft(spec, n=res, axis=axis)
 

@@ -1,5 +1,5 @@
-"""Minimum-norm solves, free-map verification, and the linearized isometry
-operator.
+"""Minimum-norm solves, free-map verification, and the minimum-norm
+velocity of the linearized isometry system, on the arrays the flow solves.
 
 For a full-rank underdetermined system A w = v the minimum-Euclidean-norm
 solution is w = A^T (A A^T)^{-1} v. Stacking, at every node, the first
@@ -16,14 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError, InputError, SingularityError
-from .grid import (
-    ImmersionField,
-    MetricField,
-    PeriodicGrid,
-    _require_same_grid,
-    spectral_gradient,
-    triangular_index_pairs,
-)
+from .grid import ImmersionField, PeriodicGrid, spectral_gradient, triangular_index_pairs
 
 #: relative pivot floor for the SPD factorization of A A^T
 PIVOT_FLOOR = 1e-12
@@ -129,17 +122,6 @@ def _freeness(stack: np.ndarray) -> FreeMapReport:
     return FreeMapReport(min_det > FREE_DET_TOL, min_det, "gram determinant")
 
 
-def _free_stack(w: ImmersionField) -> tuple[np.ndarray | None, FreeMapReport]:
-    """The derivative stack of ``w`` (None when the dimension count already
-    fails) and the freeness report computed from it."""
-    n = w.grid.dim
-    needed = n * (n + 3) // 2
-    if w.ambient_dim < needed:
-        return None, FreeMapReport(False, 0.0, "dimension count")
-    stack = _derivative_stack(w)
-    return stack, _freeness(stack)
-
-
 def is_free(w: ImmersionField) -> FreeMapReport:
     """Linear independence of first and second derivative vectors everywhere.
 
@@ -147,7 +129,10 @@ def is_free(w: ImmersionField) -> FreeMapReport:
     stacked vectors; a map into fewer than n(n+3)/2 dimensions is rejected
     outright by the dimension count.
     """
-    return _free_stack(w)[1]
+    n = w.grid.dim
+    if w.ambient_dim < n * (n + 3) // 2:
+        return FreeMapReport(False, 0.0, "dimension count")
+    return _freeness(_derivative_stack(w))
 
 
 def _min_norm_velocity(stack: np.ndarray, hdot: np.ndarray, grid: PeriodicGrid,
@@ -177,12 +162,3 @@ def _min_norm_velocity(stack: np.ndarray, hdot: np.ndarray, grid: PeriodicGrid,
             "discretization too coarse")
     return wdot, dwdot, worst
 
-
-def apply_L(w: ImmersionField, hdot: MetricField) -> ImmersionField:
-    """Nodewise minimum-norm velocity wdot with 2 dw (.) dwdot = hdot,
-    verified a posteriori at LINEARIZATION_TOL (see ``_min_norm_velocity``)."""
-    _require_same_grid(w, hdot)
-    stack, report = _free_stack(w)
-    if not report.is_free:
-        raise InputError(f"map is not free ({report.reason}: {report.min_gram_det:.3e})")
-    return ImmersionField.from_periodic(w.grid, _min_norm_velocity(stack, hdot.comps, w.grid)[0])

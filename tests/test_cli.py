@@ -465,6 +465,15 @@ class TestMainDispatch:
                      "--out-prefix", prefix])
         assert code == 0
 
+    def test_flow_h_file_off_the_flow_grid_exits_2(self, tmp_path, capsys):
+        h_path = tmp_path / "h.csv"
+        write_field(MetricField.identity(PeriodicGrid((64,)), 0.01), h_path)
+        code = main(["flow", "--h-file", str(h_path), "--resolution", "128",
+                     "--out-prefix", str(tmp_path / "f")])
+        assert code == 2
+        assert "target must be a metric on the starting map's grid" in capsys.readouterr().err
+        assert not list(tmp_path.glob("f_*"))
+
     def test_flow_lost_freeness_writes_its_steps(self, tmp_path, monkeypatch):
         import corrugate.flow as flow
 
@@ -600,3 +609,12 @@ class TestWriterBytes:
         expected = "name,a,b,c,d\n" + "".join(
             row[0] + "," + self._old_row(row[1:]) + "\n" for row in rows)
         assert path.read_text() == expected
+
+
+def test_package_surface_resolves():
+    import corrugate
+
+    assert [name for name in corrugate.__all__ if not hasattr(corrugate, name)] == []
+    namespace = {}
+    exec("from corrugate import *", namespace)
+    assert set(corrugate.__all__) <= set(namespace)

@@ -12,15 +12,22 @@ from corrugate.flow import (
     FlowConfig,
     FlowSample,
     FlowState,
-    eval_h,
-    eval_hdot,
-    flow_rhs,
+    _hdot,
+    _rhs,
+    _window_quadratures,
     psi_ramp,
     psi_ramp_derivative,
     run_flow,
     tracked_quantities,
 )
-from corrugate.grid import MetricField, PeriodicGrid, pullback_metric, sup_norm
+from corrugate.grid import (
+    ImmersionField,
+    MetricField,
+    PeriodicGrid,
+    ScalarField,
+    pullback_metric,
+    sup_norm,
+)
 from corrugate.leastnorm import is_free
 from corrugate.smoothing import smooth, smooth_eps_derivative
 
@@ -34,6 +41,20 @@ def circle_setup(res=256):
 
 def metric(grid, values):
     return MetricField(grid, np.asarray(values)[..., None])
+
+
+def rhs(state, h, t=None, P=None):
+    """The flow's right-hand side at (t, P), default the state's own, for a
+    closed circle map (zero offsets)."""
+    return _rhs(state, h.data, state.t if t is None else t, state.P if P is None else P,
+                np.zeros((1, 2)))
+
+
+def path_h(state, t, h):
+    """The tensor path h(t) = S_{1/t}[psi(t - t0) h + L(t)], smoothed by
+    ``smoothing.smooth`` from the stored history."""
+    L, _ = _window_quadratures(state, t)
+    return smooth(MetricField(h.grid, h.data * psi_ramp(t - state.t0) + L), 1.0 / t).data
 
 
 class TestPsiRamp:
@@ -61,42 +82,36 @@ class TestFlowRhs:
     def test_zero_target_is_stationary(self):
         grid, w0 = circle_setup(64)
         h0 = metric(grid, np.zeros(grid.shape))
-        state = FlowState(t=10.0, w=w0, E_history=[],
-                          t0=10.0, tail_integral=h0 * 0.0)
-        rates = flow_rhs(state, h0)
-        assert sup_norm(rates.hdot, 0) == 0.0
-        assert np.max(np.abs(rates.wdot.values)) <= 1e-15
+        rates = rhs(FlowState(10.0, w0), h0)
+        assert np.max(np.abs(rates.hdot)) == 0.0
+        assert np.max(np.abs(rates.wdot)) <= 1e-15
 
     def test_path_starts_at_zero(self):
         grid, w0 = circle_setup(64)
         h = metric(grid, np.full(grid.shape, 0.04))
-        state = FlowState(t=10.0, w=w0, E_history=[],
-                          t0=10.0, tail_integral=h * 0.0)
-        assert sup_norm(eval_h(state, 10.0, h), 0) == 0.0
+        assert np.max(np.abs(path_h(FlowState(10.0, w0), 10.0, h))) == 0.0
 
     def test_hdot_matches_central_difference_of_path(self):
         grid, w0 = circle_setup(256)
         h = metric(grid, np.full(grid.shape, 0.02))
         cfg = FlowConfig(t0=10.0, t_end=15.0, tol=1e-3)
         # integrate a little past t0 + 0.5 to build history
-        state = FlowState(t=cfg.t0, w=w0, E_history=[],
-                          t0=cfg.t0, tail_integral=h * 0.0)
+        state = FlowState(cfg.t0, w0)
         while state.t < 10.55:
-            rates = flow_rhs(state, h)
-            state.record(state.t, rates.E_new.data)
+            rates = rhs(state, h)
+            state.record(state.t, rates.E)
             k1 = rates.wdot
             half = state.t + STEP / 2
-            k2 = flow_rhs(state, h, t=half, w=state.w + k1 * (STEP / 2)).wdot
-            k3 = flow_rhs(state, h, t=half, w=state.w + k2 * (STEP / 2)).wdot
-            k4 = flow_rhs(state, h, t=state.t + STEP, w=state.w + k3 * STEP).wdot
-            state.w = state.w + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (STEP / 6.0)
+            k2 = rhs(state, h, t=half, P=state.P + k1 * (STEP / 2)).wdot
+            k3 = rhs(state, h, t=half, P=state.P + k2 * (STEP / 2)).wdot
+            k4 = rhs(state, h, t=state.t + STEP, P=state.P + k3 * STEP).wdot
+            state.P = state.P + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (STEP / 6.0)
             state.t += STEP
         t_mid = state.t - STEP / 2  # strictly inside the last sample gap
-        exact = eval_hdot(state, t_mid, h).comps
+        exact = _hdot(state, t_mid, h.data)
 
         def central_err(delta):
-            num = eval_h(state, t_mid + delta, h).comps \
-                - eval_h(state, t_mid - delta, h).comps
+            num = path_h(state, t_mid + delta, h) - path_h(state, t_mid - delta, h)
             return float(np.max(np.abs(num / (2 * delta) - exact)))
 
         e1, e2 = central_err(1e-2), central_err(5e-3)
@@ -109,15 +124,11 @@ class TestFlowRhs:
         # r = 1 + 0.2 cos(2x) has det[w', w''] = (1-a)(1-5a) = 0 exactly at
         # the node x = pi/2: the map drops freeness there
         r = 1.0 + 0.2 * np.cos(2 * x)
-        w = unit_circle_map(grid, ambient=2)
-        from corrugate.grid import ImmersionField
         w = ImmersionField(grid, np.stack([r * np.cos(x), r * np.sin(x)], axis=-1))
         assert not is_free(w).is_free
         h0 = metric(grid, np.zeros(grid.shape))
-        state = FlowState(t=10.0, w=w, E_history=[],
-                          t0=10.0, tail_integral=h0 * 0.0)
         with pytest.raises(NonconvergenceError):
-            flow_rhs(state, h0)
+            rhs(FlowState(10.0, w), h0)
 
     def test_window_quadrature_matches_pairwise_trapezoid(self):
         # reference: the window integrals summed one trapezoid pair at a time
@@ -128,8 +139,10 @@ class TestFlowRhs:
         t = taus[-2] + 0.01
         history = [(tau, metric(grid, rng.normal(size=grid.shape))) for tau in taus]
         tail = metric(grid, rng.normal(size=grid.shape))
-        state = FlowState(t=taus[-2], w=circle_setup(64)[1], E_history=history,
-                          t0=10.0, tail_integral=tail)
+        state = FlowState(10.0, circle_setup(64)[1])
+        state.t, state.tail = taus[-2], tail.data
+        for tau, e in history:
+            state.record(tau, e.data)
         h = metric(grid, 0.02 * np.cos(grid.meshes()[0]))
 
         samples = [(tau, e.data) for tau, e in history if tau <= t]
@@ -147,8 +160,7 @@ class TestFlowRhs:
                     + smooth(MetricField(grid, h.data * psi_ramp_derivative(t - state.t0) + C),
                              1.0 / t).data)
 
-        for got, ref in ((eval_h(state, t, h).data, h_ref),
-                         (eval_hdot(state, t, h).data, hdot_ref)):
+        for got, ref in ((path_h(state, t, h), h_ref), (_hdot(state, t, h.data), hdot_ref)):
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_one_rhs_makes_at_most_six_transforms(self, monkeypatch):
@@ -160,22 +172,21 @@ class TestFlowRhs:
                                 calls.append(_fn) or _fn(*args, **kw))
         grid, w0 = circle_setup(64)
         h = metric(grid, np.full(grid.shape, 0.02))
-        state = FlowState(t=10.0, w=w0, E_history=[],
-                          t0=10.0, tail_integral=h * 0.0)
-        flow_rhs(state, h)
+        rhs(FlowState(10.0, w0), h)
         assert 0 < len(calls) <= 6
 
     def test_recorded_sups_match_the_field_norms(self):
         # the step's batched D^0..D^4 sups and residuals against the field norms
-        from corrugate.flow import _record, _rhs
-        from corrugate.grid import ImmersionField, derivative_sups, symmetric_product
+        from corrugate.flow import _record
+        from corrugate.grid import derivative_sups, symmetric_product
 
         grid, w0 = circle_setup(64)
         (x,) = grid.meshes()
         w = ImmersionField(grid, w0.values + 0.05 * np.stack([np.cos(3 * x), np.sin(2 * x)], -1))
         h = metric(grid, 0.02 * np.cos(2 * x))
-        state = FlowState(t=10.05, w=w, E_history=[], t0=10.0, tail_integral=h * 0.0)
-        rates = _rhs(state, h.data, state.t, state.P, w.offsets)
+        state = FlowState(10.0, w)
+        state.t = 10.05
+        rates = rhs(state, h)
         sample = _record(state, rates, w0.data, pullback_metric(w0).data, h.data)
         hdot = MetricField(grid, rates.hdot)
         wdot = ImmersionField.from_periodic(grid, rates.wdot)
@@ -193,10 +204,10 @@ class TestFlowRhs:
     def test_window_underflow_is_internal_error(self):
         grid, w0 = circle_setup(64)
         h = metric(grid, np.full(grid.shape, 0.02))
-        state = FlowState(t=15.0, w=w0, E_history=[],
-                          t0=10.0, tail_integral=h * 0.0)
+        state = FlowState(10.0, w0)
+        state.t = 15.0
         with pytest.raises(CorrugateError):
-            eval_hdot(state, 15.0, h)
+            _hdot(state, 15.0, h.data)
 
 
 class TestRunFlow:
@@ -250,6 +261,14 @@ class TestRunFlow:
                            FlowConfig(t0=10.0, t_end=16.0, tol=1e-4))
         _, flags = tracked_quantities(diag.samples, 10.0)
         assert not any(flags.values())
+
+    @pytest.mark.parametrize("target", [
+        MetricField.identity(PeriodicGrid((128,)), 0.01),
+        ScalarField.constant(PeriodicGrid((256,)), 0.01)], ids=["metric-on-128", "scalar"])
+    def test_target_not_a_metric_on_the_map_grid_refused(self, target):
+        _, w0 = circle_setup(256)
+        with pytest.raises(InputError, match="target must be a metric on the starting map's grid"):
+            run_flow(w0, target, FlowConfig(t0=10.0, t_end=15.0))
 
     def test_smallness_precondition(self):
         grid, w0 = circle_setup(128)
