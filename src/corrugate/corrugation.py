@@ -224,12 +224,14 @@ def resample_primitive(prim: PrimitiveMetric, new_grid: PeriodicGrid) -> Primiti
 
     Trigonometric interpolation can undershoot zero near the support
     boundary of a compactly supported amplitude; undershoots at rounding
-    scale are clipped, anything larger is an error.
+    scale are clipped. A larger one means the grid does not resolve the
+    amplitude the decomposition built: a CoverageError naming the patch.
     """
     amp = resample(prim.amplitude, new_grid).values
     low = float(np.min(amp))
     if low < -1e-6 * max(1.0, float(np.max(amp))):
-        raise InputError(f"amplitude resample undershoots zero by {low:.3e}")
+        raise CoverageError(f"amplitude of patch {prim.support_id} undershoots zero by "
+                            f"{low:.3e} when resampled; its grid does not resolve it")
     return PrimitiveMetric(
         amplitude=ScalarField(new_grid, np.maximum(amp, 0.0)),
         psi_linear=prim.psi_linear.copy(),
@@ -358,7 +360,7 @@ def run_stage(w: ImmersionField, g: MetricField, eta: float,
         try:
             prims = global_decompose(h, bump_count=count)
             break
-        except (CoverageError, InputError):
+        except CoverageError:
             if count == BUMP_COUNTS[-1]:
                 raise
 

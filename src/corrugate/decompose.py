@@ -19,10 +19,6 @@ from .grid import TWO_PI, MetricField, PeriodicGrid, ScalarField, _check_finite
 #: patch acceptance floor for the coefficient fields alpha_i
 ALPHA_FLOOR = 0.05
 
-#: patch radius shrink factor and retry count when alpha dips below the floor
-SHRINK_FACTOR = 0.8
-MAX_SHRINKS = 5
-
 #: lattice patch radii in units of the lattice spacing; chosen so supports
 #: cover the chart with overlap multiplicity at most dim+1
 RADIUS_FACTOR = {1: 0.75, 2: 0.72}
@@ -206,7 +202,7 @@ def global_decompose(h: MetricField, bump_count: int = 1) -> list[PrimitiveMetri
     Each patch contributes J(n) primitives modulated by a partition function
     phi_l = beta_l / sqrt(sum_k beta_k^2); at most K(n) primitives are
     nonzero at any node. A patch whose coefficients dip below the 0.05
-    floor shrinks its radius (factor 0.8, up to 5 times) before failing.
+    floor on its support fails this bump count with a CoverageError.
     """
     _require_positive_definite(h)
     grid = h.grid
@@ -216,27 +212,18 @@ def global_decompose(h: MetricField, bump_count: int = 1) -> list[PrimitiveMetri
     mats = h.matrices()
     basis = rank_one_basis(grid.dim)
     centers = _patch_centers(grid, bump_count)
-    radius0 = RADIUS_FACTOR[grid.dim] * TWO_PI / bump_count
+    radius = RADIUS_FACTOR[grid.dim] * TWO_PI / bump_count
 
     patches = []
     for ell, center in enumerate(centers):
         node = _nearest_node(grid, center)
         v, alphas = _pointwise_split(mats, mats[node], basis)
-        accepted = None
-        for shrink in range(MAX_SHRINKS + 1):
-            radius = radius0 * SHRINK_FACTOR**shrink
-            beta = _bump_values(grid, center, radius)
-            support = beta > 0.0
-            if not np.any(support):
-                break
-            if float(np.min(alphas[support])) > ALPHA_FLOOR:
-                accepted = (beta, v, alphas)
-                break
-        if accepted is None:
+        beta = _bump_values(grid, center, radius)
+        if float(np.min(alphas[beta > 0.0])) <= ALPHA_FLOOR:
             raise CoverageError(
-                f"patch {ell} has no radius with all alpha > {ALPHA_FLOOR}; "
-                f"try a larger bump_count than {bump_count}")
-        patches.append(accepted)
+                f"patch {ell} of bump count {bump_count} has alpha <= {ALPHA_FLOOR} "
+                "on its support")
+        patches.append((beta, v, alphas))
 
     total = np.zeros(grid.shape)
     for beta, _, _ in patches:

@@ -69,6 +69,17 @@ def clifford_map(grid, r=1.0) -> ImmersionField:
     return ImmersionField(grid, vals)
 
 
+def unresolved_cover_case():
+    """A valid strictly short torus stage that no bump count 1, 2 or 4 covers:
+    the Clifford torus on 32^2 under g = 1.101^2 I + 0.05 cos(x+y) diag(1, -1)
+    with g12 = -0.0466 sin y, at eta 0.5 and delta 0.81. Returns (w, g, delta)."""
+    grid = PeriodicGrid((32, 32))
+    x, y = grid.meshes()
+    wobble = 0.05 * np.cos(x + y)
+    comps = np.stack([1.101**2 + wobble, -0.0466 * np.sin(y), 1.101**2 - wobble], axis=-1)
+    return clifford_map(grid), MetricField(grid, comps), 0.81
+
+
 def unit_circle_map(grid, ambient=3) -> ImmersionField:
     """(cos x, sin x, 0, ...) on the circle."""
     (x,) = grid.meshes()

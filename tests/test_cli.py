@@ -21,7 +21,7 @@ from corrugate.fieldio import (
 from corrugate.frame import normal_pair
 from corrugate.grid import ImmersionField, MetricField, PeriodicGrid, pullback_metric
 
-from conftest import clifford_map, unit_circle_map
+from conftest import clifford_map, unit_circle_map, unresolved_cover_case
 
 
 class TestParseConfig:
@@ -395,6 +395,18 @@ class TestMainDispatch:
                      "--out-prefix", str(tmp_path / "s")])
         assert code == 2
         assert f"expects {expected} data" in capsys.readouterr().err
+
+    def test_stage_without_a_cover_exits_3(self, tmp_path, capsys):
+        # a valid short input the decomposition cannot cover is a program
+        # limit (exit 3), not bad input (exit 2)
+        w, g, delta = unresolved_cover_case()
+        wp, gp = tmp_path / "w.csv", tmp_path / "g.csv"
+        write_field(w, wp)
+        write_field(g, gp)
+        code = main(["stage", "--in", str(wp), "--metric", str(gp), "--eta", "0.5",
+                     "--delta", str(delta), "--out-prefix", str(tmp_path / "c4")])
+        assert code == 3
+        assert "patch 4 of bump count 4 " in capsys.readouterr().err
 
     def test_run_command_circle_one_stage(self, tmp_path):
         prefix = str(tmp_path / "run")

@@ -12,7 +12,13 @@ from corrugate.corrugation import (
     spiral_perturbation,
 )
 from corrugate.decompose import PrimitiveMetric, global_decompose
-from corrugate.errors import InputError, NonconvergenceError, ResolutionError, StageError
+from corrugate.errors import (
+    CoverageError,
+    InputError,
+    NonconvergenceError,
+    ResolutionError,
+    StageError,
+)
 from corrugate.fieldio import read_table, write_table
 from corrugate.frame import FramePair, normal_pair
 from corrugate.grid import (
@@ -28,7 +34,7 @@ from corrugate.grid import (
     symmetric_product,
 )
 
-from conftest import clifford_map, flat_strip_map, unit_circle_map
+from conftest import clifford_map, flat_strip_map, unit_circle_map, unresolved_cover_case
 
 
 def constant_primitive(grid, amp_fn=None, direction=(1.0, 0.0)):
@@ -245,6 +251,18 @@ class TestRequiredGrid:
         assert got == (want,)
 
 
+class TestResamplePrimitive:
+    def test_unresolved_amplitude_is_a_coverage_error(self):
+        # a one-node spike on 16 nodes undershoots zero by 0.206 on 64: the
+        # grid does not resolve the amplitude, a program limit (exit 3)
+        amp = np.zeros(16)
+        amp[5] = 1.0
+        prim = PrimitiveMetric(amplitude=ScalarField(PeriodicGrid((16,)), amp),
+                               psi_linear=[1.0], support_id=7)
+        with pytest.raises(CoverageError, match=r"patch 7 undershoots zero by -2\.060e-01"):
+            resample_primitive(prim, PeriodicGrid((64,)))
+
+
 class TestChooseLambda:
     def test_flat_constant_case_returns_first_candidate(self):
         grid = PeriodicGrid((256, 16))
@@ -443,6 +461,26 @@ class TestRunStage:
         w = clifford_map(grid, r=1.0)
         with pytest.raises(NonconvergenceError, match="cap of 4096 nodes"):
             run_stage(w, MetricField.identity(grid, 1.5**2), eta=0.5, delta=0.25)
+
+    @pytest.mark.xfail(strict=True, reason="shortness is checked at the nodes only "
+                       "(ROADMAP item 1 (a))")
+    def test_circle_stage_is_short_between_its_nodes(self):
+        # the stage returns at lambda 32 on 96 nodes with node margin +2.2e-4,
+        # and the same map read on 192 nodes has margin -9.7e-4
+        grid = PeriodicGrid((32,))
+        (x,) = grid.meshes()
+        g = MetricField(grid, (1.21 - 0.05 * np.cos(x - np.pi / 4))[..., None])
+        w = unit_circle_map(grid)
+        z, _ = run_stage(w, g, eta=0.5, delta=0.5)
+        fine = PeriodicGrid((2 * z.grid.shape[0],))
+        assert is_short(resample(z, fine), resample(g, fine))[0]
+
+    def test_uncovered_gap_is_a_program_limit(self):
+        # bump counts 1, 2 and 4 all leave a patch with alpha under the
+        # floor; the stage names the last one tried
+        w, g, delta = unresolved_cover_case()
+        with pytest.raises(CoverageError, match="patch 4 of bump count 4 "):
+            run_stage(w, g, eta=0.5, delta=delta)
 
     def test_input_grid_over_the_cap_refused_before_decomposing(self, monkeypatch):
         # the cap belongs to the grid: a stage input over it cannot be built

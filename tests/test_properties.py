@@ -11,11 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import corrugate.grid as grid_module
 from corrugate.cli import emit_report, main, parse_report
-from corrugate.corrugation import StageReport, _required_grid
-from corrugate.decompose import GRAD_TOL, PrimitiveMetric
+from corrugate.corrugation import StageReport, _required_grid, run_stage
+from corrugate.decompose import GRAD_TOL, PrimitiveMetric, overlap_bound
 from corrugate.driver import RunReport, c1_cauchy_audit
-from corrugate.errors import InputError, PropagationError, SingularityError
+from corrugate.errors import CorrugateError, InputError, PropagationError, SingularityError
 from corrugate.fieldio import (
     read_field,
     read_primitives,
@@ -32,14 +33,18 @@ from corrugate.grid import (
     PeriodicGrid,
     ScalarField,
     bandwidth,
+    derivative_sups,
+    is_short,
+    pullback_metric,
     resample,
     spectral_derivative,
     spectral_gradient,
+    sup_norm,
 )
 from corrugate.leastnorm import PIVOT_FLOOR, _spd_solve
 from corrugate.smoothing import smooth, smooth_eps_derivative
 
-from conftest import clifford_map, unit_circle_map
+from conftest import clifford_map, unit_circle_map, unresolved_cover_case
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 nonnegative = st.floats(min_value=0.0, allow_infinity=False, width=64)
@@ -626,3 +631,44 @@ def test_normal_pair_is_valid_or_refused(w):
     assert np.all(np.isfinite(pair.nu)) and np.all(np.isfinite(pair.b))
     pair.validate(w)
     assert pair.seam_mismatch <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the stage
+
+
+@st.composite
+def short_stage_inputs(draw):
+    """The unit circle in R^3 on 32 nodes or the Clifford torus in R^4 on
+    32^2, a target s^2 I plus a band-limited wobble of peak 0.05 with s in
+    [1.1, 1.6], and delta in [0.3, 1]: always a strictly short start."""
+    grid = PeriodicGrid((32,) * draw(st.integers(1, 2)))
+    w = unit_circle_map(grid) if grid.dim == 1 else clifford_map(grid)
+    wobble, _ = draw(band_limited(grid, grid.dim * (grid.dim + 1) // 2))
+    g = (MetricField.identity(grid, draw(st.floats(1.1, 1.6)) ** 2)
+         + MetricField(grid, 0.05 / np.max(np.abs(wobble)) * wobble))
+    return w, g, draw(st.floats(0.3, 1.0))
+
+
+@given(short_stage_inputs())
+@example(unresolved_cover_case())
+def test_a_stage_keeps_its_contract_or_stops_at_a_program_limit(case):
+    """A returned stage is short, with defect under delta and the C^1 bound,
+    read again on a grid twice as fine; a refused one stops at a program
+    limit (exit 3) or a capability (exit 4), never as bad input."""
+    w, g, delta = case
+    with pytest.MonkeyPatch.context() as patch:
+        # a torus search then reaches the node cap in well under a second
+        patch.setattr(grid_module, "MAX_NODES", 2**16)
+        try:
+            z, rep = run_stage(w, g, eta=0.5, delta=delta)
+        except CorrugateError as err:
+            assert err.exit_code in (3, 4), f"{type(err).__name__}: {err}"
+            return
+    fine = PeriodicGrid(tuple(2 * n for n in z.grid.shape))
+    z2, g2 = resample(z, fine), resample(g, fine)
+    assert is_short(z2, g2)[0]
+    assert sup_norm(g2 - pullback_metric(z2), 0) < delta
+    c1 = derivative_sups(z2 - resample(w, fine), 1)[1]
+    K = overlap_bound(w.grid.dim)
+    assert c1**2 <= 2 * K * K * rep.defect_before + rep.slack
