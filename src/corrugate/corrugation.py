@@ -240,12 +240,16 @@ def resample_primitive(prim: PrimitiveMetric, new_grid: PeriodicGrid) -> Primiti
 
 
 class StageFields(NamedTuple):
-    """Working fields at the grid where a lambda candidate was accepted."""
+    """Working fields on the accepted trial's grid, and w_next, the map it measured."""
 
     w: ImmersionField
     prim: PrimitiveMetric
     frame: FramePair
-    grid: PeriodicGrid
+    w_next: ImmersionField | None = None
+
+    @property
+    def grid(self) -> PeriodicGrid:
+        return self.w.grid
 
 
 def _is_5_smooth(m: int) -> bool:
@@ -288,15 +292,15 @@ def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
     amplitude, measured once here.
     There the map and primitive are lifted from the arguments and the frame
     is built on the lifted map, so it stays out of B; every frame, the given
-    one too, is held to SEAM_TOL. Returns the first passing lambda with the
-    fields on its grid. A grid over the cap ``grid.MAX_NODES``, read at call
-    time, aborts.
+    one too, is held to SEAM_TOL. Returns the first lambda whose map w_next =
+    w + spiral passes, with the fields on its grid and that w_next. A grid
+    over the cap ``grid.MAX_NODES``, read at call time, aborts.
     """
     if not (eta_budget > 0.0 and delta_budget > 0.0):
         raise InputError(f"lambda search budgets must be positive, got eta "
                          f"{eta_budget!r} and delta {delta_budget!r}")
     lam = LAMBDA_START
-    cur = StageFields(w=w, prim=prim, frame=_seam_checked(frame), grid=w.grid)
+    cur = StageFields(w=w, prim=prim, frame=_seam_checked(frame))
     band = [max(bandwidth(w.data, a), bandwidth(prim.amplitude.data, a))
             for a in range(w.grid.dim)]
     last_check = None
@@ -312,19 +316,13 @@ def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
                 f"{shape}, beyond the desk-scale cap of {grid_module.MAX_NODES} "
                 f"nodes{tried}")
         if shape != cur.grid.shape:
-            needed = PeriodicGrid(shape)
-            w_f = resample(w, needed)
-            cur = StageFields(
-                w=w_f,
-                prim=resample_primitive(prim, needed),
-                frame=_seam_checked(normal_pair(w_f)),
-                grid=needed,
-            )
-        wp = spiral_perturbation(cur.w, cur.prim, cur.frame, lam)
-        last_check = check_stage_estimates(
-            cur.w, cur.w + wp, cur.prim, eta_budget, delta_budget)
+            w_f = resample(w, PeriodicGrid(shape))
+            cur = StageFields(w=w_f, prim=resample_primitive(prim, w_f.grid),
+                              frame=_seam_checked(normal_pair(w_f)))
+        w_next = cur.w + spiral_perturbation(cur.w, cur.prim, cur.frame, lam)
+        last_check = check_stage_estimates(cur.w, w_next, cur.prim, eta_budget, delta_budget)
         if last_check.ok:
-            return SpiralParams(lam), cur
+            return SpiralParams(lam), cur._replace(w_next=w_next)
         lam *= 2.0
     raise NonconvergenceError(
         f"no lambda up to {LAMBDA_CAP:.0f} meets the budgets "
@@ -376,8 +374,7 @@ def run_stage(w: ImmersionField, g: MetricField, eta: float,
         params, fields = choose_lambda(
             cur_w, resample_primitive(prim, cur_w.grid), normal_pair(cur_w),
             eta_budget, delta_budget)
-        wp = spiral_perturbation(fields.w, fields.prim, fields.frame, params.lam)
-        cur_w = fields.w + wp
+        cur_w = fields.w_next
         lambdas.append(params.lam)
         ok, mid_margin = is_short(cur_w, resample(g, cur_w.grid))
         if not ok:

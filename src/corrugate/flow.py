@@ -1,4 +1,4 @@
-"""The regularized isometry flow on free circle embeddings in the plane.
+"""The regularized isometry flow on free circle embeddings in R^N.
 
 The coupled system evolves a map w(t) and a tensor path h(t):
 
@@ -42,6 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    CapabilityError,
     CorrugateError,
     DivergenceError,
     InputError,
@@ -325,8 +326,8 @@ def run_flow(w0: ImmersionField, h_target: MetricField,
     ||ubar#e - (w0#e + h_target)|| <= cfg.tol. Any error raised while
     integrating carries the steps recorded so far as ``partial_report``.
     """
-    if w0.grid.dim != 1 or w0.ambient_dim != 2:
-        raise InputError("the flow runs on circle maps into the plane (n=1, N=2)")
+    if w0.grid.dim != 1:
+        raise CapabilityError(f"the flow runs on circle maps (n=1), not n={w0.grid.dim}")
     if not isinstance(h_target, MetricField) or h_target.grid.shape != w0.grid.shape:
         raise InputError(f"the target must be a metric on the starting map's grid "
                          f"{w0.grid.shape}")

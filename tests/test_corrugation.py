@@ -62,6 +62,19 @@ def rotating_gauge_frame(grid):
     return FramePair(grid, nu, b)
 
 
+def clifford_gap_primitives():
+    """Criterion 5's inputs: the 64^2 Clifford torus in R^4 and the primitives
+    of its gap to g = 1.5^2 I at delta 0.25, decomposed as run_stage does with
+    one bump per axis. Returns (w, prims)."""
+    grid = PeriodicGrid((64, 64))
+    w = clifford_map(grid, r=1.0)
+    g = MetricField.identity(grid, 1.5**2)
+    _, margin = is_short(w, g, strict=True)
+    norm_g = sup_norm(g, 0)
+    delta0 = min(0.25 / (2.0 * norm_g + 1e-12), 0.5 * margin / norm_g)
+    return w, global_decompose((1.0 - delta0) * g - pullback_metric(w), bump_count=1)
+
+
 class TestSpiralPerturbation:
     def test_zero_amplitude_gives_zero_increment(self):
         grid = PeriodicGrid((128, 16))
@@ -325,15 +338,8 @@ class TestChooseLambda:
         assert np.array_equal(fields.prim.psi_linear, prim.psi_linear)
 
     def test_clifford_torus_primitives_accepted_on_256_grids(self):
-        # the gap of scale 1.5 over the Clifford torus, decomposed as
-        # run_stage does; each primitive searched from the unperturbed map
-        grid = PeriodicGrid((64, 64))
-        w = clifford_map(grid, r=1.0)
-        g = MetricField.identity(grid, 1.5**2)
-        _, margin = is_short(w, g, strict=True)
-        norm_g = sup_norm(g, 0)
-        delta0 = min(0.25 / (2.0 * norm_g + 1e-12), 0.5 * margin / norm_g)
-        prims = global_decompose((1.0 - delta0) * g - pullback_metric(w), bump_count=1)
+        # each primitive searched from the unperturbed map
+        w, prims = clifford_gap_primitives()
         pair = normal_pair(w)
         found = []
         for prim in prims:
@@ -398,6 +404,24 @@ class TestChooseLambda:
         with pytest.raises(StageError, match="seam"):
             choose_lambda(w, prim, normal_pair(w), eta_budget=0.5, delta_budget=1e-6)
 
+    def test_first_torus_search_peaks_under_49_doubles_per_node(self):
+        # criterion 5's first search: lambda 256 on 576x960. The peak counts the
+        # trial grids' lifts, frames, spirals and checks, not the 64^2 inputs
+        import tracemalloc
+
+        w, prims = clifford_gap_primitives()
+        pair = normal_pair(w)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            _, fields = choose_lambda(w, prims[0], pair, 0.5 / 9, 0.125 / 9)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert fields.grid.shape == (576, 960)
+        assert peak / (8 * fields.grid.num_nodes) <= 49.0
+
 
 class TestRunStage:
     def test_exact_isometry_rejected_by_strictness(self):
@@ -461,6 +485,27 @@ class TestRunStage:
         w = clifford_map(grid, r=1.0)
         with pytest.raises(NonconvergenceError, match="cap of 4096 nodes"):
             run_stage(w, MetricField.identity(grid, 1.5**2), eta=0.5, delta=0.25)
+
+    def test_one_spiral_per_trial_and_the_stage_returns_the_accepted_map(self, monkeypatch):
+        import corrugate.corrugation as corrugation
+
+        spirals, checks = [], []
+        spiral, check = corrugation.spiral_perturbation, corrugation.check_stage_estimates
+
+        def counted_check(*args):
+            checks.append((args[1], check(*args)))  # (w_next, its measured estimates)
+            return checks[-1][1]
+
+        monkeypatch.setattr(corrugation, "spiral_perturbation",
+                            lambda *args: spirals.append(1) or spiral(*args))
+        monkeypatch.setattr(corrugation, "check_stage_estimates", counted_check)
+        grid = PeriodicGrid((64,))
+        z, _ = run_stage(unit_circle_map(grid), MetricField.identity(grid, 1.2**2),
+                         eta=0.25, delta=0.25)
+        assert len(spirals) == len(checks) > 0
+        accepted, result = checks[-1]
+        assert result.ok
+        assert z is accepted
 
     @pytest.mark.xfail(strict=True, reason="shortness is checked at the nodes only "
                        "(ROADMAP item 1 (a))")

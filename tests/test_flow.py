@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from corrugate.errors import (
+    CapabilityError,
     CorrugateError,
     DivergenceError,
     InputError,
@@ -261,6 +262,22 @@ class TestRunFlow:
                            FlowConfig(t0=10.0, t_end=16.0, tol=1e-4))
         _, flags = tracked_quantities(diag.samples, 10.0)
         assert not any(flags.values())
+
+    def test_free_circle_in_r3_reaches_tolerance(self):
+        # the free circle (cos x, sin x, 0.3 sin 2x) flows in R^3 as the plane circle does in R^2
+        grid = PeriodicGrid((128,))
+        (x,) = grid.meshes()
+        w0 = ImmersionField(grid, np.stack([np.cos(x), np.sin(x), 0.3 * np.sin(2 * x)], -1))
+        _, diag = run_flow(w0, metric(grid, np.full(grid.shape, 0.02)),
+                           FlowConfig(t0=10.0, t_end=22.0, tol=1e-4))
+        assert diag.final_resid <= 1e-4
+        assert max(s.identity_resid for s in diag.samples) <= 1e-6
+
+    def test_torus_start_is_a_capability_limit(self, torus32):
+        x, y = torus32.meshes()
+        w0 = ImmersionField(torus32, np.stack([np.cos(x), np.sin(x), np.cos(y), np.sin(y)], -1))
+        with pytest.raises(CapabilityError, match="circle maps"):
+            run_flow(w0, MetricField.identity(torus32, 0.01), FlowConfig(t0=10.0, t_end=15.0))
 
     @pytest.mark.parametrize("target", [
         MetricField.identity(PeriodicGrid((128,)), 0.01),

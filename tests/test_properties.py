@@ -136,6 +136,62 @@ def test_primitive_file_with_a_phase_block_is_refused(prims):
     assert repr(phase.getvalue().splitlines()[0]) in str(err.value)
 
 
+#: replacements and insertions for the tokens of a primitive manifest line
+_MANIFEST_TOKENS = ["primitive", "field", "=", "id", "id=x", "patch=", "patch=-1", "patch=x",
+                    "patch=1.5", "patch=18446744073709551616", "psi_linear=", "psi_linear=1",
+                    "psi_linear=1,2,3", "psi_linear=0,0", "psi_linear=nan,1", "psi_linear=1e999,1",
+                    "psi_linear=x,1", "psi_linear=1,1e-300", "extra=1"]
+
+
+@st.composite
+def mutated_primitive_files(draw):
+    """A primitive file with each of these mutations about one time in four:
+    a manifest token replaced, dropped or inserted, an amplitude cell
+    replaced, a row made wider, amplitude rows dropped."""
+    lines = _primitive_text(draw(primitive_lists())).splitlines()
+    manifests = [i for i, line in enumerate(lines) if line.startswith("primitive ")]
+    at = draw(st.sampled_from(manifests))
+    tokens = lines[at].split()
+    if _sometimes(draw):
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_MANIFEST_TOKENS))
+    if _sometimes(draw):
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+    if _sometimes(draw):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(_MANIFEST_TOKENS)))
+    lines[at] = " ".join(tokens)
+    rows = [i for i, line in enumerate(lines) if i not in manifests and not line.startswith("#")]
+    if _sometimes(draw):
+        lines[draw(st.sampled_from(rows))] = draw(st.sampled_from(_CELLS + ["-1", "0.5,0.5"]))
+    if _sometimes(draw):
+        first = draw(st.sampled_from(rows))
+        del lines[first:first + draw(st.integers(1, 3))]
+    return "\n".join(lines) + "\n"
+
+
+def _primitive_text(prims) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(_written(prims, tmp)) as fh:
+            return fh.read()
+
+
+@given(mutated_primitive_files())
+def test_mutated_primitive_file_reads_back_or_raises_input_error(text):
+    """read_primitives refuses a mutated file with an InputError, or returns
+    primitives whose file reads back to the same file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.csv")
+        with open(path, "w") as fh:
+            fh.write(text)
+        try:
+            prims = read_primitives(path)
+        except InputError:
+            return
+        written = _primitive_text(prims)
+        with open(path, "w") as fh:
+            fh.write(written)
+        assert _primitive_text(read_primitives(path)) == written
+
+
 @st.composite
 def primitives_without_dpsi(draw):
     """A nonzero amplitude with |psi_linear| <= GRAD_TOL."""
