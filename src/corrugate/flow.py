@@ -20,11 +20,12 @@ uneven last step is weighted by its own width. Samples that left the
 window are retired into a running tail integral, so the history is one
 time vector and one sample array sized to the window, not to the run.
 
-The steps run on arrays, with fields only where a run starts and returns.
-A right-hand side takes six FFT calls: one spectrum of the map, whose
-batched inverse gives the first and second derivatives of S_{1/t} w and
-the first of w, one of the pair that hdot smooths, and a round trip of
-wdot for the identity check. Every derivative multiplies by
+The steps run on rfft spectra, with fields only where a run starts and
+returns: the map, the E history (each E transformed once, when recorded)
+and the target are spectra, which the RK4 stages and the quadratures
+combine. A right-hand side takes three FFT calls: one batched inverse of
+the map's jet and of hdot, one spectrum of the solved wdot and the inverse
+of its derivative. Every derivative multiplies by
 ``grid.derivative_multipliers``, the one ik-with-Nyquist-zeroed rule the
 fields differentiate by.
 
@@ -55,7 +56,7 @@ from .grid import (
     pullback_metric,
     sup_norm,
 )
-from .leastnorm import _freeness, _min_norm_velocity, is_free
+from .leastnorm import _freeness, _identity_residual, _min_norm_velocity, _row_products, is_free
 from .smoothing import multiplier, multiplier_derivative
 
 #: steps with a non-decaying, above-tolerance residual before giving up
@@ -117,28 +118,30 @@ WINDOW_SLOTS = int(np.ceil((1.0 + 2.0 * STEP) / STEP)) + 4
 
 
 class FlowState:
-    """Integrator state on arrays, started at time ``t0`` from the map
-    ``w0``: time ``t``, the map's periodic samples ``P`` on ``w0``'s grid,
-    the stored increments E(tau) as a time vector ``taus[:count]`` and one
-    sample array ``E[:count]``, sized to the ramp window rather than to the
-    run, and ``tail``, the retired part of the history integral (samples
-    that left the width-one window)."""
+    """Integrator state on rfft spectra, started at time ``t0`` from the map
+    ``w0``: time ``t``, the spectrum ``P`` of the map's periodic samples, the
+    stored increments E(tau) as a time vector ``taus[:count]`` and one array
+    ``E[:count]``, sized to the ramp window rather than to the run, and
+    ``tail``, the retired part of the history integral (samples that left
+    the width-one window)."""
 
     def __init__(self, t0: float, w0: ImmersionField):
         self.t = self.t0 = t0
-        self.grid, self.P = w0.grid, w0.data
-        self.tail = np.zeros(w0.grid.shape + (1,))
+        self.grid, self.offsets = w0.grid, w0.offsets
+        self.P = np.fft.rfft(w0.data, axis=0)
+        self.tail = np.zeros((len(self.P), 1), complex)
         self.taus = np.empty(WINDOW_SLOTS)
-        self.E = np.empty(self.taus.shape + self.tail.shape)
+        self.E = np.empty(self.taus.shape + self.tail.shape, complex)
         self.count = 0
 
     def record(self, tau: float, E: np.ndarray):
-        """Store the sample E(tau), tau after every stored time."""
+        """Store the spectrum of the node samples E(tau), tau after every
+        stored time."""
         if self.count == len(self.taus):
             self.taus = np.concatenate([self.taus, self.taus])
             self.E = np.concatenate([self.E, self.E])
         self.taus[self.count] = tau
-        self.E[self.count] = E
+        self.E[self.count] = np.fft.rfft(E, axis=0)
         self.count += 1
 
     def prune(self):
@@ -156,8 +159,8 @@ class FlowState:
 
 
 def _window_quadratures(state: FlowState, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Trapezoidal L(t) = tail + int E(tau) psi(t-tau) and the psi'-weighted
-    tail integral, over the stored samples up to time t."""
+    """Spectra of the trapezoidal L(t) = tail + int E(tau) psi(t-tau) and of
+    the psi'-weighted tail integral, over the stored samples up to time t."""
     taus = state.taus[:np.searchsorted(state.taus[:state.count], t + 1e-12, side="right")]
     if len(taus) < 2:
         if state.t > state.t0 + 2.0 * STEP and not len(taus):
@@ -169,55 +172,56 @@ def _window_quadratures(state: FlowState, t: float) -> tuple[np.ndarray, np.ndar
     trap[1:] += half
     lag = t - taus
     weights = np.stack([psi_ramp(lag), psi_ramp_derivative(lag)]) * trap
-    L, C = np.einsum("wk,k...->w...", weights, state.E[:len(taus)])
+    L, C = (weights @ state.E[:len(taus)].reshape(len(taus), -1)).reshape((2,) + state.tail.shape)
     return state.tail + L, C
 
 
 @functools.lru_cache(maxsize=4)
 def _spectral_multipliers(n: int, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Per rfft mode of n nodes at smoothing scale 1/t, with m = m(|xi|/t):
-    the jet multipliers (ik m, (ik)^2 m, ik) and the hdot pair
-    (-t^-2 |xi| m'(|xi|/t), m). Cached, since the middle stages of a step
-    share their time, hence read-only."""
+    the jet multipliers (ik m, (ik)^2 m, ik) on axis 1 and the hdot pair
+    (-t^-2 |xi| m'(|xi|/t), m). Cached, since stages share times, hence read-only."""
     eps = 1.0 / t
     k = np.arange(n // 2 + 1, dtype=float)[:, None]
     m = multiplier(eps * k)
     ik, ik2 = derivative_multipliers(n, 2)[..., None]
-    jet = np.stack([ik * m, ik2 * m, ik])
+    jet = np.stack([ik * m, ik2 * m, ik], axis=1)
     pair = np.stack([k * multiplier_derivative(eps * k) * -(eps * eps), m])
     jet.flags.writeable = pair.flags.writeable = False
     return jet, pair
 
 
-def _smoothed_jet(P: np.ndarray, t: float) -> np.ndarray:
-    """d S_{1/t} w, d^2 S_{1/t} w and dw of a circle map from its periodic
-    samples ``P``: one rfft and one batched irfft. Periodic parts only; the
-    map's offsets add to both first derivatives."""
-    jet, _ = _spectral_multipliers(len(P), t)
-    return np.fft.irfft(jet * np.fft.rfft(P, axis=0), n=len(P), axis=1)
+def _smoothed_jet(n: int, t: float, P: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The stack (d S_{1/t} w, d^2 S_{1/t} w), dw and hdot on n nodes, from
+    the spectra of a circle map's periodic samples ``P`` and of hdot ``H`` by
+    one batched irfft. The map's offsets add to both first derivatives."""
+    jet, _ = _spectral_multipliers(n, t)
+    N = P.shape[1]
+    nodes = np.fft.irfft(np.concatenate([(jet * P[:, None]).reshape(len(P), -1), H], axis=1),
+                         n=n, axis=0)
+    return nodes[:, :2 * N].reshape(n, 2, N), nodes[:, 2 * N:3 * N], nodes[:, 3 * N:]
 
 
 def _hdot(state: FlowState, t: float, h: np.ndarray) -> np.ndarray:
-    """hdot(t) from the target's components ``h``: the S'-term
-    -t^-2 S'[psi h + L(t)] plus S[psi' h + C(t)], where C(t) is the
-    E(tau) psi'(t - tau) window integral; one rfft of the stacked pair and
-    one irfft of the combined spectrum."""
+    """The spectrum of hdot(t), from the target's spectrum ``h``: the
+    S'-term -t^-2 S'[psi h + L(t)] plus S[psi' h + C(t)], where C(t) is the
+    E(tau) psi'(t - tau) window integral."""
     L, C = _window_quadratures(state, t)
     s = t - state.t0
-    _, pair = _spectral_multipliers(len(h), t)
-    spec = pair * np.fft.rfft(np.stack([h * psi_ramp(s) + L, h * psi_ramp_derivative(s) + C]),
-                              axis=1)
-    return np.fft.irfft(spec[0] + spec[1], n=len(h), axis=0)
+    _, (d_smoothing, smoothing) = _spectral_multipliers(state.grid.shape[0], t)
+    return d_smoothing * (h * psi_ramp(s) + L) + smoothing * (h * psi_ramp_derivative(s) + C)
 
 
 class _Rates(NamedTuple):
     """One right-hand side on the circle's nodes: arrays of shape (n, N)
     for maps, (n, 1, N) for their first derivatives and (n, 1) for
-    metrics."""
+    metrics, and the rfft spectra ``W`` of wdot and ``H`` of hdot."""
 
     wdot: np.ndarray
+    W: np.ndarray
     dwdot: np.ndarray
     hdot: np.ndarray
+    H: np.ndarray
     d_smooth: np.ndarray
     dw: np.ndarray
     identity_resid: float
@@ -228,20 +232,39 @@ class _Rates(NamedTuple):
         return np.einsum("...a,...a->...", self.d_smooth - self.dw, self.dwdot) * 2.0
 
 
-def _rhs(state: FlowState, h: np.ndarray, t: float, P: np.ndarray,
-         offsets: np.ndarray) -> _Rates:
-    """The right-hand side at (t, w) on arrays, w given by its periodic
-    samples ``P`` and ``offsets``: six FFT calls."""
-    d_smooth, d2_smooth, d_w = _smoothed_jet(P, t)
-    stack = np.stack([d_smooth + offsets[0], d2_smooth], axis=1)
-    report = _freeness(stack)
+def _rhs(state: FlowState, t: float, P: np.ndarray, H: np.ndarray) -> _Rates:
+    """The right-hand side at (t, w) from the spectra ``P`` of w and ``H`` of
+    hdot(t): three FFT calls, and one Gram for the freeness gate and the solve."""
+    n = state.grid.shape[0]
+    stack, d_w, hdot = _smoothed_jet(n, t, P, H)
+    stack[:, 0] += state.offsets[0]
+    gram = _row_products(stack, stack)
+    report = _freeness(gram)
     if not report.is_free:
         raise NonconvergenceError(
             f"flow abort at t={t:.3f}: smoothed map lost freeness "
             f"(gram det {report.min_gram_det:.3e})")
-    hdot = _hdot(state, t, h)
-    wdot, dwdot, worst = _min_norm_velocity(stack, hdot, state.grid)
-    return _Rates(wdot, dwdot, hdot, stack[:, :1], (d_w + offsets[0])[:, None], worst)
+    wdot = _min_norm_velocity(stack, gram, hdot)
+    W = np.fft.rfft(wdot, axis=0)
+    dwdot = np.fft.irfft(_spectral_multipliers(n, t)[0][:, 2] * W, n=n, axis=0)[:, None]
+    worst = _identity_residual(stack[:, :1], dwdot, hdot)
+    return _Rates(wdot, W, dwdot, hdot, H, stack[:, :1], (d_w + state.offsets[0])[:, None], worst)
+
+
+def _advance(state: FlowState, dt: float, h: np.ndarray, k1: np.ndarray) -> np.ndarray:
+    """Finish the 4th-order step of size dt whose first stage is ``k1``. hdot
+    reads the history and t only: the middle stages share one, and the last
+    stage's, returned, serves the next step's first, before E is recorded."""
+    P, half = state.P, state.t + dt / 2.0
+    hdot_half = _hdot(state, half, h)
+    k2 = _rhs(state, half, P + k1 * (dt / 2.0), hdot_half).W
+    k3 = _rhs(state, half, P + k2 * (dt / 2.0), hdot_half).W
+    hdot_end = _hdot(state, state.t + dt, h)
+    k4 = _rhs(state, state.t + dt, P + k3 * dt, hdot_end).W
+    state.P = P + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (dt / 6.0)
+    state.t += dt
+    state.prune()
+    return hdot_end
 
 
 class FlowSample(NamedTuple):
@@ -293,17 +316,16 @@ def tracked_quantities(samples, t0: float):
 def _record(state: FlowState, rates: _Rates, P0: np.ndarray, w0_pull: np.ndarray,
             h: np.ndarray) -> FlowSample:
     """The step's diagnostics from the right-hand side just evaluated at
-    (state.t, state.P): each D^0..D^4 sup of hdot, wdot and w - w0 from one
-    rfft and one batched irfft of the three side by side."""
+    (state.t, state.P), ``P0`` the starting map's spectrum: each D^0..D^4
+    sup of hdot, wdot and w - w0 from one batched irfft of their spectra."""
     ortho = float(np.max(np.abs(np.einsum("...ia,...a->...i", rates.d_smooth, rates.wdot))))
     resid_now = np.einsum("...ia,...ia->...i", rates.dw, rates.dw) - w0_pull - h
-    cols = np.concatenate([rates.hdot, rates.wdot, state.P - P0], axis=1)
-    ders = np.fft.irfft(derivative_multipliers(len(cols), 4)[..., None]
-                        * np.fft.rfft(cols, axis=0), n=len(cols), axis=1)
-    squares = np.concatenate([cols[None], ders]) ** 2
-    hdot_sups, wdot_sups, dist_sups = (
-        np.max(np.sqrt(np.sum(part, axis=-1)), axis=1).tolist()
-        for part in np.split(squares, [1, 1 + rates.wdot.shape[1]], axis=-1))
+    n = state.grid.shape[0]
+    cols = np.concatenate([rates.H, rates.W, state.P - P0], axis=1)
+    orders = np.concatenate([np.ones((len(cols), 1)), derivative_multipliers(n, 4).T], axis=1)
+    squares = np.fft.irfft(orders[..., None] * cols[:, None], n=n, axis=0) ** 2
+    parts = np.repeat(np.eye(3), [1, rates.wdot.shape[1], rates.wdot.shape[1]], axis=0)
+    hdot_sups, wdot_sups, dist_sups = np.max(np.sqrt(squares @ parts), axis=0).T.tolist()
     return FlowSample(
         t=state.t,
         hdot_c0=hdot_sups[0], hdot_c4=sum(hdot_sups),
@@ -320,7 +342,7 @@ def run_flow(w0: ImmersionField, h_target: MetricField,
     """Integrate the regularized flow from w0 toward a map realizing
     w0#e + h_target, with classical 4th-order steps of size STEP.
 
-    The steps run on arrays; fields are built from them only here, at the
+    The steps run on spectra; fields are built from them only here, at the
     start and at the end, where they are checked for finite values. The
     returned map ubar = w(t_end) satisfies
     ||ubar#e - (w0#e + h_target)|| <= cfg.tol. Any error raised while
@@ -343,7 +365,9 @@ def run_flow(w0: ImmersionField, h_target: MetricField,
             "halve the target or raise t0")
 
     state = FlowState(cfg.t0, w0)
-    h, offsets = h_target.data, w0.offsets
+    P0, h = state.P, h_target.data
+    h_spectrum = np.fft.rfft(h, axis=0)
+    hdot = _hdot(state, state.t, h_spectrum)
 
     diag = FlowDiagnostics()
     best_resid = float("inf")
@@ -352,9 +376,9 @@ def run_flow(w0: ImmersionField, h_target: MetricField,
     try:
         while state.t < t_end - 1e-9:
             dt = min(STEP, t_end - state.t)
-            rates1 = _rhs(state, h, state.t, state.P, offsets)
-            state.record(state.t, rates1.E)
-            sample = _record(state, rates1, w0.data, w0_pull.data, h)
+            rates = _rhs(state, state.t, state.P, hdot)
+            state.record(state.t, rates.E)
+            sample = _record(state, rates, P0, w0_pull.data, h)
             diag.samples.append(sample)
 
             if sample.metric_resid > cfg.tol:
@@ -365,17 +389,10 @@ def run_flow(w0: ImmersionField, h_target: MetricField,
                         f"residual {sample.metric_resid:.3e} not decaying for "
                         f"{DIVERGENCE_PATIENCE} steps at t={state.t:.2f}")
             best_resid = min(best_resid, sample.metric_resid)
+            hdot = _advance(state, dt, h_spectrum, rates.W)
 
-            P, k1 = state.P, rates1.wdot
-            half = state.t + dt / 2.0
-            k2 = _rhs(state, h, half, P + k1 * (dt / 2.0), offsets).wdot
-            k3 = _rhs(state, h, half, P + k2 * (dt / 2.0), offsets).wdot
-            k4 = _rhs(state, h, state.t + dt, P + k3 * dt, offsets).wdot
-            state.P = P + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (dt / 6.0)
-            state.t += dt
-            state.prune()
-
-        u = ImmersionField.from_periodic(w0.grid, state.P, offsets)
+        u = ImmersionField.from_periodic(
+            w0.grid, np.fft.irfft(state.P, n=w0.grid.shape[0], axis=0), w0.offsets)
         diag.final_resid = sup_norm(pullback_metric(u) - w0_pull - h_target, 0)
         if diag.final_resid > cfg.tol:
             raise NonconvergenceError(

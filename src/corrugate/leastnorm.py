@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError, InputError, SingularityError
-from .grid import ImmersionField, PeriodicGrid, spectral_gradient, triangular_index_pairs
+from .grid import ImmersionField, triangular_index_pairs
 
 #: relative pivot floor for the SPD factorization of A A^T
 PIVOT_FLOOR = 1e-12
@@ -48,7 +48,8 @@ class LinearSystem:
 def _spd_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve gram x = rhs for symmetric positive definite ``gram`` (batched
     over leading axes), refusing a smallest eigenvalue at or below
-    PIVOT_FLOOR times the largest.
+    PIVOT_FLOOR times the largest. ``rhs`` may hold only the trailing rows
+    of the right-hand side; the rows it leaves out are zero.
 
     A 2x2 system [[p, q], [q, r]] is solved in closed form by Cramer's rule;
     its large eigenvalue is high = (p + r)/2 + sqrt(((p - r)/2)^2 + q^2) and
@@ -64,12 +65,13 @@ def _spd_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             low = det / high
         _check_pivot(low, high)
-        x0 = (r * rhs[..., 0] - q * rhs[..., 1]) / det
-        x1 = (p * rhs[..., 1] - q * rhs[..., 0]) / det
-        return np.stack([x0, x1], axis=-1)
+        x0, x1 = -q * rhs[..., -1], p * rhs[..., -1]
+        if rhs.shape[-1] == 2:
+            x0, x1 = x0 + r * rhs[..., 0], x1 - q * rhs[..., 0]
+        return np.stack([x0 / det, x1 / det], axis=-1)
     eigs, vecs = np.linalg.eigh(gram)
     _check_pivot(eigs[..., 0], eigs[..., -1])
-    coef = np.einsum("...ji,...j->...i", vecs, rhs) / eigs
+    coef = np.einsum("...ji,...j->...i", vecs[..., -rhs.shape[-1]:, :], rhs) / eigs
     return np.einsum("...ij,...j->...i", vecs, coef)
 
 
@@ -110,10 +112,9 @@ def _derivative_stack(w: ImmersionField) -> np.ndarray:
     return np.stack(rows, axis=-2)
 
 
-def _freeness(stack: np.ndarray) -> FreeMapReport:
-    """Freeness read from a derivative stack: its smallest nodewise Gram
-    determinant against FREE_DET_TOL (in closed form for 2x2 Grams)."""
-    gram = _row_products(stack, stack)
+def _freeness(gram: np.ndarray) -> FreeMapReport:
+    """Freeness read from the nodewise Gram matrix of a derivative stack: its
+    smallest determinant against FREE_DET_TOL (in closed form for 2x2)."""
     if gram.shape[-1] == 2:
         det = gram[..., 0, 0] * gram[..., 1, 1] - gram[..., 0, 1] * gram[..., 0, 1]
     else:
@@ -132,33 +133,30 @@ def is_free(w: ImmersionField) -> FreeMapReport:
     n = w.grid.dim
     if w.ambient_dim < n * (n + 3) // 2:
         return FreeMapReport(False, 0.0, "dimension count")
-    return _freeness(_derivative_stack(w))
+    stack = _derivative_stack(w)
+    return _freeness(_row_products(stack, stack))
 
 
-def _min_norm_velocity(stack: np.ndarray, hdot: np.ndarray, grid: PeriodicGrid,
-                       ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Nodewise minimum-norm wdot with 2 dw (.) dwdot = hdot, on arrays.
+def _min_norm_velocity(stack: np.ndarray, gram: np.ndarray, hdot: np.ndarray) -> np.ndarray:
+    """Nodewise minimum-norm wdot with {d_j w . wdot = 0; -2 d_ij w . wdot =
+    hdot_ij for i <= j}, from the derivative stack of a free map w and its
+    Gram: A A^T is the Gram with the metric rows scaled by -2 (exact), and
+    the orthogonality rows' zero right-hand side is left to the solve."""
+    scale = np.ones(stack.shape[-2])
+    scale[stack.shape[-2] - hdot.shape[-1]:] = -2.0
+    x = _spd_solve(gram * np.multiply.outer(scale, scale), hdot) * scale
+    return np.einsum("...ia,...i->...a", stack, x)
 
-    ``stack`` is the derivative stack of a free map w and ``hdot`` the
-    triangular components of the metric rate. Solves, at every node, the
-    stacked system {d_j w . wdot = 0 for all j; -2 d_ij w . wdot = hdot_ij
-    for i <= j} and verifies the differential identity a posteriori at
-    LINEARIZATION_TOL (NaN fails it). Returns wdot's periodic samples, its
-    first derivatives and the largest identity residual.
-    """
-    d = grid.dim
-    A = stack.copy()
-    A[..., d:, :] *= -2.0
-    rhs = np.concatenate([np.zeros(grid.shape + (d,)), hdot], axis=-1)
-    wdot = least_norm_solve(LinearSystem(A, rhs))
-    dwdot = spectral_gradient(wdot, grid)
-    cross = _row_products(stack[..., :d, :], dwdot)
+
+def _identity_residual(first: np.ndarray, dwdot: np.ndarray, hdot: np.ndarray) -> float:
+    """The largest residual of 2 sym(dw^T dwdot) = hdot, verified at
+    LINEARIZATION_TOL (NaN fails it); first derivatives are (..., d, N)."""
+    cross = _row_products(first, dwdot)
     twice = np.stack([cross[..., i, j] + cross[..., j, i]
-                      for i, j in triangular_index_pairs(d)], axis=-1)
+                      for i, j in triangular_index_pairs(first.shape[-2])], axis=-1)
     worst = float(np.max(np.abs(twice - hdot)))
     if not worst <= LINEARIZATION_TOL:
         raise ConsistencyError(
             f"linearization identity residual {worst:.3e} exceeds {LINEARIZATION_TOL:.1e}; "
             "discretization too coarse")
-    return wdot, dwdot, worst
-
+    return worst

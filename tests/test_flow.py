@@ -13,6 +13,7 @@ from corrugate.flow import (
     FlowConfig,
     FlowSample,
     FlowState,
+    _advance,
     _hdot,
     _rhs,
     _window_quadratures,
@@ -44,18 +45,35 @@ def metric(grid, values):
     return MetricField(grid, np.asarray(values)[..., None])
 
 
+def spectrum(values):
+    return np.fft.rfft(values, axis=0)
+
+
+def nodes(spec, grid):
+    return np.fft.irfft(spec, n=grid.shape[0], axis=0)
+
+
 def rhs(state, h, t=None, P=None):
-    """The flow's right-hand side at (t, P), default the state's own, for a
-    closed circle map (zero offsets)."""
-    return _rhs(state, h.data, state.t if t is None else t, state.P if P is None else P,
-                np.zeros((1, 2)))
+    """The flow's right-hand side at (t, P), default the state's own time
+    and map spectrum, for a closed circle map (zero offsets)."""
+    t = state.t if t is None else t
+    return _rhs(state, t, state.P if P is None else P, _hdot(state, t, spectrum(h.data)))
 
 
 def path_h(state, t, h):
     """The tensor path h(t) = S_{1/t}[psi(t - t0) h + L(t)], smoothed by
     ``smoothing.smooth`` from the stored history."""
-    L, _ = _window_quadratures(state, t)
+    L = nodes(_window_quadratures(state, t)[0], h.grid)
     return smooth(MetricField(h.grid, h.data * psi_ramp(t - state.t0) + L), 1.0 / t).data
+
+
+def count_transforms(monkeypatch) -> list:
+    """Count every numpy FFT call from here on."""
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, lambda *args, _fn=getattr(np.fft, name), **kw:
+                            calls.append(_fn) or _fn(*args, **kw))
+    return calls
 
 
 class TestPsiRamp:
@@ -101,15 +119,9 @@ class TestFlowRhs:
         while state.t < 10.55:
             rates = rhs(state, h)
             state.record(state.t, rates.E)
-            k1 = rates.wdot
-            half = state.t + STEP / 2
-            k2 = rhs(state, h, t=half, P=state.P + k1 * (STEP / 2)).wdot
-            k3 = rhs(state, h, t=half, P=state.P + k2 * (STEP / 2)).wdot
-            k4 = rhs(state, h, t=state.t + STEP, P=state.P + k3 * STEP).wdot
-            state.P = state.P + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (STEP / 6.0)
-            state.t += STEP
+            _advance(state, STEP, spectrum(h.data), rates.W)
         t_mid = state.t - STEP / 2  # strictly inside the last sample gap
-        exact = _hdot(state, t_mid, h.data)
+        exact = nodes(_hdot(state, t_mid, spectrum(h.data)), grid)
 
         def central_err(delta):
             num = path_h(state, t_mid + delta, h) - path_h(state, t_mid - delta, h)
@@ -141,7 +153,7 @@ class TestFlowRhs:
         history = [(tau, metric(grid, rng.normal(size=grid.shape))) for tau in taus]
         tail = metric(grid, rng.normal(size=grid.shape))
         state = FlowState(10.0, circle_setup(64)[1])
-        state.t, state.tail = taus[-2], tail.data
+        state.t, state.tail = taus[-2], spectrum(tail.data)
         for tau, e in history:
             state.record(tau, e.data)
         h = metric(grid, 0.02 * np.cos(grid.meshes()[0]))
@@ -161,20 +173,63 @@ class TestFlowRhs:
                     + smooth(MetricField(grid, h.data * psi_ramp_derivative(t - state.t0) + C),
                              1.0 / t).data)
 
-        for got, ref in ((path_h(state, t, h), h_ref), (_hdot(state, t, h.data), hdot_ref)):
+        for got, ref in ((path_h(state, t, h), h_ref),
+                         (nodes(_hdot(state, t, spectrum(h.data)), grid), hdot_ref)):
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
-    def test_one_rhs_makes_at_most_six_transforms(self, monkeypatch):
-        # one spectrum of the map, one of the stacked h pair and one of wdot,
-        # each brought back by one batched inverse transform
-        calls = []
-        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
-            monkeypatch.setattr(np.fft, name, lambda *args, _fn=getattr(np.fft, name), **kw:
-                                calls.append(_fn) or _fn(*args, **kw))
+    def test_one_rhs_makes_at_most_three_transforms(self, monkeypatch):
+        # one batched inverse of the map's jet and hdot, one spectrum of
+        # wdot and the inverse of its derivative
         grid, w0 = circle_setup(64)
         h = metric(grid, np.full(grid.shape, 0.02))
-        rhs(FlowState(10.0, w0), h)
-        assert 0 < len(calls) <= 6
+        state = FlowState(10.0, w0)
+        hdot = _hdot(state, state.t, spectrum(h.data))
+        calls = count_transforms(monkeypatch)
+        _rhs(state, state.t, state.P, hdot)
+        assert 0 < len(calls) <= 3
+
+    def test_one_step_makes_at_most_14_transforms_and_two_quadratures(self, monkeypatch):
+        # k1, its E and its record, then k2..k4: the middle stages share one
+        # hdot, and the last stage's serves the next step's first stage
+        import corrugate.flow as flow
+
+        grid, w0 = circle_setup(64)
+        h = spectrum(np.full(grid.shape + (1,), 0.02))
+        state = FlowState(10.0, w0)
+        hdot = _hdot(state, state.t, h)
+        P0, pull = state.P, pullback_metric(w0).data
+        for _ in range(3):  # some history first
+            rates = _rhs(state, state.t, state.P, hdot)
+            state.record(state.t, rates.E)
+            hdot = _advance(state, STEP, h, rates.W)
+        quadratures, stages = [], []
+        quadrature, rhs_ = flow._window_quadratures, flow._rhs
+        monkeypatch.setattr(flow, "_window_quadratures",
+                            lambda *args: quadratures.append(args[1]) or quadrature(*args))
+        monkeypatch.setattr(flow, "_rhs", lambda *args: stages.append(rhs_(*args)) or stages[-1])
+        calls = count_transforms(monkeypatch)
+        rates = flow._rhs(state, state.t, state.P, hdot)
+        state.record(state.t, rates.E)
+        flow._record(state, rates, P0, pull, np.full(grid.shape + (1,), 0.02))
+        hdot_next = _advance(state, STEP, h, rates.W)
+        assert 0 < len(calls) <= 14
+        assert len(quadratures) <= 2
+        assert len(stages) == 4
+        assert np.array_equal(stages[1].hdot, stages[2].hdot)
+        assert stages[3].H is hdot_next
+
+    def test_last_stage_hdot_is_the_next_steps_first(self):
+        # the step's last stage reads the history the next step's first does
+        grid, w0 = circle_setup(64)
+        h = spectrum(np.full(grid.shape + (1,), 0.02))
+        state = FlowState(10.0, w0)
+        hdot = _hdot(state, state.t, h)
+        for _ in range(30):  # past the window, so samples are retired
+            rates = _rhs(state, state.t, state.P, hdot)
+            state.record(state.t, rates.E)
+            hdot = _advance(state, STEP, h, rates.W)
+            fresh = _hdot(state, state.t, h)
+            assert np.max(np.abs(hdot - fresh)) <= 1e-15 * np.max(np.abs(fresh))
 
     def test_recorded_sups_match_the_field_norms(self):
         # the step's batched D^0..D^4 sups and residuals against the field norms
@@ -188,7 +243,7 @@ class TestFlowRhs:
         state = FlowState(10.0, w)
         state.t = 10.05
         rates = rhs(state, h)
-        sample = _record(state, rates, w0.data, pullback_metric(w0).data, h.data)
+        sample = _record(state, rates, spectrum(w0.data), pullback_metric(w0).data, h.data)
         hdot = MetricField(grid, rates.hdot)
         wdot = ImmersionField.from_periodic(grid, rates.wdot)
         identity = symmetric_product(smooth(w, 1.0 / state.t), wdot) * 2.0 - hdot

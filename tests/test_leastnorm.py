@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from corrugate.errors import ConsistencyError, InputError, SingularityError
-from corrugate.grid import ImmersionField, PeriodicGrid, symmetric_product
+from corrugate.grid import ImmersionField, PeriodicGrid, spectral_gradient, symmetric_product
 from corrugate.leastnorm import (
     LinearSystem,
     _derivative_stack,
+    _identity_residual,
     _min_norm_velocity,
+    _row_products,
     _spd_solve,
     is_free,
     least_norm_solve,
@@ -24,8 +26,11 @@ def free_torus_map(grid):
 
 
 def min_norm_velocity(w, hdot):
-    """The nodewise minimum-norm wdot with 2 dw (.) dwdot = hdot, as a field."""
-    wdot, _, _ = _min_norm_velocity(_derivative_stack(w), hdot, w.grid)
+    """The nodewise minimum-norm wdot with 2 dw (.) dwdot = hdot, as a field,
+    its differential identity checked."""
+    stack = _derivative_stack(w)
+    wdot = _min_norm_velocity(stack, _row_products(stack, stack), hdot)
+    _identity_residual(stack[..., :w.grid.dim, :], spectral_gradient(wdot, w.grid), hdot)
     return ImmersionField.from_periodic(w.grid, wdot)
 
 
@@ -149,17 +154,30 @@ class TestIsFree:
 
 
 class TestApplyL:
-    def test_solves_with_least_norm_solve(self, monkeypatch):
+    def test_solves_with_one_spd_solve(self, monkeypatch):
         import corrugate.leastnorm as leastnorm
 
         systems = []
-        solve = leastnorm.least_norm_solve
-        monkeypatch.setattr(leastnorm, "least_norm_solve",
-                            lambda system: systems.append(system) or solve(system))
+        solve = leastnorm._spd_solve
+        monkeypatch.setattr(leastnorm, "_spd_solve",
+                            lambda gram, rhs: systems.append(gram) or solve(gram, rhs))
         grid = PeriodicGrid((64,))
         min_norm_velocity(unit_circle_map(grid, ambient=2), np.full((64, 1), 0.3))
         assert len(systems) == 1
-        assert systems[0].A.shape == (64, 2, 2)
+        assert systems[0].shape == (64, 2, 2)
+
+    def test_matches_least_norm_solve_of_the_stacked_system(self):
+        # A A^T from the shared Gram and the zero rows left to the solve give
+        # the minimum-norm solution of the full stacked system
+        rng = np.random.default_rng(41)
+        for d, ambient in ((1, 2), (1, 3), (2, 5), (2, 6)):
+            m = d + d * (d + 1) // 2
+            stack = rng.normal(size=(7, m, ambient))
+            hdot = rng.normal(size=(7, m - d))
+            A = stack * np.r_[np.ones(d), np.full(m - d, -2.0)][:, None]
+            want = least_norm_solve(LinearSystem(A, np.concatenate([np.zeros((7, d)), hdot], -1)))
+            got = _min_norm_velocity(stack, _row_products(stack, stack), hdot)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_zero_rate_gives_zero_velocity(self):
         grid = PeriodicGrid((64,))

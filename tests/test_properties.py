@@ -24,7 +24,19 @@ from corrugate.fieldio import (
     write_field_block,
     write_primitives,
 )
-from corrugate.flow import FlowDiagnostics, FlowSample, _smoothed_jet
+from corrugate.flow import (
+    STEP,
+    FlowDiagnostics,
+    FlowSample,
+    FlowState,
+    _advance,
+    _hdot,
+    _record,
+    _rhs,
+    _smoothed_jet,
+    psi_ramp,
+    psi_ramp_derivative,
+)
 from corrugate.frame import normal_pair
 from corrugate.grid import (
     MIN_RESOLUTION,
@@ -41,7 +53,14 @@ from corrugate.grid import (
     spectral_gradient,
     sup_norm,
 )
-from corrugate.leastnorm import PIVOT_FLOOR, _spd_solve
+from corrugate.leastnorm import (
+    PIVOT_FLOOR,
+    LinearSystem,
+    _derivative_stack,
+    _spd_solve,
+    is_free,
+    least_norm_solve,
+)
 from corrugate.smoothing import smooth, smooth_eps_derivative
 
 from conftest import clifford_map, unit_circle_map, unresolved_cover_case
@@ -549,12 +568,164 @@ def perturbed_circle_maps(draw):
 def test_one_spectrum_gives_the_smoothed_jet(w, eps):
     # the flow's d S w, d^2 S w and dw from one spectrum, against smooth()
     # and the field derivatives, each relative to w's own size
-    dS, d2S, dw = _smoothed_jet(w.data, 1.0 / eps)
+    n = len(w.data)
+    no_hdot = np.zeros((n // 2 + 1, 1))
+    stack, dw, _ = _smoothed_jet(n, 1.0 / eps, np.fft.rfft(w.data, axis=0), no_hdot)
+    dS, d2S = stack[:, 0], stack[:, 1]
     ref = smooth(w, eps)
     for got, want, size in ((dS + w.offsets[0], ref.derivatives()[:, 0], w.derivatives()),
                             (d2S, ref.second_derivatives()[:, 0, 0], w.second_derivatives()),
                             (dw + w.offsets[0], w.derivatives()[:, 0], w.derivatives())):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(size))
+
+
+@st.composite
+def free_circle_flow_steps(draw):
+    """A free circle in R^2 or R^3 on 32 or 64 nodes (the unit circle plus
+    low modes small enough to keep it free), a band-limited target metric,
+    a start time and a number of steps of history."""
+    grid = PeriodicGrid((draw(st.sampled_from([32, 64])),))
+    (x,) = grid.meshes()
+    base = unit_circle_map(grid, ambient=draw(st.integers(2, 3)))
+    top = grid.shape[0] // 8
+    modes = draw(st.lists(st.integers(2, top), min_size=1, max_size=3, unique=True))
+    amps = arrays(float, (2, base.ambient_dim), elements=st.floats(-1.0, 1.0))
+    bump = sum(c * np.cos(k * x)[:, None] + s * np.sin(k * x)[:, None]
+               for k, (c, s) in zip(modes, (draw(amps) for _ in modes)))
+    size = draw(st.floats(0.0, 0.1)) / (top * top * len(modes))
+    k, phase = draw(st.integers(1, top // 2)), draw(st.floats(0.0, 2.0 * np.pi))
+    h = MetricField(grid, (0.02 + draw(st.floats(-0.02, 0.02)) * np.cos(k * x + phase))[:, None])
+    return base + ImmersionField(grid, size * bump), h, draw(st.floats(5.0, 40.0)), \
+        draw(st.integers(1, 5))
+
+
+def node_space_hdot(taus, history, tail, t, t0, h):
+    """hdot(t) from node samples: the window integrals summed one trapezoid
+    pair at a time, then -t^-2 S'[psi h + L] + S[psi' h + C] by
+    ``smooth_eps_derivative`` and ``smooth``."""
+    pts = [(tau, e) for tau, e in zip(taus, history) if tau <= t + 1e-12]
+    L, C = tail, np.zeros_like(tail)
+    for (t_a, e_a), (t_b, e_b) in zip(pts, pts[1:]):
+        half = 0.5 * (t_b - t_a)
+        L = L + (e_a * psi_ramp(t - t_a) + e_b * psi_ramp(t - t_b)) * half
+        C = C + (e_a * psi_ramp_derivative(t - t_a) + e_b * psi_ramp_derivative(t - t_b)) * half
+    inner = MetricField(h.grid, h.data * psi_ramp(t - t0) + L)
+    rate = MetricField(h.grid, h.data * psi_ramp_derivative(t - t0) + C)
+    return smooth_eps_derivative(inner, 1.0 / t).data * (-1.0 / t**2) + smooth(rate, 1.0 / t).data
+
+
+def node_space_rhs(w, hdot, t):
+    """wdot, d wdot and d S_{1/t} w from field derivatives and
+    ``least_norm_solve`` of the stacked system."""
+    smoothed = smooth(w, 1.0 / t)
+    d_smooth = smoothed.derivatives()[:, 0]
+    A = np.stack([d_smooth, -2.0 * smoothed.second_derivatives()[:, 0, 0]], axis=1)
+    wdot = least_norm_solve(LinearSystem(A, np.concatenate([np.zeros_like(hdot), hdot], -1)))
+    dwdot = ImmersionField.from_periodic(w.grid, wdot).derivatives()[:, 0]
+    return wdot, dwdot, d_smooth
+
+
+@given(free_circle_flow_steps())
+def test_spectral_step_matches_the_node_space_reference(case):
+    # one flow step from a recorded history, against the node-space formulas
+    w0, h, t0, steps = case
+    grid, n = w0.grid, w0.grid.shape[0]
+    nodes = lambda spec: np.fft.irfft(spec, n=n, axis=0)  # noqa: E731
+    h_spec = np.fft.rfft(h.data, axis=0)
+    state = FlowState(t0, w0)
+    hdot = _hdot(state, t0, h_spec)
+    for _ in range(steps):
+        rates = _rhs(state, state.t, state.P, hdot)
+        state.record(state.t, rates.E)
+        hdot = _advance(state, STEP, h_spec, rates.W)
+    state.tail = np.fft.rfft(1e-3 * h.data[::-1], axis=0)  # a retired part, too
+    hdot = _hdot(state, state.t, h_spec)
+    t, w = state.t, ImmersionField.from_periodic(grid, nodes(state.P))
+    taus = list(state.taus[:state.count])
+    history = [nodes(e) for e in state.E[:state.count]]
+    tail = nodes(state.tail)
+
+    rates = _rhs(state, t, state.P, hdot)
+    state.record(t, rates.E)
+    sample = _record(state, rates, np.fft.rfft(w0.data, axis=0), pullback_metric(w0).data, h.data)
+    _advance(state, STEP, h_spec, rates.W)
+
+    ks, stage_w = [], w
+    for dt_in, dt_out in ((0.0, 0.5), (0.5, 0.5), (0.5, 1.0), (1.0, None)):
+        tau = t + dt_in * STEP
+        ref_hdot = node_space_hdot(taus, history, tail, tau, t0, h)
+        wdot, dwdot, d_smooth = node_space_rhs(stage_w, ref_hdot, tau)
+        if not ks:
+            ref = (ref_hdot, wdot, dwdot, d_smooth)
+            history.append(2.0 * np.einsum("...a,...a->...", d_smooth - w.derivatives()[:, 0],
+                                           dwdot)[:, None])
+            taus.append(t)
+        ks.append(wdot)
+        if dt_out is not None:
+            stage_w = ImmersionField.from_periodic(grid, w.data + wdot * (dt_out * STEP))
+    w_next = w.data + (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3]) * (STEP / 6.0)
+
+    def close(got, want, scale=None):
+        scale = np.max(np.abs(want)) if scale is None else scale
+        return np.max(np.abs(np.asarray(got) - want)) <= 1e-11 * scale
+
+    ref_hdot, wdot, dwdot, d_smooth = ref
+    assert close(nodes(state.P), w_next)
+    assert close(rates.wdot, wdot)
+    assert close(rates.hdot, ref_hdot)
+    # the sups read the step's own hdot and wdot, pinned to the reference
+    # above: D^4 scales rounding in the top modes by (n/2)^4, so a D^4 sup
+    # is exact only to that times machine epsilon times the D^0 sup
+    hdot_f, wdot_f = MetricField(grid, rates.hdot), ImmersionField.from_periodic(grid, rates.wdot)
+    floor = 10.0 * (n / 2) ** 4 * np.finfo(float).eps
+    for c0, c4, field in ((sample.hdot_c0, sample.hdot_c4, hdot_f),
+                          (sample.wdot_c0, sample.wdot_c4, wdot_f)):
+        assert close(c0, sup_norm(field, 0))
+        want = sum(derivative_sups(field, 4))
+        assert abs(c4 - want) <= 1e-11 * want + floor * c0
+    # differences of two maps or metrics: their rounding is relative to those
+    assert close(sample.dist3, sup_norm(w - w0, 3), sup_norm(w, 3))
+    pull = pullback_metric(w)
+    resid = sup_norm(pull - pullback_metric(w0) - h, 0)
+    assert close(sample.metric_resid, resid, sup_norm(pull, 0))
+    # rounding-level audits: against the size of the terms they cancel
+    assert close(sample.ortho_resid, np.max(np.abs(np.sum(d_smooth * wdot, -1))),
+                 np.max(np.abs(d_smooth)) * np.max(np.abs(wdot)))
+    assert close(sample.identity_resid,
+                 np.max(np.abs(2.0 * np.sum(d_smooth * dwdot, -1)[:, None] - ref_hdot)),
+                 np.max(np.abs(ref_hdot)))
+
+
+@st.composite
+def free_check_maps(draw):
+    """A band-limited perturbation of a free circle in R^2 or R^3 or of a
+    torus in R^5 or R^6."""
+    if draw(st.booleans()):
+        grid = PeriodicGrid((draw(st.sampled_from([16, 32, 64])),))
+        base = unit_circle_map(grid, ambient=draw(st.integers(2, 3)))
+    else:
+        grid = PeriodicGrid((draw(st.sampled_from([16, 32])),) * 2)
+        x, y = grid.meshes()
+        comps = [np.cos(x), np.sin(x), np.cos(y), np.sin(y), np.sin(x + y + 0.3)]
+        if draw(st.booleans()):
+            comps.append(np.cos(x + y))
+        base = ImmersionField(grid, np.stack(comps, axis=-1))
+    values, _ = draw(band_limited(grid, base.ambient_dim))
+    top = max(np.max(np.abs(spectral_gradient(spectral_gradient(values, grid), grid))), 1.0)
+    return ImmersionField(grid, base.data + draw(st.floats(0.0, 0.3)) / top * values)
+
+
+@given(free_check_maps())
+def test_freeness_reads_the_dense_gram_determinant(w):
+    # is_free's Gram is the derivative stack's, built once and shared. A
+    # determinant near zero cancels, so its rounding is relative to the
+    # Hadamard bound, the product of the Gram's diagonal at that node
+    stack = _derivative_stack(w)
+    gram = stack @ np.swapaxes(stack, -1, -2)
+    dets = np.linalg.det(gram).ravel()
+    node = np.argmin(dets)
+    bound = np.prod(np.diagonal(gram, axis1=-2, axis2=-1).reshape(len(dets), -1)[node])
+    assert abs(is_free(w).min_gram_det - dets[node]) <= 1e-12 * max(abs(dets[node]), bound)
 
 
 @st.composite
