@@ -200,9 +200,10 @@ def global_decompose(h: MetricField, bump_count: int = 1) -> list[PrimitiveMetri
     """Decompose h over the whole chart with a ``bump_count``-per-axis lattice.
 
     Each patch contributes J(n) primitives modulated by a partition function
-    phi_l = beta_l / sqrt(sum_k beta_k^2); at most K(n) primitives are
-    nonzero at any node. A patch whose coefficients dip below the 0.05
-    floor on its support fails this bump count with a CoverageError.
+    phi_l = beta_l / sqrt(sum_k beta_k^2); at most n+1 patches overlap, so at
+    most K(n) = J(n)(n+1) primitives are nonzero at any node. A patch whose
+    coefficients dip below the 0.05 floor on its support fails this bump
+    count with a CoverageError.
     """
     _require_positive_definite(h)
     grid = h.grid
@@ -247,8 +248,6 @@ def global_decompose(h: MetricField, bump_count: int = 1) -> list[PrimitiveMetri
                 psi_linear=v[i],
                 support_id=ell,
             ))
-    if int(np.max(active_count(primitives, grid))) > overlap_bound(grid.dim):
-        raise CoverageError("active primitive count exceeds K(n)")
     return primitives
 
 

@@ -2,6 +2,8 @@
 
 Every format is line-oriented ASCII so artifacts stay inspectable. Floats
 are written with 17 significant digits, making all round trips lossless.
+Readers take a file's non-blank, stripped lines and read each block by index;
+numbers follow ``np.loadtxt``'s syntax, and a file holds exactly its blocks.
 """
 
 from __future__ import annotations
@@ -52,11 +54,26 @@ def write_field_block(field, out: io.TextIOBase):
     _write_rows(out, _row_format(payload.shape[1]) + "\n", payload)
 
 
-def read_field_block(lines):
-    """Inverse of write_field_block; consumes lines from an iterator."""
-    header = next((line.strip() for line in lines if line.strip()), None)
-    if header is None:
+def _lines(path) -> list[str]:
+    """The file's non-blank lines, stripped: what every reader here parses."""
+    with open(path) as fh:
+        return [line for line in map(str.strip, fh) if line]
+
+
+def _numbers(rows: list[str]) -> np.ndarray | None:
+    """Rows of comma-separated floats as a 2-D array; None if loadtxt refuses them."""
+    try:
+        return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+
+
+def read_field_block(lines: list[str], at: int):
+    """Inverse of write_field_block: the field whose block (header, at most one
+    offsets line, one row per node) starts at ``lines[at]``, and the index after it."""
+    if at == len(lines):
         raise InputError("empty field block")
+    header = lines[at]
     parts = header.split()
     if len(parts) != 6 or parts[0] != "#" or parts[1] != "field":
         raise InputError(f"malformed field header: {header!r}")
@@ -71,55 +88,44 @@ def read_field_block(lines):
     if len(shape) != dim:
         raise InputError("res entry count does not match dim")
     grid = PeriodicGrid(shape)
-
+    at += 1
     offsets = None
-    rows = []
-    needed = grid.num_nodes
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("# offsets"):
-            body = line[len("# offsets"):].strip()
-            try:
-                offsets = np.array([[float(v) for v in part.split(",")]
-                                    for part in body.split(";")])
-            except ValueError:
-                raise InputError(f"malformed field line: {line!r}") from None
-            continue
-        rows.append(line)
-        if len(rows) == needed:
-            break
-    if len(rows) != needed:
-        raise InputError(f"field block truncated: {len(rows)} of {needed} rows")
-    data = _parse_rows(rows, ncomp)
+    if at < len(lines) and lines[at].startswith("# offsets"):
+        if cls is not ImmersionField:
+            raise InputError(f"offsets line in a {cls.kind} field block")
+        rows = lines[at][len("# offsets"):].split(";")
+        offsets = _numbers(rows) if all(map(str.strip, rows)) else None
+        if offsets is None:
+            raise InputError(f"malformed field line: {lines[at]!r}")
+        at += 1
+    rows = lines[at:at + grid.num_nodes]
+    if len(rows) != grid.num_nodes:
+        raise InputError(f"field block truncated: {len(rows)} of {grid.num_nodes} rows")
+    data = _numbers(rows)
+    if data is None or data.shape[1] != ncomp:
+        for line in rows:  # the first row the same rule refuses, quoted
+            row = _numbers([line])
+            if row is None:
+                raise InputError(f"malformed field line: {line!r}")
+            if row.shape[1] != ncomp:
+                raise InputError(f"row width {row.shape[1]} != declared N={ncomp}: {line!r}")
     shape = grid.shape + cls.component_shape(grid, (ncomp,))
     if int(np.prod(shape)) != data.size:
         raise InputError(f"{cls.kind} field on a {dim}-dimensional grid cannot have N={ncomp}")
-    if offsets is not None and cls is not ImmersionField:
-        raise InputError(f"offsets line in a {cls.kind} field block")
-    return cls.from_periodic(grid, data.reshape(shape), *([] if offsets is None else [offsets]))
+    field = cls.from_periodic(grid, data.reshape(shape), *([] if offsets is None else [offsets]))
+    return field, at + grid.num_nodes
 
 
-def _parse_rows(rows: list[str], ncomp: int) -> np.ndarray:
-    """The block's rows as a (rows, ncomp) array. One loadtxt call reads a
-    well-formed block; on a refusal each row is read alone, which accepts
-    every row float() does and quotes the first one it refuses."""
-    try:
-        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-        if data.shape[1] == ncomp:
-            return data
-    except ValueError:
-        pass
-    parsed = []
-    for line in rows:
-        try:
-            parsed.append([float(v) for v in line.split(",")])
-        except ValueError:
-            raise InputError(f"malformed field line: {line!r}") from None
-        if len(parsed[-1]) != ncomp:
-            raise InputError(f"row width {len(parsed[-1])} != declared N={ncomp}: {line!r}")
-    return np.asarray(parsed)
+def _read_blocks(path, count: int) -> list:
+    """The ``count`` field blocks that make up the file, and nothing after them."""
+    lines = _lines(path)
+    fields, at = [], 0
+    for _ in range(count):
+        field, at = read_field_block(lines, at)
+        fields.append(field)
+    if at < len(lines):
+        raise InputError(f"line after the last field block: {lines[at]!r}")
+    return fields
 
 
 def write_field(field, path):
@@ -128,8 +134,7 @@ def write_field(field, path):
 
 
 def read_field(path):
-    with open(path) as fh:
-        return read_field_block(iter(fh))
+    return _read_blocks(path, 1)[0]
 
 
 def write_frame(frame, path):
@@ -140,16 +145,17 @@ def write_frame(frame, path):
 
 
 def read_frame(path):
+    """Two immersion blocks on one grid whose lifts pass ``FramePair.validate``."""
     from .frame import FramePair
-
-    with open(path) as fh:
-        lines = iter(fh)
-        nu = read_field_block(lines)
-        b = read_field_block(lines)
+    nu, b = _read_blocks(path, 2)
+    if not (isinstance(nu, ImmersionField) and isinstance(b, ImmersionField)):
+        raise InputError(f"frame blocks must be immersion fields, got {nu.kind} and {b.kind}")
     if nu.data.shape != b.data.shape:
         raise InputError(f"frame blocks differ: nu has shape {nu.data.shape}, "
                          f"b has shape {b.data.shape}")
-    return FramePair(nu.grid, nu.data, b.data)
+    pair = FramePair(nu.grid, nu.values, b.values)
+    pair.validate()
+    return pair
 
 
 def write_primitives(primitives, path):
@@ -163,27 +169,20 @@ def write_primitives(primitives, path):
 
 def read_primitives(path):
     from .decompose import PrimitiveMetric
-
-    prims = []
-    with open(path) as fh:
-        lines = iter(fh)
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            if not line.startswith("primitive "):
-                raise InputError(f"expected primitive manifest, got {line!r}")
-            try:
-                attrs = dict(p.split("=", 1) for p in line.split()[1:])
-                psi_linear = np.array([float(v) for v in attrs["psi_linear"].split(",")])
-                support_id = int(attrs["patch"])
-            except (KeyError, ValueError):
-                raise InputError(f"malformed primitive manifest: {line!r}") from None
-            prims.append(PrimitiveMetric(
-                amplitude=read_field_block(lines),
-                psi_linear=psi_linear,
-                support_id=support_id,
-            ))
+    lines = _lines(path)
+    prims, at = [], 0
+    while at < len(lines):
+        line = lines[at]
+        if not line.startswith("primitive "):
+            raise InputError(f"expected primitive manifest, got {line!r}")
+        try:
+            attrs = dict(p.split("=", 1) for p in line.split()[1:])
+            psi_linear = np.array([float(v) for v in attrs["psi_linear"].split(",")])
+            support_id = int(attrs["patch"])
+        except (KeyError, ValueError):
+            raise InputError(f"malformed primitive manifest: {line!r}") from None
+        amplitude, at = read_field_block(lines, at + 1)
+        prims.append(PrimitiveMetric(amplitude, psi_linear, support_id))
     return prims
 
 
@@ -237,8 +236,7 @@ def write_table(header, rows, path):
 
 
 def read_table(path) -> tuple[list[str], list[list[str]]]:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    lines = _lines(path)
     if not lines:
         raise InputError("empty table")
     header = lines[0].split(",")

@@ -19,7 +19,7 @@ from corrugate.fieldio import (
     write_primitives,
 )
 from corrugate.frame import normal_pair
-from corrugate.grid import ImmersionField, MetricField, PeriodicGrid, pullback_metric
+from corrugate.grid import ImmersionField, MetricField, PeriodicGrid, ScalarField, pullback_metric
 
 from conftest import clifford_map, unit_circle_map, unresolved_cover_case
 
@@ -205,6 +205,11 @@ class TestReportIO:
         assert repr(bad) in str(err.value)
 
 
+def _with_offsets(pair, offsets) -> list[ImmersionField]:
+    """The pair's vectors as the periodic parts of two blocks with these offsets."""
+    return [ImmersionField.from_periodic(pair.grid, vec, offsets) for vec in (pair.nu, pair.b)]
+
+
 class TestFrameAndPrimitiveIO:
     def test_frame_round_trip(self, tmp_path):
         w = unit_circle_map(PeriodicGrid((64,)))
@@ -221,6 +226,22 @@ class TestFrameAndPrimitiveIO:
             write_field_block(unit_circle_map(PeriodicGrid((32,))), fh)
             write_field_block(unit_circle_map(PeriodicGrid((16,)), ambient=4), fh)
         with pytest.raises(InputError, match=r"\(32, 3\).*\(16, 4\)"):
+            read_frame(path)
+
+    @pytest.mark.parametrize("blocks, message", [
+        (lambda grid: [ImmersionField(grid, np.zeros((16, 3)))] * 2, "nu is not unit length"),
+        (lambda grid: [8.7 * unit_circle_map(grid)] * 2, "nu is not unit length"),
+        (lambda grid: [ScalarField.constant(grid, 1.0)] * 2,
+         "frame blocks must be immersion fields, got scalar and scalar"),
+        (lambda grid: _with_offsets(normal_pair(unit_circle_map(grid)), [[0.0, 0.0, 1e-3]]),
+         "nu is not unit length"),
+    ], ids=["zero-vectors", "length-8.7", "two-scalar-blocks", "offsets"])
+    def test_invalid_frame_is_refused(self, tmp_path, blocks, message):
+        path = tmp_path / "frame.csv"
+        with open(path, "w") as fh:
+            for block in blocks(PeriodicGrid((16,))):
+                write_field_block(block, fh)
+        with pytest.raises(InputError, match=message):
             read_frame(path)
 
     def test_primitives_round_trip(self, tmp_path):
@@ -258,8 +279,9 @@ class TestMainDispatch:
         (2, "1.0,2.0,3.0"),
         (1, "# offsets 1.0,x"),
         (1, "# offsets 1.0;2.0,3.0"),
+        (2, "# offsets 1,0"),
     ], ids=["N-without-value", "res-not-integer", "res-missing", "row-not-a-number",
-            "row-too-wide", "offset-not-a-number", "offsets-ragged"])
+            "row-too-wide", "offset-not-a-number", "offsets-ragged", "offsets-in-a-row"])
     def test_malformed_field_file_exits_2(self, tmp_path, capsys, line, bad):
         path = tmp_path / "w.csv"
         write_field(unit_circle_map(PeriodicGrid((16,)), ambient=2), path)
@@ -268,6 +290,18 @@ class TestMainDispatch:
         path.write_text("\n".join(lines) + "\n")
         assert main(["free-check", "--in", str(path)]) == 2
         assert repr(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, quoted", [
+        (lambda lines: [lines[0].replace("res=32", "res=16")] + lines[1:], 18),
+        (lambda lines: lines[:2] + [lines[1]] + lines[2:], 2),
+    ], ids=["res-16-over-32-rows", "second-offsets-line"])
+    def test_field_file_beyond_its_block_exits_2(self, tmp_path, capsys, edit, quoted):
+        path = tmp_path / "w.csv"
+        write_field(unit_circle_map(PeriodicGrid((32,)), ambient=2), path)
+        lines = edit(path.read_text().splitlines())
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["free-check", "--in", str(path)]) == 2
+        assert repr(lines[quoted]) in capsys.readouterr().err
 
     def test_malformed_h_file_exits_2(self, tmp_path, capsys):
         grid = PeriodicGrid((16,))

@@ -283,8 +283,7 @@ class TestSerialization:
     def round_trip(self, field):
         buf = io.StringIO()
         write_field_block(field, buf)
-        buf.seek(0)
-        return read_field_block(iter(buf))
+        return read_field_block(buf.getvalue().splitlines(), 0)[0]
 
     def test_scalar_round_trip(self):
         rng = np.random.default_rng(2)

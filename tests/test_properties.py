@@ -405,6 +405,24 @@ def test_mutated_field_file_exits_with_a_contract_code(case):
         assert main(argv) in EXIT_CODES
 
 
+@given(mutated_field_files())
+@example(("free-check", _FIELD_FILES["circle"] + _FIELD_FILES["circle"][-1:]))
+def test_mutated_field_file_reads_one_node_per_data_row(case):
+    """read_field refuses a mutated file with an InputError, or returns a
+    field with one node per data row of the file: a file holds its block."""
+    _, lines = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.csv")
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        try:
+            field = read_field(path)
+        except InputError:
+            return
+    assert field.grid.num_nodes == sum(1 for line in lines
+                                       if line.strip() and not line.startswith("#"))
+
+
 #: configs of the commands that finish in milliseconds; {tmp} is the run's folder
 _CONFIGS = [
     {"command": "free-check", "params": {"in_path": "{tmp}/circle.csv"}},
