@@ -7,6 +7,12 @@ O(1/lambda). A stage decomposes the remaining metric gap into primitives
 and adds one spiral per primitive, doubling lambda until the three
 inductive estimates hold at measured (not assumed) accuracy.
 
+The spiral's metric error is a slow field times a trigonometric polynomial
+of degree at most 2 in the fast phase, so each lambda is first read on two
+scales (TwoScale), from slow fields on the grid the search already holds.
+Only a lambda whose two-scale estimates pass gets its refined grid, frame,
+spiral and fine check, and the fine check stays the acceptance.
+
 Every phase psi is linear, and on a periodic chart the oscillation phase
 lambda*psi must be periodic, so lambda*psi_linear is rounded to the nearest
 integer frequency vector; the rounding error is O(1/lambda) and lands inside
@@ -41,6 +47,7 @@ from .grid import (
     is_short,
     pullback_metric,
     resample,
+    spectral_gradient,
     sup_norm,
     triangular_index_pairs,
 )
@@ -53,6 +60,15 @@ SEAM_TOL = 1e-6
 
 #: bump lattices per axis the decomposition tries, coarsest first
 BUMP_COUNTS = (1, 2, 4)
+
+#: phases theta at which the lambda filter reads the increment: its squared
+#: norm is a trigonometric polynomial of degree 4 in theta, read four times
+#: per degree
+FILTER_PHASES = 16
+
+#: phases at which TwoScale.check reads the terms it reports, twice the
+#: filter's: on criterion 5's first primitive they read within 4e-4 of 256 phases
+CHECK_PHASES = 2 * FILTER_PHASES
 
 
 @dataclass(frozen=True)
@@ -219,6 +235,151 @@ def check_stage_estimates(w_prev: ImmersionField, w_next: ImmersionField,
     )
 
 
+def _dot(x, y):
+    return np.einsum("...a,...a->...", x, y)
+
+
+def _peak(mean, cos2, sin2) -> float:
+    """Sup over nodes and theta of mean + cos2 cos 2theta + sin2 sin 2theta."""
+    return float(np.max(mean + np.hypot(cos2, sin2)))
+
+
+def _phase_rows(count: int) -> np.ndarray:
+    """Rows (cos t, sin t, cos 2t, sin 2t) at ``count`` equispaced phases t,
+    ``count`` a power of 2, in bit-reversed order: every prefix of the rows
+    spreads over the whole circle."""
+    bits = count.bit_length() - 1
+    t = 2.0 * np.pi * np.array([int(format(i, f"0{bits}b")[::-1], 2)
+                                for i in range(count)])[:, None] / count
+    return np.hstack([np.cos(t), np.sin(t), np.cos(2 * t), np.sin(2 * t)])
+
+
+FILTER_ROWS = _phase_rows(FILTER_PHASES)
+CHECK_ROWS = _phase_rows(CHECK_PHASES)
+
+
+class TwoScale:
+    """The estimates of a spiral at any lambda, read on the grid of ``w``.
+
+    With theta = k.x, k = integer_phase, kappa = k/lambda, U_i = d_i a nu +
+    a d_i nu, V_i = d_i a b + a d_i b and A_i = d_i nu . b, the increment's
+    derivative is d_i w^p = C_i cos theta + S_i sin theta, where C_i = U_i/lambda
+    + a kappa_i b and S_i = V_i/lambda - a kappa_i nu. So C0 is sup a/lambda
+    exactly, and since dw is normal to nu and b, the cross term is
+    -(2a/lambda)(d_i d_j w.nu cos theta + d_i d_j w.b sin theta). The
+    quadratic term is 1/2(C_i.C_j + S_i.S_j) - a^2 psi_i psi_j + 1/2(C_i.C_j -
+    S_i.S_j) cos 2theta + 1/2(C_i.S_j + S_i.C_j) sin 2theta, where
+
+        C_i.C_j = U_i.U_j/lambda^2 + (a^2/lambda)(kappa_i A_j + kappa_j A_i) + a^2 kappa_i kappa_j,
+
+    S_i.S_j is the same with V in place of U, and C_i.S_j + S_i.C_j =
+    (U_i.V_j + U_j.V_i)/lambda^2. The slow fields are built once, here, and
+    each lambda costs arithmetic at the nodes. |D|^2 has a closed-form
+    maximum over theta; the increment is read at phases.
+    """
+
+    def __init__(self, w: ImmersionField, prim: PrimitiveMetric, frame: FramePair):
+        grid = w.grid
+        self.frame, self.prim = frame, prim
+        self.pairs = triangular_index_pairs(grid.dim)
+        self.weights = np.array([1.0 if i == j else 2.0 for i, j in self.pairs])
+        a = prim.amplitude.values
+        da = spectral_gradient(a, grid)[..., None]
+        dnu = spectral_gradient(frame.nu, grid)
+        self.a2 = a * a
+        self.a2_link = self.a2[..., None] * np.einsum("...ia,...a->...i", dnu, frame.b)
+        u = da * frame.nu[..., None, :] + a[..., None, None] * dnu
+        del dnu
+        v = da * frame.b[..., None, :] + a[..., None, None] * spectral_gradient(frame.b, grid)
+        uu = np.stack([_dot(u[..., i, :], u[..., j, :]) for i, j in self.pairs])
+        vv = np.stack([_dot(v[..., i, :], v[..., j, :]) for i, j in self.pairs])
+        uv = np.stack([_dot(u[..., i, :], v[..., j, :]) + _dot(u[..., j, :], v[..., i, :])
+                       for i, j in self.pairs])
+        del u, v
+        hess = w.second_derivatives()
+        # the parts at cos theta/lambda, sin theta/lambda, cos 2theta/lambda^2
+        # and sin 2theta/lambda^2: the cross term, then the quadratic term's
+        self.fast = np.stack([
+            np.stack([-2.0 * a * _dot(hess[..., i, j, :], frame.nu) for i, j in self.pairs]),
+            np.stack([-2.0 * a * _dot(hess[..., i, j, :], frame.b) for i, j in self.pairs]),
+            (uu - vv) / 2.0, uv / 2.0])
+        del hess
+        self.even = (uu + vv) / 2.0
+        diag = [c for c, (i, j) in enumerate(self.pairs) if i == j]
+        self.trace_parts = [np.sum(part[diag], axis=0) for part in (self.even, *self.fast[2:])]
+        self.a_max = float(np.max(a))
+
+    def _mean(self, lam: float) -> np.ndarray:
+        """The increment's part constant in theta, one row per component."""
+        kappa = integer_phase(self.prim, lam) / lam
+        psi = self.prim.psi_linear
+        return np.stack([
+            self.even[c] / lam**2
+            + (kappa[i] * self.a2_link[..., j] + kappa[j] * self.a2_link[..., i]) / lam
+            + self.a2 * (kappa[i] * kappa[j] - psi[i] * psi[j])
+            for c, (i, j) in enumerate(self.pairs)])
+
+    def _weighed(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The Frobenius inner product of component rows ``x`` and ``y``, nodewise."""
+        return np.tensordot(self.weights, x * y, 1)
+
+    def _sup_sq(self, vals: np.ndarray) -> float:
+        """Sup over nodes of the squared Frobenius norm of component rows ``vals``."""
+        return float(np.max(self._weighed(vals, vals)))
+
+    @staticmethod
+    def _phases(rows: np.ndarray, lam: float) -> np.ndarray:
+        """``rows`` of _phase_rows scaled to the factors of ``fast`` at ``lam``."""
+        return rows * np.array([1.0 / lam, 1.0 / lam, 1.0 / lam**2, 1.0 / lam**2])
+
+    def _deriv_sq(self, lam: float) -> float:
+        """Sup over nodes and theta of |D w^p|^2 = (P + Q)/2 + (P - Q)/2 cos 2theta
+        + R sin 2theta, with P = sum |C_i|^2, Q = sum |S_i|^2, R = sum C_i.S_i."""
+        kappa = integer_phase(self.prim, lam) / lam
+        even, odd, mixed = self.trace_parts
+        mean = even / lam**2 + 2.0 * (self.a2_link @ kappa) / lam + self.a2 * (kappa @ kappa)
+        return _peak(mean, odd / lam**2, mixed / lam**2)
+
+    def _deriv_ok(self, deriv_sq: float) -> bool:
+        psi = self.prim.psi_linear
+        return deriv_sq < 2.0 * float(np.max(self.a2)) * float(psi @ psi) or deriv_sq <= 1e-14
+
+    def passes(self, lam: float, delta_budget: float) -> bool:
+        """The filter after the C0 test, which needs no slow fields: the
+        increment at FILTER_PHASES phases, one at a time, refused at the first
+        phase that reads at least delta_budget, then |D|^2. A sampled phase
+        never reads above the maximum over theta."""
+        mean = self._mean(lam)
+        for row in self._phases(FILTER_ROWS, lam):
+            if self._sup_sq(mean + np.tensordot(row, self.fast, 1)) >= delta_budget**2:
+                return False
+        return self._deriv_ok(self._deriv_sq(lam))
+
+    def check(self, lam: float, eta_budget: float, delta_budget: float) -> StageCheck:
+        """The three estimates and the increment's two terms in the form
+        check_stage_estimates reports. The cross term, of degree 1 in theta,
+        has a closed-form maximum; the quadratic term and the increment are
+        read at CHECK_PHASES phases."""
+        nu_part, b_part = self.fast[0] / lam, self.fast[1] / lam
+        nn, bb = self._weighed(nu_part, nu_part), self._weighed(b_part, b_part)
+        sq_cross = _peak((nn + bb) / 2.0, (nn - bb) / 2.0, self._weighed(nu_part, b_part))
+        del nu_part, b_part, nn, bb
+        mean = self._mean(lam)
+        sq_quad = sq_incr = 0.0
+        for row in self._phases(CHECK_ROWS, lam):
+            quad = mean + np.tensordot(row[2:], self.fast[2:], 1)
+            sq_quad = max(sq_quad, self._sup_sq(quad))
+            sq_incr = max(sq_incr, self._sup_sq(quad + np.tensordot(row[:2], self.fast[:2], 1)))
+        c0, deriv_sq = self.a_max / lam, self._deriv_sq(lam)
+        incr_err = math.sqrt(sq_incr)
+        return StageCheck(
+            c0=c0, deriv_sq=deriv_sq, incr_err=incr_err,
+            c0_ok=c0 < eta_budget, deriv_ok=self._deriv_ok(deriv_sq),
+            incr_ok=incr_err < delta_budget,
+            cross_err=math.sqrt(sq_cross), quad_err=math.sqrt(sq_quad),
+        )
+
+
 def resample_primitive(prim: PrimitiveMetric, new_grid: PeriodicGrid) -> PrimitiveMetric:
     """Lift a primitive to a finer grid.
 
@@ -283,18 +444,35 @@ def _seam_checked(frame: FramePair) -> FramePair:
     return frame
 
 
+def _failure(lam: float, failed, eta_budget: float, delta_budget: float) -> str:
+    """Why ``lam`` failed: ``failed`` is its trial's StageCheck, or the
+    TwoScale (or the map, primitive and frame of one) that refused it, whose
+    estimates are measured in full only here, for a message that quotes them."""
+    if isinstance(failed, StageCheck):
+        what, check = f"the trial at lambda {lam:.0f} failed estimate(s)", failed
+    else:
+        what = f"lambda {lam:.0f} failed two-scale estimate(s)"
+        scales = failed if isinstance(failed, TwoScale) else TwoScale(*failed)
+        check = scales.check(lam, eta_budget, delta_budget)
+    return f"{what} {check.failing()} with measured {check.measured()}"
+
+
 def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
                   eta_budget: float, delta_budget: float) -> tuple[SpiralParams, StageFields]:
     """Doubling search from lambda = 8 until the measured estimates pass.
 
-    Each trial runs on the grid _required_grid gives, a multiple of
-    ``w.grid``, for its frequency and the bandwidth B of ``w.data`` and the
-    amplitude, measured once here.
-    There the map and primitive are lifted from the arguments and the frame
-    is built on the lifted map, so it stays out of B; every frame, the given
-    one too, is held to SEAM_TOL. Returns the first lambda whose map w_next =
-    w + spiral passes, with the fields on its grid and that w_next. A grid
-    over the cap ``grid.MAX_NODES``, read at call time, aborts.
+    Each lambda is first read on two scales (TwoScale) on the grid the
+    search holds, with the frame its trial would read: the held one if the
+    trial keeps that grid, else normal_pair of the held map. Only a lambda
+    whose two-scale estimates pass is tried, on the grid _required_grid
+    gives, a multiple of ``w.grid``, for its frequency and the bandwidth B of
+    ``w.data`` and the amplitude, measured once here. There the map and
+    primitive are lifted from the arguments and the frame is built on the
+    lifted map, so it stays out of B; every frame, the given one too, is
+    held to SEAM_TOL. The trial's fine check is the acceptance: returns the
+    first lambda whose map w_next = w + spiral passes both, with the fields
+    on its grid and that w_next. A trial grid over the cap
+    ``grid.MAX_NODES``, read at call time, aborts.
     """
     if not (eta_budget > 0.0 and delta_budget > 0.0):
         raise InputError(f"lambda search budgets must be positive, got eta "
@@ -303,31 +481,39 @@ def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
     cur = StageFields(w=w, prim=prim, frame=_seam_checked(frame))
     band = [max(bandwidth(w.data, a), bandwidth(prim.amplitude.data, a))
             for a in range(w.grid.dim)]
-    last_check = None
+    scales = None  # the slow fields on cur's grid, for scales.frame
+    failed = None  # (lambda, its trial's check or its two-scale reading) of the last failure
     while lam <= LAMBDA_CAP:
         k_vec = integer_phase(prim, lam)
         shape = _required_grid(w.grid, cur.grid, k_vec, band)
+        read = cur.frame if shape == cur.grid.shape else _seam_checked(normal_pair(cur.w))
+        c0_ok = float(np.max(cur.prim.amplitude.values)) / lam < eta_budget
+        if c0_ok and (scales is None or scales.frame is not read):
+            scales = TwoScale(cur.w, cur.prim, read)
+        if not (c0_ok and scales.passes(lam, delta_budget)):
+            failed = (lam, scales if c0_ok else (cur.w, cur.prim, read))
+            lam *= 2.0
+            continue
         if math.prod(shape) > grid_module.MAX_NODES:
-            tried = "" if last_check is None else (
-                f"; the trial at lambda {lam / 2.0:.0f} failed estimate(s) "
-                f"{last_check.failing()} with measured {last_check.measured()}")
+            tried = "" if failed is None else "; " + _failure(*failed, eta_budget, delta_budget)
             raise NonconvergenceError(
                 f"oscillation at frequency {tuple(int(k) for k in k_vec)} needs grid "
                 f"{shape}, beyond the desk-scale cap of {grid_module.MAX_NODES} "
                 f"nodes{tried}")
+        scales = failed = None  # freed before the trial's fields exist
         if shape != cur.grid.shape:
             w_f = resample(w, PeriodicGrid(shape))
             cur = StageFields(w=w_f, prim=resample_primitive(prim, w_f.grid),
                               frame=_seam_checked(normal_pair(w_f)))
         w_next = cur.w + spiral_perturbation(cur.w, cur.prim, cur.frame, lam)
-        last_check = check_stage_estimates(cur.w, w_next, cur.prim, eta_budget, delta_budget)
-        if last_check.ok:
+        check = check_stage_estimates(cur.w, w_next, cur.prim, eta_budget, delta_budget)
+        if check.ok:
             return SpiralParams(lam), cur._replace(w_next=w_next)
+        failed = (lam, check)
         lam *= 2.0
     raise NonconvergenceError(
-        f"no lambda up to {LAMBDA_CAP:.0f} meets the budgets "
-        f"(eta {eta_budget:.3e}, delta {delta_budget:.3e}); last failing "
-        f"estimate(s): {last_check.failing()} with measured {last_check.measured()}")
+        f"no lambda up to {LAMBDA_CAP:.0f} meets the budgets (eta {eta_budget:.3e}, "
+        f"delta {delta_budget:.3e}); {_failure(*failed, eta_budget, delta_budget)}")
 
 
 def run_stage(w: ImmersionField, g: MetricField, eta: float,

@@ -177,12 +177,15 @@ def read_primitives(path):
             raise InputError(f"expected primitive manifest, got {line!r}")
         try:
             attrs = dict(p.split("=", 1) for p in line.split()[1:])
-            psi_linear = np.array([float(v) for v in attrs["psi_linear"].split(",")])
             support_id = int(attrs["patch"])
+            # the blocks' number rule; loadtxt only warns on an empty row
+            psi_linear = _numbers([attrs["psi_linear"]]) if attrs["psi_linear"] else None
+            if psi_linear is None:
+                raise ValueError
         except (KeyError, ValueError):
             raise InputError(f"malformed primitive manifest: {line!r}") from None
         amplitude, at = read_field_block(lines, at + 1)
-        prims.append(PrimitiveMetric(amplitude, psi_linear, support_id))
+        prims.append(PrimitiveMetric(amplitude, psi_linear[0], support_id))
     return prims
 
 

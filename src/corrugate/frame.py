@@ -166,7 +166,11 @@ def _coulomb_turn(nu, b) -> float:
 
 def normal_pair(w: ImmersionField) -> FramePair:
     """Unit orthonormal pair normal to the immersed chart, in the Coulomb
-    gauge of the module docstring. Codimension 2 only."""
+    gauge of the module docstring. Codimension 2 only. Cached on the map, as
+    its derivatives are: every caller shares the pair, so none may write to it."""
+    pair = getattr(w, "_normal_pair", None)
+    if pair is not None:
+        return pair
     if w.ambient_dim != w.grid.dim + 2:
         raise CapabilityError(f"normal pair needs codimension 2, got N={w.ambient_dim} "
                               f"on a {w.grid.dim}-dimensional chart")
@@ -177,4 +181,5 @@ def normal_pair(w: ImmersionField) -> FramePair:
     pair = FramePair(w.grid, nu, b, seam_mismatch=mismatch)
     # normal by construction (Q annihilates the tangents): check the rest
     pair.validate()
+    w._normal_pair = pair
     return pair

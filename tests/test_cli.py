@@ -315,9 +315,10 @@ class TestMainDispatch:
 
     @pytest.mark.parametrize("manifest", [
         "primitive id=0 patch=0", "primitive id=0 patch=x psi_linear=1,0",
-        "primitive id=0 patch=0 psi_linear=1,y", "primitive id=0 patch psi_linear=1,0"],
+        "primitive id=0 patch=0 psi_linear=1,y", "primitive id=0 patch psi_linear=1,0",
+        "primitive id=0 patch=0 psi_linear=1_0,0"],
         ids=["psi-linear-missing", "patch-not-integer", "psi-linear-not-a-number",
-             "patch-without-value"])
+             "patch-without-value", "psi-linear-python-literal"])
     def test_malformed_primitive_manifest(self, tmp_path, manifest):
         from corrugate.decompose import global_decompose
 

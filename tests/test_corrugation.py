@@ -4,9 +4,11 @@ import pytest
 import corrugate.grid as grid_module
 from corrugate.corrugation import (
     StageReport,
+    TwoScale,
     _required_grid,
     check_stage_estimates,
     choose_lambda,
+    integer_phase,
     resample_primitive,
     run_stage,
     spiral_perturbation,
@@ -26,6 +28,7 @@ from corrugate.grid import (
     MetricField,
     PeriodicGrid,
     ScalarField,
+    bandwidth,
     derivative_sups,
     is_short,
     pullback_metric,
@@ -73,6 +76,21 @@ def clifford_gap_primitives():
     norm_g = sup_norm(g, 0)
     delta0 = min(0.25 / (2.0 * norm_g + 1e-12), 0.5 * margin / norm_g)
     return w, global_decompose((1.0 - delta0) * g - pullback_metric(w), bump_count=1)
+
+
+def circle_gap_primitive():
+    """The circle run's stage 1 (``corrugate run --manifold circle --stages 2
+    --epsilon 0.5 --resolution 64 --target-scale 1.2``): the 64-node unit
+    circle in R^3 and the one primitive of its gap to g = 1.2^2 at delta 1/4,
+    decomposed as run_stage does. Returns (w, prim)."""
+    grid = PeriodicGrid((64,))
+    w = unit_circle_map(grid)
+    g = MetricField.identity(grid, 1.2**2)
+    _, margin = is_short(w, g, strict=True)
+    norm_g = sup_norm(g, 0)
+    delta0 = min(0.25 / (2.0 * norm_g + 1e-12), 0.5 * margin / norm_g)
+    (prim,) = global_decompose((1.0 - delta0) * g - pullback_metric(w), bump_count=1)
+    return w, prim
 
 
 class TestSpiralPerturbation:
@@ -241,6 +259,48 @@ class TestFusedCheck:
         assert len(calls) == 1
 
 
+class TestTwoScale:
+    @pytest.mark.parametrize("case", ["clifford", "circle"])
+    @pytest.mark.parametrize("lam", [8.0, 16.0, 32.0, 64.0])
+    def test_matches_the_fine_check_on_its_grid(self, case, lam):
+        # read on the input grid; the fine check runs on the grid the trial
+        # would refine to (up to 192x256), with the frame built there
+        if case == "clifford":
+            w, prims = clifford_gap_primitives()
+            prim = prims[0]
+        else:
+            w, prim = circle_gap_primitive()
+        pair = normal_pair(w)
+        two_scale = TwoScale(w, prim, pair).check(lam, 1.0, 1.0)
+        band = [max(bandwidth(w.data, a), bandwidth(prim.amplitude.data, a))
+                for a in range(w.grid.dim)]
+        fine = PeriodicGrid(_required_grid(w.grid, w.grid, integer_phase(prim, lam), band))
+        w_f, prim_f = resample(w, fine), resample_primitive(prim, fine)
+        check = check_stage_estimates(
+            w_f, w_f + spiral_perturbation(w_f, prim_f, normal_pair(w_f), lam), prim_f, 1.0, 1.0)
+        assert abs(two_scale.incr_err - check.incr_err) <= 1e-3 * check.incr_err
+        assert two_scale.c0 == pytest.approx(check.c0, rel=1e-12)
+
+    def test_refuses_on_c0_without_building_slow_fields(self, monkeypatch):
+        import corrugate.corrugation as corrugation
+
+        built = []
+
+        class Counted(TwoScale):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(corrugation, "TwoScale", Counted)
+        grid = PeriodicGrid((64, 16))
+        w = flat_strip_map(grid)
+        # sup a = 1 needs lambda 32 for eta 0.05: lambda 8 and 16 fail C0 alone
+        params, _ = choose_lambda(w, constant_primitive(grid), normal_pair(w),
+                                  eta_budget=0.05, delta_budget=1e-6)
+        assert params.lam == 32.0
+        assert len(built) == 1
+
+
 class TestRequiredGrid:
     @pytest.mark.parametrize("shape, k_vec, band, want", [
         ((64, 64), (0, 0), (0, 0), (64, 64)),      # never below the current grid
@@ -348,9 +408,29 @@ class TestChooseLambda:
         # frequencies (34, +-49) and (49, 0) at lambda 64, bandwidth 1
         assert found == [(64.0, (192, 256)), (64.0, (192, 256)), (64.0, (256, 64))]
 
+    def test_clifford_searches_build_one_frame_above_64_squared_and_one_fine_check(
+            self, monkeypatch):
+        import corrugate.corrugation as corrugation
+
+        frames, checks = [], []
+        monkeypatch.setattr(corrugation, "normal_pair", lambda w_f: frames.append(
+            w_f.grid.shape) or normal_pair(w_f))
+        monkeypatch.setattr(corrugation, "check_stage_estimates", lambda *args: checks.append(
+            args[0].grid.shape) or check_stage_estimates(*args))
+        w, prims = clifford_gap_primitives()
+        pair = normal_pair(w)
+        for prim in prims:
+            frames.clear()
+            checks.clear()
+            _, fields = choose_lambda(w, prim, pair, 0.5 / 9, 0.05)
+            assert [shape for shape in frames if shape != (64, 64)] == [fields.grid.shape]
+            assert checks == [fields.grid.shape]
+
     def test_node_cap_abort_names_the_dominant_term(self, monkeypatch):
-        # lambda 8, 16 and 32 are tried on 64x16, 128x16 and 192x16; lambda 64
-        # needs 320x16, over the cap. The frame is parallel, so the cross term is 0
+        # lambda 8 to 256 fail their two-scale estimates on 64x16 (the increment
+        # is (0.3/lambda)^2), so none of their grids is built or checked against
+        # the cap; lambda 512 passes them and needs 2304x16, over the cap. The
+        # frame is parallel, so the cross term is 0
         monkeypatch.setattr(grid_module, "MAX_NODES", 2**12)
         grid = PeriodicGrid((64, 16))
         w = flat_strip_map(grid)
@@ -358,8 +438,8 @@ class TestChooseLambda:
         with pytest.raises(NonconvergenceError) as err:
             choose_lambda(w, prim, normal_pair(w), eta_budget=1.0, delta_budget=1e-6)
         message = str(err.value)
-        assert "needs grid (320, 16), beyond the desk-scale cap of 4096 nodes" in message
-        assert "the trial at lambda 32 failed estimate(s) increment" in message
+        assert "needs grid (2304, 16), beyond the desk-scale cap of 4096 nodes" in message
+        assert "lambda 256 failed two-scale estimate(s) increment" in message
         assert "cross term 0.000e+00" in message
         assert "the quadratic term dominates" in message
 
