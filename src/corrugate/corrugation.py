@@ -8,10 +8,11 @@ and adds one spiral per primitive, doubling lambda until the three
 inductive estimates hold at measured (not assumed) accuracy.
 
 The spiral's metric error is a slow field times a trigonometric polynomial
-of degree at most 2 in the fast phase, so each lambda is first read on two
-scales (TwoScale), from slow fields on the grid the search already holds.
-Only a lambda whose two-scale estimates pass gets its refined grid, frame,
-spiral and fine check, and the fine check stays the acceptance.
+of degree at most 2 in the fast phase, so each lambda is first read once on
+two scales (TwoScale), from slow fields on the grid the search already holds.
+Only a lambda whose two-scale reading passes gets its refined grid, frame,
+spiral and fine check, and the fine check stays the acceptance. An abort
+quotes the last reading or check the search made.
 
 Every phase psi is linear, and on a periodic chart the oscillation phase
 lambda*psi must be periodic, so lambda*psi_linear is rounded to the nearest
@@ -61,14 +62,10 @@ SEAM_TOL = 1e-6
 #: bump lattices per axis the decomposition tries, coarsest first
 BUMP_COUNTS = (1, 2, 4)
 
-#: phases theta at which the lambda filter reads the increment: its squared
-#: norm is a trigonometric polynomial of degree 4 in theta, read four times
-#: per degree
-FILTER_PHASES = 16
-
-#: phases at which TwoScale.check reads the terms it reports, twice the
-#: filter's: on criterion 5's first primitive they read within 4e-4 of 256 phases
-CHECK_PHASES = 2 * FILTER_PHASES
+#: phases theta at which TwoScale reads the increment: its squared norm is a
+#: trigonometric polynomial of degree 4 in theta, read eight times per degree;
+#: on criterion 5's first primitive they read within 4e-4 of 256 phases
+PHASES = 32
 
 
 @dataclass(frozen=True)
@@ -116,6 +113,11 @@ def integer_phase(prim: PrimitiveMetric, lam: float) -> np.ndarray:
     return np.rint(lam * prim.psi_linear).astype(int)
 
 
+def _require_shared_grid(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair):
+    if prim.grid.shape != w.grid.shape or frame.grid.shape != w.grid.shape:
+        raise InputError("immersion, primitive, and frame must share a grid")
+
+
 def spiral_perturbation(w: ImmersionField, prim: PrimitiveMetric,
                         frame: FramePair, lam: float) -> ImmersionField:
     """The increment (a/lambda)(nu cos(lambda psi) + b sin(lambda psi)).
@@ -125,8 +127,7 @@ def spiral_perturbation(w: ImmersionField, prim: PrimitiveMetric,
     refused, since its nodes cannot read the increment's products alias-free.
     """
     grid = w.grid
-    if prim.grid.shape != grid.shape or frame.grid.shape != grid.shape:
-        raise InputError("immersion, primitive, and frame must share a grid")
+    _require_shared_grid(w, prim, frame)
     if lam < 1.0:
         raise InputError("lambda must be at least 1")
     k_vec = integer_phase(prim, lam)
@@ -146,7 +147,10 @@ class StageCheck(NamedTuple):
 
     ``cross_err`` and ``quad_err`` are the sups of the two terms the metric
     increment error splits into (see check_stage_estimates); ``incr_err``
-    is the sup of their sum, so it is at most cross_err + quad_err.
+    is the sup of their sum, so it is at most cross_err + quad_err. A
+    two-scale reading (TwoScale.check) may stop at the first phase whose
+    increment reaches the budget; its incr_err is then the largest phase it
+    read, and both terms are read at that phase.
     """
 
     c0: float
@@ -168,18 +172,27 @@ class StageCheck(NamedTuple):
                   ("increment", self.incr_ok)] if not flag]
         return ",".join(names) if names else "none"
 
-    def measured(self) -> str:
-        """The measured estimates, with the increment's split into terms and
-        the name of the larger term."""
+    def failure(self) -> str:
+        """The failing estimates, then every measured one, with the increment's
+        split into terms and the name of the larger term."""
         larger = "cross" if self.cross_err >= self.quad_err else "quadratic"
-        return (f"C0 {self.c0:.3e}, |D|^2 {self.deriv_sq:.3e}, increment "
-                f"{self.incr_err:.3e} (cross term {self.cross_err:.3e}, quadratic "
-                f"term {self.quad_err:.3e}; the {larger} term dominates)")
+        return (f"{self.failing()} with measured C0 {self.c0:.3e}, |D|^2 "
+                f"{self.deriv_sq:.3e}, increment {self.incr_err:.3e} (cross term "
+                f"{self.cross_err:.3e}, quadratic term {self.quad_err:.3e}; the "
+                f"{larger} term dominates)")
 
 
 def _sup_root(sq: np.ndarray) -> float:
     """Sup over nodes of a norm, given its nodewise square."""
     return float(np.sqrt(np.max(sq)))
+
+
+def _deriv_ok(prim: PrimitiveMetric, deriv_sq: float) -> bool:
+    """|D w^p|^2 below 2 sup a^2|psi|^2, twice the primitive's sup norm, or
+    at rounding scale."""
+    psi = prim.psi_linear
+    return deriv_sq < 2.0 * float(np.max(prim.amplitude.values ** 2)) * float(psi @ psi) \
+        or deriv_sq <= 1e-14
 
 
 def check_stage_estimates(w_prev: ImmersionField, w_next: ImmersionField,
@@ -211,25 +224,21 @@ def check_stage_estimates(w_prev: ImmersionField, w_next: ImmersionField,
     dw = w_prev.derivatives()
     k = prim.psi_linear
     a2 = prim.amplitude.values ** 2
-    sq_target = sq_cross = sq_quad = sq_incr = 0.0
+    sq_cross = sq_quad = sq_incr = 0.0
     for i, j in triangular_index_pairs(w_prev.grid.dim):
         weight = 1.0 if i == j else 2.0
-        target = a2 * k[i] * k[j]
         cross = np.einsum("...a,...a->...", dw[..., i, :], dinc[..., j, :])
         cross += (cross if i == j
                   else np.einsum("...a,...a->...", dw[..., j, :], dinc[..., i, :]))
-        quad = np.einsum("...a,...a->...", dinc[..., i, :], dinc[..., j, :]) - target
-        sq_target = sq_target + weight * target * target
+        quad = np.einsum("...a,...a->...", dinc[..., i, :], dinc[..., j, :]) - a2 * k[i] * k[j]
         sq_cross = sq_cross + weight * cross * cross
         sq_quad = sq_quad + weight * quad * quad
         incr = cross + quad
         sq_incr = sq_incr + weight * incr * incr
-    bound2 = 2.0 * _sup_root(sq_target)
     incr_err = _sup_root(sq_incr)
     return StageCheck(
         c0=c0, deriv_sq=deriv_sq, incr_err=incr_err,
-        c0_ok=c0 < eta_budget,
-        deriv_ok=(deriv_sq < bound2) or (deriv_sq <= 1e-14),
+        c0_ok=c0 < eta_budget, deriv_ok=_deriv_ok(prim, deriv_sq),
         incr_ok=incr_err < delta_budget,
         cross_err=_sup_root(sq_cross), quad_err=_sup_root(sq_quad),
     )
@@ -237,11 +246,6 @@ def check_stage_estimates(w_prev: ImmersionField, w_next: ImmersionField,
 
 def _dot(x, y):
     return np.einsum("...a,...a->...", x, y)
-
-
-def _peak(mean, cos2, sin2) -> float:
-    """Sup over nodes and theta of mean + cos2 cos 2theta + sin2 sin 2theta."""
-    return float(np.max(mean + np.hypot(cos2, sin2)))
 
 
 def _phase_rows(count: int) -> np.ndarray:
@@ -252,10 +256,6 @@ def _phase_rows(count: int) -> np.ndarray:
     t = 2.0 * np.pi * np.array([int(format(i, f"0{bits}b")[::-1], 2)
                                 for i in range(count)])[:, None] / count
     return np.hstack([np.cos(t), np.sin(t), np.cos(2 * t), np.sin(2 * t)])
-
-
-FILTER_ROWS = _phase_rows(FILTER_PHASES)
-CHECK_ROWS = _phase_rows(CHECK_PHASES)
 
 
 class TwoScale:
@@ -275,7 +275,7 @@ class TwoScale:
     S_i.S_j is the same with V in place of U, and C_i.S_j + S_i.C_j =
     (U_i.V_j + U_j.V_i)/lambda^2. The slow fields are built once, here, and
     each lambda costs arithmetic at the nodes. |D|^2 has a closed-form
-    maximum over theta; the increment is read at phases.
+    maximum over theta; the increment is read at PHASES phases.
     """
 
     def __init__(self, w: ImmersionField, prim: PrimitiveMetric, frame: FramePair):
@@ -309,9 +309,8 @@ class TwoScale:
         self.trace_parts = [np.sum(part[diag], axis=0) for part in (self.even, *self.fast[2:])]
         self.a_max = float(np.max(a))
 
-    def _mean(self, lam: float) -> np.ndarray:
+    def _mean(self, lam: float, kappa: np.ndarray) -> np.ndarray:
         """The increment's part constant in theta, one row per component."""
-        kappa = integer_phase(self.prim, lam) / lam
         psi = self.prim.psi_linear
         return np.stack([
             self.even[c] / lam**2
@@ -319,64 +318,40 @@ class TwoScale:
             + self.a2 * (kappa[i] * kappa[j] - psi[i] * psi[j])
             for c, (i, j) in enumerate(self.pairs)])
 
-    def _weighed(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The Frobenius inner product of component rows ``x`` and ``y``, nodewise."""
-        return np.tensordot(self.weights, x * y, 1)
-
     def _sup_sq(self, vals: np.ndarray) -> float:
         """Sup over nodes of the squared Frobenius norm of component rows ``vals``."""
-        return float(np.max(self._weighed(vals, vals)))
-
-    @staticmethod
-    def _phases(rows: np.ndarray, lam: float) -> np.ndarray:
-        """``rows`` of _phase_rows scaled to the factors of ``fast`` at ``lam``."""
-        return rows * np.array([1.0 / lam, 1.0 / lam, 1.0 / lam**2, 1.0 / lam**2])
-
-    def _deriv_sq(self, lam: float) -> float:
-        """Sup over nodes and theta of |D w^p|^2 = (P + Q)/2 + (P - Q)/2 cos 2theta
-        + R sin 2theta, with P = sum |C_i|^2, Q = sum |S_i|^2, R = sum C_i.S_i."""
-        kappa = integer_phase(self.prim, lam) / lam
-        even, odd, mixed = self.trace_parts
-        mean = even / lam**2 + 2.0 * (self.a2_link @ kappa) / lam + self.a2 * (kappa @ kappa)
-        return _peak(mean, odd / lam**2, mixed / lam**2)
-
-    def _deriv_ok(self, deriv_sq: float) -> bool:
-        psi = self.prim.psi_linear
-        return deriv_sq < 2.0 * float(np.max(self.a2)) * float(psi @ psi) or deriv_sq <= 1e-14
-
-    def passes(self, lam: float, delta_budget: float) -> bool:
-        """The filter after the C0 test, which needs no slow fields: the
-        increment at FILTER_PHASES phases, one at a time, refused at the first
-        phase that reads at least delta_budget, then |D|^2. A sampled phase
-        never reads above the maximum over theta."""
-        mean = self._mean(lam)
-        for row in self._phases(FILTER_ROWS, lam):
-            if self._sup_sq(mean + np.tensordot(row, self.fast, 1)) >= delta_budget**2:
-                return False
-        return self._deriv_ok(self._deriv_sq(lam))
+        return float(np.max(np.tensordot(self.weights, vals * vals, 1)))
 
     def check(self, lam: float, eta_budget: float, delta_budget: float) -> StageCheck:
-        """The three estimates and the increment's two terms in the form
-        check_stage_estimates reports. The cross term, of degree 1 in theta,
-        has a closed-form maximum; the quadratic term and the increment are
-        read at CHECK_PHASES phases."""
-        nu_part, b_part = self.fast[0] / lam, self.fast[1] / lam
-        nn, bb = self._weighed(nu_part, nu_part), self._weighed(b_part, b_part)
-        sq_cross = _peak((nn + bb) / 2.0, (nn - bb) / 2.0, self._weighed(nu_part, b_part))
-        del nu_part, b_part, nn, bb
-        mean = self._mean(lam)
-        sq_quad = sq_incr = 0.0
-        for row in self._phases(CHECK_ROWS, lam):
-            quad = mean + np.tensordot(row[2:], self.fast[2:], 1)
-            sq_quad = max(sq_quad, self._sup_sq(quad))
-            sq_incr = max(sq_incr, self._sup_sq(quad + np.tensordot(row[:2], self.fast[:2], 1)))
-        c0, deriv_sq = self.a_max / lam, self._deriv_sq(lam)
-        incr_err = math.sqrt(sq_incr)
+        """The three estimates in the form check_stage_estimates reports. The
+        increment is read at PHASES phases in _phase_rows's order, one at a
+        time, up to the first that reads at least delta_budget; a sampled
+        phase never reads above the maximum over theta. Its cross and
+        quadratic terms are read at the phase of its largest reading."""
+        kappa = integer_phase(self.prim, lam) / lam
+        mean = self._mean(lam, kappa)
+        incr_err, worst = -1.0, None
+        for row in _phase_rows(PHASES) * np.array([1.0, 1.0, 1.0 / lam, 1.0 / lam]) / lam:
+            err = math.sqrt(self._sup_sq(mean + np.tensordot(row, self.fast, 1)))
+            if err > incr_err:
+                incr_err, worst = err, row
+            if err >= delta_budget:
+                break
+        cross = np.tensordot(worst[:2], self.fast[:2], 1)
+        quad = mean + np.tensordot(worst[2:], self.fast[2:], 1)
+        even, odd, mixed = self.trace_parts
+        # |D w^p|^2 = (P + Q)/2 + (P - Q)/2 cos 2theta + R sin 2theta, with
+        # P = sum |C_i|^2, Q = sum |S_i|^2 and R = sum C_i.S_i, peaks at its
+        # mean plus hypot((P - Q)/2, R)
+        deriv_sq = float(np.max(even / lam**2 + 2.0 * (self.a2_link @ kappa) / lam
+                                + self.a2 * (kappa @ kappa)
+                                + np.hypot(odd / lam**2, mixed / lam**2)))
+        c0 = self.a_max / lam
         return StageCheck(
             c0=c0, deriv_sq=deriv_sq, incr_err=incr_err,
-            c0_ok=c0 < eta_budget, deriv_ok=self._deriv_ok(deriv_sq),
+            c0_ok=c0 < eta_budget, deriv_ok=_deriv_ok(self.prim, deriv_sq),
             incr_ok=incr_err < delta_budget,
-            cross_err=math.sqrt(sq_cross), quad_err=math.sqrt(sq_quad),
+            cross_err=math.sqrt(self._sup_sq(cross)), quad_err=math.sqrt(self._sup_sq(quad)),
         )
 
 
@@ -444,27 +419,15 @@ def _seam_checked(frame: FramePair) -> FramePair:
     return frame
 
 
-def _failure(lam: float, failed, eta_budget: float, delta_budget: float) -> str:
-    """Why ``lam`` failed: ``failed`` is its trial's StageCheck, or the
-    TwoScale (or the map, primitive and frame of one) that refused it, whose
-    estimates are measured in full only here, for a message that quotes them."""
-    if isinstance(failed, StageCheck):
-        what, check = f"the trial at lambda {lam:.0f} failed estimate(s)", failed
-    else:
-        what = f"lambda {lam:.0f} failed two-scale estimate(s)"
-        scales = failed if isinstance(failed, TwoScale) else TwoScale(*failed)
-        check = scales.check(lam, eta_budget, delta_budget)
-    return f"{what} {check.failing()} with measured {check.measured()}"
-
-
 def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
                   eta_budget: float, delta_budget: float) -> tuple[SpiralParams, StageFields]:
     """Doubling search from lambda = 8 until the measured estimates pass.
 
-    Each lambda is first read on two scales (TwoScale) on the grid the
+    The primitive and frame must be on ``w``'s grid. Each lambda whose C0
+    passes is read once on two scales (TwoScale.check) on the grid the
     search holds, with the frame its trial would read: the held one if the
     trial keeps that grid, else normal_pair of the held map. Only a lambda
-    whose two-scale estimates pass is tried, on the grid _required_grid
+    whose two-scale reading passes is tried, on the grid _required_grid
     gives, a multiple of ``w.grid``, for its frequency and the bandwidth B of
     ``w.data`` and the amplitude, measured once here. There the map and
     primitive are lifted from the arguments and the frame is built on the
@@ -472,35 +435,38 @@ def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
     held to SEAM_TOL. The trial's fine check is the acceptance: returns the
     first lambda whose map w_next = w + spiral passes both, with the fields
     on its grid and that w_next. A trial grid over the cap
-    ``grid.MAX_NODES``, read at call time, aborts.
+    ``grid.MAX_NODES``, read at call time, aborts, as does lambda past
+    LAMBDA_CAP; each abort quotes the last failed reading or check.
     """
     if not (eta_budget > 0.0 and delta_budget > 0.0):
         raise InputError(f"lambda search budgets must be positive, got eta "
                          f"{eta_budget!r} and delta {delta_budget!r}")
+    _require_shared_grid(w, prim, frame)
     lam = LAMBDA_START
     cur = StageFields(w=w, prim=prim, frame=_seam_checked(frame))
     band = [max(bandwidth(w.data, a), bandwidth(prim.amplitude.data, a))
             for a in range(w.grid.dim)]
     scales = None  # the slow fields on cur's grid, for scales.frame
-    failed = None  # (lambda, its trial's check or its two-scale reading) of the last failure
+    failed = ""  # why the last lambda failed
     while lam <= LAMBDA_CAP:
         k_vec = integer_phase(prim, lam)
         shape = _required_grid(w.grid, cur.grid, k_vec, band)
         read = cur.frame if shape == cur.grid.shape else _seam_checked(normal_pair(cur.w))
-        c0_ok = float(np.max(cur.prim.amplitude.values)) / lam < eta_budget
-        if c0_ok and (scales is None or scales.frame is not read):
+        c0 = float(np.max(cur.prim.amplitude.values)) / lam
+        if c0 < eta_budget and (scales is None or scales.frame is not read):
             scales = TwoScale(cur.w, cur.prim, read)
-        if not (c0_ok and scales.passes(lam, delta_budget)):
-            failed = (lam, scales if c0_ok else (cur.w, cur.prim, read))
+        check = scales.check(lam, eta_budget, delta_budget) if c0 < eta_budget else None
+        if check is None or not check.ok:
+            failed = f"lambda {lam:.0f} failed two-scale estimate(s) " + (
+                f"C0 with measured C0 {c0:.3e}" if check is None else check.failure())
             lam *= 2.0
             continue
         if math.prod(shape) > grid_module.MAX_NODES:
-            tried = "" if failed is None else "; " + _failure(*failed, eta_budget, delta_budget)
             raise NonconvergenceError(
                 f"oscillation at frequency {tuple(int(k) for k in k_vec)} needs grid "
                 f"{shape}, beyond the desk-scale cap of {grid_module.MAX_NODES} "
-                f"nodes{tried}")
-        scales = failed = None  # freed before the trial's fields exist
+                f"nodes{'; ' if failed else ''}{failed}")
+        scales = None  # freed before the trial's fields exist
         if shape != cur.grid.shape:
             w_f = resample(w, PeriodicGrid(shape))
             cur = StageFields(w=w_f, prim=resample_primitive(prim, w_f.grid),
@@ -509,11 +475,11 @@ def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
         check = check_stage_estimates(cur.w, w_next, cur.prim, eta_budget, delta_budget)
         if check.ok:
             return SpiralParams(lam), cur._replace(w_next=w_next)
-        failed = (lam, check)
+        failed = f"the trial at lambda {lam:.0f} failed estimate(s) {check.failure()}"
         lam *= 2.0
     raise NonconvergenceError(
         f"no lambda up to {LAMBDA_CAP:.0f} meets the budgets (eta {eta_budget:.3e}, "
-        f"delta {delta_budget:.3e}); {_failure(*failed, eta_budget, delta_budget)}")
+        f"delta {delta_budget:.3e}); {failed}")
 
 
 def run_stage(w: ImmersionField, g: MetricField, eta: float,

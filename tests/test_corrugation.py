@@ -451,6 +451,21 @@ class TestChooseLambda:
                            match=r"no lambda up to 16384 .* the cross term dominates"):
             choose_lambda(w, prim, normal_pair(w), eta_budget=1.0, delta_budget=1e-9)
 
+    def test_lambda_cap_abort_quotes_the_reading_it_filtered_on(self, monkeypatch):
+        # every lambda from 8 to 16384 passes C0 and is read once on two
+        # scales; the abort quotes the last reading instead of reading again
+        read = []
+        original = TwoScale.check
+        monkeypatch.setattr(TwoScale, "check", lambda self, lam, *budgets: read.append(
+            lam) or original(self, lam, *budgets))
+        grid = PeriodicGrid((64,))
+        w = unit_circle_map(grid)
+        prim = constant_primitive(grid, lambda x: 0.5 + 0.2 * np.cos(x))
+        with pytest.raises(NonconvergenceError,
+                           match=r"lambda 16384 failed two-scale .* the cross term dominates"):
+            choose_lambda(w, prim, normal_pair(w), eta_budget=1.0, delta_budget=1e-9)
+        assert read == [8.0 * 2**i for i in range(12)]
+
     @pytest.mark.parametrize("eta, delta", [
         (0.5, -1.0), (0.5, 0.0), (0.5, float("nan")), (-1.0, 1e-2), (float("nan"), 1e-2)])
     def test_bad_budget_refused_before_any_trial(self, monkeypatch, eta, delta):
@@ -466,6 +481,22 @@ class TestChooseLambda:
             choose_lambda(w, constant_primitive(grid), normal_pair(w),
                           eta_budget=eta, delta_budget=delta)
         assert trials == []
+
+    @pytest.mark.parametrize("w_shape, prim_shape, frame_shape", [
+        ((64, 64), (32, 32), (64, 64)),
+        ((64, 16), (32, 16), (64, 16)),
+        ((64, 16), (64, 16), (32, 16)),
+    ])
+    def test_fields_off_the_map_grid_are_refused_before_any_reading(
+            self, monkeypatch, w_shape, prim_shape, frame_shape):
+        monkeypatch.setattr(TwoScale, "__init__",
+                            lambda *args: pytest.fail("read before the grids were compared"))
+        w = flat_strip_map(PeriodicGrid(w_shape))
+        prim = constant_primitive(PeriodicGrid(prim_shape))
+        frame = normal_pair(flat_strip_map(PeriodicGrid(frame_shape)))
+        with pytest.raises(InputError, match="must share a grid") as err:
+            choose_lambda(w, prim, frame, eta_budget=1.0, delta_budget=1e-6)
+        assert err.value.exit_code == 2
 
     def test_every_frame_meets_the_seam_tolerance(self, monkeypatch):
         import dataclasses

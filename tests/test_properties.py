@@ -16,6 +16,7 @@ from corrugate.cli import emit_report, main, parse_report
 from corrugate.corrugation import (
     StageReport,
     TwoScale,
+    _phase_rows,
     _required_grid,
     check_stage_estimates,
     integer_phase,
@@ -954,6 +955,37 @@ def test_two_scale_increment_is_not_above_the_fine_check(case):
     w_next = w_f + spiral_perturbation(w_f, prim_f, normal_pair(w_f), lam)
     check = check_stage_estimates(w_f, w_next, prim_f, 1.0, 1.0)
     assert two_scale.incr_err <= (1.0 + TWO_SCALE_EXCESS) * check.incr_err
+
+
+def _circle_trial():
+    """A spiral trial on the 32-node unit circle, amplitude 1 + 0.3 cos x, at lambda 16."""
+    grid = PeriodicGrid((32,))
+    (x,) = grid.meshes()
+    prim = PrimitiveMetric(amplitude=ScalarField(grid, 1.0 + 0.3 * np.cos(x)),
+                           psi_linear=np.array([1.0]))
+    return unit_circle_map(grid), prim, 16.0
+
+
+@given(spiral_trials(), st.floats(0.5, 1.5))
+@example(_circle_trial(), 1.0)  # delta the worst phase's own reading
+@settings(max_examples=20)
+def test_two_scale_early_stop_never_changes_a_verdict(case, scale):
+    """A reading stopped at the first phase that reaches delta gives the
+    verdict of the full reading, and never reads above it."""
+    w, prim, lam = case
+    scales = TwoScale(w, prim, normal_pair(w))
+    full = scales.check(lam, np.inf, np.inf)
+    delta = scale * full.incr_err
+    stopped = scales.check(lam, np.inf, delta)
+    assert stopped.incr_ok == (full.incr_err < delta)
+    assert stopped.incr_err <= full.incr_err
+    # both terms are read at the worst phase: the triangle inequality, up to rounding
+    assert stopped.incr_err <= (1.0 + 1e-12) * (stopped.cross_err + stopped.quad_err)
+
+
+def test_two_scale_phases_start_with_the_half_count_in_its_order():
+    """The first 16 of the 32 phases are the 16-phase rows, bit for bit."""
+    assert np.array_equal(_phase_rows(32)[:16], _phase_rows(16))
 
 
 @st.composite
