@@ -4,14 +4,14 @@ Adding w^p = (a/lambda)(nu cos(lambda psi) + b sin(lambda psi)) to an
 immersion w with (nu, b) normal to w increases the pullback metric by
 a^2 dpsi (x) dpsi up to an O(1/lambda) error while moving the map only
 O(1/lambda). A stage decomposes the remaining metric gap into primitives
-and adds one spiral per primitive, doubling lambda until the three
+and adds one spiral per primitive, at the smallest lambda whose three
 inductive estimates hold at measured (not assumed) accuracy.
 
 The spiral's metric error is a slow field times a trigonometric polynomial
-of degree at most 2 in the fast phase, so each lambda is first read once on
-two scales (TwoScale), from slow fields on the grid the search already holds.
-Only a lambda whose two-scale reading passes gets its refined grid, frame,
-spiral and fine check, and the fine check stays the acceptance. An abort
+of degree at most 2 in the fast phase, so each lambda is first read on two
+scales (TwoScale), from slow fields on the grid the search holds: doubling,
+then bisection, finds the smallest lambda that reading passes. Only then is
+a grid built for a trial, whose fine check is the acceptance. An abort
 quotes the last reading or check the search made.
 
 Every phase psi is linear, and on a periodic chart the oscillation phase
@@ -22,6 +22,7 @@ the same measured budget as the construction's other first-order terms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -46,6 +47,7 @@ from .grid import (
     bandwidth,
     derivative_sups,
     is_short,
+    midpoint_sup,
     pullback_metric,
     resample,
     spectral_gradient,
@@ -61,6 +63,10 @@ SEAM_TOL = 1e-6
 
 #: bump lattices per axis the decomposition tries, coarsest first
 BUMP_COUNTS = (1, 2, 4)
+
+#: bisection steps from the last doubled lambda whose two-scale reading fails
+#: to the first that passes: the result is within 2^-10 of that gap of a refusal
+BISECTIONS = 10
 
 #: phases theta at which TwoScale reads the increment: its squared norm is a
 #: trigonometric polynomial of degree 4 in theta, read eight times per degree;
@@ -148,9 +154,9 @@ class StageCheck(NamedTuple):
     ``cross_err`` and ``quad_err`` are the sups of the two terms the metric
     increment error splits into (see check_stage_estimates); ``incr_err``
     is the sup of their sum, so it is at most cross_err + quad_err. A
-    two-scale reading (TwoScale.check) may stop at the first phase whose
-    increment reaches the budget; its incr_err is then the largest phase it
-    read, and both terms are read at that phase.
+    two-scale reading (TwoScale.check) may stop after the first block of
+    phases that reaches the budget; its incr_err is then the largest phase
+    it read, and both terms are read at that phase.
     """
 
     c0: float
@@ -248,6 +254,7 @@ def _dot(x, y):
     return np.einsum("...a,...a->...", x, y)
 
 
+@functools.cache
 def _phase_rows(count: int) -> np.ndarray:
     """Rows (cos t, sin t, cos 2t, sin 2t) at ``count`` equispaced phases t,
     ``count`` a power of 2, in bit-reversed order: every prefix of the rows
@@ -255,7 +262,9 @@ def _phase_rows(count: int) -> np.ndarray:
     bits = count.bit_length() - 1
     t = 2.0 * np.pi * np.array([int(format(i, f"0{bits}b")[::-1], 2)
                                 for i in range(count)])[:, None] / count
-    return np.hstack([np.cos(t), np.sin(t), np.cos(2 * t), np.sin(2 * t)])
+    rows = np.hstack([np.cos(t), np.sin(t), np.cos(2 * t), np.sin(2 * t)])
+    rows.setflags(write=False)  # cached: every caller reads the same array
+    return rows
 
 
 class TwoScale:
@@ -280,7 +289,7 @@ class TwoScale:
 
     def __init__(self, w: ImmersionField, prim: PrimitiveMetric, frame: FramePair):
         grid = w.grid
-        self.frame, self.prim = frame, prim
+        self.prim = prim
         self.pairs = triangular_index_pairs(grid.dim)
         self.weights = np.array([1.0 if i == j else 2.0 for i, j in self.pairs])
         a = prim.amplitude.values
@@ -320,25 +329,30 @@ class TwoScale:
 
     def _sup_sq(self, vals: np.ndarray) -> float:
         """Sup over nodes of the squared Frobenius norm of component rows ``vals``."""
-        return float(np.max(np.tensordot(self.weights, vals * vals, 1)))
+        return float(np.max(self.weights @ (vals * vals).reshape(len(self.weights), -1)))
 
     def check(self, lam: float, eta_budget: float, delta_budget: float) -> StageCheck:
         """The three estimates in the form check_stage_estimates reports. The
-        increment is read at PHASES phases in _phase_rows's order, one at a
-        time, up to the first that reads at least delta_budget; a sampled
-        phase never reads above the maximum over theta. Its cross and
-        quadratic terms are read at the phase of its largest reading."""
+        increment is read at PHASES phases in _phase_rows's order, as one
+        product per block of phases (the first 4, then the other 28), up to
+        the first block that reads at least delta_budget; a sampled phase
+        never reads above the maximum over theta. Its cross and quadratic
+        terms are read at the phase of its largest reading."""
         kappa = integer_phase(self.prim, lam) / lam
-        mean = self._mean(lam, kappa)
-        incr_err, worst = -1.0, None
-        for row in _phase_rows(PHASES) * np.array([1.0, 1.0, 1.0 / lam, 1.0 / lam]) / lam:
-            err = math.sqrt(self._sup_sq(mean + np.tensordot(row, self.fast, 1)))
-            if err > incr_err:
-                incr_err, worst = err, row
-            if err >= delta_budget:
+        mean = self._mean(lam, kappa).reshape(len(self.weights), -1)
+        rows = _phase_rows(PHASES) * np.array([1.0, 1.0, 1.0 / lam, 1.0 / lam]) / lam
+        fast = self.fast.reshape(4, -1)
+        errs = []
+        for block in np.split(rows, [4]):
+            vals = (block @ fast).reshape(len(block), *mean.shape)
+            vals += mean
+            errs.extend(np.sqrt(np.max(self.weights @ np.square(vals, out=vals), axis=1)))
+            if max(errs) >= delta_budget:
                 break
-        cross = np.tensordot(worst[:2], self.fast[:2], 1)
-        quad = mean + np.tensordot(worst[2:], self.fast[2:], 1)
+        incr_err = float(max(errs))
+        worst = rows[errs.index(incr_err)]
+        cross = worst[:2] @ fast[:2]
+        quad = mean.ravel() + worst[2:] @ fast[2:]
         even, odd, mixed = self.trace_parts
         # |D w^p|^2 = (P + Q)/2 + (P - Q)/2 cos 2theta + R sin 2theta, with
         # P = sum |C_i|^2, Q = sum |S_i|^2 and R = sum C_i.S_i, peaks at its
@@ -419,54 +433,78 @@ def _seam_checked(frame: FramePair) -> FramePair:
     return frame
 
 
+def _rung_top(prim: PrimitiveMetric, shape: tuple[int, ...], band) -> float:
+    """The largest lambda, to 1e-12 relative and at most LAMBDA_CAP, whose
+    frequency a grid of ``shape`` carries: |rint(lambda psi_a)| <= (n_a - 1)//4 - B_a."""
+    return min([LAMBDA_CAP] + [((n - 1) // 4 - b + 0.5) * (1.0 - 1e-12) / abs(p)
+                               for n, b, p in zip(shape, band, prim.psi_linear) if p])
+
+
 def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
                   eta_budget: float, delta_budget: float) -> tuple[SpiralParams, StageFields]:
-    """Doubling search from lambda = 8 until the measured estimates pass.
+    """The smallest lambda whose two-scale reading passes, then up the grid
+    ladder to the first whose fine check passes.
 
-    The primitive and frame must be on ``w``'s grid. Each lambda whose C0
-    passes is read once on two scales (TwoScale.check) on the grid the
-    search holds, with the frame its trial would read: the held one if the
-    trial keeps that grid, else normal_pair of the held map. Only a lambda
-    whose two-scale reading passes is tried, on the grid _required_grid
-    gives, a multiple of ``w.grid``, for its frequency and the bandwidth B of
-    ``w.data`` and the amplitude, measured once here. There the map and
-    primitive are lifted from the arguments and the frame is built on the
-    lifted map, so it stays out of B; every frame, the given one too, is
-    held to SEAM_TOL. The trial's fine check is the acceptance: returns the
-    first lambda whose map w_next = w + spiral passes both, with the fields
-    on its grid and that w_next. A trial grid over the cap
-    ``grid.MAX_NODES``, read at call time, aborts, as does lambda past
-    LAMBDA_CAP; each abort quotes the last failed reading or check.
+    The primitive and frame must be on ``w``'s grid. lambda is read on C0,
+    then on two scales on ``w``'s grid with the frame its trial would read
+    (``frame`` on that grid, else normal_pair(w)); it doubles from
+    LAMBDA_START to the first reading that passes, then bisects BISECTIONS
+    times toward the last refused one. A trial lifts the map and primitive
+    to the grid _required_grid gives for its frequency and the bandwidth B
+    of ``w.data`` and the amplitude, measured once here, and builds its frame
+    on the lift; every frame is held to SEAM_TOL. A trial the fine check
+    refuses is followed by the largest lambda its grid carries, then by each
+    next grid's largest (_rung_top). Returns the accepted lambda with the
+    fields on its grid and their w_next. A grid over ``grid.MAX_NODES`` (read
+    at call time) or lambda past LAMBDA_CAP aborts, quoting the last refusal.
     """
     if not (eta_budget > 0.0 and delta_budget > 0.0):
         raise InputError(f"lambda search budgets must be positive, got eta "
                          f"{eta_budget!r} and delta {delta_budget!r}")
     _require_shared_grid(w, prim, frame)
-    lam = LAMBDA_START
     cur = StageFields(w=w, prim=prim, frame=_seam_checked(frame))
     band = [max(bandwidth(w.data, a), bandwidth(prim.amplitude.data, a))
             for a in range(w.grid.dim)]
-    scales = None  # the slow fields on cur's grid, for scales.frame
-    failed = ""  # why the last lambda failed
-    while lam <= LAMBDA_CAP:
-        k_vec = integer_phase(prim, lam)
-        shape = _required_grid(w.grid, cur.grid, k_vec, band)
-        read = cur.frame if shape == cur.grid.shape else _seam_checked(normal_pair(cur.w))
-        c0 = float(np.max(cur.prim.amplitude.values)) / lam
-        if c0 < eta_budget and (scales is None or scales.frame is not read):
-            scales = TwoScale(cur.w, cur.prim, read)
-        check = scales.check(lam, eta_budget, delta_budget) if c0 < eta_budget else None
-        if check is None or not check.ok:
-            failed = f"lambda {lam:.0f} failed two-scale estimate(s) " + (
-                f"C0 with measured C0 {c0:.3e}" if check is None else check.failure())
-            lam *= 2.0
-            continue
+    a_max = float(np.max(prim.amplitude.values))
+    scales = {}  # the slow fields on w's grid, by the id of the frame read
+
+    def shape_of(lam):
+        return _required_grid(w.grid, cur.grid, integer_phase(prim, lam), band)
+
+    def refusal(lam) -> str:
+        """Why lam's two-scale reading refuses it, or "" if it passes."""
+        why = f"C0 with measured C0 {a_max / lam:.3e}"
+        if a_max / lam < eta_budget:
+            read = frame if shape_of(lam) == w.grid.shape else _seam_checked(normal_pair(w))
+            scales[id(read)] = scales.get(id(read)) or TwoScale(w, prim, read)
+            check = scales[id(read)].check(lam, eta_budget, delta_budget)
+            why = "" if check.ok else check.failure()
+        return why and f"lambda {lam:.17g} failed two-scale estimate(s) {why}"
+
+    def exhausted(why: str) -> NonconvergenceError:
+        return NonconvergenceError(f"no lambda up to {LAMBDA_CAP:.17g} meets the budgets (eta "
+                                   f"{eta_budget:.3e}, delta {delta_budget:.3e}); {why}")
+
+    lam, failed = LAMBDA_START, ""  # failed: the last refusal, which an abort quotes
+    while why := refusal(lam):
+        if 2.0 * lam > LAMBDA_CAP:
+            raise exhausted(why)
+        lam, failed = 2.0 * lam, why
+    low = lam / 2.0
+    for _ in range(BISECTIONS if failed else 0):
+        mid = (low + lam) / 2.0
+        if why := refusal(mid):
+            low, failed = mid, why
+        else:
+            lam = mid
+    scales.clear()  # freed before the trial's fields exist
+    while True:
+        shape = shape_of(lam)
         if math.prod(shape) > grid_module.MAX_NODES:
             raise NonconvergenceError(
-                f"oscillation at frequency {tuple(int(k) for k in k_vec)} needs grid "
-                f"{shape}, beyond the desk-scale cap of {grid_module.MAX_NODES} "
+                f"oscillation at frequency {tuple(int(k) for k in integer_phase(prim, lam))} "
+                f"needs grid {shape}, beyond the desk-scale cap of {grid_module.MAX_NODES} "
                 f"nodes{'; ' if failed else ''}{failed}")
-        scales = None  # freed before the trial's fields exist
         if shape != cur.grid.shape:
             w_f = resample(w, PeriodicGrid(shape))
             cur = StageFields(w=w_f, prim=resample_primitive(prim, w_f.grid),
@@ -475,11 +513,13 @@ def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
         check = check_stage_estimates(cur.w, w_next, cur.prim, eta_budget, delta_budget)
         if check.ok:
             return SpiralParams(lam), cur._replace(w_next=w_next)
-        failed = f"the trial at lambda {lam:.0f} failed estimate(s) {check.failure()}"
-        lam *= 2.0
-    raise NonconvergenceError(
-        f"no lambda up to {LAMBDA_CAP:.0f} meets the budgets (eta {eta_budget:.3e}, "
-        f"delta {delta_budget:.3e}); {failed}")
+        failed = f"the trial at lambda {lam:.17g} failed estimate(s) {check.failure()}"
+        top = _rung_top(prim, shape, band)
+        if top <= lam:  # lam tops its grid: the next grid's top
+            top = _rung_top(prim, shape_of(lam * (1.0 + 1e-9)), band)
+        if top <= lam:
+            raise exhausted(failed)
+        lam = top
 
 
 def run_stage(w: ImmersionField, g: MetricField, eta: float,
@@ -492,6 +532,7 @@ def run_stage(w: ImmersionField, g: MetricField, eta: float,
     per-primitive budgets are eta/K(n) and (delta/2)/K(n). The primitives,
     ``g`` and ``w`` stay on the input grid and are lifted to the map's grid
     where they are read. A lambda search past the node cap aborts the stage.
+    The report's defect_after is read between the map's nodes too (midpoint_sup).
     """
     if not (0.0 < eta < np.inf and 0.0 < delta < np.inf):
         raise InputError(f"stage budgets eta and delta must be finite and positive, "
@@ -534,7 +575,7 @@ def run_stage(w: ImmersionField, g: MetricField, eta: float,
                 f"shortness violated after primitive {j} (margin {mid_margin:.3e}); "
                 f"lambdas so far {lambdas}")
 
-    defect_after = sup_norm(resample(g, cur_w.grid) - pullback_metric(cur_w), 0)
+    defect_after = midpoint_sup(resample(g, cur_w.grid) - pullback_metric(cur_w))
     c0_delta, c1_delta = derivative_sups(cur_w - resample(w, cur_w.grid), 1)
     eps = float(np.finfo(float).eps)
     report = StageReport(

@@ -3,8 +3,12 @@ import pytest
 
 import corrugate.grid as grid_module
 from corrugate.corrugation import (
+    BISECTIONS,
+    LAMBDA_START,
+    PHASES,
     StageReport,
     TwoScale,
+    _phase_rows,
     _required_grid,
     check_stage_estimates,
     choose_lambda,
@@ -14,6 +18,7 @@ from corrugate.corrugation import (
     spiral_perturbation,
 )
 from corrugate.decompose import PrimitiveMetric, global_decompose
+from corrugate.driver import IterationSchedule, nash_kuiper_iterate
 from corrugate.errors import (
     CoverageError,
     InputError,
@@ -44,7 +49,7 @@ def constant_primitive(grid, amp_fn=None, direction=(1.0, 0.0)):
     if amp_fn is None:
         amp = ScalarField.constant(grid, 1.0)
     else:
-        amp = ScalarField.from_function(grid, amp_fn)
+        amp = ScalarField(grid, amp_fn(*grid.meshes()))
     return PrimitiveMetric(
         amplitude=amp,
         psi_linear=np.asarray(direction, dtype=float)[: grid.dim],
@@ -223,7 +228,7 @@ def _check_case(case):
     w = clifford_map(grid, r=1.0)
     w = ImmersionField(grid, w.values * (1.0 + 0.05 * np.sin(x + 2 * y))[..., None])
     prim = PrimitiveMetric(
-        amplitude=ScalarField.from_function(grid, lambda x, y: 1.0 + 0.3 * np.cos(y)),
+        amplitude=ScalarField(grid, 1.0 + 0.3 * np.cos(y)),
         psi_linear=np.array([1.0, 0.0]))
     return w, w + spiral_perturbation(w, prim, normal_pair(w), lam), prim
 
@@ -294,11 +299,62 @@ class TestTwoScale:
         monkeypatch.setattr(corrugation, "TwoScale", Counted)
         grid = PeriodicGrid((64, 16))
         w = flat_strip_map(grid)
-        # sup a = 1 needs lambda 32 for eta 0.05: lambda 8 and 16 fail C0 alone
+        # sup a = 1 needs lambda above 20 for eta 0.05: lambda 8 and 16 fail C0
+        # alone, and so do the bisection's 20 and below. The constant
+        # primitive's increment reads 0 only at an integer lambda (k = lambda),
+        # so the bisection between 16 and 32 ends at 21
         params, _ = choose_lambda(w, constant_primitive(grid), normal_pair(w),
                                   eta_budget=0.05, delta_budget=1e-6)
-        assert params.lam == 32.0
+        assert params.lam == 21.0
         assert len(built) == 1
+
+
+    @pytest.mark.parametrize("case", ["clifford", "circle"])
+    @pytest.mark.parametrize("lam", [8.0, 49.625, 192.5])
+    def test_batched_phases_read_as_one_phase_at_a_time(self, case, lam):
+        if case == "clifford":
+            w, prims = clifford_gap_primitives()
+            prim = prims[0]
+        else:
+            w, prim = circle_gap_primitive()
+        scales = TwoScale(w, prim, normal_pair(w))
+        mean = scales._mean(lam, integer_phase(prim, lam) / lam)
+        reads = [(scales._sup_sq(mean + np.tensordot(row, scales.fast, 1)), row) for row in
+                 _phase_rows(PHASES) * np.array([1.0, 1.0, 1.0 / lam, 1.0 / lam]) / lam]
+        sq, row = max(reads, key=lambda read: read[0])
+        want = (np.sqrt(sq), np.sqrt(scales._sup_sq(np.tensordot(row[:2], scales.fast[:2], 1))),
+                np.sqrt(scales._sup_sq(mean + np.tensordot(row[2:], scales.fast[2:], 1))))
+        check = scales.check(lam, np.inf, np.inf)
+        for got, ref in zip((check.incr_err, check.cross_err, check.quad_err), want):
+            assert abs(got - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("case, accepted", [("circle_stage_2", 2750.0), ("clifford", 192.5)])
+    def test_reading_refuses_one_bisection_step_below_the_accepted_lambda(
+            self, monkeypatch, case, accepted):
+        # the circle run's stage 2 (bisected between 2048 and 4096) and
+        # criterion 5's first primitive (between 128 and 256)
+        import corrugate.corrugation as corrugation
+
+        if case == "clifford":
+            w, prims = clifford_gap_primitives()
+            args = (w, prims[0], normal_pair(w), 0.5 / 9, 0.125 / 9)
+        else:
+            searches = []
+            search = corrugation.choose_lambda
+            monkeypatch.setattr(corrugation, "choose_lambda",
+                                lambda *args: searches.append(args) or search(*args))
+            grid = PeriodicGrid((64,))
+            nash_kuiper_iterate(unit_circle_map(grid), MetricField.identity(grid, 1.2**2),
+                                IterationSchedule(epsilon=0.5, stages=2))
+            monkeypatch.undo()
+            args = searches[-1]
+        params, _ = choose_lambda(*args)
+        assert params.lam == accepted
+        low = LAMBDA_START * 2.0 ** (np.ceil(np.log2(accepted / LAMBDA_START)) - 1)
+        w, prim, frame, eta, delta = args
+        scales = TwoScale(w, prim, frame)
+        assert scales.check(accepted, eta, delta).ok
+        assert not scales.check(accepted - low / 2**BISECTIONS, eta, delta).ok
 
 
 class TestRequiredGrid:
@@ -366,7 +422,9 @@ class TestChooseLambda:
             lams.add(params.lam)
         assert len(lams) == 1
         lam = lams.pop()
-        assert lam == 2.0 ** np.round(np.log2(lam))
+        # a point of the bisection between two doublings of LAMBDA_START
+        low = LAMBDA_START * 2.0 ** np.floor(np.log2(lam / LAMBDA_START))
+        assert (lam / low * 2**BISECTIONS).is_integer()
 
     def test_refines_grid_when_needed(self):
         grid = PeriodicGrid((32, 16))
@@ -380,15 +438,17 @@ class TestChooseLambda:
     def test_trial_fields_are_lifted_from_the_arguments(self):
         grid = PeriodicGrid((64, 16))
         w = flat_strip_map(grid)
+        x, _ = grid.meshes()
         prim = PrimitiveMetric(
-            amplitude=ScalarField.from_function(grid, lambda x, y: 1.0 + 0.3 * np.cos(x)),
+            amplitude=ScalarField(grid, 1.0 + 0.3 * np.cos(x)),
             psi_linear=np.array([1.0, 0.0]))
-        # sup a / lambda < eta needs lambda 32; the amplitude's bandwidth is 1,
-        # so the grid refines 64 -> 128 -> 192 (more than 4(32 + 1) nodes)
+        # sup a / lambda < eta needs lambda above 26; the bisection ends at
+        # 26.921875, frequency 27, and the amplitude's bandwidth is 1, so the
+        # grid refines 64 -> 128 (more than 4(27 + 1) nodes)
         params, fields = choose_lambda(w, prim, rotating_gauge_frame(grid),
                                        eta_budget=0.05, delta_budget=1e-2)
-        assert params.lam == 32.0
-        assert fields.grid.shape == (192, 16)
+        assert params.lam == 26.921875
+        assert fields.grid.shape == (128, 16)
         w_lift = resample(w, fields.grid)
         prim_lift = resample_primitive(prim, fields.grid)
         assert np.max(np.abs(fields.w.periodic - w_lift.periodic)) <= 1e-12
@@ -405,8 +465,8 @@ class TestChooseLambda:
         for prim in prims:
             params, fields = choose_lambda(w, prim, pair, 0.5 / 9, 0.05)
             found.append((params.lam, fields.grid.shape))
-        # frequencies (34, +-49) and (49, 0) at lambda 64, bandwidth 1
-        assert found == [(64.0, (192, 256)), (64.0, (192, 256)), (64.0, (256, 64))]
+        # frequencies (27, +-38) at lambda 49.625 and (38, 0) at 49.5, bandwidth 1
+        assert found == [(49.625, (128, 192)), (49.625, (128, 192)), (49.5, (192, 64))]
 
     def test_clifford_searches_build_one_frame_above_64_squared_and_one_fine_check(
             self, monkeypatch):
@@ -426,11 +486,47 @@ class TestChooseLambda:
             assert [shape for shape in frames if shape != (64, 64)] == [fields.grid.shape]
             assert checks == [fields.grid.shape]
 
+    def test_a_refused_trial_climbs_the_grid_ladder(self, monkeypatch):
+        # no workload's fine check refuses a bisected lambda, so the check is
+        # made to refuse the first two trials of the Clifford torus's first
+        # primitive at torus_search's budgets
+        import corrugate.corrugation as corrugation
+
+        trials = []
+        spiral, check = corrugation.spiral_perturbation, corrugation.check_stage_estimates
+        monkeypatch.setattr(corrugation, "spiral_perturbation", lambda w_f, prim_f, frame, lam: (
+            trials.append((lam, w_f.grid.shape)) or spiral(w_f, prim_f, frame, lam)))
+
+        def refuse_two(*args):
+            real = check(*args)
+            return real._replace(incr_ok=real.incr_ok and len(trials) > 2)
+
+        monkeypatch.setattr(corrugation, "check_stage_estimates", refuse_two)
+        w, prims = clifford_gap_primitives()
+        prim = prims[0]
+        params, fields = choose_lambda(w, prim, normal_pair(w), 0.5 / 9, 0.05)
+        band = [max(bandwidth(w.data, a), bandwidth(prim.amplitude.data, a)) for a in range(2)]
+
+        def grid_above(lam, held):
+            """The grid the search needs for lambda 1e-9 relative above ``lam``."""
+            k_vec = integer_phase(prim, lam * (1.0 + 1e-9))
+            return _required_grid(w.grid, PeriodicGrid(held), k_vec, band)
+
+        (lam0, shape0), (lam1, shape1), (lam2, shape2) = trials
+        assert (lam0, shape0) == (49.625, (128, 192))
+        # the largest lambda the same grid carries, then the largest on the next
+        assert shape1 == shape0 and lam1 > lam0 and grid_above(lam1, shape1) != shape1
+        assert shape2 == grid_above(lam1, shape1) and grid_above(lam2, shape2) != shape2
+        assert lam2 < 2.0 * lam0  # never doubled
+        assert (params.lam, fields.grid.shape) == (lam2, shape2)
+
     def test_node_cap_abort_names_the_dominant_term(self, monkeypatch):
         # lambda 8 to 256 fail their two-scale estimates on 64x16 (the increment
-        # is (0.3/lambda)^2), so none of their grids is built or checked against
-        # the cap; lambda 512 passes them and needs 2304x16, over the cap. The
-        # frame is parallel, so the cross term is 0
+        # is (0.3/lambda)^2 at an integer lambda), so none of their grids is
+        # built or checked against the cap; the bisection between 256 and 512
+        # ends at 300, whose increment reads just under 1e-6, one step above
+        # 299.75, refused by its rounded frequency. Frequency 300 needs
+        # 1280x16, over the cap. The frame is parallel, so the cross term is 0
         monkeypatch.setattr(grid_module, "MAX_NODES", 2**12)
         grid = PeriodicGrid((64, 16))
         w = flat_strip_map(grid)
@@ -438,8 +534,8 @@ class TestChooseLambda:
         with pytest.raises(NonconvergenceError) as err:
             choose_lambda(w, prim, normal_pair(w), eta_budget=1.0, delta_budget=1e-6)
         message = str(err.value)
-        assert "needs grid (2304, 16), beyond the desk-scale cap of 4096 nodes" in message
-        assert "lambda 256 failed two-scale estimate(s) increment" in message
+        assert "needs grid (1280, 16), beyond the desk-scale cap of 4096 nodes" in message
+        assert "lambda 299.75 failed two-scale estimate(s) increment" in message
         assert "cross term 0.000e+00" in message
         assert "the quadratic term dominates" in message
 
@@ -516,7 +612,7 @@ class TestChooseLambda:
             choose_lambda(w, prim, normal_pair(w), eta_budget=0.5, delta_budget=1e-6)
 
     def test_first_torus_search_peaks_under_49_doubles_per_node(self):
-        # criterion 5's first search: lambda 256 on 576x960. The peak counts the
+        # criterion 5's first search: lambda 192.5 on 512x640. The peak counts the
         # trial grids' lifts, frames, spirals and checks, not the 64^2 inputs
         import tracemalloc
 
@@ -530,7 +626,7 @@ class TestChooseLambda:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert fields.grid.shape == (576, 960)
+        assert fields.grid.shape == (512, 640)
         assert peak / (8 * fields.grid.num_nodes) <= 49.0
 
 

@@ -69,22 +69,23 @@ class TestIterate:
         assert rep.final_defect == rep.stage_reports[-1].defect_after
 
     def test_circle_grids_read_the_defect_of_the_continuum_map(self):
-        # stage 2 runs at frequency 1010 with amplitude bandwidth 112, so it
-        # needs more than 4488 nodes; there the node defect is the defect
-        # of the map read on twice as many nodes
+        # stage 2 runs at frequency 490 with amplitude bandwidth 62, so it
+        # needs more than 2208 nodes; on its 2304 nodes alone the defect reads
+        # 0.046661, and the stage reports it read on twice as many nodes,
+        # 0.046716, the reading of the map lifted there
         grid = PeriodicGrid((64,))
         g = MetricField.identity(grid, 1.2**2)
         u, rep = nash_kuiper_iterate(unit_circle_map(grid), g,
                                      IterationSchedule(epsilon=0.5, stages=2))
-        assert [stage.resolution for stage in rep.stage_reports] == [(192,), (4608,)]
-        assert [stage.lambdas for stage in rep.stage_reports] == [[64.0], [4096.0]]
+        assert [stage.resolution for stage in rep.stage_reports] == [(128,), (2304,)]
+        assert [stage.lambdas for stage in rep.stage_reports] == [[33.75], [2750.0]]
         fine = PeriodicGrid((2 * u.grid.shape[0],))
         upsampled = sup_norm(resample(g, fine) - pullback_metric(resample(u, fine)), 0)
         assert abs(rep.final_defect - upsampled) <= 1e-9 * upsampled
 
     def test_four_stages_hit_the_frequency_cap(self):
         # the forced lambda growth ratio (~128 * 2^-q per stage; measured
-        # 64 -> 4096 -> beyond 2^14) exceeds the search cap at stage 3:
+        # 33.75 -> 2750 -> beyond 2^14) exceeds the search cap at stage 3:
         # the honest outcome of the 4^-q schedule at desk scale
         grid = PeriodicGrid((64,))
         w = unit_circle_map(grid)
@@ -94,8 +95,8 @@ class TestIterate:
             nash_kuiper_iterate(w, g, sched)
         partial = err.value.partial_report
         assert len(partial.stage_reports) == 2
-        assert partial.stage_reports[0].lambdas == [64.0]
-        assert partial.stage_reports[1].lambdas == [4096.0]
+        assert partial.stage_reports[0].lambdas == [33.75]
+        assert partial.stage_reports[1].lambdas == [2750.0]
         assert partial.final_defect == partial.stage_reports[-1].defect_after
 
     def test_torus_aborts_with_partial_report(self, monkeypatch):

@@ -14,6 +14,7 @@ from corrugate.grid import (
     bandwidth,
     derivative_sup,
     is_short,
+    midpoint_sup,
     pullback_metric,
     resample,
     sup_norm,
@@ -122,7 +123,8 @@ class TestSupNorm:
 
     def test_single_mode_order_one(self):
         grid = PeriodicGrid((64,))
-        f = ScalarField.from_function(grid, lambda x: np.cos(3 * x))
+        (x,) = grid.meshes()
+        f = ScalarField(grid, np.cos(3 * x))
         assert sup_norm(f, 1) == pytest.approx(4.0, abs=1e-12)
 
     def test_helix_metric_against_finite_differences(self):
@@ -194,7 +196,8 @@ class TestIsShort:
 class TestResample:
     def test_single_mode_exact(self):
         grid = PeriodicGrid((32,))
-        f = ScalarField.from_function(grid, lambda x: np.cos(2 * x))
+        (x,) = grid.meshes()
+        f = ScalarField(grid, np.cos(2 * x))
         up = resample(f, PeriodicGrid((64,)))
         expected = np.cos(2 * PeriodicGrid((64,)).axes()[0])
         assert np.max(np.abs(up.values - expected)) <= 1e-12
@@ -223,21 +226,36 @@ class TestResample:
 
     def test_downsample_aliasing_error(self):
         grid = PeriodicGrid((64,))
-        f = ScalarField.from_function(grid, lambda x: np.cos(20 * x))
+        (x,) = grid.meshes()
+        f = ScalarField(grid, np.cos(20 * x))
         with pytest.raises(AliasingError):
             resample(f, PeriodicGrid((32,)))
 
     def test_downsample_refuses_content_above_the_new_nyquist_only(self):
         grid = PeriodicGrid((64,))
         small = PeriodicGrid((32,))
-        nyquist = ScalarField.from_function(grid, lambda x: np.cos(16 * x))
+        (x,) = grid.meshes()
+        nyquist = ScalarField(grid, np.cos(16 * x))
         assert np.allclose(resample(nyquist, small).values, (-1.0) ** np.arange(32))
-        tail = ScalarField.from_function(grid, lambda x: 1.0 + 1e-12 * np.cos(17 * x))
+        tail = ScalarField(grid, 1.0 + 1e-12 * np.cos(17 * x))
         assert np.allclose(resample(tail, small).values, 1.0)
         assert np.array_equal(resample(ScalarField.constant(grid, 0.0), small).values,
                               np.zeros(32))
         with pytest.raises(AliasingError, match="above mode 16"):
-            resample(ScalarField.from_function(grid, lambda x: np.cos(17 * x)), small)
+            resample(ScalarField(grid, np.cos(17 * x)), small)
+
+    def test_midpoint_sup_reads_the_metric_lifted_to_twice_the_grid(self, monkeypatch):
+        # mode 7 on 16 nodes peaks between the nodes, where the lift reads it
+        grid = PeriodicGrid((16, 16))
+        x, y = grid.meshes()
+        metric = MetricField(grid, np.stack([1.0 + 0.5 * np.cos(7 * x + 0.3),
+                                             0.2 * np.sin(3 * y + 0.5), np.cos(x - y)], -1))
+        lifted = sup_norm(resample(metric, PeriodicGrid((32, 32))), 0)
+        assert midpoint_sup(metric) == pytest.approx(lifted, rel=1e-13)
+        assert midpoint_sup(metric) > sup_norm(metric, 0)
+        # no finer grid is built: the reading passes the node cap
+        monkeypatch.setattr(grid_module, "MAX_NODES", grid.num_nodes)
+        assert midpoint_sup(metric) == pytest.approx(lifted, rel=1e-13)
 
     def test_downsample_band_limited_sup_never_grows(self):
         rng = np.random.default_rng(5)

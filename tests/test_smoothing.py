@@ -58,13 +58,15 @@ class TestSmooth:
 
     def test_flat_region_mode_unchanged(self):
         grid = PeriodicGrid((64,))
-        f = ScalarField.from_function(grid, lambda x: np.cos(4 * x))
+        (x,) = grid.meshes()
+        f = ScalarField(grid, np.cos(4 * x))
         out = smooth(f, 1.0 / 16.0)
         assert np.max(np.abs(out.values - f.values)) <= 1e-13
 
     def test_cutoff_mode_annihilated(self):
         grid = PeriodicGrid((64,))
-        f = ScalarField.from_function(grid, lambda x: np.cos(4 * x))
+        (x,) = grid.meshes()
+        f = ScalarField(grid, np.cos(4 * x))
         out = smooth(f, 0.5)
         assert np.max(np.abs(out.values)) <= 1e-13
 
@@ -125,7 +127,8 @@ class TestEpsDerivative:
 
     def test_flat_region_is_zero(self):
         grid = PeriodicGrid((64,))
-        f = ScalarField.from_function(grid, lambda x: np.cos(4 * x))
+        (x,) = grid.meshes()
+        f = ScalarField(grid, np.cos(4 * x))
         assert np.max(np.abs(smooth_eps_derivative(f, 0.1).values)) <= 1e-12
 
     def test_matches_central_difference(self):
@@ -146,7 +149,8 @@ class TestEpsDerivative:
 class TestEstimateBench:
     def test_band_limited_family_d_is_zero(self):
         grid = PeriodicGrid((64,))
-        f = ScalarField.from_function(grid, lambda x: np.cos(2 * x) + 0.5 * np.sin(x))
+        (x,) = grid.meshes()
+        f = ScalarField(grid, np.cos(2 * x) + 0.5 * np.sin(x))
         recs = estimate_bench(f, [(0, 2)], [0.05, 0.1, 0.2])
         fam_d = [r for r in recs if r["family"] == "d"]
         assert fam_d and fam_d[0]["max_ratio"] <= 1e-12
@@ -154,7 +158,8 @@ class TestEstimateBench:
     def test_single_mode_closed_form(self):
         grid = PeriodicGrid((128,))
         k = 8
-        f = ScalarField.from_function(grid, lambda x: np.cos(k * x))
+        (x,) = grid.meshes()
+        f = ScalarField(grid, np.cos(k * x))
         eps = 0.1  # eps*k = 0.8: inside the transition band
         m = float(multiplier(eps * k))
         md = float(multiplier_derivative(eps * k))
