@@ -4,15 +4,15 @@ Adding w^p = (a/lambda)(nu cos(lambda psi) + b sin(lambda psi)) to an
 immersion w with (nu, b) normal to w increases the pullback metric by
 a^2 dpsi (x) dpsi up to an O(1/lambda) error while moving the map only
 O(1/lambda). A stage decomposes the remaining metric gap into primitives
-and adds one spiral per primitive, at the smallest lambda whose three
-inductive estimates hold at measured (not assumed) accuracy.
+and adds one spiral per primitive, at a lambda whose three inductive
+estimates hold at measured (not assumed) accuracy.
 
 The spiral's metric error is a slow field times a trigonometric polynomial
 of degree at most 2 in the fast phase, so each lambda is first read on two
-scales (TwoScale), from slow fields on the grid the search holds: doubling,
-then bisection, finds the smallest lambda that reading passes. Only then is
-a grid built for a trial, whose fine check is the acceptance. An abort
-quotes the last reading or check the search made.
+scales (TwoScale), from slow fields on the grid the search holds: doubling
+brackets the first lambda that reading passes, and bisection walks down the
+bracket. Only then is a grid built for a trial, whose fine check is the
+acceptance. An abort quotes the last reading or check the search made.
 
 Every phase psi is linear, and on a periodic chart the oscillation phase
 lambda*psi must be periodic, so lambda*psi_linear is rounded to the nearest
@@ -47,7 +47,6 @@ from .grid import (
     bandwidth,
     derivative_sups,
     is_short,
-    midpoint_sup,
     pullback_metric,
     resample,
     spectral_gradient,
@@ -64,14 +63,19 @@ SEAM_TOL = 1e-6
 #: bump lattices per axis the decomposition tries, coarsest first
 BUMP_COUNTS = (1, 2, 4)
 
-#: bisection steps from the last doubled lambda whose two-scale reading fails
-#: to the first that passes: the result is within 2^-10 of that gap of a refusal
+#: bisection steps between the last doubled lambda whose two-scale reading
+#: fails and the first that passes; the reading is not monotone in lambda
+#: (integer_phase rounds), so they end on a passing lambda, not the smallest
 BISECTIONS = 10
 
 #: phases theta at which TwoScale reads the increment: its squared norm is a
 #: trigonometric polynomial of degree 4 in theta, read eight times per degree;
 #: on criterion 5's first primitive they read within 4e-4 of 256 phases
 PHASES = 32
+
+#: phases in TwoScale.check's first product and the fewest in a later one,
+#: which holds more only within BLOCK_DOUBLES doubles (4 MiB)
+PHASE_BLOCK, BLOCK_DOUBLES = 4, 2**19
 
 
 @dataclass(frozen=True)
@@ -289,7 +293,7 @@ class TwoScale:
 
     def __init__(self, w: ImmersionField, prim: PrimitiveMetric, frame: FramePair):
         grid = w.grid
-        self.prim = prim
+        self.frame, self.prim = frame, prim
         self.pairs = triangular_index_pairs(grid.dim)
         self.weights = np.array([1.0 if i == j else 2.0 for i, j in self.pairs])
         a = prim.amplitude.values
@@ -333,17 +337,18 @@ class TwoScale:
 
     def check(self, lam: float, eta_budget: float, delta_budget: float) -> StageCheck:
         """The three estimates in the form check_stage_estimates reports. The
-        increment is read at PHASES phases in _phase_rows's order, as one
-        product per block of phases (the first 4, then the other 28), up to
-        the first block that reads at least delta_budget; a sampled phase
-        never reads above the maximum over theta. Its cross and quadratic
-        terms are read at the phase of its largest reading."""
+        increment is read at PHASES phases in _phase_rows's order, one product
+        per block of phases (see PHASE_BLOCK), up to the first block that
+        reads at least delta_budget; a sampled phase never reads above the
+        maximum over theta. Its cross and quadratic terms are read at the
+        phase of its largest reading."""
         kappa = integer_phase(self.prim, lam) / lam
         mean = self._mean(lam, kappa).reshape(len(self.weights), -1)
         rows = _phase_rows(PHASES) * np.array([1.0, 1.0, 1.0 / lam, 1.0 / lam]) / lam
         fast = self.fast.reshape(4, -1)
         errs = []
-        for block in np.split(rows, [4]):
+        step = max(PHASE_BLOCK, BLOCK_DOUBLES // mean.size)
+        for block in np.split(rows, range(PHASE_BLOCK, PHASES, step)):
             vals = (block @ fast).reshape(len(block), *mean.shape)
             vals += mean
             errs.extend(np.sqrt(np.max(self.weights @ np.square(vals, out=vals), axis=1)))
@@ -442,21 +447,22 @@ def _rung_top(prim: PrimitiveMetric, shape: tuple[int, ...], band) -> float:
 
 def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
                   eta_budget: float, delta_budget: float) -> tuple[SpiralParams, StageFields]:
-    """The smallest lambda whose two-scale reading passes, then up the grid
-    ladder to the first whose fine check passes.
+    """A lambda whose two-scale reading passes, found by doubling and then
+    bisection, then up the grid ladder to the first whose fine check passes.
 
     The primitive and frame must be on ``w``'s grid. lambda is read on C0,
     then on two scales on ``w``'s grid with the frame its trial would read
     (``frame`` on that grid, else normal_pair(w)); it doubles from
     LAMBDA_START to the first reading that passes, then bisects BISECTIONS
-    times toward the last refused one. A trial lifts the map and primitive
-    to the grid _required_grid gives for its frequency and the bandwidth B
-    of ``w.data`` and the amplitude, measured once here, and builds its frame
-    on the lift; every frame is held to SEAM_TOL. A trial the fine check
-    refuses is followed by the largest lambda its grid carries, then by each
-    next grid's largest (_rung_top). Returns the accepted lambda with the
-    fields on its grid and their w_next. A grid over ``grid.MAX_NODES`` (read
-    at call time) or lambda past LAMBDA_CAP aborts, quoting the last refusal.
+    times toward the last refused one, keeping the passing end. A trial
+    lifts the map and primitive to the grid _required_grid gives for its
+    frequency and the bandwidth B of ``w.data`` and the amplitude, measured
+    once here, and builds its frame on the lift; every frame is held to
+    SEAM_TOL. A trial the fine check refuses is followed by the largest
+    lambda its grid carries, then by each next grid's largest (_rung_top).
+    Returns the accepted lambda with the fields on its grid and their
+    w_next. A grid over ``grid.MAX_NODES`` (read at call time) or lambda past
+    LAMBDA_CAP aborts, quoting the last refusal.
     """
     if not (eta_budget > 0.0 and delta_budget > 0.0):
         raise InputError(f"lambda search budgets must be positive, got eta "
@@ -466,18 +472,20 @@ def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
     band = [max(bandwidth(w.data, a), bandwidth(prim.amplitude.data, a))
             for a in range(w.grid.dim)]
     a_max = float(np.max(prim.amplitude.values))
-    scales = {}  # the slow fields on w's grid, by the id of the frame read
+    scales = None  # the slow fields on w's grid, for scales.frame
 
     def shape_of(lam):
         return _required_grid(w.grid, cur.grid, integer_phase(prim, lam), band)
 
     def refusal(lam) -> str:
         """Why lam's two-scale reading refuses it, or "" if it passes."""
+        nonlocal scales
         why = f"C0 with measured C0 {a_max / lam:.3e}"
         if a_max / lam < eta_budget:
             read = frame if shape_of(lam) == w.grid.shape else _seam_checked(normal_pair(w))
-            scales[id(read)] = scales.get(id(read)) or TwoScale(w, prim, read)
-            check = scales[id(read)].check(lam, eta_budget, delta_budget)
+            if scales is None or scales.frame is not read:
+                scales = TwoScale(w, prim, read)
+            check = scales.check(lam, eta_budget, delta_budget)
             why = "" if check.ok else check.failure()
         return why and f"lambda {lam:.17g} failed two-scale estimate(s) {why}"
 
@@ -497,7 +505,7 @@ def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
             low, failed = mid, why
         else:
             lam = mid
-    scales.clear()  # freed before the trial's fields exist
+    scales = None  # freed before the trial's fields exist
     while True:
         shape = shape_of(lam)
         if math.prod(shape) > grid_module.MAX_NODES:
@@ -532,7 +540,6 @@ def run_stage(w: ImmersionField, g: MetricField, eta: float,
     per-primitive budgets are eta/K(n) and (delta/2)/K(n). The primitives,
     ``g`` and ``w`` stay on the input grid and are lifted to the map's grid
     where they are read. A lambda search past the node cap aborts the stage.
-    The report's defect_after is read between the map's nodes too (midpoint_sup).
     """
     if not (0.0 < eta < np.inf and 0.0 < delta < np.inf):
         raise InputError(f"stage budgets eta and delta must be finite and positive, "
@@ -575,7 +582,7 @@ def run_stage(w: ImmersionField, g: MetricField, eta: float,
                 f"shortness violated after primitive {j} (margin {mid_margin:.3e}); "
                 f"lambdas so far {lambdas}")
 
-    defect_after = midpoint_sup(resample(g, cur_w.grid) - pullback_metric(cur_w))
+    defect_after = sup_norm(resample(g, cur_w.grid) - pullback_metric(cur_w), 0)
     c0_delta, c1_delta = derivative_sups(cur_w - resample(w, cur_w.grid), 1)
     eps = float(np.finfo(float).eps)
     report = StageReport(

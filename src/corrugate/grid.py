@@ -486,13 +486,3 @@ def resample(field, new_grid: PeriodicGrid):
             data = _resample_axis(data, a, new)
     return field.with_data(new_grid, data)
 
-
-def midpoint_sup(metric: MetricField) -> float:
-    """Sup of the nodewise Frobenius norm of ``metric`` on twice its nodes per
-    axis, its nodes and the midpoints between them, lifted as resample lifts.
-    No finer grid is built, so the node cap does not bound the reading."""
-    data = metric.data
-    for a, n in enumerate(metric.grid.shape):
-        data = _resample_axis(data, a, 2 * n)
-    weights = [1.0 if i == j else 2.0 for i, j in triangular_index_pairs(metric.grid.dim)]
-    return float(np.sqrt(np.max(data * data @ weights)))

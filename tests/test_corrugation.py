@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -328,6 +330,27 @@ class TestTwoScale:
         for got, ref in zip((check.incr_err, check.cross_err, check.quad_err), want):
             assert abs(got - ref) <= 1e-13 * ref
 
+    def test_one_reading_peaks_under_32_doubles_per_node_on_a_large_grid(self):
+        # criterion 5's first primitive held on 256x256: a product of all 28
+        # later phases would hold 84 doubles per node (the peak read 115), so
+        # they are read at most PHASE_BLOCK at a time there (27)
+        import tracemalloc
+
+        w, prims = clifford_gap_primitives()
+        held = PeriodicGrid((256, 256))
+        w_h = resample(w, held)
+        scales = TwoScale(w_h, resample_primitive(prims[0], held), normal_pair(w_h))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            check = scales.check(192.5, np.inf, np.inf)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert check.ok
+        assert peak / (8 * held.num_nodes) <= 32.0
+
     @pytest.mark.parametrize("case, accepted", [("circle_stage_2", 2750.0), ("clifford", 192.5)])
     def test_reading_refuses_one_bisection_step_below_the_accepted_lambda(
             self, monkeypatch, case, accepted):
@@ -523,10 +546,12 @@ class TestChooseLambda:
     def test_node_cap_abort_names_the_dominant_term(self, monkeypatch):
         # lambda 8 to 256 fail their two-scale estimates on 64x16 (the increment
         # is (0.3/lambda)^2 at an integer lambda), so none of their grids is
-        # built or checked against the cap; the bisection between 256 and 512
-        # ends at 300, whose increment reads just under 1e-6, one step above
-        # 299.75, refused by its rounded frequency. Frequency 300 needs
-        # 1280x16, over the cap. The frame is parallel, so the cross term is 0
+        # built or checked against the cap. Between 256 and 512 only integer
+        # lambdas pass, and 300 reads the budget 1e-6 itself, so rounding
+        # decides whether the bisection ends at 300 (it does, 2e-16 under) or
+        # at 301; either frequency needs 1280x16, over the cap, and the abort
+        # quotes the refusal one step (0.25) below it. The frame is parallel,
+        # so the cross term is 0
         monkeypatch.setattr(grid_module, "MAX_NODES", 2**12)
         grid = PeriodicGrid((64, 16))
         w = flat_strip_map(grid)
@@ -534,8 +559,10 @@ class TestChooseLambda:
         with pytest.raises(NonconvergenceError) as err:
             choose_lambda(w, prim, normal_pair(w), eta_budget=1.0, delta_budget=1e-6)
         message = str(err.value)
+        k = int(re.search(r"oscillation at frequency \((\d+), 0\)", message)[1])
+        assert k in (300, 301)
         assert "needs grid (1280, 16), beyond the desk-scale cap of 4096 nodes" in message
-        assert "lambda 299.75 failed two-scale estimate(s) increment" in message
+        assert f"lambda {k - 0.25:.17g} failed two-scale estimate(s) increment" in message
         assert "cross term 0.000e+00" in message
         assert "the quadratic term dominates" in message
 

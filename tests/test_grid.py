@@ -14,7 +14,6 @@ from corrugate.grid import (
     bandwidth,
     derivative_sup,
     is_short,
-    midpoint_sup,
     pullback_metric,
     resample,
     sup_norm,
@@ -243,19 +242,6 @@ class TestResample:
                               np.zeros(32))
         with pytest.raises(AliasingError, match="above mode 16"):
             resample(ScalarField(grid, np.cos(17 * x)), small)
-
-    def test_midpoint_sup_reads_the_metric_lifted_to_twice_the_grid(self, monkeypatch):
-        # mode 7 on 16 nodes peaks between the nodes, where the lift reads it
-        grid = PeriodicGrid((16, 16))
-        x, y = grid.meshes()
-        metric = MetricField(grid, np.stack([1.0 + 0.5 * np.cos(7 * x + 0.3),
-                                             0.2 * np.sin(3 * y + 0.5), np.cos(x - y)], -1))
-        lifted = sup_norm(resample(metric, PeriodicGrid((32, 32))), 0)
-        assert midpoint_sup(metric) == pytest.approx(lifted, rel=1e-13)
-        assert midpoint_sup(metric) > sup_norm(metric, 0)
-        # no finer grid is built: the reading passes the node cap
-        monkeypatch.setattr(grid_module, "MAX_NODES", grid.num_nodes)
-        assert midpoint_sup(metric) == pytest.approx(lifted, rel=1e-13)
 
     def test_downsample_band_limited_sup_never_grows(self):
         rng = np.random.default_rng(5)
