@@ -11,8 +11,10 @@ The spiral's metric error is a slow field times a trigonometric polynomial
 of degree at most 2 in the fast phase, so each lambda is first read on two
 scales (TwoScale), from slow fields on the grid the search holds: doubling
 brackets the first lambda that reading passes, and bisection walks down the
-bracket. Only then is a grid built for a trial, whose fine check is the
-acceptance. An abort quotes the last reading or check the search made.
+bracket over whole frequencies of the axis with the largest |psi_a|, each
+read at the lambda where that frequency is exact. Only then is a grid built
+for a trial, whose fine check is the acceptance. An abort quotes the last
+reading or check the search made.
 
 Every phase psi is linear, and on a periodic chart the oscillation phase
 lambda*psi must be periodic, so lambda*psi_linear is rounded to the nearest
@@ -62,11 +64,6 @@ SEAM_TOL = 1e-6
 
 #: bump lattices per axis the decomposition tries, coarsest first
 BUMP_COUNTS = (1, 2, 4)
-
-#: bisection steps between the last doubled lambda whose two-scale reading
-#: fails and the first that passes; the reading is not monotone in lambda
-#: (integer_phase rounds), so they end on a passing lambda, not the smallest
-BISECTIONS = 10
 
 #: phases theta at which TwoScale reads the increment: its squared norm is a
 #: trigonometric polynomial of degree 4 in theta, read eight times per degree;
@@ -414,21 +411,43 @@ def _is_5_smooth(m: int) -> bool:
     return m == 1
 
 
-def _required_grid(base: PeriodicGrid, grid: PeriodicGrid, k_vec, band) -> tuple[int, ...]:
+def _required_grid(base: PeriodicGrid, grid: PeriodicGrid, k_vec, band,
+                   square=None) -> tuple[int, ...]:
     """Per axis, the smallest n = m * (``base``'s size) with m 5-smooth (only
-    prime factors 2, 3 and 5), n at least ``grid``'s size and n > 4(|k| + B):
-    a spiral a e^{ik.x}, a of bandwidth B, has modes to |k| + B, so the products
-    of it that the checks and the next stage read stay below Nyquist. A
+    prime factors 2, 3 and 5), n at least ``grid``'s size, n > 2(|k| + B) and
+    n > 2(2|k| + Q): a spiral a e^{ik.x}, its slow factor of bandwidth B, has
+    modes to |k| + B, and the products of it that the checks and the next
+    stage read have modes to 2|k| + Q, Q the bandwidth of the square's slow
+    factor, at most 2B (the default, which makes it n > 4(|k| + B)). A
     multiple of the base grid keeps the base's values at its nodes, and a
     5-smooth factor keeps the FFT fast. Returns a shape, so one over the node
     cap is explained before a grid refuses it."""
     shape = []
-    for n0, res, k, b in zip(base.shape, grid.shape, k_vec, band):
-        m = -(-max(res, 4 * (abs(int(k)) + b) + 1) // n0)
+    for n0, res, k, b, q in zip(base.shape, grid.shape, k_vec, band,
+                                [2 * b for b in band] if square is None else square):
+        k = abs(int(k))
+        m = -(-max(res, 2 * (k + b) + 1, 2 * (2 * k + q) + 1) // n0)
         while not _is_5_smooth(m):
             m += 1
         shape.append(n0 * m)
     return tuple(shape)
+
+
+def _bands(w: ImmersionField, prim: PrimitiveMetric) -> tuple[list[int], list[int]]:
+    """Per axis, the bandwidths _required_grid reads: B of the spiral's slow
+    factor, the larger of ``w.data``'s and the amplitude's, and Q of its
+    square, the amplitude squared's plus twice ``w.data``'s (standing in for
+    the frame's products), at most 2B. Q is read, not bounded by 2B, because
+    the decomposition builds a^2 as a partition weight squared times a
+    coefficient linear in the metric gap: on one patch a band-limited gap
+    gives a band-limited a^2, while a = sqrt(a^2) has a tail whose last mode
+    above ALIAS_TOL moves with small changes of the gap."""
+    band, square = [], []
+    for a in range(w.grid.dim):
+        b_w = bandwidth(w.data, a)
+        band.append(max(b_w, bandwidth(prim.amplitude.data, a)))
+        square.append(min(2 * band[-1], bandwidth(prim.amplitude.data ** 2, a) + 2 * b_w))
+    return band, square
 
 
 def _seam_checked(frame: FramePair) -> FramePair:
@@ -438,11 +457,13 @@ def _seam_checked(frame: FramePair) -> FramePair:
     return frame
 
 
-def _rung_top(prim: PrimitiveMetric, shape: tuple[int, ...], band) -> float:
+def _rung_top(prim: PrimitiveMetric, shape: tuple[int, ...], band, square) -> float:
     """The largest lambda, to 1e-12 relative and at most LAMBDA_CAP, whose
-    frequency a grid of ``shape`` carries: |rint(lambda psi_a)| <= (n_a - 1)//4 - B_a."""
-    return min([LAMBDA_CAP] + [((n - 1) // 4 - b + 0.5) * (1.0 - 1e-12) / abs(p)
-                               for n, b, p in zip(shape, band, prim.psi_linear) if p])
+    frequency a grid of ``shape`` carries (see _required_grid): |rint(lambda
+    psi_a)| <= min((n_a - 1)//2 - B_a, (n_a - 1 - 2 Q_a)//4)."""
+    return min([LAMBDA_CAP] + [(min((n - 1) // 2 - b, (n - 1 - 2 * q) // 4) + 0.5)
+                               * (1.0 - 1e-12) / abs(p)
+                               for n, b, q, p in zip(shape, band, square, prim.psi_linear) if p])
 
 
 def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
@@ -453,36 +474,43 @@ def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
     The primitive and frame must be on ``w``'s grid. lambda is read on C0,
     then on two scales on ``w``'s grid with the frame its trial would read
     (``frame`` on that grid, else normal_pair(w)); it doubles from
-    LAMBDA_START to the first reading that passes, then bisects BISECTIONS
-    times toward the last refused one, keeping the passing end. A trial
-    lifts the map and primitive to the grid _required_grid gives for its
-    frequency and the bandwidth B of ``w.data`` and the amplitude, measured
-    once here, and builds its frame on the lift; every frame is held to
-    SEAM_TOL. A trial the fine check refuses is followed by the largest
-    lambda its grid carries, then by each next grid's largest (_rung_top).
-    Returns the accepted lambda with the fields on its grid and their
-    w_next. A grid over ``grid.MAX_NODES`` (read at call time) or lambda past
-    LAMBDA_CAP aborts, quoting the last refusal.
+    LAMBDA_START to the first reading that passes. Between the last refused
+    and that lambda it bisects the whole frequency K of the axis with the
+    largest p = |psi_a|, reading lambda = K/p, where that axis rounds
+    nothing, and ends on a passing K whose K - 1 is refused. On a 1-D chart
+    nothing is rounded at K/p and every term of the reading falls as
+    1/lambda or 1/lambda^2, so K is in practice the first passing frequency,
+    whereas the reading as a function of lambda is a comb of rounding errors
+    that pass and fail in turn. A trial lifts the map and primitive to the
+    grid _required_grid gives for its frequency and the bandwidths _bands
+    measures once here, and builds its frame on the lift; every frame is
+    held to SEAM_TOL. A trial the fine check refuses is followed by the
+    largest lambda its grid carries, then by each next grid's largest
+    (_rung_top). Returns the accepted lambda with the fields on its grid and
+    their w_next. A grid over ``grid.MAX_NODES`` (read at call time) or
+    lambda past LAMBDA_CAP aborts, quoting the last refusal.
     """
     if not (eta_budget > 0.0 and delta_budget > 0.0):
         raise InputError(f"lambda search budgets must be positive, got eta "
                          f"{eta_budget!r} and delta {delta_budget!r}")
     _require_shared_grid(w, prim, frame)
     cur = StageFields(w=w, prim=prim, frame=_seam_checked(frame))
-    band = [max(bandwidth(w.data, a), bandwidth(prim.amplitude.data, a))
-            for a in range(w.grid.dim)]
+    band, square = _bands(w, prim)
     a_max = float(np.max(prim.amplitude.values))
     scales = None  # the slow fields on w's grid, for scales.frame
+    own = None  # normal_pair(w), the frame a trial on a finer grid reads, built once
 
     def shape_of(lam):
-        return _required_grid(w.grid, cur.grid, integer_phase(prim, lam), band)
+        return _required_grid(w.grid, cur.grid, integer_phase(prim, lam), band, square)
 
     def refusal(lam) -> str:
         """Why lam's two-scale reading refuses it, or "" if it passes."""
-        nonlocal scales
+        nonlocal scales, own
         why = f"C0 with measured C0 {a_max / lam:.3e}"
         if a_max / lam < eta_budget:
-            read = frame if shape_of(lam) == w.grid.shape else _seam_checked(normal_pair(w))
+            read = frame
+            if shape_of(lam) != w.grid.shape:
+                own = read = own or _seam_checked(normal_pair(w))
             if scales is None or scales.frame is not read:
                 scales = TwoScale(w, prim, read)
             check = scales.check(lam, eta_budget, delta_budget)
@@ -498,14 +526,16 @@ def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
         if 2.0 * lam > LAMBDA_CAP:
             raise exhausted(why)
         lam, failed = 2.0 * lam, why
-    low = lam / 2.0
-    for _ in range(BISECTIONS if failed else 0):
-        mid = (low + lam) / 2.0
-        if why := refusal(mid):
-            low, failed = mid, why
-        else:
-            lam = mid
-    scales = None  # freed before the trial's fields exist
+    if failed:
+        p = float(np.max(np.abs(prim.psi_linear)))
+        low, high = (int(np.rint(x * p)) for x in (lam / 2.0, lam))
+        while high - low > 1:
+            mid = (low + high) // 2
+            if why := refusal(mid / p):
+                low, failed = mid, why
+            else:
+                high, lam = mid, mid / p
+    scales = own = None  # freed before the trial's fields exist
     while True:
         shape = shape_of(lam)
         if math.prod(shape) > grid_module.MAX_NODES:
@@ -522,9 +552,9 @@ def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
         if check.ok:
             return SpiralParams(lam), cur._replace(w_next=w_next)
         failed = f"the trial at lambda {lam:.17g} failed estimate(s) {check.failure()}"
-        top = _rung_top(prim, shape, band)
+        top = _rung_top(prim, shape, band, square)
         if top <= lam:  # lam tops its grid: the next grid's top
-            top = _rung_top(prim, shape_of(lam * (1.0 + 1e-9)), band)
+            top = _rung_top(prim, shape_of(lam * (1.0 + 1e-9)), band, square)
         if top <= lam:
             raise exhausted(failed)
         lam = top

@@ -5,12 +5,12 @@ import pytest
 
 import corrugate.grid as grid_module
 from corrugate.corrugation import (
-    BISECTIONS,
     LAMBDA_START,
     PHASES,
     StageReport,
     TwoScale,
     _phase_rows,
+    _bands,
     _required_grid,
     check_stage_estimates,
     choose_lambda,
@@ -72,13 +72,15 @@ def rotating_gauge_frame(grid):
     return FramePair(grid, nu, b)
 
 
-def clifford_gap_primitives():
+def clifford_gap_primitives(change=0.0):
     """Criterion 5's inputs: the 64^2 Clifford torus in R^4 and the primitives
-    of its gap to g = 1.5^2 I at delta 0.25, decomposed as run_stage does with
-    one bump per axis. Returns (w, prims)."""
+    of its gap to g = 1.5^2 (I + ``change``) at delta 0.25, decomposed as
+    run_stage does with one bump per axis; ``change`` holds the components
+    (00, 01, 11) per node. Returns (w, prims)."""
     grid = PeriodicGrid((64, 64))
     w = clifford_map(grid, r=1.0)
-    g = MetricField.identity(grid, 1.5**2)
+    g = MetricField(grid, 1.5**2 * (np.array([1.0, 0.0, 1.0]) + np.zeros(grid.shape + (3,))
+                                    + change))
     _, margin = is_short(w, g, strict=True)
     norm_g = sup_norm(g, 0)
     delta0 = min(0.25 / (2.0 * norm_g + 1e-12), 0.5 * margin / norm_g)
@@ -351,11 +353,12 @@ class TestTwoScale:
         assert check.ok
         assert peak / (8 * held.num_nodes) <= 32.0
 
-    @pytest.mark.parametrize("case, accepted", [("circle_stage_2", 2750.0), ("clifford", 192.5)])
-    def test_reading_refuses_one_bisection_step_below_the_accepted_lambda(
-            self, monkeypatch, case, accepted):
+    @pytest.mark.parametrize("case, frequency", [("circle_stage_2", 491), ("clifford", 132)])
+    def test_reading_refuses_one_frequency_below_the_accepted_lambda(
+            self, monkeypatch, case, frequency):
         # the circle run's stage 2 (bisected between 2048 and 4096) and
-        # criterion 5's first primitive (between 128 and 256)
+        # criterion 5's first primitive (between 128 and 256), each over the
+        # frequency of its axis of largest |psi_a|
         import corrugate.corrugation as corrugation
 
         if case == "clifford":
@@ -372,12 +375,12 @@ class TestTwoScale:
             monkeypatch.undo()
             args = searches[-1]
         params, _ = choose_lambda(*args)
-        assert params.lam == accepted
-        low = LAMBDA_START * 2.0 ** (np.ceil(np.log2(accepted / LAMBDA_START)) - 1)
         w, prim, frame, eta, delta = args
+        p = float(np.max(np.abs(prim.psi_linear)))
+        assert params.lam == frequency / p
         scales = TwoScale(w, prim, frame)
-        assert scales.check(accepted, eta, delta).ok
-        assert not scales.check(accepted - low / 2**BISECTIONS, eta, delta).ok
+        assert scales.check(params.lam, eta, delta).ok
+        assert not scales.check((frequency - 1) / p, eta, delta).ok
 
 
 class TestRequiredGrid:
@@ -445,9 +448,8 @@ class TestChooseLambda:
             lams.add(params.lam)
         assert len(lams) == 1
         lam = lams.pop()
-        # a point of the bisection between two doublings of LAMBDA_START
-        low = LAMBDA_START * 2.0 ** np.floor(np.log2(lam / LAMBDA_START))
-        assert (lam / low * 2**BISECTIONS).is_integer()
+        # a whole frequency of the bisection between two doublings of LAMBDA_START
+        assert lam > LAMBDA_START and (lam * prim.psi_linear[0]).is_integer()
 
     def test_refines_grid_when_needed(self):
         grid = PeriodicGrid((32, 16))
@@ -466,11 +468,11 @@ class TestChooseLambda:
             amplitude=ScalarField(grid, 1.0 + 0.3 * np.cos(x)),
             psi_linear=np.array([1.0, 0.0]))
         # sup a / lambda < eta needs lambda above 26; the bisection ends at
-        # 26.921875, frequency 27, and the amplitude's bandwidth is 1, so the
-        # grid refines 64 -> 128 (more than 4(27 + 1) nodes)
+        # frequency 27, and the amplitude's bandwidth is 1, so the grid
+        # refines 64 -> 128 (more than 4(27 + 1) nodes)
         params, fields = choose_lambda(w, prim, rotating_gauge_frame(grid),
                                        eta_budget=0.05, delta_budget=1e-2)
-        assert params.lam == 26.921875
+        assert params.lam == 27.0
         assert fields.grid.shape == (128, 16)
         w_lift = resample(w, fields.grid)
         prim_lift = resample_primitive(prim, fields.grid)
@@ -487,9 +489,11 @@ class TestChooseLambda:
         found = []
         for prim in prims:
             params, fields = choose_lambda(w, prim, pair, 0.5 / 9, 0.05)
-            found.append((params.lam, fields.grid.shape))
-        # frequencies (27, +-38) at lambda 49.625 and (38, 0) at 49.5, bandwidth 1
-        assert found == [(49.625, (128, 192)), (49.625, (128, 192)), (49.5, (192, 64))]
+            found.append((params.lam * np.max(np.abs(prim.psi_linear)), fields.grid.shape))
+        # whole frequencies 37, 37 and 31 on the axis of largest |psi_a|,
+        # 0.762, at lambda 48.55 and 40.68: frequencies (26, +-37) and (31, 0),
+        # bandwidth 1
+        assert found == [(37.0, (128, 192)), (37.0, (128, 192)), (31.0, (192, 64))]
 
     def test_clifford_searches_build_one_frame_above_64_squared_and_one_fine_check(
             self, monkeypatch):
@@ -508,6 +512,39 @@ class TestChooseLambda:
             _, fields = choose_lambda(w, prim, pair, 0.5 / 9, 0.05)
             assert [shape for shape in frames if shape != (64, 64)] == [fields.grid.shape]
             assert checks == [fields.grid.shape]
+
+    def test_torus_grids_hold_under_a_one_percent_change_of_the_metric(self):
+        # sine modes of sup norm 0.01 per component, as the benchmark's seeds
+        # add: the amplitudes' last mode above ALIAS_TOL moves between 5 and 8
+        # with the change, a^2's bandwidth stays 2, and the grids stay put
+        grid = PeriodicGrid((64, 64))
+        x, y = grid.meshes()
+        modes = np.stack([np.sin(kx * x + ky * y) for kx, ky in
+                          ((1, 0), (0, 1), (1, 1), (1, -1), (2, 0), (0, 2))], axis=-1)
+        rng = np.random.default_rng(3)
+        grids = set()
+        for _ in range(4):
+            coeffs = rng.uniform(-1.0, 1.0, (6, 3))
+            w, prims = clifford_gap_primitives(modes @ (0.01 * coeffs / np.abs(coeffs).sum(0)))
+            pair = normal_pair(w)
+            grids.add(tuple(choose_lambda(w, prim, pair, 0.5 / 9, 0.05)[1].grid.shape
+                            for prim in prims))
+        assert grids == {((128, 192), (128, 192), (192, 64))}
+
+    def test_held_grid_frame_is_built_once_per_search(self, monkeypatch):
+        # every reading whose trial grid is finer than 64^2 reads the frame of
+        # the map on 64^2 (about six readings per search here); one is built
+        import corrugate.corrugation as corrugation
+
+        frames = []
+        monkeypatch.setattr(corrugation, "normal_pair", lambda w_f: frames.append(
+            w_f.grid.shape) or normal_pair(w_f))
+        w, prims = clifford_gap_primitives()
+        pair = normal_pair(w)
+        for prim in prims:
+            frames.clear()
+            choose_lambda(w, prim, pair, 0.5 / 9, 0.05)
+            assert frames.count(w.grid.shape) == 1
 
     def test_a_refused_trial_climbs_the_grid_ladder(self, monkeypatch):
         # no workload's fine check refuses a bisected lambda, so the check is
@@ -528,15 +565,15 @@ class TestChooseLambda:
         w, prims = clifford_gap_primitives()
         prim = prims[0]
         params, fields = choose_lambda(w, prim, normal_pair(w), 0.5 / 9, 0.05)
-        band = [max(bandwidth(w.data, a), bandwidth(prim.amplitude.data, a)) for a in range(2)]
+        band, square = _bands(w, prim)
 
         def grid_above(lam, held):
             """The grid the search needs for lambda 1e-9 relative above ``lam``."""
             k_vec = integer_phase(prim, lam * (1.0 + 1e-9))
-            return _required_grid(w.grid, PeriodicGrid(held), k_vec, band)
+            return _required_grid(w.grid, PeriodicGrid(held), k_vec, band, square)
 
         (lam0, shape0), (lam1, shape1), (lam2, shape2) = trials
-        assert (lam0, shape0) == (49.625, (128, 192))
+        assert (lam0, shape0) == (37 / np.max(np.abs(prim.psi_linear)), (128, 192))
         # the largest lambda the same grid carries, then the largest on the next
         assert shape1 == shape0 and lam1 > lam0 and grid_above(lam1, shape1) != shape1
         assert shape2 == grid_above(lam1, shape1) and grid_above(lam2, shape2) != shape2
@@ -546,12 +583,11 @@ class TestChooseLambda:
     def test_node_cap_abort_names_the_dominant_term(self, monkeypatch):
         # lambda 8 to 256 fail their two-scale estimates on 64x16 (the increment
         # is (0.3/lambda)^2 at an integer lambda), so none of their grids is
-        # built or checked against the cap. Between 256 and 512 only integer
-        # lambdas pass, and 300 reads the budget 1e-6 itself, so rounding
-        # decides whether the bisection ends at 300 (it does, 2e-16 under) or
-        # at 301; either frequency needs 1280x16, over the cap, and the abort
-        # quotes the refusal one step (0.25) below it. The frame is parallel,
-        # so the cross term is 0
+        # built or checked against the cap. The bisection between 256 and 512
+        # reads whole lambdas, and 300 reads the budget 1e-6 itself, so
+        # rounding decides whether it ends at 300 or at 301; either frequency
+        # needs 1280x16, over the cap, and the abort quotes the refusal one
+        # frequency below it. The frame is parallel, so the cross term is 0
         monkeypatch.setattr(grid_module, "MAX_NODES", 2**12)
         grid = PeriodicGrid((64, 16))
         w = flat_strip_map(grid)
@@ -562,7 +598,7 @@ class TestChooseLambda:
         k = int(re.search(r"oscillation at frequency \((\d+), 0\)", message)[1])
         assert k in (300, 301)
         assert "needs grid (1280, 16), beyond the desk-scale cap of 4096 nodes" in message
-        assert f"lambda {k - 0.25:.17g} failed two-scale estimate(s) increment" in message
+        assert f"lambda {k - 1:.17g} failed two-scale estimate(s) increment" in message
         assert "cross term 0.000e+00" in message
         assert "the quadratic term dominates" in message
 
@@ -639,7 +675,7 @@ class TestChooseLambda:
             choose_lambda(w, prim, normal_pair(w), eta_budget=0.5, delta_budget=1e-6)
 
     def test_first_torus_search_peaks_under_49_doubles_per_node(self):
-        # criterion 5's first search: lambda 192.5 on 512x640. The peak counts the
+        # criterion 5's first search: lambda 173.2 on 384x576. The peak counts the
         # trial grids' lifts, frames, spirals and checks, not the 64^2 inputs
         import tracemalloc
 
@@ -653,7 +689,7 @@ class TestChooseLambda:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert fields.grid.shape == (512, 640)
+        assert fields.grid.shape == (384, 576)
         assert peak / (8 * fields.grid.num_nodes) <= 49.0
 
 

@@ -69,26 +69,40 @@ class TestIterate:
         assert rep.final_defect == rep.stage_reports[-1].defect_after
 
     def test_circle_grids_read_the_defect_of_the_continuum_map(self):
-        # stage 2 runs at frequency 490 with amplitude bandwidth 62, so it
-        # needs more than 2208 nodes. The report reads the defect at those
-        # nodes: the defect of the map lifted to twice as many nodes, read at
-        # every other one. Between the nodes it reads higher (0.046661 at the
-        # nodes, 0.046716 on twice as many), so the nodes bound it from below
+        # stage 2 runs at frequency 491; its square's bandwidth is 78 (a^2's
+        # 38 plus twice the map's 20), so it needs more than 2120 nodes. The
+        # report reads the defect at those nodes: the defect of the map lifted
+        # to twice as many nodes, read at every other one. Between the nodes
+        # it reads higher (0.046918 at the nodes, 0.046936 on twice as many),
+        # so the nodes bound it from below
         grid = PeriodicGrid((64,))
         g = MetricField.identity(grid, 1.2**2)
         u, rep = nash_kuiper_iterate(unit_circle_map(grid), g,
                                      IterationSchedule(epsilon=0.5, stages=2))
         assert [stage.resolution for stage in rep.stage_reports] == [(128,), (2304,)]
-        assert [stage.lambdas for stage in rep.stage_reports] == [[33.75], [2750.0]]
+        assert [stage.lambdas for stage in rep.stage_reports] == [
+            [pytest.approx(33.85309064223772, rel=1e-12)],
+            [pytest.approx(2670.7423236479754, rel=1e-12)]]
         fine = PeriodicGrid((2 * u.grid.shape[0],))
         lifted = resample(g, fine) - pullback_metric(resample(u, fine))
         at_nodes = sup_norm(MetricField(u.grid, lifted.data[::2]), 0)
         assert abs(rep.final_defect - at_nodes) <= 1e-9 * at_nodes
         assert rep.final_defect <= sup_norm(lifted, 0)
 
+    def test_circle_grids_hold_under_a_small_change_of_the_target(self):
+        # the benchmark's circle seeds move the target scale 1.2 by up to
+        # 0.05%; every stage keeps its grid
+        grid = PeriodicGrid((64,))
+        runs = set()
+        for scale in 1.2 * (1.0 + 0.0005 * np.array([-1.0, -0.5, 0.5, 1.0])):
+            _, rep = nash_kuiper_iterate(unit_circle_map(grid), MetricField.identity(grid, scale**2),
+                                         IterationSchedule(epsilon=0.5, stages=2))
+            runs.add(tuple(stage.resolution for stage in rep.stage_reports))
+        assert runs == {((128,), (2304,))}
+
     def test_four_stages_hit_the_frequency_cap(self):
         # the forced lambda growth ratio (~128 * 2^-q per stage; measured
-        # 33.75 -> 2750 -> beyond 2^14) exceeds the search cap at stage 3:
+        # 33.85 -> 2670.7 -> beyond 2^14) exceeds the search cap at stage 3:
         # the honest outcome of the 4^-q schedule at desk scale
         grid = PeriodicGrid((64,))
         w = unit_circle_map(grid)
@@ -98,8 +112,8 @@ class TestIterate:
             nash_kuiper_iterate(w, g, sched)
         partial = err.value.partial_report
         assert len(partial.stage_reports) == 2
-        assert partial.stage_reports[0].lambdas == [33.75]
-        assert partial.stage_reports[1].lambdas == [2750.0]
+        assert partial.stage_reports[0].lambdas == [pytest.approx(33.85309064223772, rel=1e-12)]
+        assert partial.stage_reports[1].lambdas == [pytest.approx(2670.7423236479754, rel=1e-12)]
         assert partial.final_defect == partial.stage_reports[-1].defect_after
 
     def test_torus_aborts_with_partial_report(self, monkeypatch):
