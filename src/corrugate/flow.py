@@ -29,6 +29,12 @@ of its derivative. Every derivative multiplies by
 ``grid.derivative_multipliers``, the one ik-with-Nyquist-zeroed rule the
 fields differentiate by.
 
+What depends on time alone is read once per step: both new times, t + dt/2
+and t + dt, follow every stored sample, so one pass gives both times'
+multipliers and window quadratures, and the last stage's reading serves the
+next step's first. Tables of the grid and the dimensions alone are built
+once per run.
+
 If w(t) converges, its pullback picks up exactly the target tensor h:
 the smoothing error E is reabsorbed into h(t) by construction, which is
 the whole point of the regularization.
@@ -36,7 +42,6 @@ the whole point of the regularization.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -56,7 +61,14 @@ from .grid import (
     pullback_metric,
     sup_norm,
 )
-from .leastnorm import _freeness, _identity_residual, _min_norm_velocity, _row_products, is_free
+from .leastnorm import (
+    StackRows,
+    _freeness,
+    _identity_residual,
+    _min_norm_velocity,
+    _row_products,
+    is_free,
+)
 from .smoothing import multiplier, multiplier_derivative
 
 #: steps with a non-decaying, above-tolerance residual before giving up
@@ -72,13 +84,13 @@ STEP = 0.05
 def psi_ramp(s) -> np.ndarray | float:
     """C^2 monotone ramp: 0 for s <= 0, 1 for s >= 1, odd-symmetric about
     (1/2, 1/2) (quintic smoothstep)."""
-    u = np.clip(s, 0.0, 1.0)
+    u = np.minimum(np.maximum(s, 0.0), 1.0)
     out = u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
     return float(out) if np.isscalar(s) else out
 
 
 def psi_ramp_derivative(s) -> np.ndarray | float:
-    u = np.clip(s, 0.0, 1.0)
+    u = np.minimum(np.maximum(s, 0.0), 1.0)
     out = 30.0 * (u * (1.0 - u)) ** 2
     return float(out) if np.isscalar(s) else out
 
@@ -133,6 +145,12 @@ class FlowState:
         self.taus = np.empty(WINDOW_SLOTS)
         self.E = np.empty(self.taus.shape + self.tail.shape, complex)
         self.count = 0
+        # tables of the grid and the dimensions alone: the solve's rows, and
+        # the record's D^0..D^4 multipliers and columns of hdot, wdot, w - w0
+        self.rows = StackRows.of(self.grid.dim)
+        ik = derivative_multipliers(self.grid.shape[0], 4).T
+        self.orders = np.concatenate([np.ones((len(ik), 1)), ik], axis=1)[..., None]
+        self.parts = np.repeat(np.eye(3), [self.tail.shape[1]] + [self.P.shape[1]] * 2, axis=0)
 
     def record(self, tau: float, E: np.ndarray):
         """Store the spectrum of the node samples E(tau), tau after every
@@ -158,58 +176,72 @@ class FlowState:
             E[:self.count] = E[gone:gone + self.count]
 
 
-def _window_quadratures(state: FlowState, t: float) -> tuple[np.ndarray, np.ndarray]:
+def _window_quadratures(state: FlowState, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectra of the trapezoidal L(t) = tail + int E(tau) psi(t-tau) and of
-    the psi'-weighted tail integral, over the stored samples up to time t."""
-    taus = state.taus[:np.searchsorted(state.taus[:state.count], t + 1e-12, side="right")]
-    if len(taus) < 2:
-        if state.t > state.t0 + 2.0 * STEP and not len(taus):
-            raise CorrugateError("internal error: E history window underflow")
-        return state.tail, np.zeros_like(state.tail)
-    half = 0.5 * np.diff(taus)
-    trap = np.zeros_like(taus)
-    trap[:-1] += half
-    trap[1:] += half
+    the psi'-weighted tail integral C(t), each over the stored samples up to
+    t, for every t in ``times``: one weight matrix, psi and psi' at the lags
+    times each time's trapezoid weights, times the stored spectra. A sample
+    after t, and a gap that ends after it, weigh 0."""
+    taus, t = state.taus[:state.count], times[:, None]
+    inside = taus <= t + 1e-12
+    if state.t > state.t0 + 2.0 * STEP and not inside.any(axis=1).all():
+        raise CorrugateError("internal error: E history window underflow")
+    half = 0.5 * np.diff(taus) * inside[:, 1:]
+    trap = np.zeros(inside.shape)
+    trap[:, :-1] += half
+    trap[:, 1:] += half
     lag = t - taus
     weights = np.stack([psi_ramp(lag), psi_ramp_derivative(lag)]) * trap
-    L, C = (weights @ state.E[:len(taus)].reshape(len(taus), -1)).reshape((2,) + state.tail.shape)
+    L, C = (weights.reshape(2 * len(times), len(taus))
+            @ state.E[:len(taus)].reshape(len(taus), state.tail.size)
+            ).reshape((2, len(times)) + state.tail.shape)
     return state.tail + L, C
 
 
-@functools.lru_cache(maxsize=4)
-def _spectral_multipliers(n: int, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per rfft mode of n nodes at smoothing scale 1/t, with m = m(|xi|/t):
-    the jet multipliers (ik m, (ik)^2 m, ik) on axis 1 and the hdot pair
-    (-t^-2 |xi| m'(|xi|/t), m). Cached, since stages share times, hence read-only."""
-    eps = 1.0 / t
+def _spectral_multipliers(n: int, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per rfft mode of n nodes at each smoothing scale 1/t, t in ``times``,
+    with m = m(|xi|/t), from one vectorized evaluation: the jet multipliers
+    (ik m, (ik)^2 m, ik), shape (T, modes, 3, 1), and the hdot pair
+    (-t^-2 |xi| m'(|xi|/t), m), shape (2, T, modes, 1)."""
+    eps = 1.0 / times[:, None, None]
     k = np.arange(n // 2 + 1, dtype=float)[:, None]
     m = multiplier(eps * k)
     ik, ik2 = derivative_multipliers(n, 2)[..., None]
-    jet = np.stack([ik * m, ik2 * m, ik], axis=1)
-    pair = np.stack([k * multiplier_derivative(eps * k) * -(eps * eps), m])
-    jet.flags.writeable = pair.flags.writeable = False
-    return jet, pair
+    jet = np.stack([ik * m, ik2 * m, np.broadcast_to(ik, m.shape)], axis=2)
+    return jet, np.stack([k * multiplier_derivative(eps * k) * -(eps * eps), m])
 
 
-def _smoothed_jet(n: int, t: float, P: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, ...]:
+class _TimeReading(NamedTuple):
+    """What a time t gives from the stored history alone: the jet
+    multipliers of S_{1/t} and the spectrum ``H`` of hdot(t)."""
+
+    t: float
+    jet: np.ndarray
+    H: np.ndarray
+
+
+def _read_times(state: FlowState, times: tuple[float, ...], h: np.ndarray) -> list[_TimeReading]:
+    """Each t in ``times``, from the target's spectrum ``h``, in one pass:
+    the multipliers and the window quadratures of every time at once, and
+    hdot(t) = -t^-2 S'[psi h + L(t)] + S[psi' h + C(t)], where C(t) is the
+    E(tau) psi'(t - tau) window integral."""
+    times = np.array(times, dtype=float)
+    jets, (d_smoothing, smoothing) = _spectral_multipliers(state.grid.shape[0], times)
+    L, C = _window_quadratures(state, times)
+    s = times[:, None, None] - state.t0
+    H = d_smoothing * (h * psi_ramp(s) + L) + smoothing * (h * psi_ramp_derivative(s) + C)
+    return [_TimeReading(t, jet, H_t) for t, jet, H_t in zip(times.tolist(), jets, H)]
+
+
+def _smoothed_jet(n: int, jet: np.ndarray, P: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, ...]:
     """The stack (d S_{1/t} w, d^2 S_{1/t} w), dw and hdot on n nodes, from
-    the spectra of a circle map's periodic samples ``P`` and of hdot ``H`` by
-    one batched irfft. The map's offsets add to both first derivatives."""
-    jet, _ = _spectral_multipliers(n, t)
+    S_{1/t}'s jet multipliers, the spectra of a circle map's periodic samples
+    ``P`` and of hdot ``H`` by one batched irfft. The map's offsets add to
+    both first derivatives."""
     N = P.shape[1]
     nodes = np.fft.irfft(np.concatenate([(jet * P[:, None]).reshape(len(P), -1), H], axis=1),
                          n=n, axis=0)
     return nodes[:, :2 * N].reshape(n, 2, N), nodes[:, 2 * N:3 * N], nodes[:, 3 * N:]
-
-
-def _hdot(state: FlowState, t: float, h: np.ndarray) -> np.ndarray:
-    """The spectrum of hdot(t), from the target's spectrum ``h``: the
-    S'-term -t^-2 S'[psi h + L(t)] plus S[psi' h + C(t)], where C(t) is the
-    E(tau) psi'(t - tau) window integral."""
-    L, C = _window_quadratures(state, t)
-    s = t - state.t0
-    _, (d_smoothing, smoothing) = _spectral_multipliers(state.grid.shape[0], t)
-    return d_smoothing * (h * psi_ramp(s) + L) + smoothing * (h * psi_ramp_derivative(s) + C)
 
 
 class _Rates(NamedTuple):
@@ -232,39 +264,42 @@ class _Rates(NamedTuple):
         return np.einsum("...a,...a->...", self.d_smooth - self.dw, self.dwdot) * 2.0
 
 
-def _rhs(state: FlowState, t: float, P: np.ndarray, H: np.ndarray) -> _Rates:
-    """The right-hand side at (t, w) from the spectra ``P`` of w and ``H`` of
-    hdot(t): three FFT calls, and one Gram for the freeness gate and the solve."""
+def _rhs(state: FlowState, P: np.ndarray, now: _TimeReading) -> _Rates:
+    """The right-hand side at (t, w) from the spectrum ``P`` of w and the
+    reading of t: three FFT calls, and one Gram for the freeness gate and the
+    solve."""
     n = state.grid.shape[0]
-    stack, d_w, hdot = _smoothed_jet(n, t, P, H)
+    stack, d_w, hdot = _smoothed_jet(n, now.jet, P, now.H)
     stack[:, 0] += state.offsets[0]
     gram = _row_products(stack, stack)
     report = _freeness(gram)
     if not report.is_free:
         raise NonconvergenceError(
-            f"flow abort at t={t:.3f}: smoothed map lost freeness "
+            f"flow abort at t={now.t:.3f}: smoothed map lost freeness "
             f"(gram det {report.min_gram_det:.3e})")
-    wdot = _min_norm_velocity(stack, gram, hdot)
+    wdot = _min_norm_velocity(stack, gram, hdot, state.rows)
     W = np.fft.rfft(wdot, axis=0)
-    dwdot = np.fft.irfft(_spectral_multipliers(n, t)[0][:, 2] * W, n=n, axis=0)[:, None]
-    worst = _identity_residual(stack[:, :1], dwdot, hdot)
-    return _Rates(wdot, W, dwdot, hdot, H, stack[:, :1], (d_w + state.offsets[0])[:, None], worst)
+    dwdot = np.fft.irfft(now.jet[:, 2] * W, n=n, axis=0)[:, None]
+    worst = _identity_residual(stack[:, :1], dwdot, hdot, state.rows)
+    return _Rates(wdot, W, dwdot, hdot, now.H, stack[:, :1], (d_w + state.offsets[0])[:, None],
+                  worst)
 
 
-def _advance(state: FlowState, dt: float, h: np.ndarray, k1: np.ndarray) -> np.ndarray:
-    """Finish the 4th-order step of size dt whose first stage is ``k1``. hdot
-    reads the history and t only: the middle stages share one, and the last
-    stage's, returned, serves the next step's first, before E is recorded."""
-    P, half = state.P, state.t + dt / 2.0
-    hdot_half = _hdot(state, half, h)
-    k2 = _rhs(state, half, P + k1 * (dt / 2.0), hdot_half).W
-    k3 = _rhs(state, half, P + k2 * (dt / 2.0), hdot_half).W
-    hdot_end = _hdot(state, state.t + dt, h)
-    k4 = _rhs(state, state.t + dt, P + k3 * dt, hdot_end).W
+def _advance(state: FlowState, dt: float, h: np.ndarray, k1: np.ndarray) -> _TimeReading:
+    """Finish the 4th-order step of size dt whose first stage is ``k1``. The
+    stages' times read the history, all of it before them, and nothing
+    else: one pass reads both new times, the middle stages share one
+    reading, and the last stage's, returned, serves the next step's first,
+    before E is recorded."""
+    P = state.P
+    half, end = _read_times(state, (state.t + dt / 2.0, state.t + dt), h)
+    k2 = _rhs(state, P + k1 * (dt / 2.0), half).W
+    k3 = _rhs(state, P + k2 * (dt / 2.0), half).W
+    k4 = _rhs(state, P + k3 * dt, end).W
     state.P = P + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (dt / 6.0)
     state.t += dt
     state.prune()
-    return hdot_end
+    return end
 
 
 class FlowSample(NamedTuple):
@@ -320,12 +355,9 @@ def _record(state: FlowState, rates: _Rates, P0: np.ndarray, w0_pull: np.ndarray
     sup of hdot, wdot and w - w0 from one batched irfft of their spectra."""
     ortho = float(np.max(np.abs(np.einsum("...ia,...a->...i", rates.d_smooth, rates.wdot))))
     resid_now = np.einsum("...ia,...ia->...i", rates.dw, rates.dw) - w0_pull - h
-    n = state.grid.shape[0]
     cols = np.concatenate([rates.H, rates.W, state.P - P0], axis=1)
-    orders = np.concatenate([np.ones((len(cols), 1)), derivative_multipliers(n, 4).T], axis=1)
-    squares = np.fft.irfft(orders[..., None] * cols[:, None], n=n, axis=0) ** 2
-    parts = np.repeat(np.eye(3), [1, rates.wdot.shape[1], rates.wdot.shape[1]], axis=0)
-    hdot_sups, wdot_sups, dist_sups = np.max(np.sqrt(squares @ parts), axis=0).T.tolist()
+    squares = np.fft.irfft(state.orders * cols[:, None], n=state.grid.shape[0], axis=0) ** 2
+    hdot_sups, wdot_sups, dist_sups = np.max(np.sqrt(squares @ state.parts), axis=0).T.tolist()
     return FlowSample(
         t=state.t,
         hdot_c0=hdot_sups[0], hdot_c4=sum(hdot_sups),
@@ -367,7 +399,7 @@ def run_flow(w0: ImmersionField, h_target: MetricField,
     state = FlowState(cfg.t0, w0)
     P0, h = state.P, h_target.data
     h_spectrum = np.fft.rfft(h, axis=0)
-    hdot = _hdot(state, state.t, h_spectrum)
+    now = _read_times(state, (state.t,), h_spectrum)[0]
 
     diag = FlowDiagnostics()
     best_resid = float("inf")
@@ -376,7 +408,7 @@ def run_flow(w0: ImmersionField, h_target: MetricField,
     try:
         while state.t < t_end - 1e-9:
             dt = min(STEP, t_end - state.t)
-            rates = _rhs(state, state.t, state.P, hdot)
+            rates = _rhs(state, state.P, now)
             state.record(state.t, rates.E)
             sample = _record(state, rates, P0, w0_pull.data, h)
             diag.samples.append(sample)
@@ -389,7 +421,7 @@ def run_flow(w0: ImmersionField, h_target: MetricField,
                         f"residual {sample.metric_resid:.3e} not decaying for "
                         f"{DIVERGENCE_PATIENCE} steps at t={state.t:.2f}")
             best_resid = min(best_resid, sample.metric_resid)
-            hdot = _advance(state, dt, h_spectrum, rates.W)
+            now = _advance(state, dt, h_spectrum, rates.W)
 
         u = ImmersionField.from_periodic(
             w0.grid, np.fft.irfft(state.P, n=w0.grid.shape[0], axis=0), w0.offsets)

@@ -137,24 +137,41 @@ def is_free(w: ImmersionField) -> FreeMapReport:
     return _freeness(_row_products(stack, stack))
 
 
-def _min_norm_velocity(stack: np.ndarray, gram: np.ndarray, hdot: np.ndarray) -> np.ndarray:
+class StackRows(NamedTuple):
+    """The rows of a d-dimensional chart's derivative stack, tabulated once:
+    ``scale`` is 1 on the d orthogonality rows and -2 on the metric rows,
+    ``gram_scale`` its outer product, which turns the stack's Gram into
+    A A^T exactly (powers of two), and ``upper`` the index pairs (i, j),
+    i <= j, of the metric rows."""
+
+    scale: np.ndarray
+    gram_scale: np.ndarray
+    upper: tuple[np.ndarray, np.ndarray]
+
+    @classmethod
+    def of(cls, dim: int) -> StackRows:
+        upper = np.array(triangular_index_pairs(dim)).T
+        scale = np.repeat([1.0, -2.0], [dim, upper.shape[1]])
+        return cls(scale, np.multiply.outer(scale, scale), tuple(upper))
+
+
+def _min_norm_velocity(stack: np.ndarray, gram: np.ndarray, hdot: np.ndarray,
+                       rows: StackRows) -> np.ndarray:
     """Nodewise minimum-norm wdot with {d_j w . wdot = 0; -2 d_ij w . wdot =
     hdot_ij for i <= j}, from the derivative stack of a free map w and its
-    Gram: A A^T is the Gram with the metric rows scaled by -2 (exact), and
-    the orthogonality rows' zero right-hand side is left to the solve."""
-    scale = np.ones(stack.shape[-2])
-    scale[stack.shape[-2] - hdot.shape[-1]:] = -2.0
-    x = _spd_solve(gram * np.multiply.outer(scale, scale), hdot) * scale
+    Gram: A A^T is the Gram scaled by ``rows.gram_scale``, and the
+    orthogonality rows' zero right-hand side is left to the solve."""
+    x = _spd_solve(gram * rows.gram_scale, hdot) * rows.scale
     return np.einsum("...ia,...i->...a", stack, x)
 
 
-def _identity_residual(first: np.ndarray, dwdot: np.ndarray, hdot: np.ndarray) -> float:
+def _identity_residual(first: np.ndarray, dwdot: np.ndarray, hdot: np.ndarray,
+                       rows: StackRows) -> float:
     """The largest residual of 2 sym(dw^T dwdot) = hdot, verified at
     LINEARIZATION_TOL (NaN fails it); first derivatives are (..., d, N)."""
     cross = _row_products(first, dwdot)
-    twice = np.stack([cross[..., i, j] + cross[..., j, i]
-                      for i, j in triangular_index_pairs(first.shape[-2])], axis=-1)
-    worst = float(np.max(np.abs(twice - hdot)))
+    i, j = rows.upper
+    worst = float(np.max(np.abs(cross[..., i, j] + cross[..., j, i] - hdot)))
     if not worst <= LINEARIZATION_TOL:
         raise ConsistencyError(
             f"linearization identity residual {worst:.3e} exceeds {LINEARIZATION_TOL:.1e}; "

@@ -35,7 +35,6 @@ from corrugate.grid import (
     MetricField,
     PeriodicGrid,
     ScalarField,
-    bandwidth,
     derivative_sups,
     is_short,
     pullback_metric,
@@ -281,9 +280,9 @@ class TestTwoScale:
             w, prim = circle_gap_primitive()
         pair = normal_pair(w)
         two_scale = TwoScale(w, prim, pair).check(lam, 1.0, 1.0)
-        band = [max(bandwidth(w.data, a), bandwidth(prim.amplitude.data, a))
-                for a in range(w.grid.dim)]
-        fine = PeriodicGrid(_required_grid(w.grid, w.grid, integer_phase(prim, lam), band))
+        # the grid the search picks: the spiral's bandwidth and its square's
+        band, square = _bands(w, prim)
+        fine = PeriodicGrid(_required_grid(w.grid, w.grid, integer_phase(prim, lam), band, square))
         w_f, prim_f = resample(w, fine), resample_primitive(prim, fine)
         check = check_stage_estimates(
             w_f, w_f + spiral_perturbation(w_f, prim_f, normal_pair(w_f), lam), prim_f, 1.0, 1.0)

@@ -14,8 +14,9 @@ from corrugate.flow import (
     FlowSample,
     FlowState,
     _advance,
-    _hdot,
+    _read_times,
     _rhs,
+    _spectral_multipliers,
     _window_quadratures,
     psi_ramp,
     psi_ramp_derivative,
@@ -27,11 +28,12 @@ from corrugate.grid import (
     MetricField,
     PeriodicGrid,
     ScalarField,
+    derivative_multipliers,
     pullback_metric,
     sup_norm,
 )
 from corrugate.leastnorm import is_free
-from corrugate.smoothing import smooth, smooth_eps_derivative
+from corrugate.smoothing import multiplier, multiplier_derivative, smooth, smooth_eps_derivative
 
 from conftest import unit_circle_map
 
@@ -53,17 +55,22 @@ def nodes(spec, grid):
     return np.fft.irfft(spec, n=grid.shape[0], axis=0)
 
 
+def read(state, t, h):
+    """The reading of the one time t, from the target's spectrum h."""
+    return _read_times(state, (t,), h)[0]
+
+
 def rhs(state, h, t=None, P=None):
     """The flow's right-hand side at (t, P), default the state's own time
     and map spectrum, for a closed circle map (zero offsets)."""
     t = state.t if t is None else t
-    return _rhs(state, t, state.P if P is None else P, _hdot(state, t, spectrum(h.data)))
+    return _rhs(state, state.P if P is None else P, read(state, t, spectrum(h.data)))
 
 
 def path_h(state, t, h):
     """The tensor path h(t) = S_{1/t}[psi(t - t0) h + L(t)], smoothed by
     ``smoothing.smooth`` from the stored history."""
-    L = nodes(_window_quadratures(state, t)[0], h.grid)
+    L = nodes(_window_quadratures(state, np.array([t]))[0][0], h.grid)
     return smooth(MetricField(h.grid, h.data * psi_ramp(t - state.t0) + L), 1.0 / t).data
 
 
@@ -121,7 +128,7 @@ class TestFlowRhs:
             state.record(state.t, rates.E)
             _advance(state, STEP, spectrum(h.data), rates.W)
         t_mid = state.t - STEP / 2  # strictly inside the last sample gap
-        exact = nodes(_hdot(state, t_mid, spectrum(h.data)), grid)
+        exact = nodes(read(state, t_mid, spectrum(h.data)).H, grid)
 
         def central_err(delta):
             num = path_h(state, t_mid + delta, h) - path_h(state, t_mid - delta, h)
@@ -174,8 +181,11 @@ class TestFlowRhs:
                              1.0 / t).data)
 
         for got, ref in ((path_h(state, t, h), h_ref),
-                         (nodes(_hdot(state, t, spectrum(h.data)), grid), hdot_ref)):
+                         (nodes(read(state, t, spectrum(h.data)).H, grid), hdot_ref)):
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        # read in one pass with a later time, which sees one sample more, t reads the same
+        paired = nodes(_read_times(state, (t, taus[-1] + 0.01), spectrum(h.data))[0].H, grid)
+        assert np.max(np.abs(paired - hdot_ref)) <= 1e-14 * np.max(np.abs(hdot_ref))
 
     def test_one_rhs_makes_at_most_three_transforms(self, monkeypatch):
         # one batched inverse of the map's jet and hdot, one spectrum of
@@ -183,53 +193,92 @@ class TestFlowRhs:
         grid, w0 = circle_setup(64)
         h = metric(grid, np.full(grid.shape, 0.02))
         state = FlowState(10.0, w0)
-        hdot = _hdot(state, state.t, spectrum(h.data))
+        now = read(state, state.t, spectrum(h.data))
         calls = count_transforms(monkeypatch)
-        _rhs(state, state.t, state.P, hdot)
+        _rhs(state, state.P, now)
         assert 0 < len(calls) <= 3
 
-    def test_one_step_makes_at_most_14_transforms_and_two_quadratures(self, monkeypatch):
-        # k1, its E and its record, then k2..k4: the middle stages share one
-        # hdot, and the last stage's serves the next step's first stage
+    def test_one_step_makes_at_most_14_transforms_and_one_quadrature_pass(self, monkeypatch):
+        # k1, its E and its record, then k2..k4: one pass reads both new
+        # times, the middle stages share one reading, and the last stage's
+        # serves the next step's first stage
         import corrugate.flow as flow
 
         grid, w0 = circle_setup(64)
         h = spectrum(np.full(grid.shape + (1,), 0.02))
         state = FlowState(10.0, w0)
-        hdot = _hdot(state, state.t, h)
+        now = read(state, state.t, h)
         P0, pull = state.P, pullback_metric(w0).data
         for _ in range(3):  # some history first
-            rates = _rhs(state, state.t, state.P, hdot)
+            rates = _rhs(state, state.P, now)
             state.record(state.t, rates.E)
-            hdot = _advance(state, STEP, h, rates.W)
-        quadratures, stages = [], []
-        quadrature, rhs_ = flow._window_quadratures, flow._rhs
+            now = _advance(state, STEP, h, rates.W)
+        quadratures, multipliers, stages = [], [], []
+        quadrature, mults, rhs_ = flow._window_quadratures, flow._spectral_multipliers, flow._rhs
         monkeypatch.setattr(flow, "_window_quadratures",
                             lambda *args: quadratures.append(args[1]) or quadrature(*args))
+        monkeypatch.setattr(flow, "_spectral_multipliers",
+                            lambda *args: multipliers.append(args[1]) or mults(*args))
         monkeypatch.setattr(flow, "_rhs", lambda *args: stages.append(rhs_(*args)) or stages[-1])
         calls = count_transforms(monkeypatch)
-        rates = flow._rhs(state, state.t, state.P, hdot)
+        t = state.t
+        rates = flow._rhs(state, state.P, now)
         state.record(state.t, rates.E)
         flow._record(state, rates, P0, pull, np.full(grid.shape + (1,), 0.02))
-        hdot_next = _advance(state, STEP, h, rates.W)
+        now_next = _advance(state, STEP, h, rates.W)
         assert 0 < len(calls) <= 14
-        assert len(quadratures) <= 2
+        assert [list(times) for times in quadratures] == [[t + STEP / 2.0, t + STEP]]
+        assert [list(times) for times in multipliers] == [[t + STEP / 2.0, t + STEP]]
         assert len(stages) == 4
         assert np.array_equal(stages[1].hdot, stages[2].hdot)
-        assert stages[3].H is hdot_next
+        assert stages[3].H is now_next.H
+
+    @pytest.mark.parametrize("steps, dt", [(3, STEP), (3, 0.02), (30, STEP)],
+                             ids=["normal-step", "uneven-last-step", "step-after-prune"])
+    def test_paired_reading_is_two_single_time_readings(self, steps, dt):
+        grid, w0 = circle_setup(64)
+        h = spectrum(0.02 * np.cos(2 * grid.meshes()[0])[:, None])
+        state = FlowState(10.0, w0)
+        now = read(state, state.t, h)
+        for _ in range(steps):
+            rates = _rhs(state, state.P, now)
+            state.record(state.t, rates.E)
+            stored = state.count
+            now = _advance(state, STEP, h, rates.W)
+        if steps == 30:  # the last step retired samples behind the window
+            assert state.count < stored
+        state.record(state.t, _rhs(state, state.P, now).E)
+        t = state.t
+        pair = _read_times(state, (t + dt / 2.0, t + dt), h)
+        for got, want in zip(pair, (read(state, t + dt / 2.0, h), read(state, t + dt, h))):
+            assert got.t == want.t and np.array_equal(got.jet, want.jet)
+            assert np.max(np.abs(got.H - want.H)) <= 1e-15 * np.max(np.abs(want.H))
+
+    def test_batched_multipliers_are_the_single_time_formula(self):
+        n, times = 64, np.array([10.0, 10.025, 13.37, 21.95])
+        jets, pairs = _spectral_multipliers(n, times)
+        k = np.arange(n // 2 + 1, dtype=float)[:, None]
+        ik, ik2 = derivative_multipliers(n, 2)[..., None]
+        for i, t in enumerate(times.tolist()):
+            eps = 1.0 / t
+            m = multiplier(eps * k)
+            assert np.array_equal(jets[i], np.stack([ik * m, ik2 * m, ik], axis=1))
+            assert np.array_equal(pairs[:, i],
+                                  np.stack([k * multiplier_derivative(eps * k) * -(eps * eps), m]))
 
     def test_last_stage_hdot_is_the_next_steps_first(self):
         # the step's last stage reads the history the next step's first does
         grid, w0 = circle_setup(64)
         h = spectrum(np.full(grid.shape + (1,), 0.02))
         state = FlowState(10.0, w0)
-        hdot = _hdot(state, state.t, h)
+        now = read(state, state.t, h)
         for _ in range(30):  # past the window, so samples are retired
-            rates = _rhs(state, state.t, state.P, hdot)
+            rates = _rhs(state, state.P, now)
             state.record(state.t, rates.E)
-            hdot = _advance(state, STEP, h, rates.W)
-            fresh = _hdot(state, state.t, h)
-            assert np.max(np.abs(hdot - fresh)) <= 1e-15 * np.max(np.abs(fresh))
+            now = _advance(state, STEP, h, rates.W)
+            fresh = read(state, state.t, h)
+            assert now.t == fresh.t and np.array_equal(now.jet, fresh.jet)
+            assert np.max(np.abs(now.H - fresh.H)) <= 1e-15 * np.max(np.abs(fresh.H))
 
     def test_recorded_sups_match_the_field_norms(self):
         # the step's batched D^0..D^4 sups and residuals against the field norms
@@ -262,8 +311,8 @@ class TestFlowRhs:
         h = metric(grid, np.full(grid.shape, 0.02))
         state = FlowState(10.0, w0)
         state.t = 15.0
-        with pytest.raises(CorrugateError):
-            _hdot(state, 15.0, h.data)
+        with pytest.raises(CorrugateError, match="window underflow"):
+            read(state, 15.0, spectrum(h.data))
 
 
 class TestRunFlow:

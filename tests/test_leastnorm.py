@@ -5,6 +5,7 @@ from corrugate.errors import ConsistencyError, InputError, SingularityError
 from corrugate.grid import ImmersionField, PeriodicGrid, spectral_gradient, symmetric_product
 from corrugate.leastnorm import (
     LinearSystem,
+    StackRows,
     _derivative_stack,
     _identity_residual,
     _min_norm_velocity,
@@ -29,8 +30,9 @@ def min_norm_velocity(w, hdot):
     """The nodewise minimum-norm wdot with 2 dw (.) dwdot = hdot, as a field,
     its differential identity checked."""
     stack = _derivative_stack(w)
-    wdot = _min_norm_velocity(stack, _row_products(stack, stack), hdot)
-    _identity_residual(stack[..., :w.grid.dim, :], spectral_gradient(wdot, w.grid), hdot)
+    rows = StackRows.of(w.grid.dim)
+    wdot = _min_norm_velocity(stack, _row_products(stack, stack), hdot, rows)
+    _identity_residual(stack[..., :w.grid.dim, :], spectral_gradient(wdot, w.grid), hdot, rows)
     return ImmersionField.from_periodic(w.grid, wdot)
 
 
@@ -176,7 +178,7 @@ class TestApplyL:
             hdot = rng.normal(size=(7, m - d))
             A = stack * np.r_[np.ones(d), np.full(m - d, -2.0)][:, None]
             want = least_norm_solve(LinearSystem(A, np.concatenate([np.zeros((7, d)), hdot], -1)))
-            got = _min_norm_velocity(stack, _row_products(stack, stack), hdot)
+            got = _min_norm_velocity(stack, _row_products(stack, stack), hdot, StackRows.of(d))
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_zero_rate_gives_zero_velocity(self):

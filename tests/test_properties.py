@@ -40,10 +40,11 @@ from corrugate.flow import (
     FlowSample,
     FlowState,
     _advance,
-    _hdot,
+    _read_times,
     _record,
     _rhs,
     _smoothed_jet,
+    _spectral_multipliers,
     psi_ramp,
     psi_ramp_derivative,
 )
@@ -62,6 +63,7 @@ from corrugate.grid import (
     spectral_derivative,
     spectral_gradient,
     sup_norm,
+    symmetric_product,
 )
 from corrugate.leastnorm import (
     PIVOT_FLOOR,
@@ -542,6 +544,19 @@ def test_second_derivatives_are_the_analytic_ones(case):
         assert np.max(np.abs(got[..., 0, 1, :] - got[..., 1, 0, :])) <= 1e-12 * scale
 
 
+@given(band_limited_maps())
+def test_pullback_metric_is_the_symmetric_product_of_the_map_with_itself(case):
+    # g_ij = d_i w . d_j w: each stored entry is the Gram of the field
+    # derivatives at (i, j) and at (j, i), and the symmetric product w (.) w
+    w, _ = case
+    g = pullback_metric(w)
+    dw = w.derivatives()
+    gram = np.einsum("...ia,...ja->...ij", dw, dw)
+    scale = np.max(np.abs(gram))
+    for want in (gram, np.swapaxes(gram, -1, -2), symmetric_product(w, w).matrices()):
+        assert np.max(np.abs(g.matrices() - want)) <= 1e-12 * scale
+
+
 @st.composite
 def band_limited_fields_and_finer_grids(draw):
     """A band-limited scalar field and a grid 1 to 6 times finer per axis."""
@@ -601,7 +616,8 @@ def test_one_spectrum_gives_the_smoothed_jet(w, eps):
     # and the field derivatives, each relative to w's own size
     n = len(w.data)
     no_hdot = np.zeros((n // 2 + 1, 1))
-    stack, dw, _ = _smoothed_jet(n, 1.0 / eps, np.fft.rfft(w.data, axis=0), no_hdot)
+    jet = _spectral_multipliers(n, np.array([1.0 / eps]))[0][0]
+    stack, dw, _ = _smoothed_jet(n, jet, np.fft.rfft(w.data, axis=0), no_hdot)
     dS, d2S = stack[:, 0], stack[:, 1]
     ref = smooth(w, eps)
     for got, want, size in ((dS + w.offsets[0], ref.derivatives()[:, 0], w.derivatives()),
@@ -664,19 +680,19 @@ def test_spectral_step_matches_the_node_space_reference(case):
     nodes = lambda spec: np.fft.irfft(spec, n=n, axis=0)  # noqa: E731
     h_spec = np.fft.rfft(h.data, axis=0)
     state = FlowState(t0, w0)
-    hdot = _hdot(state, t0, h_spec)
+    now = _read_times(state, (t0,), h_spec)[0]
     for _ in range(steps):
-        rates = _rhs(state, state.t, state.P, hdot)
+        rates = _rhs(state, state.P, now)
         state.record(state.t, rates.E)
-        hdot = _advance(state, STEP, h_spec, rates.W)
+        now = _advance(state, STEP, h_spec, rates.W)
     state.tail = np.fft.rfft(1e-3 * h.data[::-1], axis=0)  # a retired part, too
-    hdot = _hdot(state, state.t, h_spec)
+    now = _read_times(state, (state.t,), h_spec)[0]
     t, w = state.t, ImmersionField.from_periodic(grid, nodes(state.P))
     taus = list(state.taus[:state.count])
     history = [nodes(e) for e in state.E[:state.count]]
     tail = nodes(state.tail)
 
-    rates = _rhs(state, t, state.P, hdot)
+    rates = _rhs(state, state.P, now)
     state.record(t, rates.E)
     sample = _record(state, rates, np.fft.rfft(w0.data, axis=0), pullback_metric(w0).data, h.data)
     _advance(state, STEP, h_spec, rates.W)
