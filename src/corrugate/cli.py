@@ -290,7 +290,7 @@ def _cmd_flow(p):
     cfg = FlowConfig(t0=p["t0"], t_end=p["tend"], tol=p["tol"],
                      smallness=p["smallness"])
     _, diag = _solve_and_record(lambda: run_flow(w0, h, cfg), p["out_prefix"], "diagnostics")
-    print(f"final identity residual {diag.final_resid:.6g} over "
+    print(f"final metric residual {diag.final_resid:.6g} over "
           f"{len(diag.samples)} steps")
     return 0
 

@@ -25,9 +25,10 @@ returns: the map, the E history (each E transformed once, when recorded)
 and the target are spectra, which the RK4 stages and the quadratures
 combine. A right-hand side takes three FFT calls: one batched inverse of
 the map's jet and of hdot, one spectrum of the solved wdot and the inverse
-of its derivative. Every derivative multiplies by
-``grid.derivative_multipliers``, the one ik-with-Nyquist-zeroed rule the
-fields differentiate by.
+of its derivative; the map's linear slope rides the first as a zero mode.
+One factorization of the Gram serves the freeness gate, the pivot floor
+and the solve. Every derivative multiplies by ``grid.derivative_multipliers``,
+the one ik-with-Nyquist-zeroed rule the fields differentiate by.
 
 What depends on time alone is read once per step: both new times, t + dt/2
 and t + dt, follow every stored sample, so one pass gives both times'
@@ -54,22 +55,9 @@ from .errors import (
     InputError,
     NonconvergenceError,
 )
-from .grid import (
-    ImmersionField,
-    MetricField,
-    derivative_multipliers,
-    pullback_metric,
-    sup_norm,
-)
-from .leastnorm import (
-    StackRows,
-    _freeness,
-    _identity_residual,
-    _min_norm_velocity,
-    _row_products,
-    is_free,
-)
-from .smoothing import multiplier, multiplier_derivative
+from .grid import ImmersionField, MetricField, derivative_multipliers, pullback_metric, sup_norm
+from .leastnorm import _identity_residual, _min_norm_velocity, is_free
+from .smoothing import multipliers
 
 #: steps with a non-decaying, above-tolerance residual before giving up
 DIVERGENCE_PATIENCE = 20
@@ -145,12 +133,10 @@ class FlowState:
         self.taus = np.empty(WINDOW_SLOTS)
         self.E = np.empty(self.taus.shape + self.tail.shape, complex)
         self.count = 0
-        # tables of the grid and the dimensions alone: the solve's rows, and
-        # the record's D^0..D^4 multipliers and columns of hdot, wdot, w - w0
-        self.rows = StackRows.of(self.grid.dim)
-        ik = derivative_multipliers(self.grid.shape[0], 4).T
-        self.orders = np.concatenate([np.ones((len(ik), 1)), ik], axis=1)[..., None]
-        self.parts = np.repeat(np.eye(3), [self.tail.shape[1]] + [self.P.shape[1]] * 2, axis=0)
+        # the record's tables: D^0..D^4 multipliers, columns of hdot, wdot, w - w0
+        ik = derivative_multipliers(self.grid.shape[0], 4)
+        self.orders = np.concatenate([np.ones((1, ik.shape[1])), ik])[:, None]
+        self.parts = np.repeat(np.eye(3), [self.tail.shape[1]] + [self.P.shape[1]] * 2, axis=1)
 
     def record(self, tau: float, E: np.ndarray):
         """Store the spectrum of the node samples E(tau), tau after every
@@ -200,15 +186,17 @@ def _window_quadratures(state: FlowState, times: np.ndarray) -> tuple[np.ndarray
 
 def _spectral_multipliers(n: int, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per rfft mode of n nodes at each smoothing scale 1/t, t in ``times``,
-    with m = m(|xi|/t), from one vectorized evaluation: the jet multipliers
-    (ik m, (ik)^2 m, ik), shape (T, modes, 3, 1), and the hdot pair
-    (-t^-2 |xi| m'(|xi|/t), m), shape (2, T, modes, 1)."""
+    with m = m(|xi|/t), from one evaluation of m and m' written into one
+    array: the jet multipliers (ik m, (ik)^2 m, ik), shape (T, modes, 3, 1),
+    and the hdot pair (-t^-2 |xi| m'(|xi|/t), m), shape (T, modes, 2, 1)."""
     eps = 1.0 / times[:, None, None]
     k = np.arange(n // 2 + 1, dtype=float)[:, None]
-    m = multiplier(eps * k)
+    m, dm = multipliers(eps * k)
     ik, ik2 = derivative_multipliers(n, 2)[..., None]
-    jet = np.stack([ik * m, ik2 * m, np.broadcast_to(ik, m.shape)], axis=2)
-    return jet, np.stack([k * multiplier_derivative(eps * k) * -(eps * eps), m])
+    out = np.empty(m.shape[:2] + (5, 1), complex)
+    out[:, :, 0], out[:, :, 1], out[:, :, 2] = ik * m, ik2 * m, ik
+    out[:, :, 3], out[:, :, 4] = k * dm * -(eps * eps), m
+    return out[:, :, :3], out[:, :, 3:]
 
 
 class _TimeReading(NamedTuple):
@@ -226,22 +214,28 @@ def _read_times(state: FlowState, times: tuple[float, ...], h: np.ndarray) -> li
     hdot(t) = -t^-2 S'[psi h + L(t)] + S[psi' h + C(t)], where C(t) is the
     E(tau) psi'(t - tau) window integral."""
     times = np.array(times, dtype=float)
-    jets, (d_smoothing, smoothing) = _spectral_multipliers(state.grid.shape[0], times)
+    jets, pairs = _spectral_multipliers(state.grid.shape[0], times)
     L, C = _window_quadratures(state, times)
     s = times[:, None, None] - state.t0
-    H = d_smoothing * (h * psi_ramp(s) + L) + smoothing * (h * psi_ramp_derivative(s) + C)
+    H = pairs[:, :, 0] * (h * psi_ramp(s) + L) + pairs[:, :, 1] * (h * psi_ramp_derivative(s) + C)
     return [_TimeReading(t, jet, H_t) for t, jet, H_t in zip(times.tolist(), jets, H)]
 
 
-def _smoothed_jet(n: int, jet: np.ndarray, P: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, ...]:
+def _smoothed_jet(n: int, jet: np.ndarray, P: np.ndarray, H: np.ndarray,
+                  offsets: np.ndarray) -> tuple[np.ndarray, ...]:
     """The stack (d S_{1/t} w, d^2 S_{1/t} w), dw and hdot on n nodes, from
     S_{1/t}'s jet multipliers, the spectra of a circle map's periodic samples
-    ``P`` and of hdot ``H`` by one batched irfft. The map's offsets add to
-    both first derivatives."""
+    ``P`` and of hdot ``H`` by one batched irfft. The map's ``offsets``, its
+    linear slope, enter both first-derivative blocks as their zero mode. The
+    results are views with each component's node vector contiguous, so that
+    the nodewise arithmetic after them runs along whole node vectors."""
     N = P.shape[1]
-    nodes = np.fft.irfft(np.concatenate([(jet * P[:, None]).reshape(len(P), -1), H], axis=1),
-                         n=n, axis=0)
-    return nodes[:, :2 * N].reshape(n, 2, N), nodes[:, 2 * N:3 * N], nodes[:, 3 * N:]
+    spec = np.empty((3 * N + H.shape[1], len(P)), complex)
+    np.multiply(jet.transpose(1, 2, 0), P.T, out=spec[:3 * N].reshape(3, N, -1))
+    spec[3 * N:] = H.T
+    spec[:N, 0] = spec[2 * N:3 * N, 0] = n * offsets[0]
+    nodes = np.fft.irfft(spec, n=n).T
+    return nodes[:, :2 * N].reshape(n, 2, N), nodes[:, None, 2 * N:3 * N], nodes[:, 3 * N:]
 
 
 class _Rates(NamedTuple):
@@ -261,28 +255,23 @@ class _Rates(NamedTuple):
     @property
     def E(self) -> np.ndarray:
         """The smoothing increment E = 2 d(S_{1/t} w - w) (.) d wdot."""
-        return np.einsum("...a,...a->...", self.d_smooth - self.dw, self.dwdot) * 2.0
+        return ((self.d_smooth - self.dw) * self.dwdot).sum(-1) * 2.0
 
 
 def _rhs(state: FlowState, P: np.ndarray, now: _TimeReading) -> _Rates:
     """The right-hand side at (t, w) from the spectrum ``P`` of w and the
-    reading of t: three FFT calls, and one Gram for the freeness gate and the
-    solve."""
+    reading of t: three FFT calls, and one factorization of the Gram for the
+    freeness gate, the pivot floor and the solve."""
     n = state.grid.shape[0]
-    stack, d_w, hdot = _smoothed_jet(n, now.jet, P, now.H)
-    stack[:, 0] += state.offsets[0]
-    gram = _row_products(stack, stack)
-    report = _freeness(gram)
-    if not report.is_free:
-        raise NonconvergenceError(
-            f"flow abort at t={now.t:.3f}: smoothed map lost freeness "
-            f"(gram det {report.min_gram_det:.3e})")
-    wdot = _min_norm_velocity(stack, gram, hdot, state.rows)
+    stack, dw, hdot = _smoothed_jet(n, now.jet, P, now.H, state.offsets)
+    try:
+        wdot = _min_norm_velocity(stack, hdot)
+    except NonconvergenceError as exc:
+        raise NonconvergenceError(f"flow abort at t={now.t:.3f}: {exc}") from None
     W = np.fft.rfft(wdot, axis=0)
     dwdot = np.fft.irfft(now.jet[:, 2] * W, n=n, axis=0)[:, None]
-    worst = _identity_residual(stack[:, :1], dwdot, hdot, state.rows)
-    return _Rates(wdot, W, dwdot, hdot, now.H, stack[:, :1], (d_w + state.offsets[0])[:, None],
-                  worst)
+    worst = _identity_residual(stack[:, :1], dwdot, hdot)
+    return _Rates(wdot, W, dwdot, hdot, now.H, stack[:, :1], dw, worst)
 
 
 def _advance(state: FlowState, dt: float, h: np.ndarray, k1: np.ndarray) -> _TimeReading:
@@ -332,19 +321,12 @@ def tracked_quantities(samples, t0: float):
     ||w - w0||_3); a quantity whose value after the ramp window exceeds ten
     times its in-ramp maximum raises that flag.
     """
-    rows = []
-    for s in samples:
-        rows.append((s.t,
-                     s.t**4 * s.hdot_c0 + s.hdot_c4,
-                     s.t**4 * s.wdot_c0 + s.wdot_c4,
-                     s.dist3))
+    rows = [(s.t, s.t**4 * s.hdot_c0 + s.hdot_c4, s.t**4 * s.wdot_c0 + s.wdot_c4, s.dist3)
+            for s in samples]
     flags = {}
-    floor = 1e-12
     for idx, name in ((1, "hdot"), (2, "wdot"), (3, "dist3")):
-        ramp_max = max((r[idx] for r in rows if r[0] <= t0 + 1.0), default=0.0)
-        baseline = max(ramp_max, floor)
-        flags[name] = any(r[idx] > GROWTH_FLAG_FACTOR * baseline
-                          for r in rows if r[0] > t0 + 1.0)
+        baseline = max(max((r[idx] for r in rows if r[0] <= t0 + 1.0), default=0.0), 1e-12)
+        flags[name] = any(r[idx] > GROWTH_FLAG_FACTOR * baseline for r in rows if r[0] > t0 + 1.0)
     return rows, flags
 
 
@@ -352,21 +334,17 @@ def _record(state: FlowState, rates: _Rates, P0: np.ndarray, w0_pull: np.ndarray
             h: np.ndarray) -> FlowSample:
     """The step's diagnostics from the right-hand side just evaluated at
     (state.t, state.P), ``P0`` the starting map's spectrum: each D^0..D^4
-    sup of hdot, wdot and w - w0 from one batched irfft of their spectra."""
-    ortho = float(np.max(np.abs(np.einsum("...ia,...a->...i", rates.d_smooth, rates.wdot))))
-    resid_now = np.einsum("...ia,...ia->...i", rates.dw, rates.dw) - w0_pull - h
-    cols = np.concatenate([rates.H, rates.W, state.P - P0], axis=1)
-    squares = np.fft.irfft(state.orders * cols[:, None], n=state.grid.shape[0], axis=0) ** 2
-    hdot_sups, wdot_sups, dist_sups = np.max(np.sqrt(squares @ state.parts), axis=0).T.tolist()
-    return FlowSample(
-        t=state.t,
-        hdot_c0=hdot_sups[0], hdot_c4=sum(hdot_sups),
-        wdot_c0=wdot_sups[0], wdot_c4=sum(wdot_sups),
-        ortho_resid=ortho,
-        identity_resid=rates.identity_resid,
-        dist3=sum(dist_sups[:4]),
-        metric_resid=float(np.max(np.abs(resid_now))),
-    )
+    sup of hdot, wdot and w - w0 from one batched irfft of their spectra,
+    nodes last, so that sums and sups run along whole node vectors."""
+    ortho = float(abs((rates.d_smooth * rates.wdot[..., None, :]).sum(-1)).max())
+    resid_now = (rates.dw * rates.dw).sum(-1) - w0_pull - h
+    cols = np.concatenate([rates.H.T, rates.W.T, (state.P - P0).T])
+    squares = np.fft.irfft(state.orders * cols, n=state.grid.shape[0]) ** 2
+    hdot_sups, wdot_sups, dist_sups = np.sqrt((state.parts @ squares).max(axis=-1)).T.tolist()
+    return FlowSample(t=state.t, hdot_c0=hdot_sups[0], hdot_c4=sum(hdot_sups),
+                      wdot_c0=wdot_sups[0], wdot_c4=sum(wdot_sups), ortho_resid=ortho,
+                      identity_resid=rates.identity_resid, dist3=sum(dist_sups[:4]),
+                      metric_resid=float(abs(resid_now).max()))
 
 
 def run_flow(w0: ImmersionField, h_target: MetricField,

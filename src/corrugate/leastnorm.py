@@ -6,6 +6,9 @@ solution is w = A^T (A A^T)^{-1} v. Stacking, at every node, the first
 derivatives (orthogonality equations) over the doubled second derivatives
 (metric-rate equations) of a free map turns the linearized isometry system
 into independent pointwise solves of exactly this shape.
+
+The flow's velocity factorizes A A^T once, for the freeness gate, the
+pivot floor and the solve alike.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConsistencyError, InputError, SingularityError
+from .errors import ConsistencyError, InputError, NonconvergenceError, SingularityError
 from .grid import ImmersionField, triangular_index_pairs
 
 #: relative pivot floor for the SPD factorization of A A^T
@@ -45,40 +48,55 @@ class LinearSystem:
             raise InputError(f"right-hand side shape {self.v.shape} != {self.A.shape[:-1]}")
 
 
-def _spd_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _spd_solve(gram: np.ndarray, rhs: np.ndarray, free_scale: float = 0.0) -> np.ndarray:
     """Solve gram x = rhs for symmetric positive definite ``gram`` (batched
     over leading axes), refusing a smallest eigenvalue at or below
     PIVOT_FLOOR times the largest. ``rhs`` may hold only the trailing rows
-    of the right-hand side; the rows it leaves out are zero.
+    of the right-hand side; the rows it leaves out are zero. A positive
+    ``free_scale`` reads gram as S G S, G a derivative stack's Gram and
+    free_scale = det(S)^2, and refuses lost freeness first.
 
-    A 2x2 system [[p, q], [q, r]] is solved in closed form by Cramer's rule;
-    its large eigenvalue is high = (p + r)/2 + sqrt(((p - r)/2)^2 + q^2) and
-    its small one low = det/high, which avoids the cancellation in
-    (p + r)/2 - sqrt(...). Larger systems take one eigendecomposition
-    V diag(lam) V^T: the eigenvalues give the floor, the eigenvectors the
-    solve x = V diag(1/lam) V^T rhs.
+    A 2x2 system is solved in closed form, by ``_solve_2x2``. A larger one
+    takes one eigendecomposition V diag(lam) V^T: det(gram) = prod(lam),
+    the eigenvalues give the floor, the eigenvectors the solve
+    x = V diag(1/lam) V^T rhs.
     """
     if gram.shape[-1] == 2:
-        p, q, r = gram[..., 0, 0], gram[..., 0, 1], gram[..., 1, 1]
-        det = p * r - q * q
-        high = 0.5 * (p + r) + np.hypot(0.5 * (p - r), q)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            low = det / high
-        _check_pivot(low, high)
-        x0, x1 = -q * rhs[..., -1], p * rhs[..., -1]
-        if rhs.shape[-1] == 2:
-            x0, x1 = x0 + r * rhs[..., 0], x1 - q * rhs[..., 0]
-        return np.stack([x0 / det, x1 / det], axis=-1)
-    eigs, vecs = np.linalg.eigh(gram)
+        x = _solve_2x2(gram[..., 0, 0], gram[..., 0, 1], gram[..., 1, 1], rhs, free_scale)
+        return np.stack(x, axis=-1)
+    try:
+        eigs, vecs = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError:  # a non-finite gram: refused below
+        eigs = vecs = np.full(gram.shape, np.nan)
+    if free_scale:
+        _check_free(np.prod(eigs, axis=-1) / free_scale)
     _check_pivot(eigs[..., 0], eigs[..., -1])
     coef = np.einsum("...ji,...j->...i", vecs[..., -rhs.shape[-1]:, :], rhs) / eigs
     return np.einsum("...ij,...j->...i", vecs, coef)
 
 
+def _solve_2x2(p: np.ndarray, q: np.ndarray, r: np.ndarray, rhs: np.ndarray,
+               free_scale: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """``_spd_solve`` of [[p, q], [q, r]] by Cramer's rule, the solution as
+    a pair. Its one determinant gives freeness, and the pivot: the large
+    eigenvalue is high = (p + r)/2 + sqrt(((p - r)/2)^2 + q^2), the small
+    one low = det/high, which avoids the cancellation in (p + r)/2 - sqrt(...)."""
+    det = p * r - q * q
+    if free_scale:
+        _check_free(det / free_scale)
+    high = 0.5 * (p + r) + np.hypot(0.5 * (p - r), q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _check_pivot(det / high, high)
+    x0, x1 = -q * rhs[..., -1], p * rhs[..., -1]
+    if rhs.shape[-1] == 2:
+        x0, x1 = x0 + r * rhs[..., 0], x1 - q * rhs[..., 0]
+    return x0 / det, x1 / det
+
+
 def _check_pivot(low: np.ndarray, scale: np.ndarray):
     """Refuse a smallest eigenvalue at or below PIVOT_FLOOR times the largest
     (NaN counts as refused)."""
-    if not np.all(low > PIVOT_FLOOR * scale):
+    if not (low > PIVOT_FLOOR * scale).all():
         worst = float(np.min(low / np.maximum(scale, 1e-300)))
         raise SingularityError(
             f"A A^T pivot below relative floor {PIVOT_FLOOR} (ratio {worst:.3e})")
@@ -137,41 +155,40 @@ def is_free(w: ImmersionField) -> FreeMapReport:
     return _freeness(_row_products(stack, stack))
 
 
-class StackRows(NamedTuple):
-    """The rows of a d-dimensional chart's derivative stack, tabulated once:
-    ``scale`` is 1 on the d orthogonality rows and -2 on the metric rows,
-    ``gram_scale`` its outer product, which turns the stack's Gram into
-    A A^T exactly (powers of two), and ``upper`` the index pairs (i, j),
-    i <= j, of the metric rows."""
-
-    scale: np.ndarray
-    gram_scale: np.ndarray
-    upper: tuple[np.ndarray, np.ndarray]
-
-    @classmethod
-    def of(cls, dim: int) -> StackRows:
-        upper = np.array(triangular_index_pairs(dim)).T
-        scale = np.repeat([1.0, -2.0], [dim, upper.shape[1]])
-        return cls(scale, np.multiply.outer(scale, scale), tuple(upper))
+def _check_free(det: np.ndarray):
+    """Refuse lost freeness: a Gram determinant at or below FREE_DET_TOL (or NaN)."""
+    min_det = float(det.min())
+    if not min_det > FREE_DET_TOL:
+        raise NonconvergenceError(f"smoothed map lost freeness (gram det {min_det:.3e})")
 
 
-def _min_norm_velocity(stack: np.ndarray, gram: np.ndarray, hdot: np.ndarray,
-                       rows: StackRows) -> np.ndarray:
+def _min_norm_velocity(stack: np.ndarray, hdot: np.ndarray) -> np.ndarray:
     """Nodewise minimum-norm wdot with {d_j w . wdot = 0; -2 d_ij w . wdot =
-    hdot_ij for i <= j}, from the derivative stack of a free map w and its
-    Gram: A A^T is the Gram scaled by ``rows.gram_scale``, and the
-    orthogonality rows' zero right-hand side is left to the solve."""
-    x = _spd_solve(gram * rows.gram_scale, hdot) * rows.scale
-    return np.einsum("...ia,...i->...a", stack, x)
+    hdot_ij for i <= j} from the derivative stack of w, its k metric rows
+    last, by one factorization of A A^T = S G S: G the stack's Gram, S the
+    -2 on the metric rows, det(S)^2 = 4^k. Like ``_freeness`` then
+    ``_spd_solve``, it refuses lost freeness (NonconvergenceError), then a
+    pivot below the floor (SingularityError). On a curve G = [[p, q], [q, r]]
+    is summed on node vectors, and S G S = [[p, -2q], [-2q, 4r]] exactly."""
+    k = hdot.shape[-1]
+    if stack.shape[-2] == 2:
+        first, second = stack[..., 0, :], stack[..., 1, :]
+        x0, x1 = _solve_2x2((first * first).sum(-1), -2.0 * (first * second).sum(-1),
+                            4.0 * (second * second).sum(-1), hdot, 4.0)
+        return x0[..., None] * first - (2.0 * x1)[..., None] * second
+    A = stack * np.repeat([1.0, -2.0], [stack.shape[-2] - k, k])[:, None]
+    return np.einsum("...ia,...i->...a", A, _spd_solve(_row_products(A, A), hdot, 4.0**k))
 
 
-def _identity_residual(first: np.ndarray, dwdot: np.ndarray, hdot: np.ndarray,
-                       rows: StackRows) -> float:
+def _identity_residual(first: np.ndarray, dwdot: np.ndarray, hdot: np.ndarray) -> float:
     """The largest residual of 2 sym(dw^T dwdot) = hdot, verified at
-    LINEARIZATION_TOL (NaN fails it); first derivatives are (..., d, N)."""
-    cross = _row_products(first, dwdot)
-    i, j = rows.upper
-    worst = float(np.max(np.abs(cross[..., i, j] + cross[..., j, i] - hdot)))
+    LINEARIZATION_TOL (NaN fails it); first derivatives are (..., d, N), and
+    each metric row (i, j), i <= j, is summed on node vectors."""
+    d = first.shape[-2]
+    cross = [[(first[..., i, :] * dwdot[..., j, :]).sum(-1) for j in range(d)] for i in range(d)]
+    resid = [cross[i][j] + cross[j][i] - hdot[..., k]
+             for k, (i, j) in enumerate(triangular_index_pairs(d))]
+    worst = float(np.max(np.abs(resid)))
     if not worst <= LINEARIZATION_TOL:
         raise ConsistencyError(
             f"linearization identity residual {worst:.3e} exceeds {LINEARIZATION_TOL:.1e}; "

@@ -23,18 +23,22 @@ FLAT_END = 0.5
 SUPPORT_END = 1.0
 
 
+def multipliers(s) -> tuple[np.ndarray, np.ndarray]:
+    """m(s) and m'(s) from one clamp: m is 1 on [0, FLAT_END], 0 on
+    [SUPPORT_END, infinity), and in between one minus the order-4
+    smoothstep, a C^4 monotone ramp, so m' is zero outside the transition."""
+    width = SUPPORT_END - FLAT_END
+    u = np.minimum(np.maximum((np.asarray(s, dtype=float) - FLAT_END) / width, 0.0), 1.0)
+    return (1.0 - u**5 * (126.0 + u * (-420.0 + u * (540.0 + u * (-315.0 + u * 70.0)))),
+            -630.0 * (u * (1.0 - u)) ** 4 / width)
+
+
 def multiplier(s) -> np.ndarray:
-    """m(s): 1 on [0, FLAT_END], 0 on [SUPPORT_END, infinity), and in between
-    one minus the order-4 smoothstep, a C^4 monotone ramp."""
-    u = np.clip((np.asarray(s, dtype=float) - FLAT_END) / (SUPPORT_END - FLAT_END), 0.0, 1.0)
-    return 1.0 - u**5 * (126.0 + u * (-420.0 + u * (540.0 + u * (-315.0 + u * 70.0))))
+    return multipliers(s)[0]
 
 
 def multiplier_derivative(s) -> np.ndarray:
-    """m'(s), zero outside the transition (FLAT_END, SUPPORT_END)."""
-    width = SUPPORT_END - FLAT_END
-    u = np.clip((np.asarray(s, dtype=float) - FLAT_END) / width, 0.0, 1.0)
-    return -630.0 * (u * (1.0 - u)) ** 4 / width
+    return multipliers(s)[1]
 
 
 @functools.lru_cache(maxsize=8)

@@ -465,7 +465,7 @@ class TestMainDispatch:
         assert header[0] == "stage" and rows == []
         assert parse_obj_counts(prefix + "_final.obj") == (256, 256)
 
-    def test_flow_command_and_divergence_exit_code(self, tmp_path):
+    def test_flow_command_and_divergence_exit_code(self, tmp_path, capsys):
         prefix = str(tmp_path / "flow")
         code = main(["flow", "--alpha", "0.04", "--t0", "10", "--tend", "16",
                      "--tol", "1e-4", "--resolution", "128",
@@ -476,6 +476,14 @@ class TestMainDispatch:
         final = read_field(prefix + "_final.csv")
         g11 = pullback_metric(final).component(0, 0)
         assert np.max(np.abs(g11 - 1.04)) <= 1e-4
+        # the closing line reports the metric residual of the written map
+        # (to its 6 printed digits), not an identity audit
+        words = capsys.readouterr().out.splitlines()[-1].split()
+        assert words[:3] == ["final", "metric", "residual"]
+        assert words[4:] == ["over", str(len(samples)), "steps"]
+        w0, h = unit_circle_map(final.grid, ambient=2), MetricField.identity(final.grid, 0.04)
+        resid = grid_module.sup_norm(pullback_metric(final) - pullback_metric(w0) - h, 0)
+        assert float(words[3]) == pytest.approx(resid, rel=1e-5)
 
         code = main(["flow", "--alpha", "0.04", "--t0", "10", "--tend", "16",
                      "--tol", "1e-15", "--resolution", "128",
@@ -525,13 +533,14 @@ class TestMainDispatch:
         import corrugate.flow as flow
 
         calls = []
-        freeness = flow._freeness
+        velocity = flow._min_norm_velocity
 
-        def free_for_40_calls(stack):
+        def free_for_40_calls(stack, hdot):
+            # from the 41st call on the solve's own gate sees a zero stack
             calls.append(stack)
-            return freeness(stack)._replace(is_free=len(calls) <= 40)
+            return velocity(stack if len(calls) <= 40 else 0.0 * stack, hdot)
 
-        monkeypatch.setattr(flow, "_freeness", free_for_40_calls)
+        monkeypatch.setattr(flow, "_min_norm_velocity", free_for_40_calls)
         prefix = str(tmp_path / "flow")
         code = main(["flow", "--alpha", "0.04", "--tend", "16", "--resolution", "64",
                      "--out-prefix", prefix])

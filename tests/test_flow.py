@@ -263,8 +263,9 @@ class TestFlowRhs:
             eps = 1.0 / t
             m = multiplier(eps * k)
             assert np.array_equal(jets[i], np.stack([ik * m, ik2 * m, ik], axis=1))
-            assert np.array_equal(pairs[:, i],
-                                  np.stack([k * multiplier_derivative(eps * k) * -(eps * eps), m]))
+            assert np.array_equal(pairs[i],
+                                  np.stack([k * multiplier_derivative(eps * k) * -(eps * eps), m],
+                                           axis=1))
 
     def test_last_stage_hdot_is_the_next_steps_first(self):
         # the step's last stage reads the history the next step's first does

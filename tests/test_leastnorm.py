@@ -5,11 +5,9 @@ from corrugate.errors import ConsistencyError, InputError, SingularityError
 from corrugate.grid import ImmersionField, PeriodicGrid, spectral_gradient, symmetric_product
 from corrugate.leastnorm import (
     LinearSystem,
-    StackRows,
     _derivative_stack,
     _identity_residual,
     _min_norm_velocity,
-    _row_products,
     _spd_solve,
     is_free,
     least_norm_solve,
@@ -30,9 +28,8 @@ def min_norm_velocity(w, hdot):
     """The nodewise minimum-norm wdot with 2 dw (.) dwdot = hdot, as a field,
     its differential identity checked."""
     stack = _derivative_stack(w)
-    rows = StackRows.of(w.grid.dim)
-    wdot = _min_norm_velocity(stack, _row_products(stack, stack), hdot, rows)
-    _identity_residual(stack[..., :w.grid.dim, :], spectral_gradient(wdot, w.grid), hdot, rows)
+    wdot = _min_norm_velocity(stack, hdot)
+    _identity_residual(stack[..., :w.grid.dim, :], spectral_gradient(wdot, w.grid), hdot)
     return ImmersionField.from_periodic(w.grid, wdot)
 
 
@@ -59,6 +56,14 @@ class TestLeastNormSolve:
         A = np.array([[1.0, 0.0], [2.0, 0.0]])
         with pytest.raises(SingularityError):
             least_norm_solve(LinearSystem(A, [1.0, 2.0]))
+
+    def test_nan_system_is_refused_at_the_pivot_floor(self):
+        # eigh cannot factorize a NaN Gram; the solve refuses it, as it does a 2x2 one
+        for k in (2, 3):
+            A = np.ones((k, 5))
+            A[0, 0] = np.nan
+            with pytest.raises(SingularityError, match="relative floor"):
+                least_norm_solve(LinearSystem(A, np.ones(k)))
 
     def test_batched_systems_match_one_at_a_time(self):
         rng = np.random.default_rng(13)
@@ -159,17 +164,19 @@ class TestApplyL:
     def test_solves_with_one_spd_solve(self, monkeypatch):
         import corrugate.leastnorm as leastnorm
 
+        # a curve's 2x2 systems are solved in closed form, from their node
+        # vectors p, q, r
         systems = []
-        solve = leastnorm._spd_solve
-        monkeypatch.setattr(leastnorm, "_spd_solve",
-                            lambda gram, rhs: systems.append(gram) or solve(gram, rhs))
+        solve = leastnorm._solve_2x2
+        monkeypatch.setattr(leastnorm, "_solve_2x2",
+                            lambda p, *args: systems.append(p) or solve(p, *args))
         grid = PeriodicGrid((64,))
         min_norm_velocity(unit_circle_map(grid, ambient=2), np.full((64, 1), 0.3))
         assert len(systems) == 1
-        assert systems[0].shape == (64, 2, 2)
+        assert systems[0].shape == (64,)
 
     def test_matches_least_norm_solve_of_the_stacked_system(self):
-        # A A^T from the shared Gram and the zero rows left to the solve give
+        # one factorization of A A^T and the zero rows left to the solve give
         # the minimum-norm solution of the full stacked system
         rng = np.random.default_rng(41)
         for d, ambient in ((1, 2), (1, 3), (2, 5), (2, 6)):
@@ -178,7 +185,7 @@ class TestApplyL:
             hdot = rng.normal(size=(7, m - d))
             A = stack * np.r_[np.ones(d), np.full(m - d, -2.0)][:, None]
             want = least_norm_solve(LinearSystem(A, np.concatenate([np.zeros((7, d)), hdot], -1)))
-            got = _min_norm_velocity(stack, _row_products(stack, stack), hdot, StackRows.of(d))
+            got = _min_norm_velocity(stack, hdot)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_zero_rate_gives_zero_velocity(self):

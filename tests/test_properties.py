@@ -26,7 +26,13 @@ from corrugate.corrugation import (
 )
 from corrugate.decompose import GRAD_TOL, PrimitiveMetric, overlap_bound
 from corrugate.driver import RunReport, c1_cauchy_audit
-from corrugate.errors import CorrugateError, InputError, PropagationError, SingularityError
+from corrugate.errors import (
+    CorrugateError,
+    InputError,
+    NonconvergenceError,
+    PropagationError,
+    SingularityError,
+)
 from corrugate.fieldio import (
     read_field,
     read_primitives,
@@ -66,9 +72,13 @@ from corrugate.grid import (
     symmetric_product,
 )
 from corrugate.leastnorm import (
+    FREE_DET_TOL,
     PIVOT_FLOOR,
     LinearSystem,
     _derivative_stack,
+    _freeness,
+    _min_norm_velocity,
+    _row_products,
     _spd_solve,
     is_free,
     least_norm_solve,
@@ -612,17 +622,18 @@ def perturbed_circle_maps(draw):
 
 @given(perturbed_circle_maps(), st.floats(0.0, 1.0, exclude_min=True))
 def test_one_spectrum_gives_the_smoothed_jet(w, eps):
-    # the flow's d S w, d^2 S w and dw from one spectrum, against smooth()
-    # and the field derivatives, each relative to w's own size
+    # the flow's d S w, d^2 S w and dw from one spectrum, the offsets in its
+    # zero mode, against smooth() and the field derivatives, each relative
+    # to w's own size
     n = len(w.data)
     no_hdot = np.zeros((n // 2 + 1, 1))
     jet = _spectral_multipliers(n, np.array([1.0 / eps]))[0][0]
-    stack, dw, _ = _smoothed_jet(n, jet, np.fft.rfft(w.data, axis=0), no_hdot)
+    stack, dw, _ = _smoothed_jet(n, jet, np.fft.rfft(w.data, axis=0), no_hdot, w.offsets)
     dS, d2S = stack[:, 0], stack[:, 1]
     ref = smooth(w, eps)
-    for got, want, size in ((dS + w.offsets[0], ref.derivatives()[:, 0], w.derivatives()),
+    for got, want, size in ((dS, ref.derivatives()[:, 0], w.derivatives()),
                             (d2S, ref.second_derivatives()[:, 0, 0], w.second_derivatives()),
-                            (dw + w.offsets[0], w.derivatives()[:, 0], w.derivatives())):
+                            (dw[:, 0], w.derivatives()[:, 0], w.derivatives())):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(size))
 
 
@@ -881,6 +892,73 @@ def test_closed_form_solve_agrees_with_eigh(case):
         well = ratio > 1e-4
         error = np.linalg.norm(got - want, axis=-1)
         assert np.all(error[well] <= 1e-10 * np.linalg.norm(want, axis=-1)[well])
+
+
+def _scaled_gram(stack, k):
+    """A A^T: the stack's Gram with its k metric rows and columns scaled by -2."""
+    scale = np.repeat([1.0, -2.0], [stack.shape[-2] - k, k])
+    return _row_products(stack, stack) * np.multiply.outer(scale, scale), scale
+
+
+def _gate_then_solve(stack, hdot):
+    """The minimum-norm velocity as a chain: the freeness gate on the stack's
+    Gram by ``_freeness``, then ``_spd_solve`` of A A^T and wdot = A^T x."""
+    with np.errstate(invalid="ignore"):  # a NaN stack: its NaN determinant is refused
+        report = _freeness(_row_products(stack, stack))
+    if not report.is_free:
+        raise NonconvergenceError(
+            f"smoothed map lost freeness (gram det {report.min_gram_det:.3e})")
+    gram, scale = _scaled_gram(stack, hdot.shape[-1])
+    return np.einsum("...ia,...i->...a", stack, _spd_solve(gram, hdot) * scale)
+
+
+@st.composite
+def derivative_stacks(draw):
+    """Derivative stacks of a curve (2 rows in R^2 or R^3) or of a surface
+    (5 rows in R^5 or R^6) on 1..6 nodes, with metric rates in [-1, 1]: the
+    entries of one size from 1e-3 to 1e3, at one node sometimes the last
+    row close to a multiple of the first (small determinants and pivots),
+    and sometimes a NaN."""
+    rows, ambient = draw(st.sampled_from([(2, 2), (2, 3), (5, 5), (5, 6)]))
+    nodes = draw(st.integers(1, 6))
+    unit = arrays(float, (nodes, rows, ambient), elements=st.floats(-1.0, 1.0))
+    stack = 10.0 ** draw(st.floats(-3.0, 3.0)) * draw(unit)
+    if draw(st.booleans()):
+        node, near = draw(st.integers(0, nodes - 1)), 10.0 ** draw(st.floats(-16.0, 0.0))
+        stack[node, -1] = draw(st.floats(-2.0, 2.0)) * stack[node, 0] + near * stack[node, -1]
+    if draw(st.integers(0, 3)) == 0:
+        stack[draw(st.integers(0, nodes - 1)), draw(st.integers(0, rows - 1)), 0] = np.nan
+    metric_rows = 1 if rows == 2 else 3
+    return stack, draw(arrays(float, (nodes, metric_rows), elements=st.floats(-1.0, 1.0)))
+
+
+@given(derivative_stacks())
+# det G = 100 * 1e-12 is FREE_DET_TOL exactly: lost freeness
+@example((np.array([[[10.0, 0.0], [0.0, 1e-6]]]), np.array([[0.5]])))
+# A A^T = diag(1e12, 1): its pivot ratio is PIVOT_FLOOR, then just above it
+@example((np.array([[[1e6, 0.0], [0.0, 0.5]]]), np.array([[0.5]])))
+@example((np.array([[[1e6, 0.0], [0.0, 0.5000001]]]), np.array([[0.5]])))
+def test_one_factorization_gates_and_solves_as_the_chain_did(case):
+    # the flow's one factorization refuses what the gate and the solve
+    # refused, with the same exception, and otherwise solves as they did
+    stack, hdot = case
+    assert 100.0 * 1e-12 == FREE_DET_TOL and 1e-12 * 1e12 == PIVOT_FLOOR * 1e12
+    try:
+        want = _gate_then_solve(stack, hdot)
+    except (NonconvergenceError, SingularityError) as exc:
+        with pytest.raises((NonconvergenceError, SingularityError)) as refused:
+            _min_norm_velocity(stack, hdot)
+        if type(refused.value) is not type(exc):
+            # only where a 5x5 A A^T is below the pivot floor, so that its
+            # determinant is rounding: 0 by LU, not by the eigenvalues
+            eigs = np.linalg.eigh(_scaled_gram(stack, hdot.shape[-1])[0])[0]
+            assert stack.shape[-2] == 5 and not np.all(eigs[..., 0] > PIVOT_FLOOR * eigs[..., -1])
+        elif stack.shape[-2] == 2 or type(exc) is SingularityError:
+            # a 5x5 Gram determinant is read by LU in the chain
+            assert str(refused.value) == str(exc)
+        return
+    got = _min_norm_velocity(stack, hdot)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @st.composite
