@@ -26,9 +26,10 @@ and the target are spectra, which the RK4 stages and the quadratures
 combine. A right-hand side takes three FFT calls: one batched inverse of
 the map's jet and of hdot, one spectrum of the solved wdot and the inverse
 of its derivative; the map's linear slope rides the first as a zero mode.
-One factorization of the Gram serves the freeness gate, the pivot floor
-and the solve. Every derivative multiplies by ``grid.derivative_multipliers``,
-the one ik-with-Nyquist-zeroed rule the fields differentiate by.
+The velocity's solve gates freeness and the pivot floor itself; on a
+curve one Gram determinant serves both and the solve. Every derivative
+multiplies by ``grid.derivative_multipliers``, the one
+ik-with-Nyquist-zeroed rule the fields differentiate by.
 
 What depends on time alone is read once per step: both new times, t + dt/2
 and t + dt, follow every stored sample, so one pass gives both times'
@@ -55,8 +56,18 @@ from .errors import (
     InputError,
     NonconvergenceError,
 )
-from .grid import ImmersionField, MetricField, derivative_multipliers, pullback_metric, sup_norm
-from .leastnorm import _identity_residual, _min_norm_velocity, is_free
+from .grid import (
+    ImmersionField,
+    MetricField,
+    derivative_multipliers,
+    pullback_metric,
+    sup_norm,
+)
+from .leastnorm import (
+    _identity_residual,
+    _min_norm_velocity,
+    is_free,
+)
 from .smoothing import multipliers
 
 #: steps with a non-decaying, above-tolerance residual before giving up
@@ -260,8 +271,8 @@ class _Rates(NamedTuple):
 
 def _rhs(state: FlowState, P: np.ndarray, now: _TimeReading) -> _Rates:
     """The right-hand side at (t, w) from the spectrum ``P`` of w and the
-    reading of t: three FFT calls, and one factorization of the Gram for the
-    freeness gate, the pivot floor and the solve."""
+    reading of t: three FFT calls, and one solve that gates freeness and the
+    pivot floor."""
     n = state.grid.shape[0]
     stack, dw, hdot = _smoothed_jet(n, now.jet, P, now.H, state.offsets)
     try:
@@ -321,12 +332,19 @@ def tracked_quantities(samples, t0: float):
     ||w - w0||_3); a quantity whose value after the ramp window exceeds ten
     times its in-ramp maximum raises that flag.
     """
-    rows = [(s.t, s.t**4 * s.hdot_c0 + s.hdot_c4, s.t**4 * s.wdot_c0 + s.wdot_c4, s.dist3)
-            for s in samples]
+    rows = []
+    for s in samples:
+        rows.append((s.t,
+                     s.t**4 * s.hdot_c0 + s.hdot_c4,
+                     s.t**4 * s.wdot_c0 + s.wdot_c4,
+                     s.dist3))
     flags = {}
+    floor = 1e-12
     for idx, name in ((1, "hdot"), (2, "wdot"), (3, "dist3")):
-        baseline = max(max((r[idx] for r in rows if r[0] <= t0 + 1.0), default=0.0), 1e-12)
-        flags[name] = any(r[idx] > GROWTH_FLAG_FACTOR * baseline for r in rows if r[0] > t0 + 1.0)
+        ramp_max = max((r[idx] for r in rows if r[0] <= t0 + 1.0), default=0.0)
+        baseline = max(ramp_max, floor)
+        flags[name] = any(r[idx] > GROWTH_FLAG_FACTOR * baseline
+                          for r in rows if r[0] > t0 + 1.0)
     return rows, flags
 
 
@@ -341,10 +359,15 @@ def _record(state: FlowState, rates: _Rates, P0: np.ndarray, w0_pull: np.ndarray
     cols = np.concatenate([rates.H.T, rates.W.T, (state.P - P0).T])
     squares = np.fft.irfft(state.orders * cols, n=state.grid.shape[0]) ** 2
     hdot_sups, wdot_sups, dist_sups = np.sqrt((state.parts @ squares).max(axis=-1)).T.tolist()
-    return FlowSample(t=state.t, hdot_c0=hdot_sups[0], hdot_c4=sum(hdot_sups),
-                      wdot_c0=wdot_sups[0], wdot_c4=sum(wdot_sups), ortho_resid=ortho,
-                      identity_resid=rates.identity_resid, dist3=sum(dist_sups[:4]),
-                      metric_resid=float(abs(resid_now).max()))
+    return FlowSample(
+        t=state.t,
+        hdot_c0=hdot_sups[0], hdot_c4=sum(hdot_sups),
+        wdot_c0=wdot_sups[0], wdot_c4=sum(wdot_sups),
+        ortho_resid=ortho,
+        identity_resid=rates.identity_resid,
+        dist3=sum(dist_sups[:4]),
+        metric_resid=float(abs(resid_now).max()),
+    )
 
 
 def run_flow(w0: ImmersionField, h_target: MetricField,

@@ -7,8 +7,8 @@ derivatives (orthogonality equations) over the doubled second derivatives
 (metric-rate equations) of a free map turns the linearized isometry system
 into independent pointwise solves of exactly this shape.
 
-The flow's velocity factorizes A A^T once, for the freeness gate, the
-pivot floor and the solve alike.
+On a curve the flow's velocity reads one determinant of the 2x2 Gram for
+the freeness gate, the pivot floor and the solve alike.
 """
 
 from __future__ import annotations
@@ -48,42 +48,31 @@ class LinearSystem:
             raise InputError(f"right-hand side shape {self.v.shape} != {self.A.shape[:-1]}")
 
 
-def _spd_solve(gram: np.ndarray, rhs: np.ndarray, free_scale: float = 0.0) -> np.ndarray:
+def _spd_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve gram x = rhs for symmetric positive definite ``gram`` (batched
     over leading axes), refusing a smallest eigenvalue at or below
     PIVOT_FLOOR times the largest. ``rhs`` may hold only the trailing rows
-    of the right-hand side; the rows it leaves out are zero. A positive
-    ``free_scale`` reads gram as S G S, G a derivative stack's Gram and
-    free_scale = det(S)^2, and refuses lost freeness first.
+    of the right-hand side; the rows it leaves out are zero.
 
     A 2x2 system is solved in closed form, by ``_solve_2x2``. A larger one
-    takes one eigendecomposition V diag(lam) V^T: det(gram) = prod(lam),
-    the eigenvalues give the floor, the eigenvectors the solve
-    x = V diag(1/lam) V^T rhs.
+    takes one eigendecomposition V diag(lam) V^T: the eigenvalues give the
+    floor, the eigenvectors the solve x = V diag(1/lam) V^T rhs.
     """
     if gram.shape[-1] == 2:
-        x = _solve_2x2(gram[..., 0, 0], gram[..., 0, 1], gram[..., 1, 1], rhs, free_scale)
-        return np.stack(x, axis=-1)
-    try:
-        eigs, vecs = np.linalg.eigh(gram)
-    except np.linalg.LinAlgError:  # a non-finite gram: refused below
-        eigs = vecs = np.full(gram.shape, np.nan)
-    if free_scale:
-        _check_free(np.prod(eigs, axis=-1) / free_scale)
+        p, q, r = gram[..., 0, 0], gram[..., 0, 1], gram[..., 1, 1]
+        return np.stack(_solve_2x2(p, q, r, p * r - q * q, rhs), axis=-1)
+    eigs, vecs = np.linalg.eigh(gram)
     _check_pivot(eigs[..., 0], eigs[..., -1])
     coef = np.einsum("...ji,...j->...i", vecs[..., -rhs.shape[-1]:, :], rhs) / eigs
     return np.einsum("...ij,...j->...i", vecs, coef)
 
 
-def _solve_2x2(p: np.ndarray, q: np.ndarray, r: np.ndarray, rhs: np.ndarray,
-               free_scale: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """``_spd_solve`` of [[p, q], [q, r]] by Cramer's rule, the solution as
-    a pair. Its one determinant gives freeness, and the pivot: the large
-    eigenvalue is high = (p + r)/2 + sqrt(((p - r)/2)^2 + q^2), the small
-    one low = det/high, which avoids the cancellation in (p + r)/2 - sqrt(...)."""
-    det = p * r - q * q
-    if free_scale:
-        _check_free(det / free_scale)
+def _solve_2x2(p: np.ndarray, q: np.ndarray, r: np.ndarray, det: np.ndarray,
+               rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_spd_solve`` of [[p, q], [q, r]], its determinant ``det`` given, by
+    Cramer's rule, the solution as a pair. The pivot: the large eigenvalue
+    is high = (p + r)/2 + sqrt(((p - r)/2)^2 + q^2), the small one
+    low = det/high, which avoids the cancellation in (p + r)/2 - sqrt(...)."""
     high = 0.5 * (p + r) + np.hypot(0.5 * (p - r), q)
     with np.errstate(divide="ignore", invalid="ignore"):
         _check_pivot(det / high, high)
@@ -156,7 +145,8 @@ def is_free(w: ImmersionField) -> FreeMapReport:
 
 
 def _check_free(det: np.ndarray):
-    """Refuse lost freeness: a Gram determinant at or below FREE_DET_TOL (or NaN)."""
+    """Refuse lost freeness: a Gram determinant at or below FREE_DET_TOL (or
+    NaN), the threshold ``_freeness`` reads."""
     min_det = float(det.min())
     if not min_det > FREE_DET_TOL:
         raise NonconvergenceError(f"smoothed map lost freeness (gram det {min_det:.3e})")
@@ -165,19 +155,26 @@ def _check_free(det: np.ndarray):
 def _min_norm_velocity(stack: np.ndarray, hdot: np.ndarray) -> np.ndarray:
     """Nodewise minimum-norm wdot with {d_j w . wdot = 0; -2 d_ij w . wdot =
     hdot_ij for i <= j} from the derivative stack of w, its k metric rows
-    last, by one factorization of A A^T = S G S: G the stack's Gram, S the
-    -2 on the metric rows, det(S)^2 = 4^k. Like ``_freeness`` then
-    ``_spd_solve``, it refuses lost freeness (NonconvergenceError), then a
-    pivot below the floor (SingularityError). On a curve G = [[p, q], [q, r]]
-    is summed on node vectors, and S G S = [[p, -2q], [-2q, 4r]] exactly."""
+    last. Like ``_freeness`` then ``_spd_solve`` of A A^T = S G S (G the
+    stack's Gram, S the -2 on the metric rows), it refuses lost freeness
+    (NonconvergenceError), then a pivot below the floor (SingularityError).
+    On a curve G = [[p, q], [q, r]] is summed on node vectors and its one
+    determinant serves all three: S G S = [[p, -2q], [-2q, 4r]] and
+    det(S G S) = 4 det G, exactly. A larger G is gated by its LU
+    determinant, as ``is_free`` reads it, before the solve's eigh."""
     k = hdot.shape[-1]
     if stack.shape[-2] == 2:
         first, second = stack[..., 0, :], stack[..., 1, :]
-        x0, x1 = _solve_2x2((first * first).sum(-1), -2.0 * (first * second).sum(-1),
-                            4.0 * (second * second).sum(-1), hdot, 4.0)
+        p, q, r = (first * first).sum(-1), (first * second).sum(-1), (second * second).sum(-1)
+        det = p * r - q * q
+        _check_free(det)
+        x0, x1 = _solve_2x2(p, -2.0 * q, 4.0 * r, 4.0 * det, hdot)
         return x0[..., None] * first - (2.0 * x1)[..., None] * second
-    A = stack * np.repeat([1.0, -2.0], [stack.shape[-2] - k, k])[:, None]
-    return np.einsum("...ia,...i->...a", A, _spd_solve(_row_products(A, A), hdot, 4.0**k))
+    gram = _row_products(stack, stack)
+    _check_free(np.linalg.det(gram))
+    scale = np.repeat([1.0, -2.0], [stack.shape[-2] - k, k])
+    x = _spd_solve(gram * np.multiply.outer(scale, scale), hdot) * scale
+    return np.einsum("...ia,...i->...a", stack, x)
 
 
 def _identity_residual(first: np.ndarray, dwdot: np.ndarray, hdot: np.ndarray) -> float:

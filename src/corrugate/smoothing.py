@@ -23,22 +23,35 @@ FLAT_END = 0.5
 SUPPORT_END = 1.0
 
 
-def multipliers(s) -> tuple[np.ndarray, np.ndarray]:
-    """m(s) and m'(s) from one clamp: m is 1 on [0, FLAT_END], 0 on
-    [SUPPORT_END, infinity), and in between one minus the order-4
-    smoothstep, a C^4 monotone ramp, so m' is zero outside the transition."""
-    width = SUPPORT_END - FLAT_END
-    u = np.minimum(np.maximum((np.asarray(s, dtype=float) - FLAT_END) / width, 0.0), 1.0)
-    return (1.0 - u**5 * (126.0 + u * (-420.0 + u * (540.0 + u * (-315.0 + u * 70.0)))),
-            -630.0 * (u * (1.0 - u)) ** 4 / width)
+def _ramp(s) -> np.ndarray:
+    """u = (s - FLAT_END)/(SUPPORT_END - FLAT_END) clamped to [0, 1]."""
+    u = (np.asarray(s, dtype=float) - FLAT_END) / (SUPPORT_END - FLAT_END)
+    return np.minimum(np.maximum(u, 0.0), 1.0)
+
+
+def _m(u: np.ndarray) -> np.ndarray:
+    return 1.0 - u**5 * (126.0 + u * (-420.0 + u * (540.0 + u * (-315.0 + u * 70.0))))
+
+
+def _dm(u: np.ndarray) -> np.ndarray:
+    return -630.0 * (u * (1.0 - u)) ** 4 / (SUPPORT_END - FLAT_END)
 
 
 def multiplier(s) -> np.ndarray:
-    return multipliers(s)[0]
+    """m(s): 1 on [0, FLAT_END], 0 on [SUPPORT_END, infinity), and in between
+    one minus the order-4 smoothstep, a C^4 monotone ramp."""
+    return _m(_ramp(s))
 
 
 def multiplier_derivative(s) -> np.ndarray:
-    return multipliers(s)[1]
+    """m'(s), zero outside the transition (FLAT_END, SUPPORT_END)."""
+    return _dm(_ramp(s))
+
+
+def multipliers(s) -> tuple[np.ndarray, np.ndarray]:
+    """m(s) and m'(s) from one clamp, for a caller that needs both."""
+    u = _ramp(s)
+    return _m(u), _dm(u)
 
 
 @functools.lru_cache(maxsize=8)
