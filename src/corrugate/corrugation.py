@@ -51,6 +51,7 @@ from .grid import (
     is_short,
     pullback_metric,
     resample,
+    spectral_derivative,
     spectral_gradient,
     sup_norm,
     triangular_index_pairs,
@@ -73,6 +74,11 @@ PHASES = 32
 #: phases in TwoScale.check's first product and the fewest in a later one,
 #: which holds more only within BLOCK_DOUBLES doubles (4 MiB)
 PHASE_BLOCK, BLOCK_DOUBLES = 4, 2**19
+
+#: doubles per node of its accepted grid under which a lambda search's
+#: traced peak stays (criterion 5's first search reads 38.1); a node-cap
+#: abort quotes the memory the refused grid would take at this rate
+TRIAL_PEAK_DOUBLES = 40
 
 
 @dataclass(frozen=True)
@@ -194,6 +200,13 @@ def _sup_root(sq: np.ndarray) -> float:
     return float(np.sqrt(np.max(sq)))
 
 
+def _weighted_sup(comps: np.ndarray, weights: np.ndarray) -> float:
+    """Sup over nodes of the Frobenius norm of symmetric tensors given by their
+    stored components ``comps`` (component axis first) and the ``weights`` of
+    their squares; squares ``comps`` in place."""
+    return _sup_root(weights @ np.square(comps, out=comps).reshape(len(weights), -1))
+
+
 def _deriv_ok(prim: PrimitiveMetric, deriv_sq: float) -> bool:
     """|D w^p|^2 below 2 sup a^2|psi|^2, twice the primitive's sup norm, or
     at rounding scale."""
@@ -222,32 +235,56 @@ def check_stage_estimates(w_prev: ImmersionField, w_next: ImmersionField,
     cached derivative), and the sum is free of the cancellation in the
     difference of two pullbacks. Each sup is the nodewise Frobenius norm of
     the symmetric tensor, sqrt(c00^2 + 2 c01^2 + c11^2) on the torus.
+
+    The increment is streamed one ambient component a at a time: its
+    component w_next[..., a] - w_prev[..., a] gets its dim derivatives, plus
+    the offsets' constant slopes, and is added into 2 + 2k node arrays (k =
+    dim(dim+1)/2 metric components): the squared C0 lift, |D w^p|^2, and
+    the k cross and k quadratic sums, which read dw at [..., i, a]. The sups
+    are taken after the last component, so neither the whole increment nor
+    its derivative stack is ever built: criterion 5's accepted 384x576
+    trial's check holds 13 doubles per node above its inputs.
     """
-    inc = w_next - w_prev
-    lift = inc.values if np.any(inc.offsets) else inc.data
-    c0 = _sup_root(np.einsum("...a,...a->...", lift, lift))
-    dinc = inc.derivatives()
-    deriv_sq = float(np.max(np.einsum("...ia,...ia->...", dinc, dinc)))
+    grid = w_prev.grid
+    pairs = triangular_index_pairs(grid.dim)
     dw = w_prev.derivatives()
-    k = prim.psi_linear
-    a2 = prim.amplitude.values ** 2
-    sq_cross = sq_quad = sq_incr = 0.0
-    for i, j in triangular_index_pairs(w_prev.grid.dim):
-        weight = 1.0 if i == j else 2.0
-        cross = np.einsum("...a,...a->...", dw[..., i, :], dinc[..., j, :])
-        cross += (cross if i == j
-                  else np.einsum("...a,...a->...", dw[..., j, :], dinc[..., i, :]))
-        quad = np.einsum("...a,...a->...", dinc[..., i, :], dinc[..., j, :]) - a2 * k[i] * k[j]
-        sq_cross = sq_cross + weight * cross * cross
-        sq_quad = sq_quad + weight * quad * quad
-        incr = cross + quad
-        sq_incr = sq_incr + weight * incr * incr
-    incr_err = _sup_root(sq_incr)
+    slopes = w_next.offsets - w_prev.offsets
+    # for the C0 lift's linear part, read only where the offsets differ (a
+    # spiral adds none)
+    meshes = grid.meshes() if np.any(slopes) else []
+    c0_sq, deriv_sq = np.zeros(grid.shape), np.zeros(grid.shape)
+    cross, quad = np.zeros((2, len(pairs)) + grid.shape)
+    for a in range(w_prev.ambient_dim):
+        inc = w_next.data[..., a] - w_prev.data[..., a]
+        lift = inc + sum(m * s for m, s in zip(meshes, slopes[:, a])) if meshes else inc
+        c0_sq += lift * lift
+        del lift  # each array is freed once read, to keep the peak low
+        dinc = [spectral_derivative(inc, grid, i) for i in range(grid.dim)]
+        del inc
+        for i, d in enumerate(dinc):
+            d += slopes[i, a]
+            deriv_sq += d * d
+        for c, (i, j) in enumerate(pairs):
+            cross[c] += dw[..., i, a] * dinc[j]
+            if i != j:
+                cross[c] += dw[..., j, a] * dinc[i]
+            quad[c] += dinc[i] * dinc[j]
+        del dinc
+    c0, deriv_sq = _sup_root(c0_sq), float(np.max(deriv_sq))
+    del c0_sq
+    a2, k = prim.amplitude.values ** 2, prim.psi_linear
+    for c, (i, j) in enumerate(pairs):
+        if i == j:  # the loop added d_i w . d_i w^p once, and 2 sym counts it twice
+            cross[c] *= 2.0
+        quad[c] -= a2 * k[i] * k[j]
+    weights = np.array([1.0 if i == j else 2.0 for i, j in pairs])
+    incr_err = _weighted_sup(cross + quad, weights)
+    cross_err, quad_err = _weighted_sup(cross, weights), _weighted_sup(quad, weights)
     return StageCheck(
         c0=c0, deriv_sq=deriv_sq, incr_err=incr_err,
         c0_ok=c0 < eta_budget, deriv_ok=_deriv_ok(prim, deriv_sq),
         incr_ok=incr_err < delta_budget,
-        cross_err=_sup_root(sq_cross), quad_err=_sup_root(sq_quad),
+        cross_err=cross_err, quad_err=quad_err,
     )
 
 
@@ -457,6 +494,13 @@ def _seam_checked(frame: FramePair) -> FramePair:
     return frame
 
 
+def _trial_memory(nodes: int) -> str:
+    """What a trial on ``nodes`` nodes would take at TRIAL_PEAK_DOUBLES."""
+    mib = nodes * 8 * TRIAL_PEAK_DOUBLES / 2**20
+    size = f"{mib / 2**10:.1f} GiB" if mib >= 2**10 else f"{mib:.0f} MiB"
+    return f"about {size} at {TRIAL_PEAK_DOUBLES} doubles per node"
+
+
 def _rung_top(prim: PrimitiveMetric, shape: tuple[int, ...], band, square) -> float:
     """The largest lambda, to 1e-12 relative and at most LAMBDA_CAP, whose
     frequency a grid of ``shape`` carries (see _required_grid): |rint(lambda
@@ -488,7 +532,8 @@ def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
     largest lambda its grid carries, then by each next grid's largest
     (_rung_top). Returns the accepted lambda with the fields on its grid and
     their w_next. A grid over ``grid.MAX_NODES`` (read at call time) or
-    lambda past LAMBDA_CAP aborts, quoting the last refusal.
+    lambda past LAMBDA_CAP aborts, quoting the last refusal; the node-cap
+    abort also quotes the memory the refused grid would take (_trial_memory).
     """
     if not (eta_budget > 0.0 and delta_budget > 0.0):
         raise InputError(f"lambda search budgets must be positive, got eta "
@@ -542,7 +587,7 @@ def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
             raise NonconvergenceError(
                 f"oscillation at frequency {tuple(int(k) for k in integer_phase(prim, lam))} "
                 f"needs grid {shape}, beyond the desk-scale cap of {grid_module.MAX_NODES} "
-                f"nodes{'; ' if failed else ''}{failed}")
+                f"nodes ({_trial_memory(math.prod(shape))}){'; ' if failed else ''}{failed}")
         if shape != cur.grid.shape:
             w_f = resample(w, PeriodicGrid(shape))
             cur = StageFields(w=w_f, prim=resample_primitive(prim, w_f.grid),

@@ -7,11 +7,13 @@ import corrugate.grid as grid_module
 from corrugate.corrugation import (
     LAMBDA_START,
     PHASES,
+    TRIAL_PEAK_DOUBLES,
     StageReport,
     TwoScale,
     _phase_rows,
     _bands,
     _required_grid,
+    _trial_memory,
     check_stage_estimates,
     choose_lambda,
     integer_phase,
@@ -257,14 +259,31 @@ class TestFusedCheck:
         assert check.incr_err <= check.cross_err + check.quad_err + scale
 
     def test_differentiates_only_the_increment(self, monkeypatch):
+        # the increment is streamed: each ambient component of w_next - w_prev
+        # is differentiated once along each axis, w_prev's cached derivatives
+        # are read as they are, and w_next gains none
+        import corrugate.corrugation as corrugation
+
         w_prev, w_next, prim = _check_case("clifford_8")
-        w_prev.derivatives()
+        cached = w_prev.derivatives()
+        inc = (w_next - w_prev).data
         calls = []
-        original = grid_module.spectral_gradient
-        monkeypatch.setattr(grid_module, "spectral_gradient",
-                            lambda *args: calls.append(1) or original(*args))
+        original = grid_module.spectral_derivative
+
+        def spy(values, grid, axis):
+            calls.append((values.copy(), axis))
+            return original(values, grid, axis)
+
+        for module in (grid_module, corrugation):
+            monkeypatch.setattr(module, "spectral_derivative", spy)
         check_stage_estimates(w_prev, w_next, prim, 1.0, 1.0)
-        assert len(calls) == 1
+        dim, ambient = w_prev.grid.dim, w_prev.ambient_dim
+        read = sorted((a, axis) for values, axis in calls for a in range(ambient)
+                      if np.array_equal(values, inc[..., a]))
+        assert len(calls) == dim * ambient
+        assert read == [(a, i) for a in range(ambient) for i in range(dim)]
+        assert w_prev.derivatives() is cached
+        assert w_next._first is None
 
 
 class TestTwoScale:
@@ -597,6 +616,7 @@ class TestChooseLambda:
         k = int(re.search(r"oscillation at frequency \((\d+), 0\)", message)[1])
         assert k in (300, 301)
         assert "needs grid (1280, 16), beyond the desk-scale cap of 4096 nodes" in message
+        assert f"cap of 4096 nodes ({_trial_memory(1280 * 16)}); lambda" in message
         assert f"lambda {k - 1:.17g} failed two-scale estimate(s) increment" in message
         assert "cross term 0.000e+00" in message
         assert "the quadratic term dominates" in message
@@ -673,9 +693,10 @@ class TestChooseLambda:
         with pytest.raises(StageError, match="seam"):
             choose_lambda(w, prim, normal_pair(w), eta_budget=0.5, delta_budget=1e-6)
 
-    def test_first_torus_search_peaks_under_49_doubles_per_node(self):
-        # criterion 5's first search: lambda 173.2 on 384x576. The peak counts the
-        # trial grids' lifts, frames, spirals and checks, not the 64^2 inputs
+    def test_first_torus_search_peaks_under_40_doubles_per_node(self):
+        # criterion 5's first search: lambda 173.2 on 384x576, read at 38.1. The
+        # peak counts the trial grids' lifts, frames, spirals and checks, not the
+        # 64^2 inputs; the node-cap abort quotes memory at this rate
         import tracemalloc
 
         w, prims = clifford_gap_primitives()
@@ -689,7 +710,34 @@ class TestChooseLambda:
         finally:
             tracemalloc.stop()
         assert fields.grid.shape == (384, 576)
-        assert peak / (8 * fields.grid.num_nodes) <= 49.0
+        assert peak / (8 * fields.grid.num_nodes) <= TRIAL_PEAK_DOUBLES == 40
+
+    def test_accepted_trial_check_holds_under_14_doubles_per_node(self):
+        # the streamed fine check on criterion 5's accepted 384x576 trial reads
+        # 13.0 doubles per node above its inputs; with the whole increment and
+        # its derivative stack built it read 21.0
+        import tracemalloc
+
+        w, prims = clifford_gap_primitives()
+        _, fields = choose_lambda(w, prims[0], normal_pair(w), 0.5 / 9, 0.125 / 9)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            check = check_stage_estimates(fields.w, fields.w_next, fields.prim,
+                                          0.5 / 9, 0.125 / 9)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert check.ok and fields.grid.shape == (384, 576)
+        assert peak / (8 * fields.grid.num_nodes) <= 14.0
+
+    def test_trial_memory_reads_the_pinned_peak(self):
+        # a grid twice the default cap, criterion 5's 3.28M-node grid, and the
+        # 1280x16 grid of the node-cap abort
+        assert _trial_memory(4096 * 2048) == "about 2.5 GiB at 40 doubles per node"
+        assert _trial_memory(1280 * 2560) == "about 1000 MiB at 40 doubles per node"
+        assert _trial_memory(1280 * 16) == "about 6 MiB at 40 doubles per node"
 
 
 class TestRunStage:
