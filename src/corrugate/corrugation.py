@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -164,20 +165,24 @@ class StageCheck(NamedTuple):
     two-scale reading (TwoScale.check) may stop after the first block of
     phases that reaches the budget; its incr_err is then the largest phase
     it read, and both terms are read at that phase.
+
+    |D|^2, its flag and the split are read from ``late`` when first asked for:
+    a reading refused on its increment needs none of them for its verdict.
     """
 
     c0: float
-    deriv_sq: float
     incr_err: float
     c0_ok: bool
-    deriv_ok: bool
     incr_ok: bool
-    cross_err: float
-    quad_err: float
+    late: Callable[[], tuple[float, bool, float, float]]
+    deriv_sq = property(lambda self: self.late()[0])
+    deriv_ok = property(lambda self: self.late()[1])
+    cross_err = property(lambda self: self.late()[2])
+    quad_err = property(lambda self: self.late()[3])
 
     @property
     def ok(self) -> bool:
-        return self.c0_ok and self.deriv_ok and self.incr_ok
+        return self.c0_ok and self.incr_ok and self.deriv_ok
 
     def failing(self) -> str:
         names = [name for name, flag in
@@ -281,11 +286,8 @@ def check_stage_estimates(w_prev: ImmersionField, w_next: ImmersionField,
     incr_err = _weighted_sup(cross + quad, weights)
     cross_err, quad_err = _weighted_sup(cross, weights), _weighted_sup(quad, weights)
     return StageCheck(
-        c0=c0, deriv_sq=deriv_sq, incr_err=incr_err,
-        c0_ok=c0 < eta_budget, deriv_ok=_deriv_ok(prim, deriv_sq),
-        incr_ok=incr_err < delta_budget,
-        cross_err=cross_err, quad_err=quad_err,
-    )
+        c0=c0, incr_err=incr_err, c0_ok=c0 < eta_budget, incr_ok=incr_err < delta_budget,
+        late=lambda: (deriv_sq, _deriv_ok(prim, deriv_sq), cross_err, quad_err))
 
 
 def _dot(x, y):
@@ -375,7 +377,7 @@ class TwoScale:
         per block of phases (see PHASE_BLOCK), up to the first block that
         reads at least delta_budget; a sampled phase never reads above the
         maximum over theta. Its cross and quadratic terms are read at the
-        phase of its largest reading."""
+        phase of its largest reading, when first asked for, as is |D|^2."""
         kappa = integer_phase(self.prim, lam) / lam
         mean = self._mean(lam, kappa).reshape(len(self.weights), -1)
         rows = _phase_rows(PHASES) * np.array([1.0, 1.0, 1.0 / lam, 1.0 / lam]) / lam
@@ -390,22 +392,24 @@ class TwoScale:
                 break
         incr_err = float(max(errs))
         worst = rows[errs.index(incr_err)]
-        cross = worst[:2] @ fast[:2]
-        quad = mean.ravel() + worst[2:] @ fast[2:]
-        even, odd, mixed = self.trace_parts
-        # |D w^p|^2 = (P + Q)/2 + (P - Q)/2 cos 2theta + R sin 2theta, with
-        # P = sum |C_i|^2, Q = sum |S_i|^2 and R = sum C_i.S_i, peaks at its
-        # mean plus hypot((P - Q)/2, R)
-        deriv_sq = float(np.max(even / lam**2 + 2.0 * (self.a2_link @ kappa) / lam
-                                + self.a2 * (kappa @ kappa)
-                                + np.hypot(odd / lam**2, mixed / lam**2)))
+
+        @functools.cache
+        def late() -> tuple[float, bool, float, float]:
+            cross = worst[:2] @ fast[:2]
+            quad = mean.ravel() + worst[2:] @ fast[2:]
+            even, odd, mixed = self.trace_parts
+            # |D w^p|^2 = (P + Q)/2 + (P - Q)/2 cos 2theta + R sin 2theta, with
+            # P = sum |C_i|^2, Q = sum |S_i|^2 and R = sum C_i.S_i, peaks at its
+            # mean plus hypot((P - Q)/2, R)
+            deriv_sq = float(np.max(even / lam**2 + 2.0 * (self.a2_link @ kappa) / lam
+                                    + self.a2 * (kappa @ kappa)
+                                    + np.hypot(odd / lam**2, mixed / lam**2)))
+            return (deriv_sq, _deriv_ok(self.prim, deriv_sq),
+                    math.sqrt(self._sup_sq(cross)), math.sqrt(self._sup_sq(quad)))
+
         c0 = self.a_max / lam
-        return StageCheck(
-            c0=c0, deriv_sq=deriv_sq, incr_err=incr_err,
-            c0_ok=c0 < eta_budget, deriv_ok=_deriv_ok(self.prim, deriv_sq),
-            incr_ok=incr_err < delta_budget,
-            cross_err=math.sqrt(self._sup_sq(cross)), quad_err=math.sqrt(self._sup_sq(quad)),
-        )
+        return StageCheck(c0=c0, incr_err=incr_err, c0_ok=c0 < eta_budget,
+                          incr_ok=incr_err < delta_budget, late=late)
 
 
 def resample_primitive(prim: PrimitiveMetric, new_grid: PeriodicGrid) -> PrimitiveMetric:
@@ -548,46 +552,50 @@ def choose_lambda(w: ImmersionField, prim: PrimitiveMetric, frame: FramePair,
     def shape_of(lam):
         return _required_grid(w.grid, cur.grid, integer_phase(prim, lam), band, square)
 
-    def refusal(lam) -> str:
-        """Why lam's two-scale reading refuses it, or "" if it passes."""
+    def read(lam) -> StageCheck | None:
+        """lam's two-scale reading, None if C0 alone refuses it."""
         nonlocal scales, own
-        why = f"C0 with measured C0 {a_max / lam:.3e}"
-        if a_max / lam < eta_budget:
-            read = frame
-            if shape_of(lam) != w.grid.shape:
-                own = read = own or _seam_checked(normal_pair(w))
-            if scales is None or scales.frame is not read:
-                scales = TwoScale(w, prim, read)
-            check = scales.check(lam, eta_budget, delta_budget)
-            why = "" if check.ok else check.failure()
-        return why and f"lambda {lam:.17g} failed two-scale estimate(s) {why}"
+        if not a_max / lam < eta_budget:
+            return None
+        pair = frame
+        if shape_of(lam) != w.grid.shape:
+            own = pair = own or _seam_checked(normal_pair(w))
+        if scales is None or scales.frame is not pair:
+            scales = TwoScale(w, prim, pair)
+        return scales.check(lam, eta_budget, delta_budget)
+
+    def refusal(lam, check: StageCheck | None) -> str:
+        why = f"C0 with measured C0 {a_max / lam:.3e}" if check is None else check.failure()
+        return f"lambda {lam:.17g} failed two-scale estimate(s) {why}"
 
     def exhausted(why: str) -> NonconvergenceError:
         return NonconvergenceError(f"no lambda up to {LAMBDA_CAP:.17g} meets the budgets (eta "
                                    f"{eta_budget:.3e}, delta {delta_budget:.3e}); {why}")
 
-    lam, failed = LAMBDA_START, ""  # failed: the last refusal, which an abort quotes
-    while why := refusal(lam):
+    lam, last = LAMBDA_START, None  # last: the last refused lambda, which a node-cap abort quotes
+    while not ((check := read(lam)) and check.ok):
         if 2.0 * lam > LAMBDA_CAP:
-            raise exhausted(why)
-        lam, failed = 2.0 * lam, why
-    if failed:
+            raise exhausted(refusal(lam, check))
+        lam, last = 2.0 * lam, lam
+    if last:
         p = float(np.max(np.abs(prim.psi_linear)))
         low, high = (int(np.rint(x * p)) for x in (lam / 2.0, lam))
         while high - low > 1:
             mid = (low + high) // 2
-            if why := refusal(mid / p):
-                low, failed = mid, why
-            else:
+            if (check := read(mid / p)) and check.ok:
                 high, lam = mid, mid / p
-    scales = own = None  # freed before the trial's fields exist
+            else:
+                low, last = mid, mid / p
+    scales = own = check = None  # freed before the trial's fields exist
+    failed = ""  # the fine check's last refusal, else the last reading's, read again
     while True:
         shape = shape_of(lam)
         if math.prod(shape) > grid_module.MAX_NODES:
+            why = failed or ("" if last is None else refusal(last, read(last)))
             raise NonconvergenceError(
                 f"oscillation at frequency {tuple(int(k) for k in integer_phase(prim, lam))} "
                 f"needs grid {shape}, beyond the desk-scale cap of {grid_module.MAX_NODES} "
-                f"nodes ({_trial_memory(math.prod(shape))}){'; ' if failed else ''}{failed}")
+                f"nodes ({_trial_memory(math.prod(shape))}){'; ' if why else ''}{why}")
         if shape != cur.grid.shape:
             w_f = resample(w, PeriodicGrid(shape))
             cur = StageFields(w=w_f, prim=resample_primitive(prim, w_f.grid),

@@ -31,11 +31,11 @@ curve one Gram determinant serves both and the solve. Every derivative
 multiplies by ``grid.derivative_multipliers``, the one
 ik-with-Nyquist-zeroed rule the fields differentiate by.
 
-What depends on time alone is read once per step: both new times, t + dt/2
-and t + dt, follow every stored sample, so one pass gives both times'
-multipliers and window quadratures, and the last stage's reading serves the
-next step's first. Tables of the grid and the dimensions alone are built
-once per run.
+What depends on time alone is built once per block of TABLE_STEPS steps,
+from the run's schedule of step times and of the samples each step's window
+holds: both new times' multipliers and quadrature weights. A step multiplies
+its weights by the stored spectra, and the last stage's reading serves the
+next step's first. Tables of the grid alone are built once per run.
 
 If w(t) converges, its pullback picks up exactly the target tensor h:
 the smoothing error E is reabsorbed into h(t) by construction, which is
@@ -127,17 +127,37 @@ class FlowConfig:
 #: that ``prune`` keeps behind it, the newest sample and some slack
 WINDOW_SLOTS = int(np.ceil((1.0 + 2.0 * STEP) / STEP)) + 4
 
+#: steps whose time-only tables are built at once: the peak RSS of a 256-node,
+#: 240-step flow read 31.81 MiB at 1 step, 31.79 at 8, 32.62 at 26 and 42.63
+#: at all 240 (median of 5 runs, x86-64 Linux, numpy 2.4.6)
+TABLE_STEPS = 8
+
+
+def _schedule(t0: float, t_end: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step i runs from times[i] by dt[i], by the run's own accumulation of t,
+    and reads the samples first[i]..i, sample k taken at times[k]: the end
+    of step i retires each k < i whose next lies behind t_{i+1} - 1 - 2 STEP."""
+    times, dt = [t0], []
+    while times[-1] < t_end - 1e-9:
+        dt.append(min(STEP, t_end - times[-1]))
+        times.append(times[-1] + dt[-1])
+    times = np.array(times)
+    behind = np.searchsorted(times, times[1:] - 1.0 - 2.0 * STEP, side="right") - 1
+    return times, np.array(dt), np.concatenate([[0], np.clip(behind, 0, np.arange(len(dt)))])
+
 
 class FlowState:
-    """Integrator state on rfft spectra, started at time ``t0`` from the map
-    ``w0``: time ``t``, the spectrum ``P`` of the map's periodic samples, the
-    stored increments E(tau) as a time vector ``taus[:count]`` and one array
-    ``E[:count]``, sized to the ramp window rather than to the run, and
-    ``tail``, the retired part of the history integral (samples that left
-    the width-one window)."""
+    """Integrator state on rfft spectra, from the map ``w0`` at ``t0`` to
+    ``t_end`` (FlowConfig's if None) by the steps of _schedule: time ``t``
+    and its ``step``, the map's spectrum ``P``, the stored increments E(tau)
+    as ``taus[:count]`` and ``E[:count]``, sized to the window, not the run,
+    ``tail``, the retired part of the history integral, and the block's
+    ``tables`` by step (_block_tables)."""
 
-    def __init__(self, t0: float, w0: ImmersionField):
+    def __init__(self, t0: float, w0: ImmersionField, t_end: float | None = None):
         self.t = self.t0 = t0
+        self.times, self.dt, self.first = _schedule(t0, FlowConfig(t0, t_end).resolved_end)
+        self.step, self.tables = 0, {}
         self.grid, self.offsets = w0.grid, w0.offsets
         self.P = np.fft.rfft(w0.data, axis=0)
         self.tail = np.zeros((len(self.P), 1), complex)
@@ -152,47 +172,51 @@ class FlowState:
     def record(self, tau: float, E: np.ndarray):
         """Store the spectrum of the node samples E(tau), tau after every
         stored time."""
-        if self.count == len(self.taus):
-            self.taus = np.concatenate([self.taus, self.taus])
-            self.E = np.concatenate([self.E, self.E])
         self.taus[self.count] = tau
         self.E[self.count] = np.fft.rfft(E, axis=0)
         self.count += 1
 
     def prune(self):
-        """Retire samples behind the ramp window into the running integral."""
-        cutoff = self.t - 1.0 - 2.0 * STEP
+        """Retire samples behind the window of ``step`` into the running integral."""
         taus, E = self.taus, self.E
-        gone = 0
-        while self.count - gone >= 2 and taus[gone + 1] <= cutoff:
-            self.tail = self.tail + (E[gone] + E[gone + 1]) * (0.5 * (taus[gone + 1] - taus[gone]))
-            gone += 1
-        if gone:
+        gone = self.count - (self.step - self.first[self.step])
+        for k in range(gone):
+            self.tail = self.tail + (E[k] + E[k + 1]) * (0.5 * (taus[k + 1] - taus[k]))
+        if gone > 0:
             self.count -= gone
             taus[:self.count] = taus[gone:gone + self.count]
             E[:self.count] = E[gone:gone + self.count]
 
 
-def _window_quadratures(state: FlowState, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra of the trapezoidal L(t) = tail + int E(tau) psi(t-tau) and of
-    the psi'-weighted tail integral C(t), each over the stored samples up to
-    t, for every t in ``times``: one weight matrix, psi and psi' at the lags
-    times each time's trapezoid weights, times the stored spectra. A sample
-    after t, and a gap that ends after it, weigh 0."""
-    taus, t = state.taus[:state.count], times[:, None]
-    inside = taus <= t + 1e-12
-    if state.t > state.t0 + 2.0 * STEP and not inside.any(axis=1).all():
-        raise CorrugateError("internal error: E history window underflow")
-    half = 0.5 * np.diff(taus) * inside[:, 1:]
-    trap = np.zeros(inside.shape)
+def _window_weights(taus: np.ndarray, times: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """psi(t - tau_k) w_k and psi'(t - tau_k) w_k, shape (2, T, K), for each t
+    in ``times`` and tau_k in ``taus``: w_k is the trapezoid weight over the
+    samples ``live`` at t (a (T, K) mask of consecutive samples), 0 off it."""
+    half = 0.5 * np.diff(taus) * (live[:, 1:] & live[:, :-1])
+    trap = np.zeros(live.shape)
     trap[:, :-1] += half
     trap[:, 1:] += half
-    lag = t - taus
-    weights = np.stack([psi_ramp(lag), psi_ramp_derivative(lag)]) * trap
-    L, C = (weights.reshape(2 * len(times), len(taus))
-            @ state.E[:len(taus)].reshape(len(taus), state.tail.size)
-            ).reshape((2, len(times)) + state.tail.shape)
+    lag = times[:, None] - taus
+    return np.stack([psi_ramp(lag), psi_ramp_derivative(lag)]) * trap
+
+
+def _quadratures(state: FlowState, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra of L(t) = tail + int E(tau) psi(t-tau) and of the psi'-weighted
+    C(t) for the T times of ``weights`` (2, T, K) over the K stored samples."""
+    T, K = weights.shape[1:]
+    L, C = (weights.reshape(2 * T, K) @ state.E[:K].reshape(K, state.tail.size)
+            ).reshape((2, T) + state.tail.shape)
     return state.tail + L, C
+
+
+def _window_quadratures(state: FlowState, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The quadratures over the stored samples up to t, for every t in
+    ``times``: a sample after t, and a gap that ends after it, weigh 0."""
+    taus = state.taus[:state.count]
+    inside = taus <= times[:, None] + 1e-12
+    if state.t > state.t0 + 2.0 * STEP and not inside.any(axis=1).all():
+        raise CorrugateError("internal error: E history window underflow")
+    return _quadratures(state, _window_weights(taus, times, inside))
 
 
 def _spectral_multipliers(n: int, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,17 +243,36 @@ class _TimeReading(NamedTuple):
     H: np.ndarray
 
 
-def _read_times(state: FlowState, times: tuple[float, ...], h: np.ndarray) -> list[_TimeReading]:
-    """Each t in ``times``, from the target's spectrum ``h``, in one pass:
-    the multipliers and the window quadratures of every time at once, and
-    hdot(t) = -t^-2 S'[psi h + L(t)] + S[psi' h + C(t)], where C(t) is the
-    E(tau) psi'(t - tau) window integral."""
-    times = np.array(times, dtype=float)
-    jets, pairs = _spectral_multipliers(state.grid.shape[0], times)
-    L, C = _window_quadratures(state, times)
-    s = times[:, None, None] - state.t0
+def _readings(state: FlowState, times: np.ndarray, jets: np.ndarray, pairs: np.ndarray,
+              quadratures: tuple, h: np.ndarray) -> list[_TimeReading]:
+    """The readings of ``times`` from S_{1/t}'s multipliers, the quadratures (L, C)
+    and the target's spectrum h: hdot = -t^-2 S'[psi h + L] + S[psi' h + C]."""
+    (L, C), s = quadratures, times[:, None, None] - state.t0
     H = pairs[:, :, 0] * (h * psi_ramp(s) + L) + pairs[:, :, 1] * (h * psi_ramp_derivative(s) + C)
     return [_TimeReading(t, jet, H_t) for t, jet, H_t in zip(times.tolist(), jets, H)]
+
+
+def _read_times(state: FlowState, times: tuple[float, ...], h: np.ndarray) -> list[_TimeReading]:
+    """Each t in ``times`` from the stored samples up to it, in one pass, by the
+    rules of the steps' tables (_block_tables): a run's start, and the oracle."""
+    times = np.array(times, dtype=float)
+    jets, pairs = _spectral_multipliers(state.grid.shape[0], times)
+    return _readings(state, times, jets, pairs, _window_quadratures(state, times), h)
+
+
+def _block_tables(state: FlowState) -> dict[int, tuple]:
+    """For each of the TABLE_STEPS steps from ``state.step``: its new times
+    t + dt/2 and t + dt, their multipliers and its window's weights (2, 2, K),
+    from one evaluation over the block, each step's window masked in it."""
+    times, dt, first = state.times, state.dt, state.first
+    steps = np.arange(state.step, min(state.step + TABLE_STEPS, len(dt)))
+    new = np.stack([times[steps] + dt[steps] / 2.0, times[steps + 1]], axis=1).ravel()
+    k, owner = np.arange(first[steps[0]], steps[-1] + 1), np.repeat(steps, 2)[:, None]
+    weights = _window_weights(times[k], new, (k >= first[owner]) & (k <= owner))
+    known = (new, *_spectral_multipliers(state.grid.shape[0], new))
+    return {i: (*(part[2 * j:2 * j + 2].copy() for part in known),
+                np.ascontiguousarray(weights[:, 2 * j:2 * j + 2, first[i] - k[0]:i + 1 - k[0]]))
+            for j, i in enumerate(steps.tolist())}
 
 
 def _smoothed_jet(n: int, jet: np.ndarray, P: np.ndarray, H: np.ndarray,
@@ -286,18 +329,22 @@ def _rhs(state: FlowState, P: np.ndarray, now: _TimeReading) -> _Rates:
 
 
 def _advance(state: FlowState, dt: float, h: np.ndarray, k1: np.ndarray) -> _TimeReading:
-    """Finish the 4th-order step of size dt whose first stage is ``k1``. The
-    stages' times read the history, all of it before them, and nothing
-    else: one pass reads both new times, the middle stages share one
-    reading, and the last stage's, returned, serves the next step's first,
-    before E is recorded."""
+    """Finish the 4th-order step of size dt, the schedule's, whose first stage
+    is ``k1``. Both new times are read at once, from the step's tables and
+    the history, all of it before them; the middle stages share one reading,
+    and the last stage's, returned, serves the next step's first."""
+    if state.step not in state.tables:
+        state.tables = {}  # freed before the next block's are built
+        state.tables = _block_tables(state)
+    times, jets, pairs, weights = state.tables[state.step]
+    half, end = _readings(state, times, jets, pairs, _quadratures(state, weights), h)
     P = state.P
-    half, end = _read_times(state, (state.t + dt / 2.0, state.t + dt), h)
     k2 = _rhs(state, P + k1 * (dt / 2.0), half).W
     k3 = _rhs(state, P + k2 * (dt / 2.0), half).W
     k4 = _rhs(state, P + k3 * dt, end).W
     state.P = P + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (dt / 6.0)
     state.t += dt
+    state.step += 1
     state.prune()
     return end
 
@@ -397,7 +444,7 @@ def run_flow(w0: ImmersionField, h_target: MetricField,
             f"||h||_3 = {h_size:.3e} exceeds the smallness bound {bound:.3e}; "
             "halve the target or raise t0")
 
-    state = FlowState(cfg.t0, w0)
+    state = FlowState(cfg.t0, w0, cfg.t_end)
     P0, h = state.P, h_target.data
     h_spectrum = np.fft.rfft(h, axis=0)
     now = _read_times(state, (state.t,), h_spectrum)[0]
@@ -405,10 +452,8 @@ def run_flow(w0: ImmersionField, h_target: MetricField,
     diag = FlowDiagnostics()
     best_resid = float("inf")
     stall = 0
-    t_end = cfg.resolved_end
     try:
-        while state.t < t_end - 1e-9:
-            dt = min(STEP, t_end - state.t)
+        for dt in state.dt.tolist():
             rates = _rhs(state, state.P, now)
             state.record(state.t, rates.E)
             sample = _record(state, rates, P0, w0_pull.data, h)

@@ -10,6 +10,7 @@ from corrugate.errors import (
 )
 from corrugate.flow import (
     STEP,
+    TABLE_STEPS,
     FlowConfig,
     FlowSample,
     FlowState,
@@ -198,10 +199,11 @@ class TestFlowRhs:
         _rhs(state, state.P, now)
         assert 0 < len(calls) <= 3
 
-    def test_one_step_makes_at_most_14_transforms_and_one_quadrature_pass(self, monkeypatch):
-        # k1, its E and its record, then k2..k4: one pass reads both new
-        # times, the middle stages share one reading, and the last stage's
-        # serves the next step's first stage
+    def test_one_step_makes_at_most_14_transforms_and_block_time_only_calls(self, monkeypatch):
+        # k1, its E and its record, then k2..k4: the middle stages share one
+        # reading and the last stage's serves the next step's first. What
+        # depends on time alone is built once per block of TABLE_STEPS steps,
+        # at the block's first step, on its scheduled times in order
         import corrugate.flow as flow
 
         grid, w0 = circle_setup(64)
@@ -209,29 +211,61 @@ class TestFlowRhs:
         state = FlowState(10.0, w0)
         now = read(state, state.t, h)
         P0, pull = state.P, pullback_metric(w0).data
-        for _ in range(3):  # some history first
-            rates = _rhs(state, state.P, now)
-            state.record(state.t, rates.E)
-            now = _advance(state, STEP, h, rates.W)
-        quadratures, multipliers, stages = [], [], []
-        quadrature, mults, rhs_ = flow._window_quadratures, flow._spectral_multipliers, flow._rhs
+        multipliers, weights, quadratures, stages = [], [], [], []
+        mults, weigh, rhs_ = flow._spectral_multipliers, flow._window_weights, flow._rhs
+        monkeypatch.setattr(flow, "_spectral_multipliers", lambda *args: multipliers.append(
+            (state.step, list(args[1]))) or mults(*args))
+        monkeypatch.setattr(flow, "_window_weights", lambda *args: weights.append(
+            (state.step, list(args[1]))) or weigh(*args))
         monkeypatch.setattr(flow, "_window_quadratures",
-                            lambda *args: quadratures.append(args[1]) or quadrature(*args))
-        monkeypatch.setattr(flow, "_spectral_multipliers",
-                            lambda *args: multipliers.append(args[1]) or mults(*args))
+                            lambda *args: quadratures.append(args) or pytest.fail("oracle read"))
         monkeypatch.setattr(flow, "_rhs", lambda *args: stages.append(rhs_(*args)) or stages[-1])
         calls = count_transforms(monkeypatch)
-        t = state.t
-        rates = flow._rhs(state, state.P, now)
-        state.record(state.t, rates.E)
-        flow._record(state, rates, P0, pull, np.full(grid.shape + (1,), 0.02))
-        now_next = _advance(state, STEP, h, rates.W)
-        assert 0 < len(calls) <= 14
-        assert [list(times) for times in quadratures] == [[t + STEP / 2.0, t + STEP]]
-        assert [list(times) for times in multipliers] == [[t + STEP / 2.0, t + STEP]]
-        assert len(stages) == 4
-        assert np.array_equal(stages[1].hdot, stages[2].hdot)
-        assert stages[3].H is now_next.H
+        scheduled, t = [], state.t
+        for _ in range(3 * TABLE_STEPS):
+            scheduled.append([t + STEP / 2.0, t + STEP])
+            t += STEP
+            del calls[:], stages[:]
+            rates = flow._rhs(state, state.P, now)
+            state.record(state.t, rates.E)
+            flow._record(state, rates, P0, pull, np.full(grid.shape + (1,), 0.02))
+            now_next = _advance(state, STEP, h, rates.W)
+            assert 0 < len(calls) <= 14
+            assert len(stages) == 4
+            assert np.array_equal(stages[1].hdot, stages[2].hdot)
+            assert stages[3].H is now_next.H
+            now = now_next
+        blocks = [(b, sum(scheduled[b:b + TABLE_STEPS], []))
+                  for b in range(0, 3 * TABLE_STEPS, TABLE_STEPS)]
+        assert multipliers == blocks
+        assert weights == blocks
+        assert quadratures == []
+
+    def test_every_scheduled_reading_is_the_single_time_reading(self, monkeypatch):
+        # 121 steps from t0 = 10 to 16.02, the last one 0.02, in several blocks
+        # and past the steps where prune retires samples: every stage's
+        # reading against the single-time reading of the history it reads
+        import corrugate.flow as flow
+
+        grid, w0 = circle_setup(64)
+        h = metric(grid, np.full(grid.shape, 0.04))
+        states, counts, rhs_ = [], [], flow._rhs
+
+        def checked(state, P, now):
+            want = read(state, now.t, spectrum(h.data))
+            assert now.t == want.t and np.array_equal(now.jet, want.jet)
+            assert np.max(np.abs(now.H - want.H)) <= 1e-15 * np.max(np.abs(want.H))
+            states.append(state)
+            counts.append(state.count)
+            return rhs_(state, P, now)
+
+        monkeypatch.setattr(flow, "_rhs", checked)
+        _, diag = run_flow(w0, h, FlowConfig(t0=10.0, t_end=16.02, tol=1e-4))
+        state = states[0]
+        assert len(diag.samples) == len(state.dt) == 121 > 2 * TABLE_STEPS
+        assert len(counts) == 4 * 121
+        assert abs(state.dt[-1] - 0.02) <= 1e-9
+        assert any(later < earlier for earlier, later in zip(counts, counts[1:]))
 
     @pytest.mark.parametrize("steps, dt", [(3, STEP), (3, 0.02), (30, STEP)],
                              ids=["normal-step", "uneven-last-step", "step-after-prune"])
@@ -342,6 +376,20 @@ class TestRunFlow:
         assert abs(diag.final_resid - 6.26828e-8) <= 1e-11
         assert max(s.ortho_resid for s in diag.samples) <= 1e-8
         assert max(s.identity_resid for s in diag.samples) <= 1e-6
+
+    def test_alpha_run_builds_the_multipliers_once_per_block(self, monkeypatch):
+        # the flow bench's run: 240 steps read their multipliers from one
+        # evaluation per block of TABLE_STEPS, after the start's own reading
+        import corrugate.flow as flow
+
+        calls, mults = [], flow._spectral_multipliers
+        monkeypatch.setattr(flow, "_spectral_multipliers",
+                            lambda *args: calls.append(args) or mults(*args))
+        grid, w0 = circle_setup(256)
+        _, diag = run_flow(w0, metric(grid, np.full(grid.shape, 0.04)),
+                           FlowConfig(t0=10.0, t_end=22.0, tol=1e-4))
+        assert len(diag.samples) == 240
+        assert len(calls) <= -(-240 // TABLE_STEPS) + 1
 
     @pytest.mark.slow
     def test_cosine_target_residual(self):
