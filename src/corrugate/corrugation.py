@@ -149,7 +149,7 @@ def spiral_perturbation(w: ImmersionField, prim: PrimitiveMetric,
         if grid.shape[a] <= 4 * abs(int(k)):
             raise ResolutionError(f"axis {a}: {grid.shape[a]} nodes cannot carry "
                                   f"frequency {k}, which needs more than {4 * abs(int(k))}")
-    phase = sum(k * mesh for k, mesh in zip(k_vec, grid.meshes()))
+    phase = sum(k * x for k, x in zip(k_vec, np.ix_(*grid.axes())))
     amp = prim.amplitude.values / lam
     vals = (amp * np.cos(phase))[..., None] * frame.nu \
         + (amp * np.sin(phase))[..., None] * frame.b
@@ -245,10 +245,11 @@ def check_stage_estimates(w_prev: ImmersionField, w_next: ImmersionField,
     component w_next[..., a] - w_prev[..., a] gets its dim derivatives, plus
     the offsets' constant slopes, and is added into 2 + 2k node arrays (k =
     dim(dim+1)/2 metric components): the squared C0 lift, |D w^p|^2, and
-    the k cross and k quadratic sums, which read dw at [..., i, a]. The sups
-    are taken after the last component, so neither the whole increment nor
-    its derivative stack is ever built: criterion 5's accepted 384x576
-    trial's check holds 13 doubles per node above its inputs.
+    the k cross and k quadratic sums, which read dw at [..., i, a], one
+    contiguous node array (the cache is component-major). The sups are
+    taken after the last component, so neither the whole increment nor its
+    derivative stack is ever built: criterion 5's accepted 384x576 trial's
+    check holds 13.0 doubles per node above its inputs.
     """
     grid = w_prev.grid
     pairs = triangular_index_pairs(grid.dim)

@@ -328,15 +328,16 @@ def _rhs(state: FlowState, P: np.ndarray, now: _TimeReading) -> _Rates:
     return _Rates(wdot, W, dwdot, hdot, now.H, stack[:, :1], dw, worst)
 
 
-def _advance(state: FlowState, dt: float, h: np.ndarray, k1: np.ndarray) -> _TimeReading:
-    """Finish the 4th-order step of size dt, the schedule's, whose first stage
-    is ``k1``. Both new times are read at once, from the step's tables and
-    the history, all of it before them; the middle stages share one reading,
-    and the last stage's, returned, serves the next step's first."""
+def _advance(state: FlowState, h: np.ndarray, k1: np.ndarray) -> _TimeReading:
+    """Finish the schedule's next 4th-order step, of its dt, whose first
+    stage is ``k1``. Both new times are read at once, from the step's tables
+    and the history, all of it before them; the middle stages share one
+    reading, and the last stage's, returned, serves the next step's first."""
     if state.step not in state.tables:
         state.tables = {}  # freed before the next block's are built
         state.tables = _block_tables(state)
     times, jets, pairs, weights = state.tables[state.step]
+    dt = float(state.dt[state.step])
     half, end = _readings(state, times, jets, pairs, _quadratures(state, weights), h)
     P = state.P
     k2 = _rhs(state, P + k1 * (dt / 2.0), half).W
@@ -453,7 +454,7 @@ def run_flow(w0: ImmersionField, h_target: MetricField,
     best_resid = float("inf")
     stall = 0
     try:
-        for dt in state.dt.tolist():
+        for _ in range(len(state.dt)):
             rates = _rhs(state, state.P, now)
             state.record(state.t, rates.E)
             sample = _record(state, rates, P0, w0_pull.data, h)
@@ -467,7 +468,7 @@ def run_flow(w0: ImmersionField, h_target: MetricField,
                         f"residual {sample.metric_resid:.3e} not decaying for "
                         f"{DIVERGENCE_PATIENCE} steps at t={state.t:.2f}")
             best_resid = min(best_resid, sample.metric_resid)
-            now = _advance(state, dt, h_spectrum, rates.W)
+            now = _advance(state, h_spectrum, rates.W)
 
         u = ImmersionField.from_periodic(
             w0.grid, np.fft.irfft(state.P, n=w0.grid.shape[0], axis=0), w0.offsets)

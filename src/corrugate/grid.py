@@ -4,6 +4,8 @@ Charts are single periodic boxes [0, 2pi)^d with d in {1, 2} (circle and
 square torus). Every field is a ``Field``: an array ``data`` with the grid
 axes first and the component axes after them, validated and combined by
 the base; resampling, smoothing and the C^k norms act on ``data`` alike.
+That order is the indexing only: an immersion's memory is component-major
+(see ``ImmersionField``), a layout numpy's FFTs and ufuncs keep.
 A kind supplies its component shape:
 
   ScalarField      one real value per node
@@ -112,7 +114,8 @@ def derivative_multipliers(n: int, orders: int) -> np.ndarray:
 def spectral_derivative(values: np.ndarray, grid: PeriodicGrid, axis: int) -> np.ndarray:
     """Spectral d/dx_axis of node samples, periodic in each axis.
 
-    ``values`` may carry trailing component axes; grid axes come first.
+    ``values`` may carry trailing component axes; grid axes come first, or
+    last with a negative ``axis``.
     """
     res = grid.shape[axis]
     spec = np.fft.rfft(values, axis=axis)
@@ -128,14 +131,26 @@ def spectral_gradient(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     return np.stack([spectral_derivative(values, grid, a) for a in range(grid.dim)], grid.dim)
 
 
+def _gradient_last(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """All first partials of node samples whose grid axes come last, stacked
+    on a new first axis."""
+    return np.stack([spectral_derivative(values, grid, a - grid.dim) for a in range(grid.dim)])
+
+
+def _roll_axes(values: np.ndarray, k: int) -> np.ndarray:
+    """A view with the last k axes moved to the front, or with k < 0 the first -k to the back."""
+    axes = tuple(range(values.ndim))
+    return values.transpose(axes[-k:] + axes[:-k])
+
+
 def _require_same_grid(a, b):
     if a.grid.shape != b.grid.shape:
         raise InputError(f"grid mismatch: {a.grid.shape} vs {b.grid.shape}")
 
 
 class Field:
-    """Samples on a periodic grid: ``data`` has the grid axes first and the
-    kind's component axes after them.
+    """Samples on a periodic grid: ``data`` is indexed with the grid axes
+    first and the kind's component axes after them, whatever its memory order.
 
     The stored samples are periodic; a kind whose lift has a linear part
     keeps it in extra parts (see ``_extras``) that arithmetic combines and
@@ -285,7 +300,9 @@ class ImmersionField(Field):
 
     The lift is ``values = linear + periodic`` with linear part
     x -> offsets^T x; ``offsets`` has shape (dim, N) and is zero for
-    genuinely periodic maps. Only the periodic part is stored, as ``data``.
+    genuinely periodic maps. Only the periodic part is stored, as ``data``,
+    over an (N,) + grid buffer: each ``data[..., a]`` is one contiguous node
+    array, and so is each [..., i, a] of the derivative cache.
     """
 
     kind = "immersion"
@@ -301,6 +318,8 @@ class ImmersionField(Field):
         _check_finite(offsets, "immersion offsets")
         if not _periodic:
             self.data = self.data - self._linear_part(grid, offsets)
+        # component-major; copied only if it is not so already
+        self.data = _roll_axes(np.ascontiguousarray(_roll_axes(self.data, 1)), -1)
         self.offsets = offsets
         self._first = None
 
@@ -344,12 +363,13 @@ class ImmersionField(Field):
         return self.data + self._linear_part(self.grid, self.offsets)
 
     def derivatives(self) -> np.ndarray:
-        """First derivatives, shape grid.shape + (dim, N).
+        """First derivatives, shape grid.shape + (dim, N), over a (dim, N) +
+        grid buffer.
 
         Cached (fields are treated as immutable); returned read-only.
         """
         if self._first is None:
-            der = spectral_gradient(self.data, self.grid)
+            der = _roll_axes(_gradient_last(_roll_axes(self.data, 1), self.grid), -2)
             der += self.offsets
             der.flags.writeable = False
             self._first = der
@@ -359,7 +379,7 @@ class ImmersionField(Field):
         """Second derivatives, shape grid.shape + (dim, dim, N): entry
         [..., i, j, :] is d_i d_j w, the cached first derivatives
         differentiated once more."""
-        return spectral_gradient(self.derivatives(), self.grid)
+        return _roll_axes(_gradient_last(_roll_axes(self.derivatives(), 2), self.grid), -3)
 
     def require_immersion(self):
         """Refuse a map whose pullback metric has an eigenvalue <= RANK_TOL."""

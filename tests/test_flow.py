@@ -127,7 +127,7 @@ class TestFlowRhs:
         while state.t < 10.55:
             rates = rhs(state, h)
             state.record(state.t, rates.E)
-            _advance(state, STEP, spectrum(h.data), rates.W)
+            _advance(state, spectrum(h.data), rates.W)
         t_mid = state.t - STEP / 2  # strictly inside the last sample gap
         exact = nodes(read(state, t_mid, spectrum(h.data)).H, grid)
 
@@ -229,7 +229,7 @@ class TestFlowRhs:
             rates = flow._rhs(state, state.P, now)
             state.record(state.t, rates.E)
             flow._record(state, rates, P0, pull, np.full(grid.shape + (1,), 0.02))
-            now_next = _advance(state, STEP, h, rates.W)
+            now_next = _advance(state, h, rates.W)
             assert 0 < len(calls) <= 14
             assert len(stages) == 4
             assert np.array_equal(stages[1].hdot, stages[2].hdot)
@@ -278,7 +278,7 @@ class TestFlowRhs:
             rates = _rhs(state, state.P, now)
             state.record(state.t, rates.E)
             stored = state.count
-            now = _advance(state, STEP, h, rates.W)
+            now = _advance(state, h, rates.W)
         if steps == 30:  # the last step retired samples behind the window
             assert state.count < stored
         state.record(state.t, _rhs(state, state.P, now).E)
@@ -310,7 +310,7 @@ class TestFlowRhs:
         for _ in range(30):  # past the window, so samples are retired
             rates = _rhs(state, state.P, now)
             state.record(state.t, rates.E)
-            now = _advance(state, STEP, h, rates.W)
+            now = _advance(state, h, rates.W)
             fresh = read(state, state.t, h)
             assert now.t == fresh.t and np.array_equal(now.jet, fresh.jet)
             assert np.max(np.abs(now.H - fresh.H)) <= 1e-15 * np.max(np.abs(fresh.H))

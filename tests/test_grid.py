@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import corrugate.grid as grid_module
+from corrugate.corrugation import spiral_perturbation
+from corrugate.decompose import PrimitiveMetric
 from corrugate.errors import AliasingError, CapabilityError, InputError
 from corrugate.fieldio import read_field_block, write_field_block
+from corrugate.frame import normal_pair
 from corrugate.grid import (
     ImmersionField,
     MetricField,
@@ -16,6 +19,7 @@ from corrugate.grid import (
     is_short,
     pullback_metric,
     resample,
+    spectral_gradient,
     sup_norm,
 )
 
@@ -257,6 +261,69 @@ class TestResample:
         w = flat_strip_map(grid)
         up = resample(w, PeriodicGrid((64, 64)))
         assert np.allclose(pullback_metric(up).matrices(), np.eye(2), atol=1e-12)
+
+
+def wobbled_torus_map():
+    """The Clifford torus in R^4 on a non-square grid, each component moved by
+    its own smooth wobble; periodic, offsets zero."""
+    grid = PeriodicGrid((32, 48))
+    x, y = grid.meshes()
+    wobble = np.stack([np.sin(x + a * y) * np.cos(a * x) for a in range(4)], axis=-1)
+    return ImmersionField(grid, clifford_map(grid).values + 0.05 * wobble)
+
+
+def sloped_circle_map():
+    """(x + 0.2 sin x, 0.5 x + 0.3 cos x, 0.1 sin 2x) in R^3: two nonzero offsets."""
+    grid = PeriodicGrid((64,))
+    (x,) = grid.meshes()
+    vals = np.stack([x + 0.2 * np.sin(x), 0.5 * x + 0.3 * np.cos(x), 0.1 * np.sin(2 * x)], -1)
+    return ImmersionField(grid, vals, np.array([[1.0, 0.5, 0.0]]))
+
+
+def component_major(data) -> bool:
+    """Each component of grid-first ``data`` is one contiguous node array."""
+    return all(data[..., a].flags.c_contiguous for a in range(data.shape[-1]))
+
+
+@pytest.mark.parametrize("make_map", [wobbled_torus_map, sloped_circle_map],
+                         ids=["torus", "circle-with-offsets"])
+class TestComponentMajorLayout:
+    """An immersion's nodes are stored one component at a time, while its
+    arrays are indexed grid axes first."""
+
+    def test_derivatives_equal_the_spectral_gradient_bit_for_bit(self, make_map):
+        w = make_map()
+        first = spectral_gradient(w.data, w.grid) + w.offsets
+        assert w.derivatives().shape == w.grid.shape + w.offsets.shape
+        assert np.array_equal(w.derivatives(), first)
+        assert np.array_equal(w.second_derivatives(), spectral_gradient(first, w.grid))
+
+    def test_each_component_is_one_contiguous_node_array(self, make_map):
+        w = make_map()
+        assert component_major(w.data)
+        dw = w.derivatives()
+        assert all(component_major(dw[..., i, :]) for i in range(w.grid.dim))
+        hess = w.second_derivatives()
+        assert all(component_major(hess[..., i, j, :])
+                   for i in range(w.grid.dim) for j in range(w.grid.dim))
+
+    def test_derivative_cache_stays_read_only(self, make_map):
+        w = make_map()
+        dw = w.derivatives()
+        assert w.derivatives() is dw
+        assert not dw.flags.writeable
+        with pytest.raises(ValueError):
+            dw[..., 0, 0] = 0.0
+
+    def test_arithmetic_spirals_and_resampling_keep_the_layout(self, make_map):
+        w = make_map()
+        grid = w.grid
+        prim = PrimitiveMetric(ScalarField.constant(grid, 0.1), np.eye(grid.dim)[0])
+        wp = spiral_perturbation(w, prim, normal_pair(w), 4.0)
+        fine = PeriodicGrid(tuple(2 * r for r in grid.shape))
+        for field in (wp, w + wp, w - wp, 0.5 * w, resample(w, fine), resample(w + wp, fine)):
+            assert component_major(field.data)
+            assert all(component_major(field.derivatives()[..., i, :]) for i in range(grid.dim))
 
 
 class TestNormInequalities:

@@ -695,7 +695,7 @@ def test_spectral_step_matches_the_node_space_reference(case):
     for _ in range(steps):
         rates = _rhs(state, state.P, now)
         state.record(state.t, rates.E)
-        now = _advance(state, STEP, h_spec, rates.W)
+        now = _advance(state, h_spec, rates.W)
     state.tail = np.fft.rfft(1e-3 * h.data[::-1], axis=0)  # a retired part, too
     now = _read_times(state, (state.t,), h_spec)[0]
     t, w = state.t, ImmersionField.from_periodic(grid, nodes(state.P))
@@ -706,7 +706,7 @@ def test_spectral_step_matches_the_node_space_reference(case):
     rates = _rhs(state, state.P, now)
     state.record(t, rates.E)
     sample = _record(state, rates, np.fft.rfft(w0.data, axis=0), pullback_metric(w0).data, h.data)
-    _advance(state, STEP, h_spec, rates.W)
+    _advance(state, h_spec, rates.W)
 
     ks, stage_w = [], w
     for dt_in, dt_out in ((0.0, 0.5), (0.5, 0.5), (0.5, 1.0), (1.0, None)):
