@@ -2,7 +2,8 @@
 
 Subcommands: pullback, decompose, frame, stage, run, flow, smooth-bench,
 free-check. Exit codes: 0 success, 2 validation error, 3 numerical
-nonconvergence, 4 capability error.
+nonconvergence, 4 capability error. A run builds the parser of its own
+command only; help, usage errors and config files read the full parser.
 """
 
 from __future__ import annotations
@@ -48,65 +49,33 @@ class RunConfig:
         return cls(command=data["command"], params=dict(data.get("params", {})))
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+def _build_parser(command: str | None = None) -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser with the subparser of ``command`` only, or of every
+    subcommand when None; returns it and its subparsers by name."""
     parser = argparse.ArgumentParser(
         prog="corrugate",
         description="corrugation stages and the regularized isometry flow "
                     "on periodic charts")
     parser.add_argument("--config", help="JSON config file replacing CLI flags")
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("pullback", help="induced metric of an immersion")
-    p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("decompose", help="split an SPD tensor field into primitives")
-    p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--bumps", type=int, default=1)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("frame", help="orthonormal normal pair along a codimension-2 immersion")
-    p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("stage", help="one corrugation stage")
-    p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--metric", required=True)
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--out-prefix", required=True)
-
-    p = sub.add_parser("run", help="iterated stages toward an isometry")
-    p.add_argument("--stages", type=int, default=4)
-    p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--resolution", type=int, default=64)
-    p.add_argument("--target-scale", type=float, default=1.5,
-                   help="target metric is scale^2 * identity")
-    p.add_argument("--manifold", choices=("torus", "circle"), default="torus")
-    p.add_argument("--out-prefix", required=True)
-
-    p = sub.add_parser("flow", help="regularized isometry flow on the circle")
-    p.add_argument("--t0", type=float, default=10.0)
-    p.add_argument("--alpha", type=float, default=None,
-                   help="constant metric increment alpha * dx^2")
-    p.add_argument("--h-file", default=None,
-                   help="metric CSV with the target increment")
-    p.add_argument("--tend", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--resolution", type=int, default=256)
-    p.add_argument("--smallness", type=float, default=0.05)
-    p.add_argument("--out-prefix", required=True)
-
-    p = sub.add_parser("smooth-bench", help="smoothing estimate constants")
-    p.add_argument("--resolution", type=int, default=256)
-    p.add_argument("--pairs", default="2,0;3,1;0,2")
-    p.add_argument("--eps", default=None,
-                   help="comma-separated scales (default 2^-1..2^-6)")
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("free-check", help="free-map verification")
-    p.add_argument("--in", dest="in_path", required=True)
+    for name, (help_text, options, _) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
     return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> tuple[argparse.Namespace, dict]:
+    """Parse ``argv`` with the parser of the subcommand its first word names
+    (every subcommand's if none), since building unused subparsers costs
+    more than the parse; leftover words are reported by the full parser."""
+    parser, commands = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    ns, extra = parser.parse_known_args(argv)
+    if extra:
+        parser, commands = _build_parser()
+        ns = parser.parse_args(argv)
+    return ns, commands
 
 
 def _config_argv(commands: dict, config: RunConfig) -> list[str]:
@@ -135,13 +104,12 @@ def parse_config(argv=None) -> RunConfig:
     ranges are checked where the values are used: a grid's resolution and
     node count by the grid, a stage count by its schedule.
     """
-    parser, commands = _build_parser()
-    ns = parser.parse_args(argv)
+    ns, commands = _parse(sys.argv[1:] if argv is None else list(argv))
     given = {}
     if ns.config is not None:
         with open(ns.config) as fh:
             config = RunConfig.from_json(fh.read())
-        ns = parser.parse_args(_config_argv(commands, config))
+        ns, _ = _parse(_config_argv(commands, config))
         given = config.params
     if ns.command is None:
         raise InputError("a subcommand is required (see --help)")
@@ -322,22 +290,53 @@ def _cmd_free_check(p):
     return 0
 
 
-_DISPATCH = {
-    "pullback": _cmd_pullback,
-    "decompose": _cmd_decompose,
-    "frame": _cmd_frame,
-    "stage": _cmd_stage,
-    "run": _cmd_run,
-    "flow": _cmd_flow,
-    "smooth-bench": _cmd_smooth_bench,
-    "free-check": _cmd_free_check,
+#: subcommand -> its help, its options as (flag, add_argument keywords), its handler
+_IN, _REQUIRED = {"dest": "in_path", "required": True}, {"required": True}
+_COMMANDS = {
+    "pullback": ("induced metric of an immersion",
+                 [("--in", _IN), ("--out", _REQUIRED)], _cmd_pullback),
+    "decompose": ("split an SPD tensor field into primitives",
+                  [("--in", _IN), ("--bumps", {"type": int, "default": 1}),
+                   ("--out", _REQUIRED)], _cmd_decompose),
+    "frame": ("orthonormal normal pair along a codimension-2 immersion",
+              [("--in", _IN), ("--out", _REQUIRED)], _cmd_frame),
+    "stage": ("one corrugation stage",
+              [("--in", _IN), ("--metric", _REQUIRED),
+               ("--eta", {"type": float, "required": True}),
+               ("--delta", {"type": float, "required": True}),
+               ("--out-prefix", _REQUIRED)], _cmd_stage),
+    "run": ("iterated stages toward an isometry",
+            [("--stages", {"type": int, "default": 4}),
+             ("--epsilon", {"type": float, "default": 0.5}),
+             ("--resolution", {"type": int, "default": 64}),
+             ("--target-scale", {"type": float, "default": 1.5,
+                                 "help": "target metric is scale^2 * identity"}),
+             ("--manifold", {"choices": ("torus", "circle"), "default": "torus"}),
+             ("--out-prefix", _REQUIRED)], _cmd_run),
+    "flow": ("regularized isometry flow on the circle",
+             [("--t0", {"type": float, "default": 10.0}),
+              ("--alpha", {"type": float, "default": None,
+                           "help": "constant metric increment alpha * dx^2"}),
+              ("--h-file", {"default": None, "help": "metric CSV with the target increment"}),
+              ("--tend", {"type": float, "default": None}),
+              ("--tol", {"type": float, "default": 1e-3}),
+              ("--resolution", {"type": int, "default": 256}),
+              ("--smallness", {"type": float, "default": 0.05}),
+              ("--out-prefix", _REQUIRED)], _cmd_flow),
+    "smooth-bench": ("smoothing estimate constants",
+                     [("--resolution", {"type": int, "default": 256}),
+                      ("--pairs", {"default": "2,0;3,1;0,2"}),
+                      ("--eps", {"default": None,
+                                 "help": "comma-separated scales (default 2^-1..2^-6)"}),
+                      ("--out", _REQUIRED)], _cmd_smooth_bench),
+    "free-check": ("free-map verification", [("--in", _IN)], _cmd_free_check),
 }
 
 
 def main(argv=None) -> int:
     try:
         config = parse_config(argv)
-        return _DISPATCH[config.command](config.params)
+        return _COMMANDS[config.command][2](config.params)
     except CorrugateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

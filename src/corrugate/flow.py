@@ -44,11 +44,14 @@ the whole point of the regularization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
+from . import grid as grid_module
+from .corrugation import TRIAL_PEAK_DOUBLES, _trial_memory
 from .errors import (
     CapabilityError,
     CorrugateError,
@@ -78,6 +81,11 @@ GROWTH_FLAG_FACTOR = 10.0
 
 #: step size of the classical 4th-order integrator
 STEP = 0.05
+
+#: bytes a step holds until the run's report is written: its schedule entries
+#: (24), its FlowSample (345-356) and its CSV row (143-144), a traced peak of
+#: 520-533 over 2e4-2e5 steps (tracemalloc, CPython 3.11)
+STEP_BYTES = 544
 
 
 def psi_ramp(s) -> np.ndarray | float:
@@ -113,6 +121,17 @@ class FlowConfig:
         if self.resolved_end + STEP == self.resolved_end:
             raise InputError(f"t_end {self.resolved_end!r} is too large for steps of "
                              f"{STEP}: t_end + {STEP} == t_end")
+        # _schedule's step count, refused before any schedule exists; the cap is the
+        # steps that fit the memory the grid cap (read at call time) stands for
+        steps = math.ceil((self.resolved_end - 1e-9 - self.t0) / STEP)
+        cap = grid_module.MAX_NODES * TRIAL_PEAK_DOUBLES * 8 // STEP_BYTES
+        if steps > cap:
+            raise InputError(
+                f"t_end {self.resolved_end!r} takes {steps} steps of {STEP} from t0 "
+                f"{self.t0!r}, beyond the cap of {cap} steps: their schedule and record "
+                f"would take {steps * STEP_BYTES / 2**20:,.1f} MiB at {STEP_BYTES} bytes a "
+                f"step, and the cap is the memory of the desk-scale grid of "
+                f"{grid_module.MAX_NODES} nodes, {_trial_memory(grid_module.MAX_NODES)}")
         if not self.tol > 0:
             raise InputError(f"tol must be positive, got {self.tol!r}")
         if not self.smallness > 0:

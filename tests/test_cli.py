@@ -113,6 +113,52 @@ class TestParseConfig:
         assert capsys.readouterr().err
 
 
+COMMANDS = sorted(_build_parser()[1])
+
+
+class TestOneCommandParser:
+    """A run parses with its own command's parser; what it reports, and the
+    config it makes, are the full parser's."""
+
+    def test_help_lists_every_subcommand(self, capsys):
+        assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert len(COMMANDS) == 8
+        assert "{" + ",".join(_build_parser()[1]) + "}" in out
+        for command in COMMANDS:
+            assert f"    {command} " in out
+
+    def test_unknown_command_names_every_choice(self, capsys):
+        assert main(["warp"]) == 2
+        err = capsys.readouterr().err
+        assert "argument command: invalid choice: 'warp' (choose from " in err
+        for command in COMMANDS:
+            assert f"'{command}'" in err
+
+    def test_unknown_flag_reported_by_the_full_parser(self, capsys):
+        argv = ["run", "--out-prefix", "x", "--bogus", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            _build_parser()[0].parse_args(argv)
+        assert exit_info.value.code == 2
+        assert err == capsys.readouterr().err
+        assert err.endswith("corrugate: error: unrecognized arguments: --bogus 1\n")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_flag_parses_as_the_full_parser_does(self, command):
+        argv = [command]
+        for action in _build_parser()[1][command]._actions:
+            if action.option_strings and action.dest != "help":
+                argv += [action.option_strings[0],
+                         action.choices[-1] if action.choices else "3"]
+        ns = vars(_build_parser()[0].parse_args(argv))
+        cfg = parse_config(argv)
+        assert cfg.command == ns.pop("command") == command
+        assert ns.pop("config") is None
+        assert cfg.params == ns and len(ns) == len(argv) // 2
+
+
 class TestObjExport:
     def test_clifford_vertices(self, tmp_path):
         grid = PeriodicGrid((16, 16))

@@ -1,6 +1,10 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import corrugate.grid as grid_module
 from corrugate.errors import (
     CapabilityError,
     CorrugateError,
@@ -10,13 +14,16 @@ from corrugate.errors import (
 )
 from corrugate.flow import (
     STEP,
+    STEP_BYTES,
     TABLE_STEPS,
     FlowConfig,
+    FlowDiagnostics,
     FlowSample,
     FlowState,
     _advance,
     _read_times,
     _rhs,
+    _schedule,
     _spectral_multipliers,
     _window_quadratures,
     psi_ramp,
@@ -472,6 +479,39 @@ class TestRunFlow:
     def test_non_finite_or_nonpositive_config_refused(self, field, value):
         with pytest.raises(InputError, match=f"^{field} "):
             FlowConfig(**{field: value})
+
+    def test_steps_past_the_cap_refused_before_any_schedule(self, monkeypatch):
+        monkeypatch.setattr(grid_module, "MAX_NODES", 2**10)
+        cap = 2**10 * 40 * 8 // STEP_BYTES
+        for t0 in (10.0, 12.3, 1e6):
+            # the count at the cap is accepted, and it is the schedule's count
+            assert len(_schedule(t0, FlowConfig(t0, t0 + cap * STEP).t_end)[1]) == cap
+            start = time.perf_counter()
+            with pytest.raises(InputError, match=(
+                    f"^t_end .* takes {cap + 1} steps of {STEP} from t0 .*, beyond the cap "
+                    f"of {cap} steps: .* would take 0.3 MiB at {STEP_BYTES} bytes a step, "
+                    f".* grid of 1024 nodes, about 0 MiB at 40 doubles per node$")):
+                FlowConfig(t0, t0 + (cap + 1) * STEP)
+            assert time.perf_counter() - start < 0.1
+        monkeypatch.undo()
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="takes 19999999800 steps .* 10,375,976.5 MiB"):
+            FlowConfig(t_end=1e9)
+        assert time.perf_counter() - start < 0.1
+
+    def test_step_bytes_hold_a_steps_schedule_and_record(self):
+        steps = 20000
+        tracemalloc.start()
+        try:
+            schedule = _schedule(10.0, 10.0 + steps * STEP)
+            diag = FlowDiagnostics([FlowSample(*(k + j / 16 for j in range(9)))
+                                    for k in range(steps)])
+            rows = diag.csv_rows()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(schedule[1]) == len(rows) - 1 == steps
+        assert peak <= STEP_BYTES * steps
 
 
 class TestDiagnosticsTable:
