@@ -231,11 +231,18 @@ def _cell(value) -> str:
 
 
 def write_table(header, rows, path):
-    """Plain CSV: one header line then the data rows (cells as ``_cell``)."""
+    """Plain CSV: one header line then the data rows. A row of numbers goes
+    through one %-template, as ``_write_rows`` writes a field block; a row
+    that holds text or a list is written cell by cell (``_cell``), the same
+    bytes either way."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+            try:
+                line = _row_format(len(row)) % tuple(row)
+            except TypeError:
+                line = ",".join(map(_cell, row))
+            fh.write(line + "\n")
 
 
 def read_table(path) -> tuple[list[str], list[list[str]]]:

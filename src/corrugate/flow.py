@@ -23,10 +23,12 @@ time vector and one sample array sized to the window, not to the run.
 The steps run on rfft spectra, with fields only where a run starts and
 returns: the map, the E history (each E transformed once, when recorded)
 and the target are spectra, which the RK4 stages and the quadratures
-combine. A right-hand side takes three FFT calls: one batched inverse of
-the map's jet and of hdot, one spectrum of the solved wdot and the inverse
-of its derivative; the map's linear slope rides the first as a zero mode.
-The velocity's solve gates freeness and the pivot floor itself; on a
+combine. A right-hand side runs on component rows, each component's nodes
+one contiguous row, in three FFT calls: one batched inverse gives the rows
+of the map's jet and of hdot, the map's linear slope riding it as a zero
+mode; ``leastnorm``'s solve and audit read those rows and write wdot as
+rows; the spectrum of wdot and the inverse of its derivative run along
+them. The velocity's solve gates freeness and the pivot floor itself; on a
 curve one Gram determinant serves both and the solve. Every derivative
 multiplies by ``grid.derivative_multipliers``, the one
 ik-with-Nyquist-zeroed rule the fields differentiate by.
@@ -295,35 +297,59 @@ def _block_tables(state: FlowState) -> dict[int, tuple]:
 
 
 def _smoothed_jet(n: int, jet: np.ndarray, P: np.ndarray, H: np.ndarray,
-                  offsets: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The stack (d S_{1/t} w, d^2 S_{1/t} w), dw and hdot on n nodes, from
-    S_{1/t}'s jet multipliers, the spectra of a circle map's periodic samples
-    ``P`` and of hdot ``H`` by one batched irfft. The map's ``offsets``, its
-    linear slope, enter both first-derivative blocks as their zero mode. The
-    results are views with each component's node vector contiguous, so that
-    the nodewise arithmetic after them runs along whole node vectors."""
+                  offsets: np.ndarray) -> np.ndarray:
+    """The rows of d S_{1/t} w, d^2 S_{1/t} w, dw and hdot on n nodes, N
+    rows each for the map's and k for hdot, as one C-contiguous (3N + k, n)
+    array: the batched irfft's own output, from S_{1/t}'s jet multipliers
+    and the spectra of a circle map's periodic samples ``P`` and of hdot
+    ``H``. The map's ``offsets``, its linear slope, enter both
+    first-derivative blocks as their zero mode. Each component's node
+    vector is one contiguous row, so that the nodewise arithmetic after it
+    runs along whole node vectors."""
     N = P.shape[1]
     spec = np.empty((3 * N + H.shape[1], len(P)), complex)
-    np.multiply(jet.transpose(1, 2, 0), P.T, out=spec[:3 * N].reshape(3, N, -1))
+    blocks = spec[:3 * N].reshape(3, N, -1)
+    np.multiply(jet.transpose(1, 2, 0), P.T, out=blocks)
+    blocks[::2, :, 0] = n * offsets[0]
     spec[3 * N:] = H.T
-    spec[:N, 0] = spec[2 * N:3 * N, 0] = n * offsets[0]
-    nodes = np.fft.irfft(spec, n=n).T
-    return nodes[:, :2 * N].reshape(n, 2, N), nodes[:, None, 2 * N:3 * N], nodes[:, 3 * N:]
+    return np.fft.irfft(spec, n=n)
 
 
 class _Rates(NamedTuple):
-    """One right-hand side on the circle's nodes: arrays of shape (n, N)
-    for maps, (n, 1, N) for their first derivatives and (n, 1) for
-    metrics, and the rfft spectra ``W`` of wdot and ``H`` of hdot."""
+    """One right-hand side on the circle's nodes, kept as the component rows
+    it was solved on: ``rows`` as _smoothed_jet returns them, ``velocity``
+    and ``slope``, the (N, n) rows of wdot and d wdot, and the rfft spectra
+    ``W`` of wdot and ``H`` of hdot. The properties are transposed views of
+    the rows: (n, N) for maps, (n, 1, N) for their first derivatives and
+    (n, 1) for metrics."""
 
-    wdot: np.ndarray
+    rows: np.ndarray
+    velocity: np.ndarray
+    slope: np.ndarray
     W: np.ndarray
-    dwdot: np.ndarray
-    hdot: np.ndarray
     H: np.ndarray
-    d_smooth: np.ndarray
-    dw: np.ndarray
     identity_resid: float
+
+    @property
+    def wdot(self) -> np.ndarray:
+        return self.velocity.T
+
+    @property
+    def dwdot(self) -> np.ndarray:
+        return self.slope.T[:, None]
+
+    @property
+    def hdot(self) -> np.ndarray:
+        return self.rows[3 * len(self.velocity):].T
+
+    @property
+    def d_smooth(self) -> np.ndarray:
+        return self.rows[:len(self.velocity)].T[:, None]
+
+    @property
+    def dw(self) -> np.ndarray:
+        N = len(self.velocity)
+        return self.rows[2 * N:3 * N].T[:, None]
 
     @property
     def E(self) -> np.ndarray:
@@ -333,18 +359,19 @@ class _Rates(NamedTuple):
 
 def _rhs(state: FlowState, P: np.ndarray, now: _TimeReading) -> _Rates:
     """The right-hand side at (t, w) from the spectrum ``P`` of w and the
-    reading of t: three FFT calls, and one solve that gates freeness and the
-    pivot floor."""
-    n = state.grid.shape[0]
-    stack, dw, hdot = _smoothed_jet(n, now.jet, P, now.H, state.offsets)
+    reading of t, on component rows: three FFT calls, and one solve that
+    gates freeness and the pivot floor."""
+    n, N = state.grid.shape[0], P.shape[1]
+    rows = _smoothed_jet(n, now.jet, P, now.H, state.offsets)
+    stack, hdot = rows[:2 * N].reshape(2, N, n), rows[3 * N:]
     try:
         wdot = _min_norm_velocity(stack, hdot)
     except NonconvergenceError as exc:
         raise NonconvergenceError(f"flow abort at t={now.t:.3f}: {exc}") from None
-    W = np.fft.rfft(wdot, axis=0)
-    dwdot = np.fft.irfft(now.jet[:, 2] * W, n=n, axis=0)[:, None]
-    worst = _identity_residual(stack[:, :1], dwdot, hdot)
-    return _Rates(wdot, W, dwdot, hdot, now.H, stack[:, :1], dw, worst)
+    W = np.fft.rfft(wdot)
+    dwdot = np.fft.irfft(now.jet[:, 2].T * W, n=n)
+    worst = _identity_residual(stack[:1], dwdot[None], hdot)
+    return _Rates(rows, wdot, dwdot, W.T, now.H, worst)
 
 
 def _advance(state: FlowState, h: np.ndarray, k1: np.ndarray) -> _TimeReading:

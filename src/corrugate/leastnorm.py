@@ -7,8 +7,12 @@ derivatives (orthogonality equations) over the doubled second derivatives
 (metric-rate equations) of a free map turns the linearized isometry system
 into independent pointwise solves of exactly this shape.
 
-On a curve the flow's velocity reads one determinant of the 2x2 Gram for
-the freeness gate, the pivot floor and the solve alike.
+The velocity's solve and its audit take component-major arrays, as the
+derivative cache and the flow's batched inverse lay them out: a derivative
+stack (rows, N) + nodes, metric rates (k,) + nodes, and the velocity
+(N,) + nodes, each component one node array. On a curve the velocity reads
+one determinant of the 2x2 Gram for the freeness gate, the pivot floor and
+the solve alike, summed across the component rows.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError, InputError, NonconvergenceError, SingularityError
-from .grid import ImmersionField, triangular_index_pairs
+from .grid import ImmersionField, _roll_axes, triangular_index_pairs
 
 #: relative pivot floor for the SPD factorization of A A^T
 PIVOT_FLOOR = 1e-12
@@ -60,7 +64,7 @@ def _spd_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """
     if gram.shape[-1] == 2:
         p, q, r = gram[..., 0, 0], gram[..., 0, 1], gram[..., 1, 1]
-        return np.stack(_solve_2x2(p, q, r, p * r - q * q, rhs), axis=-1)
+        return np.stack(_solve_2x2(p, q, r, p * r - q * q, _roll_axes(rhs, 1)), axis=-1)
     eigs, vecs = np.linalg.eigh(gram)
     _check_pivot(eigs[..., 0], eigs[..., -1])
     coef = np.einsum("...ji,...j->...i", vecs[..., -rhs.shape[-1]:, :], rhs) / eigs
@@ -70,15 +74,16 @@ def _spd_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _solve_2x2(p: np.ndarray, q: np.ndarray, r: np.ndarray, det: np.ndarray,
                rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_spd_solve`` of [[p, q], [q, r]], its determinant ``det`` given, by
-    Cramer's rule, the solution as a pair. The pivot: the large eigenvalue
-    is high = (p + r)/2 + sqrt(((p - r)/2)^2 + q^2), the small one
-    low = det/high, which avoids the cancellation in (p + r)/2 - sqrt(...)."""
+    Cramer's rule, the solution as a pair; ``rhs`` holds the right-hand
+    side's trailing rows (one or two) on a first axis. The pivot: the large
+    eigenvalue is high = (p + r)/2 + sqrt(((p - r)/2)^2 + q^2), the small
+    one low = det/high, which avoids the cancellation in (p + r)/2 - sqrt(...)."""
     high = 0.5 * (p + r) + np.hypot(0.5 * (p - r), q)
     with np.errstate(divide="ignore", invalid="ignore"):
         _check_pivot(det / high, high)
-    x0, x1 = -q * rhs[..., -1], p * rhs[..., -1]
-    if rhs.shape[-1] == 2:
-        x0, x1 = x0 + r * rhs[..., 0], x1 - q * rhs[..., 0]
+    x0, x1 = -q * rhs[-1], p * rhs[-1]
+    if len(rhs) == 2:
+        x0, x1 = x0 + r * rhs[0], x1 - q * rhs[0]
     return x0 / det, x1 / det
 
 
@@ -97,6 +102,12 @@ def _row_products(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return sum(A[..., :, None, a] * B[..., None, :, a] for a in range(A.shape[-1]))
 
 
+def _component_products(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Nodewise A B^T of component-major stacks, (i, N) + nodes and
+    (j, N) + nodes to (i, j) + nodes, summed across the component rows."""
+    return np.add.reduce(A[:, None] * B, 2)
+
+
 def least_norm_solve(system: LinearSystem) -> np.ndarray:
     """omega = A^T (A A^T)^{-1} v: each A omega = v solved with minimal norm."""
     A, v = system.A, system.v
@@ -111,12 +122,11 @@ class FreeMapReport(NamedTuple):
 
 
 def _derivative_stack(w: ImmersionField) -> np.ndarray:
-    """First plus upper-triangular second derivatives, shape grid + (m, N)."""
-    first = w.derivatives()
-    second = w.second_derivatives()
-    rows = [first[..., a, :] for a in range(w.grid.dim)]
-    rows += [second[..., i, j, :] for i, j in triangular_index_pairs(w.grid.dim)]
-    return np.stack(rows, axis=-2)
+    """First plus upper-triangular second derivatives, component-major:
+    shape (m, N) + grid, from the component-major derivative cache."""
+    upper = tuple(zip(*triangular_index_pairs(w.grid.dim)))
+    second = _roll_axes(w.second_derivatives(), 3)[upper]
+    return np.concatenate([_roll_axes(w.derivatives(), 2), second])
 
 
 def _freeness(gram: np.ndarray) -> FreeMapReport:
@@ -141,7 +151,7 @@ def is_free(w: ImmersionField) -> FreeMapReport:
     if w.ambient_dim < n * (n + 3) // 2:
         return FreeMapReport(False, 0.0, "dimension count")
     stack = _derivative_stack(w)
-    return _freeness(_row_products(stack, stack))
+    return _freeness(_roll_axes(_component_products(stack, stack), -2))
 
 
 def _check_free(det: np.ndarray):
@@ -154,38 +164,41 @@ def _check_free(det: np.ndarray):
 
 def _min_norm_velocity(stack: np.ndarray, hdot: np.ndarray) -> np.ndarray:
     """Nodewise minimum-norm wdot with {d_j w . wdot = 0; -2 d_ij w . wdot =
-    hdot_ij for i <= j} from the derivative stack of w, its k metric rows
-    last. Like ``_freeness`` then ``_spd_solve`` of A A^T = S G S (G the
-    stack's Gram, S the -2 on the metric rows), it refuses lost freeness
-    (NonconvergenceError), then a pivot below the floor (SingularityError).
-    On a curve G = [[p, q], [q, r]] is summed on node vectors and its one
-    determinant serves all three: S G S = [[p, -2q], [-2q, 4r]] and
-    det(S G S) = 4 det G, exactly. A larger G is gated by its LU
-    determinant, as ``is_free`` reads it, before the solve's eigh."""
-    k = hdot.shape[-1]
-    if stack.shape[-2] == 2:
-        first, second = stack[..., 0, :], stack[..., 1, :]
-        p, q, r = (first * first).sum(-1), (first * second).sum(-1), (second * second).sum(-1)
+    hdot_ij for i <= j}, component-major: the derivative stack of w
+    (rows, N) + nodes, its k metric rows last, and the rates ``hdot``
+    (k,) + nodes give wdot (N,) + nodes. Like ``_freeness`` then
+    ``_spd_solve`` of A A^T = S G S (G the stack's Gram, S the -2 on the
+    metric rows), it refuses lost freeness (NonconvergenceError), then a
+    pivot below the floor (SingularityError). On a curve G = [[p, q], [q, r]]
+    is summed across the component rows, and its one determinant serves all
+    three: S G S = [[p, -2q], [-2q, 4r]] and det(S G S) = 4 det G, exactly;
+    wdot comes out as contiguous component rows. A larger G is gated by its
+    LU determinant, as ``is_free`` reads it, before the solve's eigh."""
+    gram = _component_products(stack, stack)
+    if len(stack) == 2:
+        p, q, r = gram[0, 0], gram[0, 1], gram[1, 1]
         det = p * r - q * q
         _check_free(det)
         x0, x1 = _solve_2x2(p, -2.0 * q, 4.0 * r, 4.0 * det, hdot)
-        return x0[..., None] * first - (2.0 * x1)[..., None] * second
-    gram = _row_products(stack, stack)
+        return x0 * stack[0] - (2.0 * x1) * stack[1]
+    gram, k = _roll_axes(gram, -2), len(hdot)
     _check_free(np.linalg.det(gram))
-    scale = np.repeat([1.0, -2.0], [stack.shape[-2] - k, k])
-    x = _spd_solve(gram * np.multiply.outer(scale, scale), hdot) * scale
-    return np.einsum("...ia,...i->...a", stack, x)
+    scale = np.repeat([1.0, -2.0], [len(stack) - k, k])
+    x = _spd_solve(gram * np.multiply.outer(scale, scale), _roll_axes(hdot, -1)) * scale
+    return np.einsum("ia...,i...->a...", stack, _roll_axes(x, 1))
 
 
 def _identity_residual(first: np.ndarray, dwdot: np.ndarray, hdot: np.ndarray) -> float:
     """The largest residual of 2 sym(dw^T dwdot) = hdot, verified at
-    LINEARIZATION_TOL (NaN fails it); first derivatives are (..., d, N), and
-    each metric row (i, j), i <= j, is summed on node vectors."""
-    d = first.shape[-2]
-    cross = [[(first[..., i, :] * dwdot[..., j, :]).sum(-1) for j in range(d)] for i in range(d)]
-    resid = [cross[i][j] + cross[j][i] - hdot[..., k]
-             for k, (i, j) in enumerate(triangular_index_pairs(d))]
-    worst = float(np.max(np.abs(resid)))
+    LINEARIZATION_TOL (NaN fails it), component-major: first derivatives of
+    w and of wdot (d, N) + nodes and rates (k,) + nodes; each metric row
+    (i, j), i <= j, is summed across the component rows."""
+    resid = np.empty(hdot.shape)
+    for k, (i, j) in enumerate(triangular_index_pairs(len(first))):
+        ij = np.add.reduce(first[i] * dwdot[j], 0)
+        ji = ij if i == j else np.add.reduce(first[j] * dwdot[i], 0)
+        np.subtract(ij + ji, hdot[k], out=resid[k])
+    worst = float(np.abs(resid).max())
     if not worst <= LINEARIZATION_TOL:
         raise ConsistencyError(
             f"linearization identity residual {worst:.3e} exceeds {LINEARIZATION_TOL:.1e}; "

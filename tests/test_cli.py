@@ -712,6 +712,30 @@ class TestWriterBytes:
             row[0] + "," + self._old_row(row[1:]) + "\n" for row in rows)
         assert path.read_text() == expected
 
+    def test_table_rows_are_the_cells_formatted_one_by_one(self, tmp_path):
+        # a row of numbers goes through one template and a row with text or
+        # a list goes cell by cell: both write the bytes _cell gives each cell
+        from corrugate.corrugation import StageReport
+        from corrugate.driver import RunReport
+        from corrugate.fieldio import _cell, write_table
+        from corrugate.flow import FlowDiagnostics, FlowSample
+
+        values = self.VALUES + [float("nan"), float("-inf")]
+        samples = [FlowSample(*np.roll(values, k)[:9].tolist()) for k in range(len(values))]
+        stage = StageReport(c0_delta=values[0], c1_delta=values[2], defect_before=values[4],
+                            defect_after=values[-1], lambdas=values[5:9], resolution=(64, 32),
+                            slack=values[3])
+        tables = [
+            FlowDiagnostics(samples=samples).csv_rows(),
+            RunReport(stage_reports=[stage, stage]).csv_rows(),
+            [["family", "r", "s", "max_ratio"], ["a", 2, 0, values[10]], ["d", 0, 2, values[4]]],
+        ]
+        path = tmp_path / "t.csv"
+        for header, *rows in tables:
+            write_table(header, rows, path)
+            expected = "".join(",".join(map(_cell, row)) + "\n" for row in [header] + rows)
+            assert path.read_text() == expected
+
 
 def test_package_surface_resolves():
     import corrugate

@@ -24,6 +24,7 @@ from corrugate.flow import (
     _read_times,
     _rhs,
     _schedule,
+    _smoothed_jet,
     _spectral_multipliers,
     _window_quadratures,
     psi_ramp,
@@ -40,7 +41,7 @@ from corrugate.grid import (
     pullback_metric,
     sup_norm,
 )
-from corrugate.leastnorm import is_free
+from corrugate.leastnorm import _min_norm_velocity, is_free
 from corrugate.smoothing import multiplier, multiplier_derivative, smooth, smooth_eps_derivative
 
 from conftest import unit_circle_map
@@ -89,6 +90,33 @@ def count_transforms(monkeypatch) -> list:
         monkeypatch.setattr(np.fft, name, lambda *args, _fn=getattr(np.fft, name), **kw:
                             calls.append(_fn) or _fn(*args, **kw))
     return calls
+
+
+class TestComponentRows:
+    """A right-hand side runs on component rows: the batched inverse and the
+    solved velocity each hold a component's nodes as one contiguous row."""
+
+    @staticmethod
+    def jet_rows():
+        # a helix in R^3, its slope in the offsets
+        grid = PeriodicGrid((64,))
+        (x,) = grid.meshes()
+        w0 = ImmersionField.from_periodic(grid, np.stack([np.cos(x), np.sin(x), 0.0 * x], -1),
+                                          np.array([[0.0, 0.0, 0.5]]))
+        state = FlowState(10.0, w0)
+        now = read(state, state.t, spectrum(np.full(grid.shape + (1,), 0.02)))
+        return _smoothed_jet(64, now.jet, state.P, now.H, state.offsets)
+
+    def test_smoothed_jet_is_one_contiguous_array_of_rows(self):
+        rows = self.jet_rows()
+        assert rows.shape == (3 * 3 + 1, 64)
+        assert rows.flags.c_contiguous
+
+    def test_velocity_of_a_flow_stack_is_contiguous_rows(self):
+        rows = self.jet_rows()
+        wdot = _min_norm_velocity(rows[:6].reshape(2, 3, 64), rows[9:])
+        assert wdot.shape == (3, 64)
+        assert wdot.flags.c_contiguous
 
 
 class TestPsiRamp:

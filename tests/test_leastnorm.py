@@ -27,9 +27,10 @@ def free_torus_map(grid):
 def min_norm_velocity(w, hdot):
     """The nodewise minimum-norm wdot with 2 dw (.) dwdot = hdot, as a field,
     its differential identity checked."""
-    stack = _derivative_stack(w)
-    wdot = _min_norm_velocity(stack, hdot)
-    _identity_residual(stack[..., :w.grid.dim, :], spectral_gradient(wdot, w.grid), hdot)
+    stack, rates = _derivative_stack(w), np.moveaxis(hdot, -1, 0)
+    wdot = np.moveaxis(_min_norm_velocity(stack, rates), 0, -1)
+    _identity_residual(stack[:w.grid.dim],
+                       np.moveaxis(spectral_gradient(wdot, w.grid), (-2, -1), (0, 1)), rates)
     return ImmersionField.from_periodic(w.grid, wdot)
 
 
@@ -184,7 +185,7 @@ class TestApplyL:
             hdot = rng.normal(size=(7, m - d))
             A = stack * np.r_[np.ones(d), np.full(m - d, -2.0)][:, None]
             want = least_norm_solve(LinearSystem(A, np.concatenate([np.zeros((7, d)), hdot], -1)))
-            got = _min_norm_velocity(stack, hdot)
+            got = _min_norm_velocity(np.moveaxis(stack, 0, -1), hdot.T).T
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_zero_rate_gives_zero_velocity(self):

@@ -628,7 +628,9 @@ def test_one_spectrum_gives_the_smoothed_jet(w, eps):
     n = len(w.data)
     no_hdot = np.zeros((n // 2 + 1, 1))
     jet = _spectral_multipliers(n, np.array([1.0 / eps]))[0][0]
-    stack, dw, _ = _smoothed_jet(n, jet, np.fft.rfft(w.data, axis=0), no_hdot, w.offsets)
+    N = w.ambient_dim
+    rows = _smoothed_jet(n, jet, np.fft.rfft(w.data, axis=0), no_hdot, w.offsets)
+    stack, dw = rows[:2 * N].T.reshape(n, 2, N), rows[2 * N:3 * N].T[:, None]
     dS, d2S = stack[:, 0], stack[:, 1]
     ref = smooth(w, eps)
     for got, want, size in ((dS, ref.derivatives()[:, 0], w.derivatives()),
@@ -778,7 +780,7 @@ def test_freeness_reads_the_dense_gram_determinant(w):
     # is_free's Gram is the derivative stack's, built once and shared. A
     # determinant near zero cancels, so its rounding is relative to the
     # Hadamard bound, the product of the Gram's diagonal at that node
-    stack = _derivative_stack(w)
+    stack = np.moveaxis(_derivative_stack(w), (0, 1), (-2, -1))
     gram = stack @ np.swapaxes(stack, -1, -2)
     dets = np.linalg.det(gram).ravel()
     node = np.argmin(dets)
@@ -944,10 +946,10 @@ def test_min_norm_velocity_gates_and_solves_as_the_chain_did(case):
         want = _gate_then_solve(stack, hdot)
     except (NonconvergenceError, SingularityError) as exc:
         with pytest.raises(type(exc)) as refused, np.errstate(invalid="ignore"):
-            _min_norm_velocity(stack, hdot)
+            _min_norm_velocity(np.moveaxis(stack, 0, -1), hdot.T)
         assert str(refused.value) == str(exc)
         return
-    got = _min_norm_velocity(stack, hdot)
+    got = _min_norm_velocity(np.moveaxis(stack, 0, -1), hdot.T).T
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
