@@ -64,7 +64,7 @@ def _spd_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """
     if gram.shape[-1] == 2:
         p, q, r = gram[..., 0, 0], gram[..., 0, 1], gram[..., 1, 1]
-        return np.stack(_solve_2x2(p, q, r, p * r - q * q, _roll_axes(rhs, 1)), axis=-1)
+        return np.stack(_solve_2x2(p, q, r, p * r - q * q, rhs), axis=-1)
     eigs, vecs = np.linalg.eigh(gram)
     _check_pivot(eigs[..., 0], eigs[..., -1])
     coef = np.einsum("...ji,...j->...i", vecs[..., -rhs.shape[-1]:, :], rhs) / eigs
@@ -74,16 +74,15 @@ def _spd_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _solve_2x2(p: np.ndarray, q: np.ndarray, r: np.ndarray, det: np.ndarray,
                rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_spd_solve`` of [[p, q], [q, r]], its determinant ``det`` given, by
-    Cramer's rule, the solution as a pair; ``rhs`` holds the right-hand
-    side's trailing rows (one or two) on a first axis. The pivot: the large
-    eigenvalue is high = (p + r)/2 + sqrt(((p - r)/2)^2 + q^2), the small
-    one low = det/high, which avoids the cancellation in (p + r)/2 - sqrt(...)."""
+    Cramer's rule, the solution as a pair. The pivot: the large eigenvalue
+    is high = (p + r)/2 + sqrt(((p - r)/2)^2 + q^2), the small one
+    low = det/high, which avoids the cancellation in (p + r)/2 - sqrt(...)."""
     high = 0.5 * (p + r) + np.hypot(0.5 * (p - r), q)
     with np.errstate(divide="ignore", invalid="ignore"):
         _check_pivot(det / high, high)
-    x0, x1 = -q * rhs[-1], p * rhs[-1]
-    if len(rhs) == 2:
-        x0, x1 = x0 + r * rhs[0], x1 - q * rhs[0]
+    x0, x1 = -q * rhs[..., -1], p * rhs[..., -1]
+    if rhs.shape[-1] == 2:
+        x0, x1 = x0 + r * rhs[..., 0], x1 - q * rhs[..., 0]
     return x0 / det, x1 / det
 
 
@@ -179,7 +178,7 @@ def _min_norm_velocity(stack: np.ndarray, hdot: np.ndarray) -> np.ndarray:
         p, q, r = gram[0, 0], gram[0, 1], gram[1, 1]
         det = p * r - q * q
         _check_free(det)
-        x0, x1 = _solve_2x2(p, -2.0 * q, 4.0 * r, 4.0 * det, hdot)
+        x0, x1 = _solve_2x2(p, -2.0 * q, 4.0 * r, 4.0 * det, hdot.T)
         return x0 * stack[0] - (2.0 * x1) * stack[1]
     gram, k = _roll_axes(gram, -2), len(hdot)
     _check_free(np.linalg.det(gram))
