@@ -205,6 +205,11 @@ def _sup_root(sq: np.ndarray) -> float:
     return float(np.sqrt(np.max(sq)))
 
 
+def _frobenius_weights(pairs) -> np.ndarray:
+    """Each stored component's weight in a symmetric tensor's squared Frobenius norm."""
+    return np.array([1.0 if i == j else 2.0 for i, j in pairs])
+
+
 def _weighted_sup(comps: np.ndarray, weights: np.ndarray) -> float:
     """Sup over nodes of the Frobenius norm of symmetric tensors given by their
     stored components ``comps`` (component axis first) and the ``weights`` of
@@ -283,7 +288,7 @@ def check_stage_estimates(w_prev: ImmersionField, w_next: ImmersionField,
         if i == j:  # the loop added d_i w . d_i w^p once, and 2 sym counts it twice
             cross[c] *= 2.0
         quad[c] -= a2 * k[i] * k[j]
-    weights = np.array([1.0 if i == j else 2.0 for i, j in pairs])
+    weights = _frobenius_weights(pairs)
     incr_err = _weighted_sup(cross + quad, weights)
     cross_err, quad_err = _weighted_sup(cross, weights), _weighted_sup(quad, weights)
     return StageCheck(
@@ -332,7 +337,7 @@ class TwoScale:
         grid = w.grid
         self.frame, self.prim = frame, prim
         self.pairs = triangular_index_pairs(grid.dim)
-        self.weights = np.array([1.0 if i == j else 2.0 for i, j in self.pairs])
+        self.weights = _frobenius_weights(self.pairs)
         a = prim.amplitude.values
         da = spectral_gradient(a, grid)[..., None]
         dnu = spectral_gradient(frame.nu, grid)
@@ -368,10 +373,6 @@ class TwoScale:
             + self.a2 * (kappa[i] * kappa[j] - psi[i] * psi[j])
             for c, (i, j) in enumerate(self.pairs)])
 
-    def _sup_sq(self, vals: np.ndarray) -> float:
-        """Sup over nodes of the squared Frobenius norm of component rows ``vals``."""
-        return float(np.max(self.weights @ (vals * vals).reshape(len(self.weights), -1)))
-
     def check(self, lam: float, eta_budget: float, delta_budget: float) -> StageCheck:
         """The three estimates in the form check_stage_estimates reports. The
         increment is read at PHASES phases in _phase_rows's order, one product
@@ -406,7 +407,7 @@ class TwoScale:
                                     + self.a2 * (kappa @ kappa)
                                     + np.hypot(odd / lam**2, mixed / lam**2)))
             return (deriv_sq, _deriv_ok(self.prim, deriv_sq),
-                    math.sqrt(self._sup_sq(cross)), math.sqrt(self._sup_sq(quad)))
+                    _weighted_sup(cross, self.weights), _weighted_sup(quad, self.weights))
 
         c0 = self.a_max / lam
         return StageCheck(c0=c0, incr_err=incr_err, c0_ok=c0 < eta_budget,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError, InputError
-from .grid import TWO_PI, MetricField, PeriodicGrid, ScalarField, _check_finite
+from .grid import TWO_PI, MetricField, PeriodicGrid, ScalarField, _check_finite, _integer
 
 #: patch acceptance floor for the coefficient fields alpha_i
 ALPHA_FLOOR = 0.05
@@ -207,7 +207,7 @@ def global_decompose(h: MetricField, bump_count: int = 1) -> list[PrimitiveMetri
     """
     _require_positive_definite(h)
     grid = h.grid
-    if not 1 <= bump_count <= min(grid.shape):
+    if not 1 <= _integer(bump_count, "bump_count") <= min(grid.shape):
         raise InputError(f"bump_count must be 1 to {min(grid.shape)}, at most one patch "
                          f"per node, got {bump_count}")
     mats = h.matrices()

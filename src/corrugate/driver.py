@@ -17,6 +17,7 @@ from .errors import CorrugateError, InputError
 from .grid import (
     ImmersionField,
     MetricField,
+    _integer,
     is_short,
     pullback_metric,
     resample,
@@ -37,7 +38,7 @@ class IterationSchedule:
     def __post_init__(self):
         if not 0.0 < self.epsilon < np.inf:
             raise InputError(f"epsilon must be finite and positive, got {self.epsilon!r}")
-        if self.stages < 0:
+        if _integer(self.stages, "stage count") < 0:
             raise InputError("stage count must be nonnegative")
 
     def delta(self, q: int) -> float:

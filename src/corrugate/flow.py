@@ -23,15 +23,16 @@ time vector and one sample array sized to the window, not to the run.
 The steps run on rfft spectra, with fields only where a run starts and
 returns: the map, the E history (each E transformed once, when recorded)
 and the target are spectra, which the RK4 stages and the quadratures
-combine. A right-hand side runs on component rows, each component's nodes
-one contiguous row, in three FFT calls: one batched inverse gives the rows
-of the map's jet and of hdot, the map's linear slope riding it as a zero
-mode; ``leastnorm``'s solve and audit read those rows and write wdot as
-rows; the spectrum of wdot and the inverse of its derivative run along
-them. The velocity's solve gates freeness and the pivot floor itself; on a
-curve one Gram determinant serves both and the solve. Every derivative
-multiplies by ``grid.derivative_multipliers``, the one
-ik-with-Nyquist-zeroed rule the fields differentiate by.
+combine. Spectra and node arrays alike are component rows, each
+component's modes or nodes one contiguous row, so every transform runs
+along whole rows. A right-hand side takes three FFT calls: one batched
+inverse gives the rows of the map's jet and of hdot, the map's linear
+slope riding it as a zero mode; ``leastnorm``'s solve and audit read those
+rows and write wdot as rows; the spectrum of wdot and the inverse of its
+derivative run along them. The velocity's solve gates freeness and the
+pivot floor itself; on a curve one Gram determinant serves both and the
+solve. Every derivative multiplies by ``grid.derivative_multipliers``,
+the one ik-with-Nyquist-zeroed rule the fields differentiate by.
 
 What depends on time alone is built once per block of TABLE_STEPS steps,
 from the run's schedule of step times and of the samples each step's window
@@ -168,33 +169,32 @@ def _schedule(t0: float, t_end: float) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 class FlowState:
-    """Integrator state on rfft spectra, from the map ``w0`` at ``t0`` to
-    ``t_end`` (FlowConfig's if None) by the steps of _schedule: time ``t``
-    and its ``step``, the map's spectrum ``P``, the stored increments E(tau)
-    as ``taus[:count]`` and ``E[:count]``, sized to the window, not the run,
-    ``tail``, the retired part of the history integral, and the block's
-    ``tables`` by step (_block_tables)."""
+    """Integrator state on rfft spectra in component rows, from the map ``w0``
+    at ``t0`` to ``t_end`` (FlowConfig's if None) by the steps of _schedule:
+    time ``t`` and its ``step``, the map's spectrum ``P`` (N, modes), the
+    stored increments E(tau) as ``taus[:count]`` and ``E[:count]`` (k, modes)
+    each, sized to the window, not the run, ``tail`` (k, modes), the retired
+    history integral, and the block's ``tables`` by step (_block_tables)."""
 
     def __init__(self, t0: float, w0: ImmersionField, t_end: float | None = None):
         self.t = self.t0 = t0
         self.times, self.dt, self.first = _schedule(t0, FlowConfig(t0, t_end).resolved_end)
         self.step, self.tables = 0, {}
         self.grid, self.offsets = w0.grid, w0.offsets
-        self.P = np.fft.rfft(w0.data, axis=0)
-        self.tail = np.zeros((len(self.P), 1), complex)
+        self.P = np.fft.rfft(w0.data.T)
+        self.tail = np.zeros((1, self.P.shape[1]), complex)
         self.taus = np.empty(WINDOW_SLOTS)
         self.E = np.empty(self.taus.shape + self.tail.shape, complex)
         self.count = 0
-        # the record's tables: D^0..D^4 multipliers, columns of hdot, wdot, w - w0
+        # the record's tables: D^0..D^4 multipliers, rows of hdot, wdot, w - w0
         ik = derivative_multipliers(self.grid.shape[0], 4)
-        self.orders = np.concatenate([np.ones((1, ik.shape[1])), ik])[:, None]
-        self.parts = np.repeat(np.eye(3), [self.tail.shape[1]] + [self.P.shape[1]] * 2, axis=1)
+        self.orders = np.concatenate([np.ones((1, ik.shape[1])), ik])
+        self.parts = np.repeat(np.eye(3), [len(self.tail)] + [len(self.P)] * 2, axis=1)
 
     def record(self, tau: float, E: np.ndarray):
-        """Store the spectrum of the node samples E(tau), tau after every
-        stored time."""
+        """Store the spectrum of the node rows E(tau), tau after every stored time."""
         self.taus[self.count] = tau
-        self.E[self.count] = np.fft.rfft(E, axis=0)
+        self.E[self.count] = np.fft.rfft(E)
         self.count += 1
 
     def prune(self):
@@ -243,16 +243,17 @@ def _window_quadratures(state: FlowState, times: np.ndarray) -> tuple[np.ndarray
 def _spectral_multipliers(n: int, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per rfft mode of n nodes at each smoothing scale 1/t, t in ``times``,
     with m = m(|xi|/t), from one evaluation of m and m' written into one
-    array: the jet multipliers (ik m, (ik)^2 m, ik), shape (T, modes, 3, 1),
-    and the hdot pair (-t^-2 |xi| m'(|xi|/t), m), shape (T, modes, 2, 1)."""
-    eps = 1.0 / times[:, None, None]
-    k = np.arange(n // 2 + 1, dtype=float)[:, None]
+    array: the jet multipliers (ik m, (ik)^2 m, ik), shape (T, 3, 1, modes),
+    and the hdot pair (-t^-2 |xi| m'(|xi|/t), m), shape (T, 2, 1, modes),
+    each a row that multiplies the component rows of a spectrum."""
+    eps = 1.0 / times[:, None]
+    k = np.arange(n // 2 + 1, dtype=float)
     m, dm = multipliers(eps * k)
-    ik, ik2 = derivative_multipliers(n, 2)[..., None]
-    out = np.empty(m.shape[:2] + (5, 1), complex)
-    out[:, :, 0], out[:, :, 1], out[:, :, 2] = ik * m, ik2 * m, ik
-    out[:, :, 3], out[:, :, 4] = k * dm * -(eps * eps), m
-    return out[:, :, :3], out[:, :, 3:]
+    ik, ik2 = derivative_multipliers(n, 2)
+    out = np.empty((len(m), 5, 1, len(k)), complex)
+    out[:, 0, 0], out[:, 1, 0], out[:, 2, 0] = ik * m, ik2 * m, ik
+    out[:, 3, 0], out[:, 4, 0] = k * dm * -(eps * eps), m
+    return out[:, :3], out[:, 3:]
 
 
 class _TimeReading(NamedTuple):
@@ -269,7 +270,7 @@ def _readings(state: FlowState, times: np.ndarray, jets: np.ndarray, pairs: np.n
     """The readings of ``times`` from S_{1/t}'s multipliers, the quadratures (L, C)
     and the target's spectrum h: hdot = -t^-2 S'[psi h + L] + S[psi' h + C]."""
     (L, C), s = quadratures, times[:, None, None] - state.t0
-    H = pairs[:, :, 0] * (h * psi_ramp(s) + L) + pairs[:, :, 1] * (h * psi_ramp_derivative(s) + C)
+    H = pairs[:, 0] * (h * psi_ramp(s) + L) + pairs[:, 1] * (h * psi_ramp_derivative(s) + C)
     return [_TimeReading(t, jet, H_t) for t, jet, H_t in zip(times.tolist(), jets, H)]
 
 
@@ -301,27 +302,25 @@ def _smoothed_jet(n: int, jet: np.ndarray, P: np.ndarray, H: np.ndarray,
     """The rows of d S_{1/t} w, d^2 S_{1/t} w, dw and hdot on n nodes, N
     rows each for the map's and k for hdot, as one C-contiguous (3N + k, n)
     array: the batched irfft's own output, from S_{1/t}'s jet multipliers
-    and the spectra of a circle map's periodic samples ``P`` and of hdot
-    ``H``. The map's ``offsets``, its linear slope, enter both
-    first-derivative blocks as their zero mode. Each component's node
-    vector is one contiguous row, so that the nodewise arithmetic after it
-    runs along whole node vectors."""
-    N = P.shape[1]
-    spec = np.empty((3 * N + H.shape[1], len(P)), complex)
+    (3, 1, modes) and the spectra of a circle map's periodic samples ``P``
+    (N, modes) and of hdot ``H`` (k, modes). The map's ``offsets``, its
+    linear slope, enter both first-derivative blocks as their zero mode.
+    Each component's node vector is one contiguous row, so that the
+    nodewise arithmetic after it runs along whole node vectors."""
+    N = len(P)
+    spec = np.empty((3 * N + len(H), P.shape[1]), complex)
     blocks = spec[:3 * N].reshape(3, N, -1)
-    np.multiply(jet.transpose(1, 2, 0), P.T, out=blocks)
+    np.multiply(jet, P, out=blocks)
     blocks[::2, :, 0] = n * offsets[0]
-    spec[3 * N:] = H.T
+    spec[3 * N:] = H
     return np.fft.irfft(spec, n=n)
 
 
 class _Rates(NamedTuple):
-    """One right-hand side on the circle's nodes, kept as the component rows
-    it was solved on: ``rows`` as _smoothed_jet returns them, ``velocity``
-    and ``slope``, the (N, n) rows of wdot and d wdot, and the rfft spectra
-    ``W`` of wdot and ``H`` of hdot. The properties are transposed views of
-    the rows: (n, N) for maps, (n, 1, N) for their first derivatives and
-    (n, 1) for metrics."""
+    """One right-hand side on the circle's nodes, as the component rows it
+    was solved on: ``rows`` as _smoothed_jet returns them, ``velocity`` and
+    ``slope``, the (N, n) rows of wdot and d wdot, and the rfft spectra
+    ``W`` (N, modes) of wdot and ``H`` (k, modes) of hdot."""
 
     rows: np.ndarray
     velocity: np.ndarray
@@ -331,37 +330,17 @@ class _Rates(NamedTuple):
     identity_resid: float
 
     @property
-    def wdot(self) -> np.ndarray:
-        return self.velocity.T
-
-    @property
-    def dwdot(self) -> np.ndarray:
-        return self.slope.T[:, None]
-
-    @property
-    def hdot(self) -> np.ndarray:
-        return self.rows[3 * len(self.velocity):].T
-
-    @property
-    def d_smooth(self) -> np.ndarray:
-        return self.rows[:len(self.velocity)].T[:, None]
-
-    @property
-    def dw(self) -> np.ndarray:
-        N = len(self.velocity)
-        return self.rows[2 * N:3 * N].T[:, None]
-
-    @property
     def E(self) -> np.ndarray:
-        """The smoothing increment E = 2 d(S_{1/t} w - w) (.) d wdot."""
-        return ((self.d_smooth - self.dw) * self.dwdot).sum(-1) * 2.0
+        """The smoothing increment E = 2 d(S_{1/t} w - w) (.) d wdot, one row."""
+        N = len(self.velocity)
+        return np.add.reduce((self.rows[:N] - self.rows[2 * N:3 * N]) * self.slope, 0)[None] * 2.0
 
 
 def _rhs(state: FlowState, P: np.ndarray, now: _TimeReading) -> _Rates:
     """The right-hand side at (t, w) from the spectrum ``P`` of w and the
     reading of t, on component rows: three FFT calls, and one solve that
     gates freeness and the pivot floor."""
-    n, N = state.grid.shape[0], P.shape[1]
+    n, N = state.grid.shape[0], len(P)
     rows = _smoothed_jet(n, now.jet, P, now.H, state.offsets)
     stack, hdot = rows[:2 * N].reshape(2, N, n), rows[3 * N:]
     try:
@@ -369,9 +348,9 @@ def _rhs(state: FlowState, P: np.ndarray, now: _TimeReading) -> _Rates:
     except NonconvergenceError as exc:
         raise NonconvergenceError(f"flow abort at t={now.t:.3f}: {exc}") from None
     W = np.fft.rfft(wdot)
-    dwdot = np.fft.irfft(now.jet[:, 2].T * W, n=n)
+    dwdot = np.fft.irfft(now.jet[2] * W, n=n)
     worst = _identity_residual(stack[:1], dwdot[None], hdot)
-    return _Rates(rows, wdot, dwdot, W.T, now.H, worst)
+    return _Rates(rows, wdot, dwdot, W, now.H, worst)
 
 
 def _advance(state: FlowState, h: np.ndarray, k1: np.ndarray) -> _TimeReading:
@@ -444,15 +423,18 @@ def tracked_quantities(samples, t0: float):
 
 def _record(state: FlowState, rates: _Rates, P0: np.ndarray, w0_pull: np.ndarray,
             h: np.ndarray) -> FlowSample:
-    """The step's diagnostics from the right-hand side just evaluated at
-    (state.t, state.P), ``P0`` the starting map's spectrum: each D^0..D^4
-    sup of hdot, wdot and w - w0 from one batched irfft of their spectra,
-    nodes last, so that sums and sups run along whole node vectors."""
-    ortho = float(abs((rates.d_smooth * rates.wdot[..., None, :]).sum(-1)).max())
-    resid_now = (rates.dw * rates.dw).sum(-1) - w0_pull - h
-    cols = np.concatenate([rates.H.T, rates.W.T, (state.P - P0).T])
-    squares = np.fft.irfft(state.orders * cols, n=state.grid.shape[0]) ** 2
-    hdot_sups, wdot_sups, dist_sups = np.sqrt((state.parts @ squares).max(axis=-1)).T.tolist()
+    """The step's diagnostics from the right-hand side just evaluated at (state.t,
+    state.P), ``P0`` the starting map's spectrum, ``w0_pull`` and ``h`` metric rows:
+    each D^0..D^4 sup of hdot, wdot and w - w0 from one batched irfft of their
+    spectra, so that sums and sups run along whole node vectors."""
+    N = len(rates.velocity)
+    dS, dw = rates.rows[:N], rates.rows[2 * N:3 * N]
+    ortho = float(abs(np.add.reduce(dS * rates.velocity, 0)).max())
+    resid_now = np.add.reduce(dw * dw, 0) - w0_pull - h
+    spectra = np.concatenate([rates.H, rates.W, state.P - P0])[:, None]
+    squares = np.fft.irfft(spectra * state.orders, n=state.grid.shape[0]) ** 2
+    sups = (state.parts @ squares.reshape(len(squares), -1)).reshape(3, len(state.orders), -1)
+    hdot_sups, wdot_sups, dist_sups = np.sqrt(sups.max(-1)).tolist()
     return FlowSample(
         t=state.t,
         hdot_c0=hdot_sups[0], hdot_c4=sum(hdot_sups),
@@ -492,8 +474,8 @@ def run_flow(w0: ImmersionField, h_target: MetricField,
             "halve the target or raise t0")
 
     state = FlowState(cfg.t0, w0, cfg.t_end)
-    P0, h = state.P, h_target.data
-    h_spectrum = np.fft.rfft(h, axis=0)
+    P0, h, pull = state.P, h_target.data.T, w0_pull.data.T
+    h_spectrum = np.fft.rfft(h)
     now = _read_times(state, (state.t,), h_spectrum)[0]
 
     diag = FlowDiagnostics()
@@ -503,7 +485,7 @@ def run_flow(w0: ImmersionField, h_target: MetricField,
         for _ in range(len(state.dt)):
             rates = _rhs(state, state.P, now)
             state.record(state.t, rates.E)
-            sample = _record(state, rates, P0, w0_pull.data, h)
+            sample = _record(state, rates, P0, pull, h)
             diag.samples.append(sample)
 
             if sample.metric_resid > cfg.tol:
@@ -517,7 +499,7 @@ def run_flow(w0: ImmersionField, h_target: MetricField,
             now = _advance(state, h_spectrum, rates.W)
 
         u = ImmersionField.from_periodic(
-            w0.grid, np.fft.irfft(state.P, n=w0.grid.shape[0], axis=0), w0.offsets)
+            w0.grid, np.fft.irfft(state.P, n=w0.grid.shape[0]).T, w0.offsets)
         diag.final_resid = sup_norm(pullback_metric(u) - w0_pull - h_target, 0)
         if diag.final_resid > cfg.tol:
             raise NonconvergenceError(

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +65,7 @@ class PeriodicGrid:
     shape: tuple[int, ...]
 
     def __post_init__(self):
-        shape = tuple(int(r) for r in self.shape)
+        shape = tuple(_integer(r, "resolution") for r in self.shape)
         object.__setattr__(self, "shape", shape)
         if len(shape) not in (1, 2):
             raise InputError(f"grid dimension must be 1 or 2, got {len(shape)}")
@@ -97,6 +98,14 @@ class PeriodicGrid:
 def _check_finite(values, what: str):
     if not np.all(np.isfinite(values)):
         raise InputError(f"non-finite values in {what}")
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int, numpy integers included; anything else is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{what} must be an integer, got {value!r}") from None
 
 
 @functools.lru_cache(maxsize=16)
@@ -417,7 +426,7 @@ def derivative_sups(field, k: int) -> list[float]:
     immersion's D^0 is taken of its lift and its D^1 includes the linear
     offsets; higher derivatives see the periodic part alone.
     """
-    if k < 0 or k > MAX_DERIVATIVE_ORDER:
+    if not 0 <= _integer(k, "derivative order") <= MAX_DERIVATIVE_ORDER:
         raise CapabilityError(f"derivative order {k} unsupported (max {MAX_DERIVATIVE_ORDER})")
     grid = field.grid
     lift, current, slope = field._norm_terms()

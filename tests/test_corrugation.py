@@ -341,11 +341,15 @@ class TestTwoScale:
             w, prim = circle_gap_primitive()
         scales = TwoScale(w, prim, normal_pair(w))
         mean = scales._mean(lam, integer_phase(prim, lam) / lam)
-        reads = [(scales._sup_sq(mean + np.tensordot(row, scales.fast, 1)), row) for row in
+
+        def sup_sq(vals):  # the sup over nodes of the squared Frobenius norm
+            return float(np.max(scales.weights @ (vals * vals).reshape(len(scales.weights), -1)))
+
+        reads = [(sup_sq(mean + np.tensordot(row, scales.fast, 1)), row) for row in
                  _phase_rows(PHASES) * np.array([1.0, 1.0, 1.0 / lam, 1.0 / lam]) / lam]
         sq, row = max(reads, key=lambda read: read[0])
-        want = (np.sqrt(sq), np.sqrt(scales._sup_sq(np.tensordot(row[:2], scales.fast[:2], 1))),
-                np.sqrt(scales._sup_sq(mean + np.tensordot(row[2:], scales.fast[2:], 1))))
+        want = (np.sqrt(sq), np.sqrt(sup_sq(np.tensordot(row[:2], scales.fast[:2], 1))),
+                np.sqrt(sup_sq(mean + np.tensordot(row[2:], scales.fast[2:], 1))))
         check = scales.check(lam, np.inf, np.inf)
         for got, ref in zip((check.incr_err, check.cross_err, check.quad_err), want):
             assert abs(got - ref) <= 1e-13 * ref

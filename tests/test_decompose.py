@@ -205,6 +205,12 @@ class TestGlobalDecompose:
         with pytest.raises(InputError, match=f"bump_count must be 1 to 16, .* got {count}"):
             global_decompose(MetricField.identity(PeriodicGrid((16, 32))), bump_count=count)
 
+    def test_non_integer_bump_count_refused(self):
+        h = MetricField.identity(PeriodicGrid((16, 32)))
+        with pytest.raises(InputError, match="bump_count must be an integer, got 2.0"):
+            global_decompose(h, bump_count=2.0)
+        assert len(global_decompose(h, bump_count=np.int64(2))) == len(global_decompose(h, 2))
+
     def test_odd_lattice_rejected_in_2d(self):
         grid = PeriodicGrid((16, 16))
         with pytest.raises(InputError):

@@ -35,6 +35,12 @@ class TestSchedule:
         with pytest.raises(InputError):
             IterationSchedule(epsilon=0.0, stages=2)
 
+    @pytest.mark.parametrize("stages", [2.5, float("nan"), "2"])
+    def test_non_integer_stage_count_refused(self, stages):
+        with pytest.raises(InputError, match="stage count must be an integer"):
+            IterationSchedule(epsilon=0.5, stages=stages)
+        assert IterationSchedule(epsilon=0.5, stages=np.int64(2)).stages == 2
+
 
 class TestIterate:
     def test_zero_stages_returns_start(self):

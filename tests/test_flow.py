@@ -57,11 +57,11 @@ def metric(grid, values):
 
 
 def spectrum(values):
-    return np.fft.rfft(values, axis=0)
+    return np.fft.rfft(values.T)
 
 
 def nodes(spec, grid):
-    return np.fft.irfft(spec, n=grid.shape[0], axis=0)
+    return np.fft.irfft(spec, n=grid.shape[0]).T
 
 
 def read(state, t, h):
@@ -93,19 +93,41 @@ def count_transforms(monkeypatch) -> list:
 
 
 class TestComponentRows:
-    """A right-hand side runs on component rows: the batched inverse and the
-    solved velocity each hold a component's nodes as one contiguous row."""
+    """The flow runs on component rows: the spectra, the batched inverse and
+    the solved velocity each hold a component's modes or nodes as one
+    contiguous row."""
 
     @staticmethod
-    def jet_rows():
-        # a helix in R^3, its slope in the offsets
+    def helix():
+        # a helix in R^3, its slope in the offsets, and the target's spectrum
         grid = PeriodicGrid((64,))
         (x,) = grid.meshes()
         w0 = ImmersionField.from_periodic(grid, np.stack([np.cos(x), np.sin(x), 0.0 * x], -1),
                                           np.array([[0.0, 0.0, 0.5]]))
-        state = FlowState(10.0, w0)
-        now = read(state, state.t, spectrum(np.full(grid.shape + (1,), 0.02)))
+        return FlowState(10.0, w0), spectrum(np.full(grid.shape + (1,), 0.02))
+
+    @classmethod
+    def jet_rows(cls):
+        state, h = cls.helix()
+        now = read(state, state.t, h)
         return _smoothed_jet(64, now.jet, state.P, now.H, state.offsets)
+
+    def test_spectra_are_contiguous_component_rows(self):
+        state, h = self.helix()
+        now = read(state, state.t, h)
+        for _ in range(30):  # past the window, so the tail holds retired samples
+            rates = _rhs(state, state.P, now)
+            state.record(state.t, rates.E)
+            now = _advance(state, h, rates.W)
+        assert np.abs(state.tail).max() > 0.0
+        for spec, rows in ((state.P, 3), (rates.W, 3), (rates.H, 1), (state.E[0], 1),
+                           (state.tail, 1)):
+            assert spec.shape == (rows, 33)
+            assert spec.flags.c_contiguous
+        assert rates.E.shape == (1, 64)
+        jets, pairs = _spectral_multipliers(64, np.array([10.0, 10.025, 10.05]))
+        assert jets.shape == (3, 3, 1, 33)
+        assert pairs.shape == (3, 2, 1, 33)
 
     def test_smoothed_jet_is_one_contiguous_array_of_rows(self):
         rows = self.jet_rows()
@@ -145,8 +167,8 @@ class TestFlowRhs:
         grid, w0 = circle_setup(64)
         h0 = metric(grid, np.zeros(grid.shape))
         rates = rhs(FlowState(10.0, w0), h0)
-        assert np.max(np.abs(rates.hdot)) == 0.0
-        assert np.max(np.abs(rates.wdot)) <= 1e-15
+        assert np.max(np.abs(rates.rows[-1:].T)) == 0.0
+        assert np.max(np.abs(rates.velocity.T)) <= 1e-15
 
     def test_path_starts_at_zero(self):
         grid, w0 = circle_setup(64)
@@ -198,7 +220,7 @@ class TestFlowRhs:
         state = FlowState(10.0, circle_setup(64)[1])
         state.t, state.tail = taus[-2], spectrum(tail.data)
         for tau, e in history:
-            state.record(tau, e.data)
+            state.record(tau, e.data.T)
         h = metric(grid, 0.02 * np.cos(grid.meshes()[0]))
 
         samples = [(tau, e.data) for tau, e in history if tau <= t]
@@ -245,7 +267,7 @@ class TestFlowRhs:
         h = spectrum(np.full(grid.shape + (1,), 0.02))
         state = FlowState(10.0, w0)
         now = read(state, state.t, h)
-        P0, pull = state.P, pullback_metric(w0).data
+        P0, pull = state.P, pullback_metric(w0).data.T
         multipliers, weights, quadratures, stages = [], [], [], []
         mults, weigh, rhs_ = flow._spectral_multipliers, flow._window_weights, flow._rhs
         monkeypatch.setattr(flow, "_spectral_multipliers", lambda *args: multipliers.append(
@@ -263,11 +285,11 @@ class TestFlowRhs:
             del calls[:], stages[:]
             rates = flow._rhs(state, state.P, now)
             state.record(state.t, rates.E)
-            flow._record(state, rates, P0, pull, np.full(grid.shape + (1,), 0.02))
+            flow._record(state, rates, P0, pull, np.full((1,) + grid.shape, 0.02))
             now_next = _advance(state, h, rates.W)
             assert 0 < len(calls) <= 14
             assert len(stages) == 4
-            assert np.array_equal(stages[1].hdot, stages[2].hdot)
+            assert np.array_equal(stages[1].rows[-1:].T, stages[2].rows[-1:].T)
             assert stages[3].H is now_next.H
             now = now_next
         blocks = [(b, sum(scheduled[b:b + TABLE_STEPS], []))
@@ -326,15 +348,15 @@ class TestFlowRhs:
     def test_batched_multipliers_are_the_single_time_formula(self):
         n, times = 64, np.array([10.0, 10.025, 13.37, 21.95])
         jets, pairs = _spectral_multipliers(n, times)
-        k = np.arange(n // 2 + 1, dtype=float)[:, None]
-        ik, ik2 = derivative_multipliers(n, 2)[..., None]
+        k = np.arange(n // 2 + 1, dtype=float)[None]
+        ik, ik2 = derivative_multipliers(n, 2)[:, None]
         for i, t in enumerate(times.tolist()):
             eps = 1.0 / t
             m = multiplier(eps * k)
-            assert np.array_equal(jets[i], np.stack([ik * m, ik2 * m, ik], axis=1))
+            assert np.array_equal(jets[i], np.stack([ik * m, ik2 * m, ik], axis=0))
             assert np.array_equal(pairs[i],
                                   np.stack([k * multiplier_derivative(eps * k) * -(eps * eps), m],
-                                           axis=1))
+                                           axis=0))
 
     def test_last_stage_hdot_is_the_next_steps_first(self):
         # the step's last stage reads the history the next step's first does
@@ -362,9 +384,9 @@ class TestFlowRhs:
         state = FlowState(10.0, w)
         state.t = 10.05
         rates = rhs(state, h)
-        sample = _record(state, rates, spectrum(w0.data), pullback_metric(w0).data, h.data)
-        hdot = MetricField(grid, rates.hdot)
-        wdot = ImmersionField.from_periodic(grid, rates.wdot)
+        sample = _record(state, rates, spectrum(w0.data), pullback_metric(w0).data.T, h.data.T)
+        hdot = MetricField(grid, rates.rows[-1:].T)
+        wdot = ImmersionField.from_periodic(grid, rates.velocity.T)
         identity = symmetric_product(smooth(w, 1.0 / state.t), wdot) * 2.0 - hdot
         for got, want in ((sample.hdot_c4, sum(derivative_sups(hdot, 4))),
                           (sample.wdot_c4, sum(derivative_sups(wdot, 4))),

@@ -49,6 +49,13 @@ class TestGridValidation:
         with pytest.raises(InputError, match="resolution 25 is odd"):
             PeriodicGrid((25,))
 
+    def test_non_integer_resolution_refused(self):
+        # 16.5 is not truncated to 16; a numpy integer is a resolution
+        with pytest.raises(InputError, match="resolution must be an integer, got 16.5") as err:
+            PeriodicGrid((16.5,))
+        assert err.value.exit_code == 2
+        assert PeriodicGrid((np.int64(16),)).shape == (16,)
+
     def test_rejects_dim_three(self):
         with pytest.raises(InputError):
             PeriodicGrid((16, 16, 16))
@@ -163,6 +170,13 @@ class TestSupNorm:
         grid = PeriodicGrid((16,))
         with pytest.raises(CapabilityError):
             sup_norm(ScalarField.constant(grid, 1.0), 5)
+
+    @pytest.mark.parametrize("order", [2.5, 2.0, float("nan")])
+    def test_non_integer_order_refused(self, order):
+        f = ScalarField.constant(PeriodicGrid((16,)), 1.0)
+        with pytest.raises(InputError, match="derivative order must be an integer"):
+            sup_norm(f, order)
+        assert sup_norm(f, np.int32(2)) == 1.0
 
 
 class TestIsShort:

@@ -626,10 +626,10 @@ def test_one_spectrum_gives_the_smoothed_jet(w, eps):
     # zero mode, against smooth() and the field derivatives, each relative
     # to w's own size
     n = len(w.data)
-    no_hdot = np.zeros((n // 2 + 1, 1))
+    no_hdot = np.zeros((1, n // 2 + 1))
     jet = _spectral_multipliers(n, np.array([1.0 / eps]))[0][0]
     N = w.ambient_dim
-    rows = _smoothed_jet(n, jet, np.fft.rfft(w.data, axis=0), no_hdot, w.offsets)
+    rows = _smoothed_jet(n, jet, np.fft.rfft(w.data.T), no_hdot, w.offsets)
     stack, dw = rows[:2 * N].T.reshape(n, 2, N), rows[2 * N:3 * N].T[:, None]
     dS, d2S = stack[:, 0], stack[:, 1]
     ref = smooth(w, eps)
@@ -690,15 +690,15 @@ def test_spectral_step_matches_the_node_space_reference(case):
     # one flow step from a recorded history, against the node-space formulas
     w0, h, t0, steps = case
     grid, n = w0.grid, w0.grid.shape[0]
-    nodes = lambda spec: np.fft.irfft(spec, n=n, axis=0)  # noqa: E731
-    h_spec = np.fft.rfft(h.data, axis=0)
+    nodes = lambda spec: np.fft.irfft(spec, n=n).T  # noqa: E731
+    h_spec = np.fft.rfft(h.data.T)
     state = FlowState(t0, w0)
     now = _read_times(state, (t0,), h_spec)[0]
     for _ in range(steps):
         rates = _rhs(state, state.P, now)
         state.record(state.t, rates.E)
         now = _advance(state, h_spec, rates.W)
-    state.tail = np.fft.rfft(1e-3 * h.data[::-1], axis=0)  # a retired part, too
+    state.tail = np.fft.rfft(1e-3 * h.data[::-1].T)  # a retired part, too
     now = _read_times(state, (state.t,), h_spec)[0]
     t, w = state.t, ImmersionField.from_periodic(grid, nodes(state.P))
     taus = list(state.taus[:state.count])
@@ -707,7 +707,7 @@ def test_spectral_step_matches_the_node_space_reference(case):
 
     rates = _rhs(state, state.P, now)
     state.record(t, rates.E)
-    sample = _record(state, rates, np.fft.rfft(w0.data, axis=0), pullback_metric(w0).data, h.data)
+    sample = _record(state, rates, np.fft.rfft(w0.data.T), pullback_metric(w0).data.T, h.data.T)
     _advance(state, h_spec, rates.W)
 
     ks, stage_w = [], w
@@ -731,12 +731,13 @@ def test_spectral_step_matches_the_node_space_reference(case):
 
     ref_hdot, wdot, dwdot, d_smooth = ref
     assert close(nodes(state.P), w_next)
-    assert close(rates.wdot, wdot)
-    assert close(rates.hdot, ref_hdot)
+    assert close(rates.velocity.T, wdot)
+    assert close(rates.rows[-1:].T, ref_hdot)
     # the sups read the step's own hdot and wdot, pinned to the reference
     # above: D^4 scales rounding in the top modes by (n/2)^4, so a D^4 sup
     # is exact only to that times machine epsilon times the D^0 sup
-    hdot_f, wdot_f = MetricField(grid, rates.hdot), ImmersionField.from_periodic(grid, rates.wdot)
+    hdot_f = MetricField(grid, rates.rows[-1:].T)
+    wdot_f = ImmersionField.from_periodic(grid, rates.velocity.T)
     floor = 10.0 * (n / 2) ** 4 * np.finfo(float).eps
     for c0, c4, field in ((sample.hdot_c0, sample.hdot_c4, hdot_f),
                           (sample.wdot_c0, sample.wdot_c4, wdot_f)):
