@@ -142,8 +142,8 @@ def spiral_perturbation(w: ImmersionField, prim: PrimitiveMetric,
     """
     grid = w.grid
     _require_shared_grid(w, prim, frame)
-    if lam < 1.0:
-        raise InputError("lambda must be at least 1")
+    if not 1.0 <= lam < np.inf:
+        raise InputError("lambda must be finite and at least 1")
     k_vec = integer_phase(prim, lam)
     for a, k in enumerate(k_vec):
         if grid.shape[a] <= 4 * abs(int(k)):

@@ -400,17 +400,18 @@ class ImmersionField(Field):
 # operations
 
 
+def _component_products(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Nodewise A B^T of component-major stacks, (i, N) + nodes and
+    (j, N) + nodes to (i, j) + nodes, summed across the component rows."""
+    return np.einsum("ia...,ja...->ij...", A, B)
+
+
 def symmetric_product(u: ImmersionField, v: ImmersionField) -> MetricField:
     """du (.) dv: the symmetric (0,2) tensor (d_i u . d_j v + d_j u . d_i v)/2."""
     _require_same_grid(u, v)
-    du = u.derivatives()
-    dv = v.derivatives()
-    pairs = triangular_index_pairs(u.grid.dim)
-    comps = np.stack([
-        0.5 * (np.einsum("...a,...a->...", du[..., i, :], dv[..., j, :])
-               + np.einsum("...a,...a->...", du[..., j, :], dv[..., i, :]))
-        for i, j in pairs], axis=-1)
-    return MetricField(u.grid, comps)
+    gram = _component_products(_roll_axes(u.derivatives(), 2), _roll_axes(v.derivatives(), 2))
+    comps = [0.5 * (gram[i, j] + gram[j, i]) for i, j in triangular_index_pairs(u.grid.dim)]
+    return MetricField(u.grid, np.stack(comps, axis=-1))
 
 
 def pullback_metric(w: ImmersionField) -> MetricField:
@@ -426,7 +427,9 @@ def derivative_sups(field, k: int) -> list[float]:
     immersion's D^0 is taken of its lift and its D^1 includes the linear
     offsets; higher derivatives see the periodic part alone.
     """
-    if not 0 <= _integer(k, "derivative order") <= MAX_DERIVATIVE_ORDER:
+    if _integer(k, "derivative order") < 0:
+        raise InputError(f"derivative order {k} is negative")
+    if k > MAX_DERIVATIVE_ORDER:
         raise CapabilityError(f"derivative order {k} unsupported (max {MAX_DERIVATIVE_ORDER})")
     grid = field.grid
     lift, current, slope = field._norm_terms()

@@ -10,9 +10,10 @@ into independent pointwise solves of exactly this shape.
 The velocity's solve and its audit take component-major arrays, as the
 derivative cache and the flow's batched inverse lay them out: a derivative
 stack (rows, N) + nodes, metric rates (k,) + nodes, and the velocity
-(N,) + nodes, each component one node array. On a curve the velocity reads
-one determinant of the 2x2 Gram for the freeness gate, the pivot floor and
-the solve alike, summed across the component rows.
+(N,) + nodes, each component one node array. Every Gram here is
+``grid._component_products`` of such rows, and one determinant,
+``_gram_det``, reads freeness for ``is_free`` and the velocity alike; on a
+curve the velocity's solve and pivot floor reuse it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError, InputError, NonconvergenceError, SingularityError
-from .grid import ImmersionField, _roll_axes, triangular_index_pairs
+from .grid import (
+    ImmersionField,
+    _check_finite,
+    _component_products,
+    _roll_axes,
+    triangular_index_pairs,
+)
 
 #: relative pivot floor for the SPD factorization of A A^T
 PIVOT_FLOOR = 1e-12
@@ -45,6 +52,8 @@ class LinearSystem:
     def __post_init__(self):
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
         self.v = np.atleast_1d(np.asarray(self.v, dtype=float))
+        _check_finite(self.A, "system matrix")
+        _check_finite(self.v, "right-hand side")
         k, kappa = self.A.shape[-2:]
         if k > kappa:
             raise InputError(f"system must be underdetermined or square, got {k}x{kappa}")
@@ -95,22 +104,11 @@ def _check_pivot(low: np.ndarray, scale: np.ndarray):
             f"A A^T pivot below relative floor {PIVOT_FLOOR} (ratio {worst:.3e})")
 
 
-def _row_products(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Nodewise A B^T, (..., i, a) and (..., j, a) to (..., i, j), summed
-    term by term over the short last axis, where einsum is slow."""
-    return sum(A[..., :, None, a] * B[..., None, :, a] for a in range(A.shape[-1]))
-
-
-def _component_products(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Nodewise A B^T of component-major stacks, (i, N) + nodes and
-    (j, N) + nodes to (i, j) + nodes, summed across the component rows."""
-    return np.add.reduce(A[:, None] * B, 2)
-
-
 def least_norm_solve(system: LinearSystem) -> np.ndarray:
     """omega = A^T (A A^T)^{-1} v: each A omega = v solved with minimal norm."""
     A, v = system.A, system.v
-    gram = _row_products(A, A)
+    rows = _roll_axes(A, 2)
+    gram = _roll_axes(_component_products(rows, rows), -2)
     return np.einsum("...ia,...i->...a", A, _spd_solve(gram, v))
 
 
@@ -128,15 +126,12 @@ def _derivative_stack(w: ImmersionField) -> np.ndarray:
     return np.concatenate([_roll_axes(w.derivatives(), 2), second])
 
 
-def _freeness(gram: np.ndarray) -> FreeMapReport:
-    """Freeness read from the nodewise Gram matrix of a derivative stack: its
-    smallest determinant against FREE_DET_TOL (in closed form for 2x2)."""
-    if gram.shape[-1] == 2:
-        det = gram[..., 0, 0] * gram[..., 1, 1] - gram[..., 0, 1] * gram[..., 0, 1]
-    else:
-        det = np.linalg.det(gram)
-    min_det = float(np.min(det))
-    return FreeMapReport(min_det > FREE_DET_TOL, min_det, "gram determinant")
+def _gram_det(gram: np.ndarray) -> np.ndarray:
+    """Nodewise determinant of a component-major Gram (m, m) + nodes: in
+    closed form for 2x2, by LU otherwise."""
+    if len(gram) == 2:
+        return gram[0, 0] * gram[1, 1] - gram[0, 1] * gram[0, 1]
+    return np.linalg.det(_roll_axes(gram, -2))
 
 
 def is_free(w: ImmersionField) -> FreeMapReport:
@@ -150,12 +145,13 @@ def is_free(w: ImmersionField) -> FreeMapReport:
     if w.ambient_dim < n * (n + 3) // 2:
         return FreeMapReport(False, 0.0, "dimension count")
     stack = _derivative_stack(w)
-    return _freeness(_roll_axes(_component_products(stack, stack), -2))
+    min_det = float(np.min(_gram_det(_component_products(stack, stack))))
+    return FreeMapReport(min_det > FREE_DET_TOL, min_det, "gram determinant")
 
 
 def _check_free(det: np.ndarray):
     """Refuse lost freeness: a Gram determinant at or below FREE_DET_TOL (or
-    NaN), the threshold ``_freeness`` reads."""
+    NaN), the threshold ``is_free`` reads."""
     min_det = float(det.min())
     if not min_det > FREE_DET_TOL:
         raise NonconvergenceError(f"smoothed map lost freeness (gram det {min_det:.3e})")
@@ -165,23 +161,21 @@ def _min_norm_velocity(stack: np.ndarray, hdot: np.ndarray) -> np.ndarray:
     """Nodewise minimum-norm wdot with {d_j w . wdot = 0; -2 d_ij w . wdot =
     hdot_ij for i <= j}, component-major: the derivative stack of w
     (rows, N) + nodes, its k metric rows last, and the rates ``hdot``
-    (k,) + nodes give wdot (N,) + nodes. Like ``_freeness`` then
+    (k,) + nodes give wdot (N,) + nodes. Like ``is_free`` then
     ``_spd_solve`` of A A^T = S G S (G the stack's Gram, S the -2 on the
-    metric rows), it refuses lost freeness (NonconvergenceError), then a
-    pivot below the floor (SingularityError). On a curve G = [[p, q], [q, r]]
-    is summed across the component rows, and its one determinant serves all
+    metric rows), it refuses lost freeness by ``_gram_det`` of G
+    (NonconvergenceError), then a pivot below the floor (SingularityError).
+    On a curve G = [[p, q], [q, r]] and its one determinant serves all
     three: S G S = [[p, -2q], [-2q, 4r]] and det(S G S) = 4 det G, exactly;
-    wdot comes out as contiguous component rows. A larger G is gated by its
-    LU determinant, as ``is_free`` reads it, before the solve's eigh."""
+    wdot comes out as contiguous component rows."""
     gram = _component_products(stack, stack)
+    det = _gram_det(gram)
+    _check_free(det)
     if len(stack) == 2:
         p, q, r = gram[0, 0], gram[0, 1], gram[1, 1]
-        det = p * r - q * q
-        _check_free(det)
         x0, x1 = _solve_2x2(p, -2.0 * q, 4.0 * r, 4.0 * det, hdot.T)
         return x0 * stack[0] - (2.0 * x1) * stack[1]
     gram, k = _roll_axes(gram, -2), len(hdot)
-    _check_free(np.linalg.det(gram))
     scale = np.repeat([1.0, -2.0], [len(stack) - k, k])
     x = _spd_solve(gram * np.multiply.outer(scale, scale), _roll_axes(hdot, -1)) * scale
     return np.einsum("ia...,i...->a...", stack, _roll_axes(x, 1))

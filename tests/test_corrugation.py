@@ -134,6 +134,13 @@ class TestSpiralPerturbation:
             wp = spiral_perturbation(w, prim, normal_pair(w), lam)
             assert sup_norm(wp, 0) <= sup_norm(prim.amplitude, 0) / lam + 1e-12
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), 0.5])
+    def test_lambda_not_finite_and_at_least_one_refused(self, lam):
+        grid = PeriodicGrid((64, 16))
+        w = flat_strip_map(grid)
+        with pytest.raises(InputError, match="lambda must be finite and at least 1"):
+            spiral_perturbation(w, constant_primitive(grid), normal_pair(w), lam)
+
     def test_resolution_error(self):
         grid = PeriodicGrid((64, 16))
         w = flat_strip_map(grid)

@@ -21,6 +21,7 @@ from corrugate.grid import (
     resample,
     spectral_gradient,
     sup_norm,
+    symmetric_product,
 )
 
 from conftest import clifford_map, flat_strip_map, random_scalar_field
@@ -125,6 +126,18 @@ class TestPullback:
         g2 = pullback_metric(w).comps * c**2
         assert np.max(np.abs(g1 - g2)) <= 1e-12 * np.max(np.abs(g2))
 
+    @pytest.mark.parametrize("shape, ambient", [((64,), 3), ((32, 48), 4)])
+    def test_symmetric_product_polarizes_the_pullback(self, shape, ambient):
+        # sym(du . dv) = (pull(u + v) - pull(u - v))/4, offsets included
+        rng = np.random.default_rng(17)
+        grid = PeriodicGrid(shape)
+        u, v = (ImmersionField.from_periodic(
+            grid, np.stack([random_scalar_field(grid, rng).values for _ in range(ambient)], -1),
+            rng.normal(size=(grid.dim, ambient))) for _ in range(2))
+        sym = symmetric_product(u, v).comps
+        polar = (pullback_metric(u + v) - pullback_metric(u - v)).comps / 4.0
+        assert np.max(np.abs(sym - polar)) <= 1e-13 * np.max(np.abs(sym))
+
 
 class TestSupNorm:
     def test_constant_scalar(self):
@@ -170,6 +183,12 @@ class TestSupNorm:
         grid = PeriodicGrid((16,))
         with pytest.raises(CapabilityError):
             sup_norm(ScalarField.constant(grid, 1.0), 5)
+
+    def test_negative_order_refused_as_input(self):
+        f = ScalarField.constant(PeriodicGrid((16,)), 1.0)
+        with pytest.raises(InputError, match="derivative order -1 is negative") as refused:
+            sup_norm(f, -1)
+        assert refused.value.exit_code == 2
 
     @pytest.mark.parametrize("order", [2.5, 2.0, float("nan")])
     def test_non_integer_order_refused(self, order):

@@ -59,11 +59,25 @@ class TestLeastNormSolve:
             least_norm_solve(LinearSystem(A, [1.0, 2.0]))
 
     def test_nan_system_is_refused_at_the_pivot_floor(self):
-        # a NaN 2x2 Gram fails the closed form's pivot comparison
+        # a NaN system is refused on input; a NaN 2x2 Gram still fails the
+        # closed form's pivot comparison
         A = np.ones((2, 5))
         A[0, 0] = np.nan
-        with pytest.raises(SingularityError, match="relative floor"):
+        with pytest.raises(InputError, match="non-finite values in system matrix"):
             least_norm_solve(LinearSystem(A, np.ones(2)))
+        with pytest.raises(SingularityError, match="relative floor"):
+            _spd_solve(np.array([[np.nan, 1.0], [1.0, 5.0]]), np.ones(2))
+
+    @pytest.mark.parametrize("where, bad", [("system matrix", np.nan),
+                                            ("right-hand side", np.inf),
+                                            ("right-hand side", np.nan)])
+    def test_non_finite_system_refused(self, where, bad):
+        # a 3x5 system: a NaN in A reached eigh, a bad v gave all-NaN solutions
+        A, v = np.arange(15.0).reshape(3, 5), np.ones(3)
+        (A if where == "system matrix" else v)[1] = bad
+        with pytest.raises(InputError, match=f"non-finite values in {where}") as refused:
+            least_norm_solve(LinearSystem(A, v))
+        assert refused.value.exit_code == 2
 
     def test_batched_systems_match_one_at_a_time(self):
         rng = np.random.default_rng(13)

@@ -61,6 +61,7 @@ from corrugate.grid import (
     MetricField,
     PeriodicGrid,
     ScalarField,
+    _component_products,
     bandwidth,
     derivative_sups,
     is_short,
@@ -76,9 +77,8 @@ from corrugate.leastnorm import (
     PIVOT_FLOOR,
     LinearSystem,
     _derivative_stack,
-    _freeness,
+    _gram_det,
     _min_norm_velocity,
-    _row_products,
     _spd_solve,
     is_free,
     least_norm_solve,
@@ -899,14 +899,15 @@ def test_closed_form_solve_agrees_with_eigh(case):
 
 def _gate_then_solve(stack, hdot):
     """The minimum-norm velocity as a chain: the freeness gate on the stack's
-    Gram G by ``_freeness``, then ``_spd_solve`` of A A^T (G with its metric
+    Gram G by ``_gram_det``, then ``_spd_solve`` of A A^T (G with its metric
     rows and columns scaled by -2) and wdot = A^T x."""
-    gram = _row_products(stack, stack)
+    rows = np.moveaxis(stack, 0, -1)
+    gram = _component_products(rows, rows)
     with np.errstate(invalid="ignore"):  # a NaN stack: its NaN determinant is refused
-        report = _freeness(gram)
-    if not report.is_free:
-        raise NonconvergenceError(
-            f"smoothed map lost freeness (gram det {report.min_gram_det:.3e})")
+        min_det = float(np.min(_gram_det(gram)))
+    if not min_det > FREE_DET_TOL:
+        raise NonconvergenceError(f"smoothed map lost freeness (gram det {min_det:.3e})")
+    gram = np.moveaxis(gram, -1, 0)
     scale = np.repeat([1.0, -2.0], [stack.shape[-2] - hdot.shape[-1], hdot.shape[-1]])
     x = _spd_solve(gram * np.multiply.outer(scale, scale), hdot) * scale
     return np.einsum("...ia,...i->...a", stack, x)
