@@ -34,8 +34,15 @@ pivot floor itself; on a curve one Gram determinant serves both and the
 solve. Every derivative multiplies by ``grid.derivative_multipliers``,
 the one ik-with-Nyquist-zeroed rule the fields differentiate by.
 
+The classical RK4 steps are STEP through the ramp, to t0 + 1. After it the
+flow moves only with the smoothing scale 1/t, and the step is set once per
+block from RK4's FSAL (first-same-as-last) error estimate (Hairer, Norsett &
+Wanner, Solving ODEs I, II.4), so that the block's error rate stays at the
+largest the ramp's steps read (FlowState.extend). The final residual of a
+constant target is the ramp's 4th-order error, which the later steps keep.
+
 What depends on time alone is built once per block of TABLE_STEPS steps,
-from the run's schedule of step times and of the samples each step's window
+from the schedule of step times and of the samples each step's window
 holds: both new times' multipliers and quadrature weights. A step multiplies
 its weights by the stored spectra, and the last stage's reading serves the
 next step's first. Tables of the grid alone are built once per run.
@@ -76,13 +83,15 @@ from .leastnorm import (
 )
 from .smoothing import multipliers
 
-#: steps with a non-decaying, above-tolerance residual before giving up
+#: flow time, in steps of STEP, that an above-tolerance residual may go without
+#: decaying before the run gives up: 20 steps, the ramp's width
 DIVERGENCE_PATIENCE = 20
 
 #: growth factor that trips a diagnostic flag
 GROWTH_FLAG_FACTOR = 10.0
 
-#: step size of the classical 4th-order integrator
+#: step of the classical 4th-order integrator through the ramp, and the least
+#: step after it
 STEP = 0.05
 
 #: bytes a step holds until the run's report is written: its schedule entries
@@ -146,7 +155,8 @@ class FlowConfig:
 
 
 #: E samples a state makes room for: the width-one window, the two steps
-#: that ``prune`` keeps behind it, the newest sample and some slack
+#: that ``prune`` keeps behind it, the newest sample and some slack (no step
+#: is shorter than STEP)
 WINDOW_SLOTS = int(np.ceil((1.0 + 2.0 * STEP) / STEP)) + 4
 
 #: steps whose time-only tables are built at once: the peak RSS of a 256-node,
@@ -155,30 +165,38 @@ WINDOW_SLOTS = int(np.ceil((1.0 + 2.0 * STEP) / STEP)) + 4
 TABLE_STEPS = 8
 
 
-def _schedule(t0: float, t_end: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Step i runs from times[i] by dt[i], by the run's own accumulation of t,
-    and reads the samples first[i]..i, sample k taken at times[k]: the end
-    of step i retires each k < i whose next lies behind t_{i+1} - 1 - 2 STEP."""
+def _schedule(t0: float, t_end: float, step: float = STEP) -> tuple[np.ndarray, np.ndarray]:
+    """Steps of ``step`` from t0 by the run's own accumulation of t, the last
+    one cut to end exactly at t_end: the times, t0 first, and the steps."""
     times, dt = [t0], []
     while times[-1] < t_end - 1e-9:
-        dt.append(min(STEP, t_end - times[-1]))
+        dt.append(min(step, t_end - times[-1]))
         times.append(times[-1] + dt[-1])
-    times = np.array(times)
-    behind = np.searchsorted(times, times[1:] - 1.0 - 2.0 * STEP, side="right") - 1
-    return times, np.array(dt), np.concatenate([[0], np.clip(behind, 0, np.arange(len(dt)))])
+    times[-1] = t_end
+    return np.array(times), np.array(dt)
 
 
 class FlowState:
     """Integrator state on rfft spectra in component rows, from the map ``w0``
-    at ``t0`` to ``t_end`` (FlowConfig's if None) by the steps of _schedule:
-    time ``t`` and its ``step``, the map's spectrum ``P`` (N, modes), the
-    stored increments E(tau) as ``taus[:count]`` and ``E[:count]`` (k, modes)
-    each, sized to the window, not the run, ``tail`` (k, modes), the retired
-    history integral, and the block's ``tables`` by step (_block_tables)."""
+    at ``t0`` to ``t_end`` (FlowConfig's if None): time ``t`` and its
+    ``step``, the map's spectrum ``P`` (N, modes), the stored increments
+    E(tau) as ``taus[:count]`` and ``E[:count]`` (k, modes) each, sized to the
+    window, not the run, ``tail`` (k, modes), the retired history integral,
+    and the block's ``tables`` by step (_block_tables).
+
+    Step i runs from times[i] by dt[i] and reads the samples first[i]..i,
+    sample k taken at times[k]: the end of step i retires each k < i whose
+    next lies behind t_{i+1} - 1 - 2 STEP. The schedule starts as the ramp,
+    steps of STEP to t0 + 1, and ``extend`` adds one block after it at a
+    time, sized by the error rates ``measure`` reads."""
 
     def __init__(self, t0: float, w0: ImmersionField, t_end: float | None = None):
         self.t = self.t0 = t0
-        self.times, self.dt, self.first = _schedule(t0, FlowConfig(t0, t_end).resolved_end)
+        self.t_end = FlowConfig(t0, t_end).resolved_end
+        self.times, self.dt = _schedule(t0, t0 + 1.0, STEP)
+        self.first = self._window_starts()
+        self.ramp, self.h, self.k4 = len(self.dt), STEP, None
+        self.target = self.block_rate = 0.0
         self.step, self.tables = 0, {}
         self.grid, self.offsets = w0.grid, w0.offsets
         self.P = np.fft.rfft(w0.data.T)
@@ -190,6 +208,41 @@ class FlowState:
         ik = derivative_multipliers(self.grid.shape[0], 4)
         self.orders = np.concatenate([np.ones((1, ik.shape[1])), ik])
         self.parts = np.repeat(np.eye(3), [len(self.tail)] + [len(self.P)] * 2, axis=1)
+
+    def _window_starts(self) -> np.ndarray:
+        behind = np.searchsorted(self.times, self.times[1:] - 1.0 - 2.0 * STEP, side="right") - 1
+        return np.concatenate([[0], np.clip(behind, 0, np.arange(len(self.dt)))])
+
+    def measure(self, k5: np.ndarray):
+        """Read the last step's local-error rate sup|k4 - k5|/6, its FSAL
+        estimate with ``k5`` the next step's first stage, into the block's
+        largest and, on the ramp, into the ramp's largest, the target of the
+        steps after it. The sup over n nodes is bounded by 2/n times the ell^1
+        sum of each rfft row of k4 - k5, so no inverse transform is taken."""
+        rate = float(abs(self.k4 - k5).sum(axis=-1).max()) / (3.0 * self.grid.shape[0])
+        self.block_rate = max(self.block_rate, rate)
+        if self.step <= self.ramp:
+            self.target = max(self.target, rate)
+
+    def extend(self):
+        """Schedule the next block after the ramp: its step is the last one's
+        times a factor in [1/2, 2] that brings the last block's largest error
+        rate, which scales as the step cubed, to the ramp's largest, then held
+        in [STEP, 1], the width of the memory window. TABLE_STEPS steps of it,
+        or, once no more than TABLE_STEPS + 1 of them are left, what is left in
+        equal steps of at most it and at least STEP, ending at t_end."""
+        rate, target = self.block_rate, self.target
+        factor = 2.0 if 8.0 * rate <= target else max(0.5, (target / rate) ** (1.0 / 3.0))
+        self.h = min(max(self.h * factor, STEP), 1.0)
+        left = self.t_end - self.t
+        if left > (TABLE_STEPS + 1) * self.h:
+            times, dt = _schedule(self.t, self.t + TABLE_STEPS * self.h, self.h)
+        else:
+            count = max(1, min(math.ceil(left / self.h), math.floor(left / STEP)))
+            times, dt = _schedule(self.t, self.t_end, left / count)
+        self.times = np.concatenate([self.times, times[1:]])
+        self.dt = np.concatenate([self.dt, dt])
+        self.first = self._window_starts()
 
     def record(self, tau: float, E: np.ndarray):
         """Store the spectrum of the node rows E(tau), tau after every stored time."""
@@ -355,11 +408,17 @@ def _rhs(state: FlowState, P: np.ndarray, now: _TimeReading) -> _Rates:
 
 def _advance(state: FlowState, h: np.ndarray, k1: np.ndarray) -> _TimeReading:
     """Finish the schedule's next 4th-order step, of its dt, whose first
-    stage is ``k1``. Both new times are read at once, from the step's tables
-    and the history, all of it before them; the middle stages share one
-    reading, and the last stage's, returned, serves the next step's first."""
+    stage is ``k1``, which also reads the last step's error rate. Both new
+    times are read at once, from the step's tables and the history, all of it
+    before them; the middle stages share one reading, and the last stage's,
+    returned, serves the next step's first. A new block is scheduled when the
+    schedule runs out, and its tables are built at its first step."""
+    if state.k4 is not None:
+        state.measure(k1)
     if state.step not in state.tables:
-        state.tables = {}  # freed before the next block's are built
+        if state.step == len(state.dt):
+            state.extend()
+        state.tables, state.block_rate = {}, 0.0  # freed before the next block's are built
         state.tables = _block_tables(state)
     times, jets, pairs, weights = state.tables[state.step]
     dt = float(state.dt[state.step])
@@ -367,10 +426,10 @@ def _advance(state: FlowState, h: np.ndarray, k1: np.ndarray) -> _TimeReading:
     P = state.P
     k2 = _rhs(state, P + k1 * (dt / 2.0), half).W
     k3 = _rhs(state, P + k2 * (dt / 2.0), half).W
-    k4 = _rhs(state, P + k3 * dt, end).W
-    state.P = P + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (dt / 6.0)
-    state.t += dt
+    state.k4 = _rhs(state, P + k3 * dt, end).W
+    state.P = P + (k1 + k2 * 2.0 + k3 * 2.0 + state.k4) * (dt / 6.0)
     state.step += 1
+    state.t = float(state.times[state.step])
     state.prune()
     return end
 
@@ -449,7 +508,9 @@ def _record(state: FlowState, rates: _Rates, P0: np.ndarray, w0_pull: np.ndarray
 def run_flow(w0: ImmersionField, h_target: MetricField,
              cfg: FlowConfig = FlowConfig()) -> tuple[ImmersionField, FlowDiagnostics]:
     """Integrate the regularized flow from w0 toward a map realizing
-    w0#e + h_target, with classical 4th-order steps of size STEP.
+    w0#e + h_target, with classical 4th-order steps (FlowState). A residual
+    above cfg.tol that has not decayed for DIVERGENCE_PATIENCE * STEP of flow
+    time, the ramp's width, aborts.
 
     The steps run on spectra; fields are built from them only here, at the
     start and at the end, where they are checked for finite values. The
@@ -479,22 +540,21 @@ def run_flow(w0: ImmersionField, h_target: MetricField,
     now = _read_times(state, (state.t,), h_spectrum)[0]
 
     diag = FlowDiagnostics()
-    best_resid = float("inf")
-    stall = 0
+    best_resid, best_t = float("inf"), state.t
     try:
-        for _ in range(len(state.dt)):
+        while state.t < state.t_end:
             rates = _rhs(state, state.P, now)
             state.record(state.t, rates.E)
             sample = _record(state, rates, P0, pull, h)
             diag.samples.append(sample)
 
-            if sample.metric_resid > cfg.tol:
-                stall = stall + 1 if sample.metric_resid >= best_resid - 1e-15 else 0
-                if stall >= DIVERGENCE_PATIENCE:
-                    diag.final_resid = sample.metric_resid
-                    raise DivergenceError(
-                        f"residual {sample.metric_resid:.3e} not decaying for "
-                        f"{DIVERGENCE_PATIENCE} steps at t={state.t:.2f}")
+            if sample.metric_resid < best_resid - 1e-15:
+                best_t = state.t
+            elif (sample.metric_resid > cfg.tol
+                  and state.t - best_t >= DIVERGENCE_PATIENCE * STEP - 1e-9):
+                diag.final_resid = sample.metric_resid
+                raise DivergenceError(f"residual {sample.metric_resid:.3e} not decaying "
+                                      f"from t={best_t:.2f} to t={state.t:.2f}")
             best_resid = min(best_resid, sample.metric_resid)
             now = _advance(state, h_spectrum, rates.W)
 

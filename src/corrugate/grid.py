@@ -410,8 +410,12 @@ def symmetric_product(u: ImmersionField, v: ImmersionField) -> MetricField:
     """du (.) dv: the symmetric (0,2) tensor (d_i u . d_j v + d_j u . d_i v)/2."""
     _require_same_grid(u, v)
     gram = _component_products(_roll_axes(u.derivatives(), 2), _roll_axes(v.derivatives(), 2))
-    comps = [0.5 * (gram[i, j] + gram[j, i]) for i, j in triangular_index_pairs(u.grid.dim)]
-    return MetricField(u.grid, np.stack(comps, axis=-1))
+    pairs = triangular_index_pairs(u.grid.dim)
+    comps = np.empty(u.grid.shape + (len(pairs),))
+    for c, (i, j) in enumerate(pairs):
+        np.add(gram[i, j], gram[j, i], out=comps[..., c])
+    comps *= 0.5
+    return MetricField(u.grid, comps)
 
 
 def pullback_metric(w: ImmersionField) -> MetricField:

@@ -518,7 +518,7 @@ class TestMainDispatch:
                      "--out-prefix", prefix])
         assert code == 0
         samples = parse_report(prefix + "_diagnostics.csv", "flow")
-        assert len(samples) > 100
+        assert len(samples) > 40
         final = read_field(prefix + "_final.csv")
         g11 = pullback_metric(final).component(0, 0)
         assert np.max(np.abs(g11 - 1.04)) <= 1e-4
@@ -531,10 +531,13 @@ class TestMainDispatch:
         resid = grid_module.sup_norm(pullback_metric(final) - pullback_metric(w0) - h, 0)
         assert float(words[3]) == pytest.approx(resid, rel=1e-5)
 
+        # the divergence guard counts flow time, not steps: the residual stops
+        # decaying at the ramp's end, and the run aborts one ramp width later
         code = main(["flow", "--alpha", "0.04", "--t0", "10", "--tend", "16",
                      "--tol", "1e-15", "--resolution", "128",
                      "--out-prefix", prefix + "_bad"])
         assert code == 3
+        assert capsys.readouterr().err.strip().endswith("from t=11.00 to t=12.00")
 
     @pytest.mark.parametrize("option", [
         "flow --tol nan", "flow --smallness nan", "flow --t0 nan", "flow --tend nan",

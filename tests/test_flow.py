@@ -260,7 +260,9 @@ class TestFlowRhs:
         # k1, its E and its record, then k2..k4: the middle stages share one
         # reading and the last stage's serves the next step's first. What
         # depends on time alone is built once per block of TABLE_STEPS steps,
-        # at the block's first step, on its scheduled times in order
+        # at the block's first step, on its scheduled times in order: the
+        # ramp's blocks of 8, 8 and 4 steps of STEP to t0 + 1, then one of
+        # 2 STEP, scheduled whole when its first step starts
         import corrugate.flow as flow
 
         grid, w0 = circle_setup(64)
@@ -278,10 +280,7 @@ class TestFlowRhs:
                             lambda *args: quadratures.append(args) or pytest.fail("oracle read"))
         monkeypatch.setattr(flow, "_rhs", lambda *args: stages.append(rhs_(*args)) or stages[-1])
         calls = count_transforms(monkeypatch)
-        scheduled, t = [], state.t
         for _ in range(3 * TABLE_STEPS):
-            scheduled.append([t + STEP / 2.0, t + STEP])
-            t += STEP
             del calls[:], stages[:]
             rates = flow._rhs(state, state.P, now)
             state.record(state.t, rates.E)
@@ -292,14 +291,17 @@ class TestFlowRhs:
             assert np.array_equal(stages[1].rows[-1:].T, stages[2].rows[-1:].T)
             assert stages[3].H is now_next.H
             now = now_next
-        blocks = [(b, sum(scheduled[b:b + TABLE_STEPS], []))
-                  for b in range(0, 3 * TABLE_STEPS, TABLE_STEPS)]
+        times, dt = state.times, state.dt
+        assert len(dt) == 20 + TABLE_STEPS and times[20] == 11.0
+        assert np.allclose(dt, [STEP] * 20 + [2 * STEP] * TABLE_STEPS, rtol=0, atol=1e-12)
+        scheduled = [[times[i] + dt[i] / 2.0, times[i + 1]] for i in range(len(dt))]
+        blocks = [(b, sum(scheduled[b:e], [])) for b, e in ((0, 8), (8, 16), (16, 20), (20, 28))]
         assert multipliers == blocks
         assert weights == blocks
         assert quadratures == []
 
     def test_every_scheduled_reading_is_the_single_time_reading(self, monkeypatch):
-        # 121 steps from t0 = 10 to 16.02, the last one 0.02, in several blocks
+        # 43 steps from t0 = 10 to 16.02, the last seven 2.62/7, in several blocks
         # and past the steps where prune retires samples: every stage's
         # reading against the single-time reading of the history it reads
         import corrugate.flow as flow
@@ -319,9 +321,9 @@ class TestFlowRhs:
         monkeypatch.setattr(flow, "_rhs", checked)
         _, diag = run_flow(w0, h, FlowConfig(t0=10.0, t_end=16.02, tol=1e-4))
         state = states[0]
-        assert len(diag.samples) == len(state.dt) == 121 > 2 * TABLE_STEPS
-        assert len(counts) == 4 * 121
-        assert abs(state.dt[-1] - 0.02) <= 1e-9
+        assert len(diag.samples) == len(state.dt) == 43 > 2 * TABLE_STEPS
+        assert len(counts) == 4 * 43
+        assert abs(state.dt[-1] - 2.62 / 7) <= 1e-9
         assert any(later < earlier for earlier, later in zip(counts, counts[1:]))
 
     @pytest.mark.parametrize("steps, dt", [(3, STEP), (3, 0.02), (30, STEP)],
@@ -435,8 +437,8 @@ class TestRunFlow:
         assert max(s.identity_resid for s in diag.samples) <= 1e-6
 
     def test_alpha_run_builds_the_multipliers_once_per_block(self, monkeypatch):
-        # the flow bench's run: 240 steps read their multipliers from one
-        # evaluation per block of TABLE_STEPS, after the start's own reading
+        # the flow bench's run: 51 steps read their multipliers from one
+        # evaluation per block of at most TABLE_STEPS, after the start's own reading
         import corrugate.flow as flow
 
         calls, mults = [], flow._spectral_multipliers
@@ -445,8 +447,8 @@ class TestRunFlow:
         grid, w0 = circle_setup(256)
         _, diag = run_flow(w0, metric(grid, np.full(grid.shape, 0.04)),
                            FlowConfig(t0=10.0, t_end=22.0, tol=1e-4))
-        assert len(diag.samples) == 240
-        assert len(calls) <= -(-240 // TABLE_STEPS) + 1
+        assert len(diag.samples) == 51
+        assert len(calls) <= -(-51 // TABLE_STEPS) + 1
 
     @pytest.mark.slow
     def test_cosine_target_residual(self):
@@ -562,6 +564,74 @@ class TestRunFlow:
             tracemalloc.stop()
         assert len(schedule[1]) == len(rows) - 1 == steps
         assert peak <= STEP_BYTES * steps
+
+
+def run_with_state(monkeypatch, w0, h, cfg):
+    """run_flow's map, diagnostics and integrator state."""
+    import corrugate.flow as flow
+
+    states, rhs_ = [], flow._rhs
+    monkeypatch.setattr(flow, "_rhs", lambda state, *args: states.append(state)
+                        or rhs_(state, *args))
+    u, diag = run_flow(w0, h, cfg)
+    monkeypatch.undo()
+    return u, diag, states[0]
+
+
+class TestStepRule:
+    """STEP through the ramp; after it one step per block, sized by the
+    FSAL error rates against the ramp's largest."""
+
+    ALPHA = FlowConfig(t0=10.0, t_end=22.0, tol=1e-4)
+
+    def alpha_run(self, monkeypatch):
+        grid, w0 = circle_setup(256)
+        return run_with_state(monkeypatch, w0, metric(grid, np.full(grid.shape, 0.04)),
+                              self.ALPHA)
+
+    def test_ramp_steps_are_step_and_later_steps_lie_in_step_to_one(self, monkeypatch):
+        _, diag, state = self.alpha_run(monkeypatch)
+        times, dt = state.times, state.dt
+        assert np.all(np.abs(dt[:20] - STEP) <= 1e-12) and times[20] == 11.0
+        assert np.all(dt >= STEP - 1e-12) and np.all(dt <= 1.0)
+        assert times[-1] == state.t == 22.0
+        # set once per block: TABLE_STEPS steps of one size, each at most twice the last
+        post = dt[20:]
+        blocks = [post[b:b + TABLE_STEPS] for b in range(0, len(post), TABLE_STEPS)]
+        assert all(np.ptp(b) <= 1e-12 for b in blocks)
+        assert all(0.5 * a[0] <= b[0] <= 2.0 * a[0] for a, b in zip(blocks, blocks[1:]))
+        assert len(diag.samples) == len(dt) == 51
+
+    def test_alpha_residual_is_the_uniform_schedules(self, monkeypatch):
+        # 6.268247613322453e-8: the final residual of 240 uniform steps of STEP
+        _, diag, _ = self.alpha_run(monkeypatch)
+        assert abs(diag.final_resid / 6.268247613322453e-8 - 1.0) <= 1e-9
+
+    def test_halving_the_step_divides_the_residual_by_16(self, monkeypatch):
+        # the residual is the ramp's 4th-order error; the rule keeps the rest below it
+        import corrugate.flow as flow
+
+        grid, w0 = circle_setup(256)
+        h = metric(grid, np.full(grid.shape, 0.04))
+        _, coarse = run_flow(w0, h, self.ALPHA)
+        monkeypatch.setattr(flow, "STEP", STEP / 2.0)
+        monkeypatch.setattr(flow, "WINDOW_SLOTS", int(np.ceil((1.0 + STEP) / (STEP / 2))) + 4)
+        _, fine = run_flow(w0, h, self.ALPHA)
+        assert len(fine.samples) > len(coarse.samples)
+        assert abs(coarse.final_resid / fine.final_resid - 16.0) <= 1.0
+
+    def test_cosine_target_ends_near_the_uniform_residual(self, monkeypatch):
+        # 200 uniform steps of STEP from t0 = 5 to 15 end at 2.2826e-7
+        grid, w0 = circle_setup(128)
+        (x,) = grid.meshes()
+        h = metric(grid, 0.01 + 0.004 * np.cos(4 * x))
+        _, diag, state = run_with_state(monkeypatch, w0, h, FlowConfig(
+            t0=5.0, t_end=15.0, tol=1e-3, smallness=0.4))
+        assert diag.final_resid <= 1.5 * 2.2826e-7
+        assert len(diag.samples) < 100
+        assert np.all(state.dt >= STEP - 1e-12) and state.times[-1] == 15.0
+        assert max(s.identity_resid for s in diag.samples) <= 1e-6
+        assert max(s.ortho_resid for s in diag.samples) <= 1e-8
 
 
 class TestDiagnosticsTable:

@@ -138,6 +138,27 @@ class TestPullback:
         polar = (pullback_metric(u + v) - pullback_metric(u - v)).comps / 4.0
         assert np.max(np.abs(sym - polar)) <= 1e-13 * np.max(np.abs(sym))
 
+    def test_pullback_peaks_under_8_doubles_per_node(self):
+        # above the cached derivatives: the Gram's 4 entries and the 3 symmetrized
+        # rows written in place (7.4); stacking a list of rows held 10.4
+        import tracemalloc
+
+        grid = PeriodicGrid((128, 128))
+        x, y = grid.meshes()
+        w = ImmersionField(grid, np.stack([np.cos(x), np.sin(x), np.cos(y) + 0.1 * np.sin(x + y),
+                                           np.sin(y)], -1))
+        w.derivatives()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            g = pullback_metric(w)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert g.comps.shape == grid.shape + (3,)
+        assert peak / (8 * grid.num_nodes) <= 8.0
+
 
 class TestSupNorm:
     def test_constant_scalar(self):
